@@ -8,12 +8,13 @@ obligations merge.  Acceptance is generalized (one set per until subformula,
 ensuring its right side is not postponed forever) and then reduced to plain
 Büchi with the usual counter construction.
 
-Letters are sets of literals: trace-anchored atoms and the pair relations
-obseq/stateeq, which are translated as they stand, like atoms, so a body
-need not be expanded over an alphabet first.  A transition guard lists the
-literals the consumed letter must contain and the ones it must not; a letter
-for a body with relations must contain each relation that holds at that
-instant, in every argument order used by the body.
+Letters are sets of literals: trace-anchored atoms, the pair relations
+obseq/stateeq and the state-set literals, which are translated as they
+stand, like atoms, so a body need not be expanded over an alphabet first.
+A transition guard lists the literals the consumed letter must contain and
+the ones it must not; a letter for a body with relations must contain each
+relation that holds at that instant, in every argument order used by the
+body, and each set literal that holds there.
 """
 
 from __future__ import annotations
@@ -80,9 +81,13 @@ class Guard:
         return self.pos <= letter and not (self.neg & letter)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuchiAutomaton:
-    """Plain Büchi automaton with guards consumed on edges."""
+    """Plain Büchi automaton with guards consumed on edges.
+
+    Read-only: the engines share one automaton between every check of the
+    same body, so no caller may change it or its edge map.
+    """
     states: tuple
     initial: object
     edges: dict             # state -> tuple of (guard, target)

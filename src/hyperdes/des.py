@@ -11,6 +11,7 @@ delayed estimate refines a past instant using subsequent observations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -180,9 +181,9 @@ def validate_fsa(fsa: Fsa) -> Fsa:
                 stack.pop()
 
     seen = set(fsa.sort_states(fsa.initial))
-    frontier = list(fsa.sort_states(fsa.initial))
+    frontier = deque(fsa.sort_states(fsa.initial))
     while frontier:
-        x = frontier.pop(0)
+        x = frontier.popleft()
         for _, y in fsa.out_edges(x):
             if y not in seen:
                 seen.add(y)
@@ -200,8 +201,9 @@ def unobservable_reach(fsa: Fsa, states) -> frozenset:
     """All states reachable from `states` via unobservable events only."""
     seen = set(states)
     frontier = fsa.sort_states(states)
-    while frontier:
-        x = frontier.pop(0)
+    # breadth-first: the loop also visits what it appends; on the small
+    # sets this is called with, building a deque costs more than it saves
+    for x in frontier:
         for y in _uo_targets(fsa, x):
             if y not in seen:
                 seen.add(y)
@@ -278,9 +280,9 @@ def build_observer(fsa: Fsa) -> Observer:
     nodes = [init]
     seen = {init}
     edges = {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        est = queue.pop(0)
+        est = queue.popleft()
         for o in fsa.observations:
             nxt = observable_step(fsa, est, o)
             if not nxt:
@@ -307,13 +309,13 @@ def refine_fault_partition(fsa: Fsa):
     faults = fsa.fault_events
 
     seen = {}
-    queue = []
+    queue = deque()
     for x0 in fsa.sort_states(fsa.initial):
         if (x0, False) not in seen:
             seen[(x0, False)] = len(seen)
             queue.append((x0, False))
     while queue:
-        x, bit = queue.pop(0)
+        x, bit = queue.popleft()
         for e, y in fsa.out_edges(x):
             pair = (y, bit or e in faults)
             if pair not in seen:
@@ -392,9 +394,9 @@ def indicator_states(fsa: Fsa, part: FaultPartition) -> frozenset:
         for y in succ[x]:
             pred[y].append(x)
     reaches_normal = set(part.normal_states)
-    queue = fsa.sort_states(part.normal_states)
+    queue = deque(fsa.sort_states(part.normal_states))
     while queue:
-        y = queue.pop(0)
+        y = queue.popleft()
         for x in pred[y]:
             if x not in reaches_normal:
                 reaches_normal.add(x)
@@ -402,9 +404,9 @@ def indicator_states(fsa: Fsa, part: FaultPartition) -> frozenset:
 
     pumping = on_cycle & reaches_normal
     escaping = set(pumping)
-    queue = fsa.sort_states(pumping)
+    queue = deque(fsa.sort_states(pumping))
     while queue:
-        y = queue.pop(0)
+        y = queue.popleft()
         for x in pred[y]:
             if x not in escaping:
                 escaping.add(x)

@@ -4,17 +4,19 @@ A formula is a quantifier prefix over exactly two trace variables followed by
 an LTL body whose atoms are propositions anchored to one trace, written
 "x:<state>@p1", "o:<observation>@p1" or "tau@p1".  The relations obseq(p,q)
 and stateeq(p,q) state agreement of the observation (resp. state)
-propositions of the two traces at an instant.  They are leaves of their own:
-the Büchi translation treats them as literals of the pair letter, and
-expand_macros rewrites them into biconditional conjunctions over a concrete
-structure's alphabet where a body of plain atoms is wanted.
+propositions of the two traces at an instant, and InSet(name, p) states that
+trace p is in a named set of states, bound to its states by the formula's
+`sets`.  These are leaves of their own: the Büchi translation treats them as
+literals of the pair letter, and expand_macros rewrites them, given the
+binding, into biconditional conjunctions and state disjunctions over a
+concrete structure's alphabet where a body of plain atoms is wanted.
 
 property_template instantiates the nine built-in observational properties
-over an automaton with the relations left as leaves; property_formula
-returns the same templates fully expanded (no helper nodes left).  eval_body
-decides a body on ultimately periodic traces by fixpoint iteration and
-serves as the semantic reference the automaton-based engines are checked
-against.
+with the relations and the fault, initial and secret sets left as leaves, so
+a template's body depends on the property alone; property_formula returns
+the same templates fully expanded (no helper nodes left).  eval_body decides
+a body on ultimately periodic traces by fixpoint iteration and serves as the
+semantic reference the automaton-based engines are checked against.
 """
 
 from __future__ import annotations
@@ -121,14 +123,23 @@ class StateEq:
     right: str
 
 
+@dataclass(frozen=True)
+class InSet:
+    """The state of a trace lies in a named state set; the formula that uses
+    it binds the name to the states (see HyperFormula.sets)."""
+    name: str           # "fault", "initial", "secret", "nonsecret" or "boundary"
+    trace: str
+
+
 # leaves a letter of the pair composition can contain
-LETTER_ATOMS = (Atom, ObsEq, StateEq)
+LETTER_ATOMS = (Atom, ObsEq, StateEq, InSet)
 
 
 @dataclass(frozen=True)
 class HyperFormula:
     prefix: tuple       # ((quantifier, var), (quantifier, var))
     body: object
+    sets: tuple = ()    # ((name, frozenset of states), ...) binding the InSet names
 
     def quantifiers(self):
         return tuple(q for q, _ in self.prefix)
@@ -354,14 +365,19 @@ def format_formula(formula: HyperFormula) -> str:
 # macro expansion, desugaring
 
 
-def expand_macros(body, structure):
-    """Replace obseq/stateeq/F1 with their definitions over a structure.
+def expand_macros(body, structure, sets=()):
+    """Replace obseq/stateeq/F1 and state-set literals with their definitions
+    over a structure.
 
     `structure` may be an automaton or anything carrying one as `.fsa`.
+    `sets` binds the names of InSet literals to state sets, as a formula's
+    `sets` does; a literal becomes the disjunction of the state atoms of its
+    set, in declaration order.
     """
     fsa = getattr(structure, "fsa", structure)
     obs_props = [f"o:{o}" for o in fsa.observations]
     state_props = [f"x:{x}" for x in fsa.states]
+    bound = dict(sets)
 
     def walk(node):
         t = type(node)
@@ -369,6 +385,10 @@ def expand_macros(body, structure):
             return _prop_agreement(obs_props, node.left, node.right)
         if t is StateEq:
             return _prop_agreement(state_props, node.left, node.right)
+        if t is InSet:
+            if node.name not in bound:
+                raise ValueError(f"no state set is bound to {node.name!r}")
+            return _disj(fsa.sort_states(bound[node.name]), node.trace)
         if t is Once:
             return _expand_once(walk(node.sub))
         if t in (Top, Bottom, Atom):
@@ -397,8 +417,8 @@ def _expand_once(sub):
 def desugar(body):
     """Rewrite to the core connectives: atoms, !, &, |, X, U, R.
 
-    Idempotent.  obseq/stateeq leaves are kept as they are, like atoms, and
-    F1 is rewritten through its definition.
+    Idempotent.  obseq/stateeq and state-set leaves are kept as they are,
+    like atoms, and F1 is rewritten through its definition.
     """
     t = type(body)
     if t in (Top, Bottom) or t in LETTER_ATOMS:
@@ -465,17 +485,25 @@ def property_formula(kind, fsa, part=None):
     with stalling twins).  Diagnosability and predictability need the fault
     partition of a refined machine; the opacity properties need declared
     secret states.  The body is property_template's with obseq/stateeq
-    expanded over the automaton's alphabet.
+    expanded over the automaton's alphabet and each state-set literal
+    expanded into the disjunction of its states.
     """
     formula, structure_kind = property_template(kind, fsa, part)
-    return HyperFormula(formula.prefix, expand_macros(formula.body, fsa)), structure_kind
+    body = expand_macros(formula.body, fsa, formula.sets)
+    return HyperFormula(formula.prefix, body), structure_kind
 
 
 def property_template(kind, fsa, part=None):
-    """Like property_formula, with obseq/stateeq left as relational leaves.
+    """Like property_formula, with the relations and state sets left as
+    literals of the pair letter.
 
-    The engines decide these bodies on the pair letter directly, so the
-    Büchi automaton of a template does not grow with the model's alphabet.
+    The body is the same for every automaton: obseq/stateeq compare the two
+    traces, and InSet("fault" | "initial" | "secret" | "nonsecret", p) says
+    that trace p is in that set of states.  The returned formula's `sets`
+    binds each of these names to the automaton's states.  The engines decide
+    these literals on the pair letter directly, so the Büchi automaton of a
+    template depends on the property alone and is translated once per
+    process.
     """
     if kind not in PROPERTIES:
         raise ValueError(f"unknown property {kind!r}; expected one of {', '.join(PROPERTIES)}")
@@ -489,19 +517,19 @@ def property_template(kind, fsa, part=None):
     stateeq = StateEq("p1", "p2")
 
     if kind in FAULT_PROPERTIES:
-        fault1 = _disj(fsa.sort_states(part.fault_states), "p1")
-        fault2 = _disj(fsa.sort_states(part.fault_states), "p2")
+        fault1 = InSet("fault", "p1")
+        fault2 = InSet("fault", "p2")
         if kind == "diagnosability":
             body = Implies(And(Eventually(fault1), Always(obseq)), Eventually(fault2))
         else:
             body = Implies(Until(obseq, fault1), Eventually(fault2))
-        return HyperFormula(forall2, body), "plain"
+        return HyperFormula(forall2, body, (("fault", part.fault_states),)), "plain"
 
+    initial = (("initial", fsa.initial),)
     if kind == "i-detectability":
-        init1 = _disj(fsa.sort_states(fsa.initial), "p1")
-        init2 = _disj(fsa.sort_states(fsa.initial), "p2")
-        body = Implies(And(init1, And(init2, Always(obseq))), stateeq)
-        return HyperFormula(forall2, body), "plain"
+        body = Implies(And(InSet("initial", "p1"), And(InSet("initial", "p2"), Always(obseq))),
+                       stateeq)
+        return HyperFormula(forall2, body, initial), "plain"
     if kind == "strong-detectability":
         body = Implies(Always(obseq), Eventually(Always(stateeq)))
         return HyperFormula(forall2, body), "plain"
@@ -513,25 +541,25 @@ def property_template(kind, fsa, part=None):
         return HyperFormula(forall2, body), "plain"
 
     forall_exists = (("forall", "p1"), ("exists", "p2"))
-    secret = fsa.sort_states(fsa.secret_states)
-    nonsecret = [x for x in fsa.states if x not in fsa.secret_states]
+    secret = fsa.secret_states
+    sets = (("secret", secret),
+            ("nonsecret", frozenset(x for x in fsa.states if x not in secret)))
 
     if kind == "initial-state-opacity":
-        init1 = _disj(fsa.sort_states(fsa.initial), "p1")
-        init2 = _disj(fsa.sort_states(fsa.initial), "p2")
-        body = Implies(And(init1, _disj(secret, "p1")),
-                       And(init2, And(Always(obseq), _disj(nonsecret, "p2"))))
-        return HyperFormula(forall_exists, body), "plain"
+        body = Implies(And(InSet("initial", "p1"), InSet("secret", "p1")),
+                       And(InSet("initial", "p2"),
+                           And(Always(obseq), InSet("nonsecret", "p2"))))
+        return HyperFormula(forall_exists, body, initial + sets), "plain"
 
     tau1 = Atom("tau", "p1")
     tau2 = Atom("tau", "p2")
-    secret_pause = And(_expand_once(tau1), Always(Implies(tau1, _disj(secret, "p1"))))
-    reveal_free = Always(Implies(tau1, And(tau2, _disj(nonsecret, "p2"))))
+    secret_pause = And(_expand_once(tau1), Always(Implies(tau1, InSet("secret", "p1"))))
+    reveal_free = Always(Implies(tau1, And(tau2, InSet("nonsecret", "p2"))))
     if kind == "current-state-opacity":
         body = Implies(secret_pause, And(Until(obseq, tau1), reveal_free))
     else:
         body = Implies(secret_pause, And(Always(obseq), reveal_free))
-    return HyperFormula(forall_exists, body), "modified"
+    return HyperFormula(forall_exists, body, sets), "modified"
 
 
 # ---------------------------------------------------------------------------

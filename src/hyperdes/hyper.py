@@ -6,8 +6,10 @@ properties:
 - forall/forall: classic automata route.  The negated body is translated to a
   Büchi automaton, composed with the two-fold self-composition of the
   structure, and searched for an accepting lasso with a nested DFS.  The
-  obseq/stateeq relations are literals of the letter of each node pair, so
-  the automaton does not grow with the model's alphabet.
+  obseq/stateeq relations and the state-set literals (fault, initial,
+  secret, boundary) are literals of the letter of each node pair, so the
+  automaton of a built-in property does not depend on the model; it is
+  translated once per process and shared between checks.
 - forall/exists: the built-in formulas of this shape all lie in a synchronous
   fragment (observation agreement up to a single distinguished instant plus
   membership obligations there), which admits an exact subset-tracking walk:
@@ -21,6 +23,7 @@ properties:
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from collections import deque
@@ -42,13 +45,13 @@ from .formula import (
     Eventually,
     HyperFormula,
     Implies,
+    InSet,
     Not,
     ObsEq,
     Once,
     Or,
     StateEq,
     Until,
-    _disj,
     eval_body,
     expand_macros,
     property_template,
@@ -79,12 +82,14 @@ def _node_atoms(k, node, var):
     return frozenset(Atom(p, var) for p in k.label[node])
 
 
-def _pair_letter(k, u, v, v1, v2):
-    """Literals true at the product node (u, v): the atoms of both nodes and
-    the obseq/stateeq relations that hold there, in both argument orders and
-    reflexively.  A relation holds when the two nodes carry the same
-    observation (resp. state) propositions, which is what its expansion over
-    the alphabet says."""
+def _pair_letter(k, u, v, v1, v2, sets):
+    """Literals true at the product node (u, v): the atoms of both nodes, the
+    obseq/stateeq relations that hold there, in both argument orders and
+    reflexively, and InSet(name, var) for each bound set holding that
+    node's state.  A relation holds when the two nodes carry the same
+    observation (resp. state) propositions, and a set literal when the
+    node's one state proposition names a member; that is what their
+    expansions over the alphabet say."""
     lu, lv = k.label[u], k.label[v]
     out = set(_node_atoms(k, u, v1) | _node_atoms(k, v, v2))
     for rel, prefix in ((ObsEq, "o:"), (StateEq, "x:")):
@@ -92,6 +97,11 @@ def _pair_letter(k, u, v, v1, v2):
         if ({p for p in lu if p.startswith(prefix)}
                 == {p for p in lv if p.startswith(prefix)}):
             out.update((rel(v1, v2), rel(v2, v1)))
+    for name, states in sets:
+        if u.state in states:
+            out.add(InSet(name, v1))
+        if v.state in states:
+            out.add(InSet(name, v2))
     return frozenset(out)
 
 
@@ -107,11 +117,7 @@ def _pair_order(items):
     for i in range(n):
         for d in range(1, n + 1):
             out.append((items[i], items[(i + d) % n]))
-    seen = []
-    for p in out:
-        if p not in seen:
-            seen.append(p)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 def _project(k, product_path, coord):
@@ -129,15 +135,26 @@ def _check_prefix(formula, expected):
 # forall/forall engine
 
 
+@functools.lru_cache(maxsize=64)
+def _negated_body_automaton(body):
+    """Automaton of the negated body, translated once per body and process.
+
+    A built-in property's body is the same for every model, so each property
+    is translated once.  The automaton is shared by every check of the body
+    and must not be mutated."""
+    return ltl_to_buchi(Not(body))
+
+
 def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     """Exact check of a two-trace universal formula via nested DFS.
 
-    obseq/stateeq leaves are decided on the pair letter, so the body is
-    translated as it stands; an expanded body gives the same verdict.
+    obseq/stateeq and state-set leaves are decided on the pair letter, so
+    the body is translated as it stands; an expanded body gives the same
+    verdict.
     """
     _check_prefix(formula, ("forall", "forall"))
     (_, v1), (_, v2) = formula.prefix
-    ba = ltl_to_buchi(Not(formula.body))
+    ba = _negated_body_automaton(formula.body)
 
     succ_cache = {}
 
@@ -151,7 +168,7 @@ def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
 
     def letter(c):
         if c not in letter_cache:
-            letter_cache[c] = _pair_letter(k, *c, v1, v2)
+            letter_cache[c] = _pair_letter(k, *c, v1, v2, formula.sets)
         return letter_cache[c]
 
     def successors(state):
@@ -294,7 +311,7 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
     """Recognize a supported forall/exists body or explain why not."""
     _check_prefix(formula, ("forall", "exists"))
     (_, v1), (_, v2) = formula.prefix
-    body = expand_macros(formula.body, k)
+    body = expand_macros(formula.body, k, formula.sets)
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
     obseq = expand_macros(ObsEq(v1, v2), k)
@@ -551,12 +568,15 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
 # exists/forall engine (bounded)
 
 
-def _collapse_body(k, formula):
-    """The expanded body: always obs-equal implies eventually always
-    state-equal, over the formula's two trace variables."""
+def _is_collapse(k, formula):
+    """Whether the body is the collapse body, always obs-equal implies
+    eventually always state-equal, written with the relations or expanded.
+    The relational form is recognized as it stands: comparing two
+    expansions recurses once per proposition of the alphabet."""
     (_, v1), (_, v2) = formula.prefix
-    return Implies(Always(expand_macros(ObsEq(v1, v2), k)),
-                   Eventually(Always(expand_macros(StateEq(v1, v2), k))))
+    relational = Implies(Always(ObsEq(v1, v2)), Eventually(Always(StateEq(v1, v2))))
+    return (formula.body == relational
+            or expand_macros(formula.body, k, formula.sets) == expand_macros(relational, k))
 
 
 def _estimate_walk_accepts(k, pi1):
@@ -627,11 +647,11 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
     testing emptiness of the product of the candidate, the structure and the
     Büchi automaton of the negated body."""
     _check_prefix(formula, ("exists", "forall"))
-    body = expand_macros(formula.body, k)
     if bound is None:
         bound = len(k.nodes) + 1
-    collapse = body == _collapse_body(k, formula)
-    nbody_ba = None if collapse else ltl_to_buchi(Not(body))
+    collapse = _is_collapse(k, formula)
+    nbody_ba = None if collapse else \
+        ltl_to_buchi(Not(expand_macros(formula.body, k, formula.sets)))
 
     def accepts(cand):
         if collapse:
@@ -698,10 +718,10 @@ def _decision_formula(kind, target, part):
     if kind != "predictability":
         return property_template(kind, target, part)
     obseq = ObsEq("p1", "p2")
-    at_boundary = _disj(target.sort_states(boundary_states(target, part)), "p1")
-    fault2 = _disj(target.sort_states(part.fault_states), "p2")
-    body = Implies(Until(obseq, And(at_boundary, obseq)), Eventually(fault2))
-    return HyperFormula((("forall", "p1"), ("forall", "p2")), body), "plain"
+    body = Implies(Until(obseq, And(InSet("boundary", "p1"), obseq)),
+                   Eventually(InSet("fault", "p2")))
+    sets = (("boundary", boundary_states(target, part)), ("fault", part.fault_states))
+    return HyperFormula((("forall", "p1"), ("forall", "p2")), body, sets), "plain"
 
 
 def _estimate_graph(k):
@@ -999,8 +1019,7 @@ def replay_witness(fsa, kind, verdict: Verdict) -> bool:
             return _replay_pump(k, verdict.details)
         pi1, pi2 = verdict.witness
         if pi2 is None:
-            body = expand_macros(formula.body, k)
-            if body != _collapse_body(k, formula):
+            if not _is_collapse(k, formula):
                 raise NotARun("single-trace violation witness outside the collapse shape")
             _require_run(k, pi1)
             return not _estimate_walk_accepts(k, pi1)
@@ -1008,7 +1027,7 @@ def replay_witness(fsa, kind, verdict: Verdict) -> bool:
         _require_run(k, pi2)
         (_, v1), (_, v2) = formula.prefix
         assign = {v1: _lasso_labels(k, pi1), v2: _lasso_labels(k, pi2)}
-        body = expand_macros(formula.body, k)
+        body = expand_macros(formula.body, k, formula.sets)
         return eval_body(body, assign) is False
     if verdict.holds is False and quants == ("forall", "exists"):
         pi1, pi2 = verdict.witness
@@ -1019,8 +1038,8 @@ def replay_witness(fsa, kind, verdict: Verdict) -> bool:
     if verdict.holds is True and quants == ("exists", "forall"):
         pi1, _ = verdict.witness
         _require_run(k, pi1)
-        body = expand_macros(formula.body, k)
-        if body == _collapse_body(k, formula):
+        if _is_collapse(k, formula):
             return _estimate_walk_accepts(k, pi1)
+        body = expand_macros(formula.body, k, formula.sets)
         return _inner_universal_holds(k, pi1, formula, ltl_to_buchi(Not(body)))
     raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")

@@ -14,6 +14,7 @@ corresponding properties quantify over.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -107,9 +108,9 @@ def build_kripke(fsa) -> KripkeStructure:
     nodes = list(initial)
     seen = set(initial)
     succ = {}
-    queue = list(initial)
+    queue = deque(initial)
     while queue:
-        q = queue.pop(0)
+        q = queue.popleft()
         out = []
         for o in fsa.observations:
             for y in targets(q.state, o):

@@ -15,6 +15,7 @@ exactly.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .des import (
@@ -86,9 +87,9 @@ def diagnosability_oracle(fsa, config=None) -> Verdict:
     est0 = unobservable_reach(refined, refined.initial)
     start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
     seen = set(start)
-    queue = list(start)
+    queue = deque(start)
     while queue:
-        x, ctr, est = queue.pop(0)
+        x, ctr, est = queue.popleft()
         if x in fault and ctr >= bound and not est <= fault:
             return _bounded_verdict("diagnosability", False, bound, conclusive,
                                     {"ambiguous_after": ctr})
@@ -125,9 +126,9 @@ def predictability_oracle(fsa, config=None) -> Verdict:
     est0 = unobservable_reach(refined, refined.initial) & normal
     start = [(x0, est0) for x0 in refined.sort_states(refined.initial)]
     seen = set(start)
-    queue = list(start)
+    queue = deque(start)
     while queue:
-        x, est = queue.pop(0)
+        x, est = queue.popleft()
         if est <= indicator:
             continue  # predicted from here on, for every extension
         if x in boundary:
@@ -346,9 +347,9 @@ def initial_state_opacity_oracle(fsa, config=None) -> Verdict:
     secret = fsa.secret_states
     root = _initial_tracks(fsa)
     seen = {root}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        tracks = queue.pop(0)
+        tracks = queue.popleft()
         concl = frozenset(x0 for x0, _ in tracks)
         if concl and concl <= secret:
             return Verdict(property="initial-state-opacity", holds=False,
@@ -382,9 +383,9 @@ def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
     for est in obs.nodes:
         start = frozenset((x, x) for x in est)
         seen = {start}
-        queue = [start]
+        queue = deque([start])
         while queue:
-            pairs = queue.pop(0)
+            pairs = queue.popleft()
             anchors = frozenset(a for a, _ in pairs)
             if anchors and anchors <= secret:
                 return Verdict(property="infinite-step-opacity", holds=False,

@@ -6,6 +6,7 @@ suite can enumerate a fixed, reproducible stream of cases without hypothesis.
 
 import math
 
+from hyperdes.des import Fsa
 from hyperdes.formula import (
     And,
     Atom,
@@ -100,3 +101,22 @@ def assignment_letters(assignment):
     stem_letters = [letter(i) for i in range(stem_len)]
     cycle_letters = [letter(stem_len + j) for j in range(period)]
     return stem_letters, cycle_letters
+
+
+def fault_ring(n):
+    """n-state ring: a (observed o1) steps i -> i+1, b (observed o2) closes
+    n-1 -> 0, and the unobservable fault f skips 0 -> 1; initial state 0,
+    even-numbered states secret.
+
+    For n >= 4 it is diagnosable, i-detectable and current-state opaque iff
+    n is even, and it has none of the other six properties: a lap through f
+    shows one o1 fewer, while the estimate {0,1} recurs after every o2 and
+    state 0 can still take f into 1 and then behave exactly like 1.
+    """
+    states = [str(i) for i in range(n)]
+    trans = {(str(i), "a"): str(i + 1) for i in range(n - 1)}
+    trans[(str(n - 1), "b")] = "0"
+    trans[("0", "f")] = "1"
+    return Fsa(states=states, events=["a", "b", "f"], transitions=trans,
+               initial=["0"], mask={"a": "o1", "b": "o2", "f": None},
+               fault_events=["f"], secret_states=states[::2], name=f"fault-{n}")

@@ -25,6 +25,7 @@ from hyperdes.formula import (
     HyperFormula,
     Iff,
     Implies,
+    InSet,
     Next,
     Not,
     ObsEq,
@@ -40,6 +41,7 @@ from hyperdes.formula import (
     format_formula,
     parse_formula,
     property_formula,
+    property_template,
 )
 from hyperdes.kripke import build_kripke
 
@@ -207,7 +209,7 @@ def test_random_formulas_round_trip(prefix, body):
 
 def contains_helper_nodes(node):
     t = type(node)
-    if t in (ObsEq, StateEq, Once):
+    if t in (ObsEq, StateEq, InSet, Once):
         return True
     if t in (Atom, Top, Bottom):
         return False
@@ -293,6 +295,41 @@ def test_obseq_expansion_counts(g_det):
     assert len(iffs) == len(g_det.observations) == 3
     via_kripke = expand_macros(ObsEq("p1", "p2"), build_kripke(g_det))
     assert via_kripke == expanded
+
+
+def test_template_bodies_do_not_depend_on_the_model(g_diag, g_det, g_opa):
+    """A template names its state sets; only the binding differs between
+    machines, and expanding the template with it gives property_formula."""
+    refined, part = refine_fault_partition(g_diag)
+    for kind in ("diagnosability", "predictability"):
+        template, _ = property_template(kind, refined, part)
+        assert template.sets == (("fault", part.fault_states),)
+        assert property_formula(kind, refined, part)[0] == HyperFormula(
+            template.prefix, expand_macros(template.body, refined, template.sets))
+    for kind in ("i-detectability", "strong-detectability", "delayed-detectability",
+                 "initial-state-opacity", "current-state-opacity", "infinite-step-opacity"):
+        machines = (g_opa,) if "opacity" in kind else (g_opa, g_det)
+        templates = [property_template(kind, fsa)[0] for fsa in machines]
+        assert len({t.body for t in templates}) == 1
+        for fsa, template in zip(machines, templates):
+            assert property_formula(kind, fsa)[0] == HyperFormula(
+                template.prefix, expand_macros(template.body, fsa, template.sets))
+    sets = dict(property_template("initial-state-opacity", g_opa)[0].sets)
+    assert sets["initial"] == g_opa.initial
+    assert sets["secret"] == g_opa.secret_states
+    assert sets["nonsecret"] == frozenset(g_opa.states) - g_opa.secret_states
+
+
+def test_set_literal_expands_in_declaration_order(g_det):
+    """A set literal becomes the disjunction of its states' atoms, in the
+    order the machine declares them, and needs a binding."""
+    chosen = frozenset(g_det.states[:3])
+    expanded = expand_macros(InSet("chosen", "p2"), g_det, (("chosen", chosen),))
+    first, second, third = (Atom(f"x:{x}", "p2") for x in g_det.states[:3])
+    assert expanded == Or(Or(first, second), third)
+    assert expand_macros(InSet("none", "p1"), g_det, (("none", frozenset()),)) == Bottom()
+    with pytest.raises(ValueError):
+        expand_macros(InSet("chosen", "p1"), g_det)
 
 
 def test_missing_annotations(g_det, g_diag):

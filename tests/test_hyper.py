@@ -33,8 +33,10 @@ from hyperdes.hyper import (
     match_sync_shape,
     replay_witness,
     verify,
+    _decision_formula,
     _estimate_walk_accepts,
     _inner_universal_holds,
+    _negated_body_automaton,
     _nested_dfs,
 )
 from hyperdes.kripke import (
@@ -44,6 +46,7 @@ from hyperdes.kripke import (
     build_modified_kripke,
     canonical_lasso,
 )
+from support import fault_ring
 
 
 def node(state, obs=None, copy=False):
@@ -154,11 +157,13 @@ def test_delayed_detectability_fixture_violated_with_pinned_witness(g_det):
 
 
 def _check_both_routes(fsa, template):
-    """Decide a forall/forall formula with obseq/stateeq decided on the pair
-    letter and with them expanded over the alphabet; the verdicts must match
-    and every violation pair must falsify the expanded body."""
+    """Decide a forall/forall formula with obseq/stateeq and the state sets
+    decided on the pair letter and with them expanded over the alphabet; the
+    verdicts must match and every violation pair must falsify the expanded
+    body."""
     k = build_kripke(fsa)
-    expanded = HyperFormula(template.prefix, expand_macros(template.body, fsa))
+    expanded = HyperFormula(template.prefix,
+                            expand_macros(template.body, fsa, template.sets))
     (_, v1), (_, v2) = expanded.prefix
     verdicts = [check_forall_forall(k, template), check_forall_forall(k, expanded)]
     assert verdicts[0].holds == verdicts[1].holds
@@ -174,10 +179,12 @@ def _check_both_routes(fsa, template):
 
 
 def test_relational_and_expanded_templates_agree_on_fixtures(g_diag, g_det):
-    """The five forall/forall templates give the same verdict whether
-    obseq/stateeq are decided on the pair letter or expanded over the
-    alphabet, and every violation pair replays on the expanded body; so does
-    a written formula using the relations reversed and reflexively."""
+    """The five forall/forall templates and the boundary-triggered
+    predictability formula give the same verdict whether obseq/stateeq and
+    the fault, boundary and initial sets are decided on the pair letter or
+    expanded over the alphabet, and every violation pair replays on the
+    expanded body; so does a written formula using the relations reversed
+    and reflexively."""
     refined, part = refine_fault_partition(g_diag)
     for fsa, kind, p, want in ((refined, "diagnosability", part, True),
                                (refined, "predictability", part, False),
@@ -186,23 +193,35 @@ def test_relational_and_expanded_templates_agree_on_fixtures(g_diag, g_det):
                                (g_det, "delayed-detectability", None, False)):
         template, _ = property_template(kind, fsa, p)
         expanded, _ = property_formula(kind, fsa, p)
-        assert expanded.body == expand_macros(template.body, fsa)
+        assert expanded.body == expand_macros(template.body, fsa, template.sets)
         assert _check_both_routes(fsa, template) is want, kind
+    trigger, _ = _decision_formula("predictability", refined, part)
+    assert _check_both_routes(refined, trigger) is False
     written = parse_formula("forall p1. forall p2. "
                             "G obseq(p2,p1) & obseq(p1,p1) -> G stateeq(p2,p1)")
     assert _check_both_routes(g_det, written) is False
 
 
 def test_relational_and_expanded_templates_agree_on_fuzz_stream():
-    """A seeded slice of the acceptance fuzz stream, on the two templates
-    whose expanded automata stay small."""
+    """A seeded slice of the acceptance fuzz stream, on the templates whose
+    expanded automata stay small: i- and delayed-detectability, and
+    diagnosability and the boundary-triggered predictability formula on the
+    machines that declare a fault."""
     rng = random.Random(20260823)
-    outcomes = set()
+    outcomes = {}
     for _ in range(12):
         fsa = random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3)
-        for kind in ("i-detectability", "delayed-detectability"):
-            outcomes.add(_check_both_routes(fsa, property_template(kind, fsa)[0]))
-    assert outcomes == {True, False}
+        cases = [(fsa, property_template(kind, fsa)[0])
+                 for kind in ("i-detectability", "delayed-detectability")]
+        if fsa.fault_events:
+            refined, part = refine_fault_partition(fsa)
+            cases += [(refined, _decision_formula(kind, refined, part)[0])
+                      for kind in ("diagnosability", "predictability")]
+        for machine, formula in cases:
+            outcome = _check_both_routes(machine, formula)
+            outcomes.setdefault(formula.body, set()).add(outcome)
+    assert len(outcomes) == 4
+    assert all(seen == {True, False} for seen in outcomes.values())
 
 
 def test_forall_forall_witness_violates_body(g_det):
@@ -601,3 +620,78 @@ def test_forall_exists_refutation_is_trace_specific(g_opa):
                   node("2", "o2", copy=True), node("2", "o2")],
                  [node("2", "o3")])
     assert forall_exists_refutes(k, formula, weak) is False
+
+
+# ---------------------------------------------------------------------------
+# model-independent templates
+
+FORALL_FORALL = ("diagnosability", "predictability", "i-detectability",
+                 "strong-detectability", "delayed-detectability")
+
+
+def _decided(fsa, kind):
+    """The formula verify decides `kind` with, over the machine it uses."""
+    if kind in ("diagnosability", "predictability"):
+        target, part = refine_fault_partition(validate_fsa(fsa))
+        return _decision_formula(kind, target, part)[0]
+    return _decision_formula(kind, validate_fsa(fsa), None)[0]
+
+
+def test_negated_body_automata_do_not_depend_on_the_model(g_diag, g_det, g_opa):
+    """Each forall/forall decision formula has one body for every machine,
+    and its negation translates to an automaton of the same size on fault
+    rings of 16 and 48 states and on the fixtures."""
+    machines = [fault_ring(16), fault_ring(48), g_diag, g_det, g_opa]
+    for kind in FORALL_FORALL:
+        bodies, sizes = set(), set()
+        for fsa in machines:
+            if kind in ("diagnosability", "predictability") and fsa.fault_events is None:
+                continue
+            body = _decided(fsa, kind).body
+            ba = ltl_to_buchi(Not(body))
+            bodies.add(body)
+            sizes.add((len(ba.states), sum(len(e) for e in ba.edges.values())))
+        assert len(bodies) == 1, kind
+        assert len(sizes) == 1, (kind, sizes)
+
+
+def test_large_fault_ring_decides_on_the_hyper_route():
+    """The 360-state fault ring: diagnosable, not predictable, and weak
+    detectability is out of reach of the candidate route (it is false, and
+    that route can only prove it).  The predictability witness replays."""
+    fsa = validate_fsa(fault_ring(360))
+    want = {"diagnosability": True, "predictability": False,
+            "weak-detectability": "inconclusive"}
+    for kind, holds in want.items():
+        verdict = verify(fsa, kind, wd_route="bounded")
+        assert verdict.holds == holds, kind
+        assert verdict.seconds < 10, kind
+    verdict = verify(fsa, "predictability")
+    assert replay_witness(fsa, "predictability", verdict) is True
+
+
+def test_cold_and_warm_translation_cache_agree(g_diag, g_det):
+    """Verdicts and witnesses are the same whether each check translates its
+    body afresh or takes the automaton an earlier check translated; a warm
+    pass translates nothing, and the five forall/forall decision formulas
+    need five translations however many machines use them."""
+    cases = [(fsa, kind) for fsa in (fault_ring(6), fault_ring(9), g_diag)
+             for kind in ("diagnosability", "predictability")]
+    cases += [(fsa, kind) for fsa in (fault_ring(6), g_det, fault_ring(9))
+              for kind in ("i-detectability", "strong-detectability",
+                           "delayed-detectability")]
+
+    def outcome(verdict):
+        return verdict.holds, verdict.mode, verdict.engine, verdict.witness, verdict.details
+
+    cold = []
+    for fsa, kind in cases:
+        _negated_body_automaton.cache_clear()
+        cold.append(outcome(verify(fsa, kind)))
+    _negated_body_automaton.cache_clear()
+    first = [outcome(verify(fsa, kind)) for fsa, kind in cases]
+    assert _negated_body_automaton.cache_info().misses == len(FORALL_FORALL)
+    warm = [outcome(verify(fsa, kind)) for fsa, kind in cases]
+    assert _negated_body_automaton.cache_info().misses == len(FORALL_FORALL)
+    assert cold == first == warm
+    assert {holds for holds, *_ in cold} == {True, False}
