@@ -26,15 +26,16 @@ from .des import (
     validate_fsa,
 )
 from .formula import PROPERTIES, parse_formula, property_formula
-from .hyper import Verdict, replay_witness, verify
-from .kripke import KNode, Lasso, build_kripke, build_modified_kripke, export_dot
+from .fuzz import differential_fuzz
+from .hyper import replay_witness, verify
+from .kripke import KNode, Lasso, Verdict, build_kripke, build_modified_kripke, export_dot
 from .modelio import (
     load_model,
     parse_model,
     serialize_model,
     serialize_verdict,
 )
-from .oracle import OracleConfig, differential_fuzz, oracle_check
+from .oracle import OracleConfig, oracle_check
 
 __version__ = "0.1.0"
 

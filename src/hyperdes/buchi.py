@@ -19,6 +19,7 @@ body, and each set literal that holds there.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .formula import (
     Until,
     desugar,
 )
+from .graph import cyclic_sccs
 
 INIT = -1  # virtual initial tableau node
 
@@ -246,67 +248,10 @@ def accepts_lasso(ba: BuchiAutomaton, stem_letters, cycle_letters) -> bool:
     def npos(p):
         return p + 1 if p + 1 < n else wrap
 
-    start = (ba.initial, 0)
-    succ = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        q, p = queue.popleft()
-        out = []
-        for guard, t in ba.edges[q]:
-            if guard.admits(letters[p]):
-                nxt = (t, npos(p))
-                out.append(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        succ[(q, p)] = out
+    @functools.cache
+    def succ(node):
+        q, p = node
+        return [(t, npos(p)) for guard, t in ba.edges[q] if guard.admits(letters[p])]
 
-    return _has_accepting_cycle(start, succ, lambda node: node[0] in ba.accepting)
-
-
-def _has_accepting_cycle(start, succ, is_accepting):
-    """Reachable strongly connected component with an edge and an accepting node."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    work = [(start, iter(succ[start]))]
-    index[start] = low[start] = counter[0]
-    counter[0] += 1
-    stack.append(start)
-    on_stack.add(start)
-    while work:
-        node, it = work[-1]
-        advanced = False
-        for nxt in it:
-            if nxt not in index:
-                index[nxt] = low[nxt] = counter[0]
-                counter[0] += 1
-                stack.append(nxt)
-                on_stack.add(nxt)
-                work.append((nxt, iter(succ[nxt])))
-                advanced = True
-                break
-            if nxt in on_stack:
-                low[node] = min(low[node], index[nxt])
-        if advanced:
-            continue
-        work.pop()
-        if work:
-            parent = work[-1][0]
-            low[parent] = min(low[parent], low[node])
-        if low[node] == index[node]:
-            comp = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                comp.append(member)
-                if member == node:
-                    break
-            members = set(comp)
-            has_edge = any(t in members for m in comp for t in succ[m])
-            if has_edge and any(is_accepting(m) for m in comp):
-                return True
-    return False
+    return any(any(q in ba.accepting for q, _ in comp)
+               for comp in cyclic_sccs([(ba.initial, 0)], succ))

@@ -4,7 +4,8 @@ stdout carries machine output only (JSON, or DOT when requested); summaries
 and warnings go to stderr.  Exit codes: 0 every checked property holds, 1 at
 least one is violated, 2 usage or model errors (including a conclusive
 disagreement under --engine both), 3 a bounded search stayed inconclusive
-and nothing was violated.
+and nothing was violated, 4 an internal error: any other exception, whose
+traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .des import (
     build_observer,
@@ -22,10 +24,10 @@ from .des import (
 )
 from .errors import HyperdesError, UnknownObservation
 from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
+from .fuzz import differential_fuzz
 from .hyper import replay_witness, verify
 from .kripke import build_kripke, build_modified_kripke, export_dot
 from .modelio import MASK_EPS, load_model, serialize_model, verdict_to_json
-from .oracle import differential_fuzz
 
 DETECTABILITY_PROPERTIES = tuple(
     p for p in PROPERTIES
@@ -85,13 +87,17 @@ def cmd_verify(args):
               file=sys.stderr)
 
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
+    # under --engine both, weak detectability takes the candidate search: its
+    # exact route is the oracle's own observer check
+    wd_route = "bounded" if args.engine == "both" else "observer"
     entries = []
     verdicts = []
     disagreements = []
     for kind in checked:
         per_engine = []
         for engine in engines:
-            verdict = verify(fsa, kind, engine=engine, bound=args.bound)
+            verdict = verify(fsa, kind, engine=engine, bound=args.bound,
+                             wd_route=wd_route)
             per_engine.append(verdict)
             verdicts.append(verdict)
             doc = verdict_to_json(verdict)
@@ -316,6 +322,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
+from .graph import cyclic_sccs, first_cycle, reachable, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -136,6 +137,7 @@ class Observer:
     nodes: tuple            # estimate frozensets in discovery order
     initial: frozenset
     edges: dict             # (estimate, observation) -> estimate
+    moves: dict             # estimate -> [(observation, estimate)], in observation order
 
 
 def validate_fsa(fsa: Fsa) -> Fsa:
@@ -149,46 +151,12 @@ def validate_fsa(fsa: Fsa) -> Fsa:
         if not fsa.out_edges(x):
             raise NotLive(x)
 
-    # cycle search restricted to unobservable edges, iterative DFS with colors
-    color = {x: 0 for x in fsa.states}  # 0 unseen, 1 on stack, 2 done
-    parent = {}
-    for root in fsa.states:
-        if color[root]:
-            continue
-        stack = [(root, iter(_uo_targets(fsa, root)))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if color[succ] == 1:
-                    cycle = [succ]
-                    cur = node
-                    while cur != succ:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.append(succ)
-                    cycle.reverse()
-                    raise UnobservableCycle(cycle)
-                if color[succ] == 0:
-                    color[succ] = 1
-                    parent[succ] = node
-                    stack.append((succ, iter(_uo_targets(fsa, succ))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-
-    seen = set(fsa.sort_states(fsa.initial))
-    frontier = deque(fsa.sort_states(fsa.initial))
-    while frontier:
-        x = frontier.popleft()
-        for _, y in fsa.out_edges(x):
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    fsa.reachable = frozenset(seen)
+    found = first_cycle(fsa.states, lambda x: _uo_targets(fsa, x))
+    if found is not None:
+        path, i = found
+        raise UnobservableCycle(path[i:] + [path[i]])
+    fsa.reachable = frozenset(reachable(fsa.initial,
+                                        lambda x: [y for _, y in fsa.out_edges(x)]))
     fsa.validated = True
     return fsa
 
@@ -277,22 +245,10 @@ def step_delayed_pairs(fsa: Fsa, pairs, o):
 def build_observer(fsa: Fsa) -> Observer:
     """Reachable subset automaton under the current-estimate recursion."""
     init = unobservable_reach(fsa, fsa.initial)
-    nodes = [init]
-    seen = {init}
-    edges = {}
-    queue = deque([init])
-    while queue:
-        est = queue.popleft()
-        for o in fsa.observations:
-            nxt = observable_step(fsa, est, o)
-            if not nxt:
-                continue
-            edges[(est, o)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                nodes.append(nxt)
-                queue.append(nxt)
-    return Observer(nodes=tuple(nodes), initial=init, edges=edges)
+    order, moves = subset_graph(init, fsa.observations,
+                                lambda est, o: observable_step(fsa, est, o))
+    edges = {(est, o): nxt for est in order for o, nxt in moves[est]}
+    return Observer(nodes=tuple(order), initial=init, edges=edges, moves=moves)
 
 
 def refine_fault_partition(fsa: Fsa):
@@ -385,102 +341,13 @@ def indicator_states(fsa: Fsa, part: FaultPartition) -> frozenset:
     from which a normal state is still reachable (such a cycle pumps
     arbitrarily long strings ending in normal states).
     """
-    succ = {x: sorted({y for _, y in fsa.out_edges(x)}, key=fsa.state_index.__getitem__)
-            for x in fsa.states}
-    on_cycle = _cyclic_states(fsa.states, succ)
-
+    succ = {x: [] for x in fsa.states}
     pred = {x: [] for x in fsa.states}
     for x in fsa.states:
-        for y in succ[x]:
+        for _, y in fsa.out_edges(x):
+            succ[x].append(y)
             pred[y].append(x)
-    reaches_normal = set(part.normal_states)
-    queue = deque(fsa.sort_states(part.normal_states))
-    while queue:
-        y = queue.popleft()
-        for x in pred[y]:
-            if x not in reaches_normal:
-                reaches_normal.add(x)
-                queue.append(x)
-
-    pumping = on_cycle & reaches_normal
-    escaping = set(pumping)
-    queue = deque(fsa.sort_states(pumping))
-    while queue:
-        y = queue.popleft()
-        for x in pred[y]:
-            if x not in escaping:
-                escaping.add(x)
-                queue.append(x)
+    on_cycle = {x for comp in cyclic_sccs(fsa.states, succ.__getitem__) for x in comp}
+    reaches_normal = reachable(part.normal_states, pred.__getitem__)
+    escaping = reachable(on_cycle & reaches_normal, pred.__getitem__)
     return frozenset(part.normal_states - escaping)
-
-
-def _cyclic_states(nodes, succ):
-    """States lying on some cycle (members of an SCC with an internal edge)."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = set()
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                if len(comp) > 1 or any(m in succ[m] for m in comp):
-                    out.update(comp)
-    return out
-
-
-def first_fault_strings(fsa: Fsa, part: FaultPartition, max_len: int):
-    """Strings of length <= max_len whose last event is the first fault.
-
-    Returned in lexicographic order of event indices, deduplicated across
-    initial states.
-    """
-    faults = fsa.fault_events or frozenset()
-    found = set()
-
-    def walk(state, prefix):
-        for e, y in fsa.out_edges(state):
-            if e in faults:
-                found.add(prefix + (e,))
-            elif len(prefix) + 1 < max_len:
-                walk(y, prefix + (e,))
-
-    if max_len >= 1:
-        for x0 in fsa.sort_states(fsa.initial):
-            walk(x0, ())
-    return sorted(found, key=lambda s: tuple(fsa.event_index[e] for e in s))

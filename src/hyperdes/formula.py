@@ -566,14 +566,17 @@ def property_template(kind, fsa, part=None):
 # evaluation on ultimately periodic traces
 
 
-def eval_body(body, assignment):
+def eval_body(body, assignment, sets=()):
     """Truth value at instant 0 of a body over ultimately periodic traces.
 
     `assignment` maps each trace variable to a pair (stem, cycle) of label
-    sequences (sets of propositions).  Temporal operators are solved by
-    monotone fixpoint iteration over the finitely many distinct suffixes of
-    the combined trace.
+    sequences (sets of propositions).  `sets` binds the names of InSet
+    literals as in expand_macros: a literal holds where the trace's label
+    names a state of its set.  Temporal operators are solved by monotone
+    fixpoint iteration over the finitely many distinct suffixes of the
+    combined trace.
     """
+    bound = dict(sets)
     stems = {v: tuple(sc[0]) for v, sc in assignment.items()}
     cycles = {v: tuple(sc[1]) for v, sc in assignment.items()}
     for v, c in cycles.items():
@@ -615,6 +618,11 @@ def eval_body(body, assignment):
         elif t is StateEq:
             out = [props_of(node.left, i, "x:") == props_of(node.right, i, "x:")
                    for i in range(n)]
+        elif t is InSet:
+            if node.name not in bound:
+                raise ValueError(f"no state set is bound to {node.name!r}")
+            members = {f"x:{x}" for x in bound[node.name]}
+            out = [not members.isdisjoint(label(node.trace, i)) for i in range(n)]
         elif t is Not:
             sub = arr(node.sub)
             out = [not b for b in sub]

@@ -52,26 +52,17 @@ from .formula import (
     Or,
     StateEq,
     Until,
+    _expand_once,
     eval_body,
     expand_macros,
     property_template,
 )
-from .kripke import (KNode, KripkeStructure, Lasso, build_kripke,
-                     build_modified_kripke, canonical_lasso)
+from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
+from .kripke import (KNode, KripkeStructure, Lasso, Verdict, build_kripke,
+                     build_modified_kripke, canonical_lasso, step_nodes)
+from .oracle import OracleConfig, oracle_check, weak_detectability_exact
 
 DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
-
-
-@dataclass
-class Verdict:
-    property: str
-    holds: object               # True, False or "inconclusive"
-    mode: str                   # "exact" or "bounded"
-    engine: str
-    bound: int = None
-    witness: tuple = None       # (pi1 Lasso, pi2 Lasso or None)
-    details: dict = None
-    seconds: float = None
 
 
 # ---------------------------------------------------------------------------
@@ -285,41 +276,58 @@ class SyncShape:
 
 
 def _conjuncts(node):
-    if isinstance(node, And):
-        return _conjuncts(node.left) + _conjuncts(node.right)
-    return [node]
+    """Conjuncts of a body, left to right; a conjunct F1 is read through its
+    definition."""
+    out, stack = [], [node]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Once):
+            stack.append(_expand_once(cur.sub))
+        elif isinstance(cur, And):
+            stack.extend((cur.right, cur.left))
+        else:
+            out.append(cur)
+    return out
 
 
-def _state_disj(node, var):
-    """Set of states from a disjunction of x-atoms over `var`, else None."""
-    if isinstance(node, Bottom):
-        return frozenset()
-    states = []
+def _state_disj(node, var, sets):
+    """Set of states from a disjunction of x-atoms and state-set literals
+    over `var`, the literals' names bound by `sets`, else None."""
+    states = set()
     stack = [node]
     while stack:
         cur = stack.pop()
         if isinstance(cur, Or):
             stack.extend([cur.left, cur.right])
         elif isinstance(cur, Atom) and cur.trace == var and cur.prop.startswith("x:"):
-            states.append(cur.prop[2:])
-        else:
+            states.add(cur.prop[2:])
+        elif isinstance(cur, InSet) and cur.trace == var and cur.name in sets:
+            states.update(sets[cur.name])
+        elif not isinstance(cur, Bottom):
             return None
     return frozenset(states)
 
 
 def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
-    """Recognize a supported forall/exists body or explain why not."""
+    """Recognize a supported forall/exists body or explain why not.
+
+    The body is read as it stands: obseq(v1,v2) is a leaf and a state-set
+    literal stands for the states formula.sets binds to its name.  Bodies
+    with these expanded over the structure are recognized too."""
     _check_prefix(formula, ("forall", "exists"))
     (_, v1), (_, v2) = formula.prefix
-    body = expand_macros(formula.body, k, formula.sets)
+    body = formula.body
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
-    obseq = expand_macros(ObsEq(v1, v2), k)
+    sets = dict(formula.sets)
+    # an ObsEq leaf never equals the expansion, so neither comparison recurses
+    # into the other's alphabet-long conjunction
+    obseq = (ObsEq(v1, v2), expand_macros(ObsEq(v1, v2), k))
     ante = _conjuncts(body.left)
     cons = _conjuncts(body.right)
     tau1 = Atom("tau", v1)
     tau2 = Atom("tau", v2)
-    pause_marker = _conjuncts(expand_macros(Once(tau1), k))
+    pause_marker = _conjuncts(_expand_once(tau1))
 
     if any(c in pause_marker for c in ante):
         # pause-anchored shape: the universal trace stalls exactly once, at a
@@ -333,7 +341,7 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
         if not (isinstance(guard, Always) and isinstance(guard.sub, Implies)
                 and guard.sub.left == tau1):
             raise NotSynchronousFragment("pause constraint must condition on the pause marker")
-        p1_states = _state_disj(guard.sub.right, v1)
+        p1_states = _state_disj(guard.sub.right, v1, sets)
         if p1_states is None:
             raise NotSynchronousFragment("pause constraint must be a state disjunction")
         scope = None
@@ -341,14 +349,14 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
         if len(cons) != 2:
             raise NotSynchronousFragment("consequent must pair agreement with a pause obligation")
         for c in cons:
-            if isinstance(c, Until) and c.left == obseq and c.right == tau1:
+            if isinstance(c, Until) and c.left in obseq and c.right == tau1:
                 scope = "until_anchor"
-            elif isinstance(c, Always) and c.sub == obseq:
+            elif isinstance(c, Always) and c.sub in obseq:
                 scope = "always"
             elif (isinstance(c, Always) and isinstance(c.sub, Implies)
                     and c.sub.left == tau1 and isinstance(c.sub.right, And)
                     and c.sub.right.left == tau2):
-                duty_states = _state_disj(c.sub.right.right, v2)
+                duty_states = _state_disj(c.sub.right.right, v2, sets)
         if scope is None:
             raise NotSynchronousFragment("agreement must hold always or until the pause")
         if duty_states is None:
@@ -360,16 +368,16 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
 
     # instant-0 shape: requirements and obligations are checked at the first
     # instant and agreement holds forever.
-    p1_sets = tuple(_state_disj(c, v1) for c in ante)
+    p1_sets = tuple(_state_disj(c, v1, sets) for c in ante)
     if any(s is None for s in p1_sets):
         raise NotSynchronousFragment("antecedent must be state disjunctions at instant 0")
     p2_sets = []
     eq_seen = False
     for c in cons:
-        if isinstance(c, Always) and c.sub == obseq:
+        if isinstance(c, Always) and c.sub in obseq:
             eq_seen = True
             continue
-        s = _state_disj(c, v2)
+        s = _state_disj(c, v2, sets)
         if s is None:
             raise NotSynchronousFragment("consequent must be state disjunctions plus agreement")
         p2_sets.append(s)
@@ -379,8 +387,14 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
                      p1_sets=p1_sets, p2_sets=tuple(p2_sets), eq_scope="always")
 
 
-def _originals(k):
-    return [q for q in k.nodes if not q.copy]
+def _original_succ(k):
+    """Successors of each original node, stalling twins left out."""
+    return {q: tuple(t for t in k.succ[q] if not t.copy) for q in k.nodes
+            if not q.copy}
+
+
+def _meets(state, sets):
+    return all(state in s for s in sets)
 
 
 def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdict:
@@ -389,24 +403,16 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     if shape.anchor == "tau_once" and not k.modified:
         raise NotSynchronousFragment("pause-anchored formulas need the structure with stalling twins")
 
-    orig_succ = {q: tuple(t for t in k.succ[q] if not t.copy) for q in k.nodes
-                 if not q.copy}
+    orig_succ = _original_succ(k)
     initials = list(k.initial)
-
-    def meets(state, sets):
-        return all(state in s for s in sets)
-
-    def d_step(dset, obs):
-        return frozenset(t for d in dset for t in orig_succ[d] if t.obs == obs)
-
     parents = {}
 
     if shape.anchor == "instant0":
-        d0_all = frozenset(q for q in initials if meets(q.state, shape.p2_sets))
+        d0_all = frozenset(q for q in initials if _meets(q.state, shape.p2_sets))
         queue = deque()
         seen = set()
         for q1 in initials:
-            if not meets(q1.state, shape.p1_sets):
+            if not _meets(q1.state, shape.p1_sets):
                 continue
             node = ("post", q1, d0_all)
             if d0_all == frozenset():
@@ -418,7 +424,7 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
             node = queue.popleft()
             _, q1, dset = node
             for t1 in orig_succ[q1]:
-                d2 = d_step(dset, t1.obs)
+                d2 = step_nodes(orig_succ, dset, t1.obs)
                 if not d2:
                     path = _walk_path(parents, node) + [t1]
                     return _sync_violation(orig_succ, path)
@@ -442,8 +448,8 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     while queue:
         node = queue.popleft()
         phase, q1, dset = node
-        if phase == "pre" and meets(q1.state, shape.p1_sets):
-            d_anchor = frozenset(d for d in dset if meets(d.state, shape.p2_sets))
+        if phase == "pre" and _meets(q1.state, shape.p1_sets):
+            d_anchor = frozenset(d for d in dset if _meets(d.state, shape.p2_sets))
             if not d_anchor:
                 path = _walk_path(parents, node)
                 path = path + [KNode(q1.state, q1.obs, copy=True), q1]
@@ -455,7 +461,7 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
                     parents[nxt] = (node, "anchor", q1)
                     queue.append(nxt)
         for t1 in orig_succ[q1]:
-            d2 = d_step(dset, t1.obs)
+            d2 = step_nodes(orig_succ, dset, t1.obs)
             if phase == "post" and not d2:
                 path = _walk_path(parents, node) + [t1]
                 return _sync_violation(orig_succ, path)
@@ -489,19 +495,9 @@ def _walk_path(parents, node):
 
 def _sync_violation(orig_succ, path):
     """Package a violating universal trace: extend the path into a lasso."""
-    tail = path[-1]
-    cont = [tail]
-    seen_at = {tail: 0}
-    while True:
-        nxt = orig_succ[cont[-1]][0]
-        if nxt in seen_at:
-            cut = seen_at[nxt]
-            stem = tuple(path[:-1]) + tuple(cont[:cut])
-            cycle = tuple(cont[cut:])
-            break
-        seen_at[nxt] = len(cont)
-        cont.append(nxt)
-    pi1 = canonical_lasso(Lasso(stem=stem, cycle=cycle))
+    # follow first successors from the last node until they repeat
+    cont, cut = first_cycle([path[-1]], lambda q: orig_succ[q][:1])
+    pi1 = canonical_lasso(Lasso(stem=tuple(path[:-1] + cont[:cut]), cycle=tuple(cont[cut:])))
     return Verdict(property=None, holds=False, mode="exact",
                    engine="hyper-forall-exists", witness=(pi1, None))
 
@@ -512,19 +508,11 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
     shape = match_sync_shape(k, formula)
     nodes = list(pi1.stem) + list(pi1.cycle)
     initials = list(k.initial)
-    orig_succ = {q: tuple(t for t in k.succ[q] if not t.copy) for q in k.nodes
-                 if not q.copy}
-
-    def meets(state, sets):
-        return all(state in s for s in sets)
-
-    def d_step(dset, obs):
-        return frozenset(t for d in dset for t in orig_succ[d] if t.obs == obs)
-
+    orig_succ = _original_succ(k)
     if shape.anchor == "instant0":
-        if nodes[0] not in k.initial or not meets(nodes[0].state, shape.p1_sets):
+        if nodes[0] not in k.initial or not _meets(nodes[0].state, shape.p1_sets):
             return False
-        dset = frozenset(q for q in initials if meets(q.state, shape.p2_sets))
+        dset = frozenset(q for q in initials if _meets(q.state, shape.p2_sets))
         anchor_index = 0
     else:
         twins = [i for i, q in enumerate(nodes) if q.copy]
@@ -532,12 +520,12 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
             return False
         anchor_index = twins[0]
         paused = nodes[anchor_index]
-        if not meets(paused.state, shape.p1_sets):
+        if not _meets(paused.state, shape.p1_sets):
             return False
         dset = frozenset(initials)
         for i in range(1, anchor_index):
-            dset = d_step(dset, nodes[i].obs)
-        dset = frozenset(d for d in dset if meets(d.state, shape.p2_sets))
+            dset = step_nodes(orig_succ, dset, nodes[i].obs)
+        dset = frozenset(d for d in dset if _meets(d.state, shape.p2_sets))
         if shape.eq_scope == "until_anchor":
             return not dset
 
@@ -558,7 +546,7 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
         if key in seen:
             return False  # candidates survive the loop: a witness exists
         seen.add(key)
-        dset = d_step(dset, nodes[pos].obs)
+        dset = step_nodes(orig_succ, dset, nodes[pos].obs)
         if not dset:
             return True
         pos += 1
@@ -602,8 +590,7 @@ def _estimate_walk_accepts(k, pi1):
         first_at[(pos, dset)] = len(singleton)
         singleton.append(len(dset) == 1)
         pos = pos + 1 if pos + 1 < n else wrap
-        obs = nodes[pos].obs
-        dset = frozenset(t for d in dset for t in k.succ[d] if t.obs == obs)
+        dset = step_nodes(k.succ, dset, nodes[pos].obs)
     start = first_at[(pos, dset)]
     return all(singleton[start:])
 
@@ -691,11 +678,22 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
 # orchestration
 
 
-def _structures(fsa, needed):
-    plain = build_kripke(fsa)
-    if needed == "modified":
-        return build_modified_kripke(plain)
-    return plain
+def _decision_problem(fsa, kind):
+    """What a property is decided on: the machine (fault-refined for the
+    fault properties), its decision formula and the structure to check."""
+    if not fsa.validated:
+        validate_fsa(fsa)
+    part = None
+    target = fsa
+    if kind in ("diagnosability", "predictability"):
+        if fsa.fault_events is None:
+            raise MissingAnnotation("fault")
+        target, part = refine_fault_partition(fsa)
+    formula, structure_kind = _decision_formula(kind, target, part)
+    k = build_kripke(target)
+    if structure_kind == "modified":
+        k = build_modified_kripke(k)
+    return target, formula, k
 
 
 def _decision_formula(kind, target, part):
@@ -724,77 +722,6 @@ def _decision_formula(kind, target, part):
     return HyperFormula((("forall", "p1"), ("forall", "p2")), body, sets), "plain"
 
 
-def _estimate_graph(k):
-    """Subset walk of the structure: every reachable observation-consistent
-    node set, with its one-observation transitions.
-
-    Returns (root, order, succ) where order is the breadth-first discovery
-    order and succ maps each set to its (observation, successor set) list.
-    """
-    symbols = sorted({q.obs for q in k.nodes if q.obs is not None})
-    root = frozenset(k.initial)
-    succ = {}
-    order = []
-    queue = deque([root])
-    while queue:
-        d = queue.popleft()
-        if d in succ:
-            continue
-        order.append(d)
-        succ[d] = []
-        for o in symbols:
-            t = frozenset(x for q in d for x in k.succ[q] if x.obs == o)
-            if t:
-                succ[d].append((o, t))
-                queue.append(t)
-    return root, order, succ
-
-
-def _reaches(succ, sources, goal):
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        d = queue.popleft()
-        if d == goal:
-            return True
-        for _, t in succ[d]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return False
-
-
-def _obs_path(succ, source, goal, allow_empty=True):
-    """Shortest observation word moving the subset walk from source to goal;
-    with allow_empty=False the word is nonempty even when they coincide."""
-    if allow_empty and source == goal:
-        return []
-    parent = {}
-    queue = deque()
-    for o, t in succ[source]:
-        if t not in parent:
-            parent[t] = (None, o)
-            queue.append(t)
-    while queue:
-        d = queue.popleft()
-        if d == goal:
-            word = []
-            cur = d
-            while True:
-                prev, o = parent[cur]
-                word.append(o)
-                if prev is None:
-                    break
-                cur = prev
-            word.reverse()
-            return word
-        for o, t in succ[d]:
-            if t not in parent:
-                parent[t] = (d, o)
-                queue.append(t)
-    return None
-
-
 def _lasso_along(k, stem_obs, cycle_obs):
     """Some run of the structure whose observation sequence follows stem_obs
     and then repeats cycle_obs forever, or None if no run can.
@@ -807,32 +734,15 @@ def _lasso_along(k, stem_obs, cycle_obs):
 
     def succs(state):
         q, pos = state
-        o = word[pos]
         npos = pos + 1 if pos + 1 < len(word) else wrap
-        return [(t, npos) for t in k.succ[q] if t.obs == o]
+        return [(t, npos) for t in k.succ[q] if t.obs == word[pos]]
 
-    for q0 in k.initial:
-        root = (q0, 0)
-        stack = [(root, iter(succs(root)))]
-        on_path = {root: 0}
-        dead = set()
-        while stack:
-            state, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                stack.pop()
-                del on_path[state]
-                dead.add(state)
-                continue
-            if step in on_path:
-                i = on_path[step]
-                nodes = [frame[0][0] for frame in stack]
-                return canonical_lasso(
-                    Lasso(stem=tuple(nodes[:i]), cycle=tuple(nodes[i:])))
-            if step not in dead:
-                on_path[step] = len(stack)
-                stack.append((step, iter(succs(step))))
-    return None
+    found = first_cycle([(q0, 0) for q0 in k.initial], succs)
+    if found is None:
+        return None
+    path, i = found
+    nodes = [q for q, _ in path]
+    return canonical_lasso(Lasso(stem=tuple(nodes[:i]), cycle=tuple(nodes[i:])))
 
 
 def _strong_detectability_gap(k):
@@ -854,25 +764,26 @@ def _strong_detectability_gap(k):
     finite observation records only; the verdict then carries a pumpable
     observation word (prefix, cycle, suffix) instead of a trace witness.
     """
-    root, order, succ = _estimate_graph(k)
-    on_cycle = {d for d in order
-                if _reaches(succ, [t for _, t in succ[d]], d)}
-    reach = set(on_cycle)
-    queue = deque(on_cycle)
-    while queue:
-        d = queue.popleft()
-        for _, t in succ[d]:
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
+    root = frozenset(k.initial)
+    symbols = sorted({q.obs for q in k.nodes if q.obs is not None})
+    order, succ = subset_graph(root, symbols, lambda d, o: step_nodes(k.succ, d, o))
+
+    def targets(d):
+        return [t for _, t in succ[d]]
+
+    def word(source, goal):     # shortest and nonempty, also if source is goal
+        return [o for o, _ in shortest_path(source, succ.__getitem__, goal)]
+
+    on_cycle = {d for comp in cyclic_sccs(order, targets) for d in comp}
+    reach = reachable(on_cycle, targets)
 
     def ambiguous(d):
         return len({q.state for q in d}) >= 2
 
     target = next((d for d in order if d in on_cycle and ambiguous(d)), None)
     if target is not None:
-        stem_obs = _obs_path(succ, root, target)
-        cycle_obs = _obs_path(succ, target, target, allow_empty=False)
+        stem_obs = [] if target == root else word(root, target)
+        cycle_obs = word(target, target)
         pi1 = _lasso_along(k, stem_obs, cycle_obs)
         return Verdict(
             property=None, holds=False, mode="exact",
@@ -885,10 +796,10 @@ def _strong_detectability_gap(k):
     if target is None:
         return None
     via = next(d for d in order
-               if d in on_cycle and _reaches(succ, [d], target))
-    stem_obs = _obs_path(succ, root, via)
-    cycle_obs = _obs_path(succ, via, via, allow_empty=False)
-    tail_obs = _obs_path(succ, via, target)
+               if d in on_cycle and target in reachable([d], targets))
+    stem_obs = [] if via == root else word(root, via)
+    cycle_obs = word(via, via)
+    tail_obs = word(via, target)
     return Verdict(
         property=None, holds=False, mode="exact",
         engine="hyper-estimate-graph", witness=None,
@@ -912,28 +823,17 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdic
     steps.
     """
     started = time.perf_counter()
-    if not fsa.validated:
-        validate_fsa(fsa)
     if bound is None and os.environ.get(DEFAULT_BOUND_ENV):
         bound = int(os.environ[DEFAULT_BOUND_ENV])
 
     if engine == "oracle":
-        from .oracle import OracleConfig, oracle_check
         config = OracleConfig() if bound is None else \
             OracleConfig(max_obs_len=bound, max_delay=bound)
         verdict = oracle_check(fsa, kind, config)
         verdict.seconds = time.perf_counter() - started
         return verdict
 
-    part = None
-    target = fsa
-    if kind in ("diagnosability", "predictability"):
-        if fsa.fault_events is None:
-            raise MissingAnnotation("fault")
-        target, part = refine_fault_partition(fsa)
-    formula, structure_kind = _decision_formula(kind, target, part)
-    k = _structures(target, structure_kind)
-
+    target, formula, k = _decision_problem(fsa, kind)
     quants = formula.quantifiers()
     if quants == ("forall", "forall"):
         verdict = check_forall_forall(k, formula)
@@ -946,7 +846,6 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdic
     elif wd_route == "bounded":
         verdict = check_exists_forall_bounded(k, formula, bound=bound)
     else:
-        from .oracle import weak_detectability_exact
         verdict = weak_detectability_exact(target)
     verdict.property = kind
     verdict.seconds = time.perf_counter() - started
@@ -989,7 +888,7 @@ def _replay_pump(k, details):
 
     def advance(d, word):
         for o in word:
-            d = frozenset(t for q in d for t in k.succ[q] if t.obs == o)
+            d = step_nodes(k.succ, d, o)
         return d
 
     before = advance(frozenset(k.initial), details["pump_prefix"])
@@ -1004,14 +903,7 @@ def _replay_pump(k, details):
 def replay_witness(fsa, kind, verdict: Verdict) -> bool:
     """Re-validate a verdict's witness against the definitions of the
     structures, independently of the search that produced it."""
-    if not fsa.validated:
-        validate_fsa(fsa)
-    part = None
-    target = fsa
-    if kind in ("diagnosability", "predictability"):
-        target, part = refine_fault_partition(fsa)
-    formula, structure_kind = _decision_formula(kind, target, part)
-    k = _structures(target, structure_kind)
+    _, formula, k = _decision_problem(fsa, kind)
     quants = formula.quantifiers()
 
     if verdict.holds is False and quants == ("forall", "forall"):
@@ -1027,8 +919,7 @@ def replay_witness(fsa, kind, verdict: Verdict) -> bool:
         _require_run(k, pi2)
         (_, v1), (_, v2) = formula.prefix
         assign = {v1: _lasso_labels(k, pi1), v2: _lasso_labels(k, pi2)}
-        body = expand_macros(formula.body, k, formula.sets)
-        return eval_body(body, assign) is False
+        return eval_body(formula.body, assign, formula.sets) is False
     if verdict.holds is False and quants == ("forall", "exists"):
         pi1, pi2 = verdict.witness
         if pi2 is not None:

@@ -50,6 +50,19 @@ class Lasso:
         return self.cycle[(i - len(self.stem)) % len(self.cycle)]
 
 
+@dataclass
+class Verdict:
+    """Outcome of deciding one property, on either route."""
+    property: str
+    holds: object               # True, False or "inconclusive"
+    mode: str                   # "exact" or "bounded"
+    engine: str
+    bound: int = None
+    witness: tuple = None       # (pi1 Lasso, pi2 Lasso or None)
+    details: dict = None
+    seconds: float = None
+
+
 def canonical_lasso(lasso: Lasso) -> Lasso:
     """Shortest stem, primitive cycle form of the same infinite path.
 
@@ -84,12 +97,16 @@ class KripkeStructure:
         self.label = label
         self.modified = modified
         self.index = {q: i for i, q in enumerate(self.nodes)}
-        self.state_props = tuple(f"x:{x}" for x in fsa.states)
-        self.obs_props = tuple(f"o:{o}" for o in fsa.observations)
 
     def __repr__(self):
         kind = "modified Kripke" if self.modified else "Kripke"
         return f"<{kind}: {len(self.nodes)} nodes, {sum(len(s) for s in self.succ.values())} edges>"
+
+
+def step_nodes(succ, nodes, obs) -> frozenset:
+    """One step of the subset walk over a structure: the successors, under
+    the map `succ`, of any of `nodes` that are entered by observation `obs`."""
+    return frozenset(t for q in nodes for t in succ[q] if t.obs == obs)
 
 
 def build_kripke(fsa) -> KripkeStructure:

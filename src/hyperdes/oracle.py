@@ -14,7 +14,6 @@ exactly.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,13 +26,11 @@ from .des import (
     step_delayed_pairs,
     unobservable_reach,
     validate_fsa,
-    _cyclic_states,
 )
 from .errors import MissingAnnotation
 from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
-from .gen import random_valid_fsa
-from .hyper import Verdict, replay_witness, verify
-from .kripke import KNode, Lasso, canonical_lasso
+from .graph import cyclic_sccs, first_cycle, reachable, shortest_path
+from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
 @dataclass
@@ -198,53 +195,15 @@ def strong_detectability_oracle(fsa, config=None) -> Verdict:
     """All long observation strings must pin the current state: every observer
     node on or after a cycle has to be a singleton."""
     obs = build_observer(fsa)
-    succ = {n: tuple(obs.edges[(n, o)] for o in fsa.observations
-                     if (n, o) in obs.edges) for n in obs.nodes}
-    on_cycle = _cyclic_states(obs.nodes, succ)
-    stack = [n for n in obs.nodes if n in on_cycle]
-    closed = set(stack)
-    while stack:
-        node = stack.pop()
-        for t in succ[node]:
-            if t not in closed:
-                closed.add(t)
-                stack.append(t)
+
+    def succ(n):
+        return [t for _, t in obs.moves[n]]
+
+    on_cycle = [n for comp in cyclic_sccs(obs.nodes, succ) for n in comp]
+    closed = reachable(on_cycle, succ)
     holds = all(len(n) == 1 for n in closed)
     return Verdict(property="strong-detectability", holds=holds, mode="exact",
                    engine="oracle")
-
-
-def _first_labeled_cycle(roots, succ):
-    """First cycle found by ordered DFS over a labeled graph.
-
-    Returns (nodes, labels) with labels[j] on the edge nodes[j] ->
-    nodes[(j+1) % len], or None.  Fully explored nodes are skipped: any cycle
-    reachable from them would already have been found.
-    """
-    finished = set()
-    for root in roots:
-        if root in finished:
-            continue
-        stack = [(root, iter(succ[root]), None)]
-        on_path = {root: 0}
-        while stack:
-            node, it, _ = stack[-1]
-            step = next(it, None)
-            if step is None:
-                stack.pop()
-                del on_path[node]
-                finished.add(node)
-                continue
-            target, label = step
-            if target in on_path:
-                i = on_path[target]
-                nodes = [frame[0] for frame in stack[i:]]
-                labels = [frame[2] for frame in stack[i + 1:]] + [label]
-                return nodes, labels
-            if target not in finished:
-                on_path[target] = len(stack)
-                stack.append((target, iter(succ[target]), label))
-    return None
 
 
 def weak_detectability_exact(fsa) -> Verdict:
@@ -254,38 +213,22 @@ def weak_detectability_exact(fsa) -> Verdict:
     if not fsa.validated:
         validate_fsa(fsa)
     obs = build_observer(fsa)
+    moves = obs.moves
     singles = [n for n in obs.nodes if len(n) == 1]
-    single_set = set(singles)
-    succ = {}
-    for n in singles:
-        succ[n] = tuple((obs.edges[(n, o)], o) for o in fsa.observations
-                        if (n, o) in obs.edges and obs.edges[(n, o)] in single_set)
-    cycle = _first_labeled_cycle(singles, succ)
-    if cycle is None:
+    found = first_cycle(singles, lambda n: [t for _, t in moves[n] if len(t) == 1])
+    if found is None:
         return Verdict(property="weak-detectability", holds=False, mode="exact",
                        engine="oracle-observer")
 
-    cyc_nodes, cyc_obs = cycle
+    path, i = found
+    cyc_nodes = path[i:]
+    # each cycle edge is labelled with the first observation taking it
+    cyc_obs = [next(o for o, t in moves[a] if t == b)
+               for a, b in zip(cyc_nodes, cyc_nodes[1:] + cyc_nodes[:1])]
     entry = cyc_nodes[0]
     # shortest estimate path from the observer root to the cycle entry
-    parents = {obs.initial: None}
-    frontier = [obs.initial]
-    while entry not in parents:
-        nxt = []
-        for n in frontier:
-            for o in fsa.observations:
-                t = obs.edges.get((n, o))
-                if t is not None and t not in parents:
-                    parents[t] = (n, o)
-                    nxt.append(t)
-        frontier = nxt
-    est_path = []
-    cur = entry
-    while cur is not None:
-        step = parents[cur]
-        est_path.append((cur, None if step is None else step[1]))
-        cur = None if step is None else step[0]
-    est_path.reverse()  # [(estimate, observation that entered it)]
+    steps = [] if entry == obs.initial else shortest_path(obs.initial, moves.__getitem__, entry)
+    est_path = [(obs.initial, None)] + [(n, o) for o, n in steps]
 
     # choose one concrete state per estimate, backwards from the cycle entry
     states = [None] * len(est_path)
@@ -400,7 +343,7 @@ def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# dispatch and differential testing
+# dispatch
 
 
 _ORACLES = {
@@ -427,53 +370,3 @@ def oracle_check(fsa, kind, config=None) -> Verdict:
     if kind in OPACITY_PROPERTIES and fsa.secret_states is None:
         raise MissingAnnotation("secret")
     return _ORACLES[kind](fsa, config)
-
-
-def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3,
-                      properties=None, check_witnesses=True) -> dict:
-    """Cross-validate the hyperproperty engines against these reference
-    checks on random valid automata; returns a deterministic report."""
-    rng = random.Random(seed)
-    kinds = list(properties) if properties else list(PROPERTIES)
-    tallies = {kind: {"true": 0, "false": 0, "inconclusive": 0} for kind in kinds}
-    disagreements = []
-    witness_failures = []
-    for index in range(count):
-        fsa = random_valid_fsa(rng, max_states=max_states, max_events=max_events,
-                               max_obs=max_obs)
-        for kind in kinds:
-            if kind == "weak-detectability":
-                # the default route for this property is the observer check
-                # itself, so force the candidate-search engine here to keep
-                # the comparison two-sided
-                hv = verify(fsa, kind, wd_route="bounded")
-            else:
-                hv = verify(fsa, kind)
-            ov = oracle_check(fsa, kind)
-            key = {True: "true", False: "false"}.get(hv.holds, "inconclusive")
-            tallies[kind][key] += 1
-            both_conclusive = (hv.holds in (True, False)
-                               and ov.holds in (True, False))
-            if both_conclusive and hv.holds != ov.holds:
-                disagreements.append({"index": index, "property": kind,
-                                      "hyper": hv.holds, "oracle": ov.holds})
-            if check_witnesses:
-                for side in (hv, ov):
-                    has_pump = bool(side.details and side.details.get("pump_cycle"))
-                    if side.witness is None and not has_pump:
-                        continue
-                    if not replay_witness(fsa, kind, side):
-                        witness_failures.append({"index": index, "property": kind,
-                                                 "engine": side.engine,
-                                                 "holds": side.holds})
-    return {
-        "seed": seed,
-        "count": count,
-        "max_states": max_states,
-        "max_events": max_events,
-        "max_obs": max_obs,
-        "properties": kinds,
-        "tallies": tallies,
-        "disagreements": disagreements,
-        "witness_failures": witness_failures,
-    }

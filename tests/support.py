@@ -120,3 +120,23 @@ def fault_ring(n):
     return Fsa(states=states, events=["a", "b", "f"], transitions=trans,
                initial=["0"], mask={"a": "o1", "b": "o2", "f": None},
                fault_events=["f"], secret_states=states[::2], name=f"fault-{n}")
+
+
+def labelled_ring(n):
+    """n-state ring where each step i -> i+1 (mod n) shows its own
+    observation o<i>, and f skips 0 -> 1 showing "of"; initial state 0,
+    even-numbered states secret.
+
+    Every observation names the state it enters, so every estimate is a
+    single state and no secret stays hidden: the machine is neither
+    initial-state, current-state nor infinite-step opaque.  Its alphabet
+    grows with n, and so does an expanded obseq.
+    """
+    states = [str(i) for i in range(n)]
+    trans = {(str(i), f"e{i}"): str((i + 1) % n) for i in range(n)}
+    trans[("0", "f")] = "1"
+    mask = {f"e{i}": f"o{i}" for i in range(n)}
+    mask["f"] = "of"
+    return Fsa(states=states, events=[f"e{i}" for i in range(n)] + ["f"],
+               transitions=trans, initial=["0"], mask=mask, fault_events=["f"],
+               secret_states=states[::2], name=f"labelled-{n}")

@@ -31,7 +31,8 @@ from hyperdes.kripke import (
     build_modified_kripke,
     canonical_lasso,
 )
-from hyperdes.oracle import OracleConfig, differential_fuzz, oracle_check
+from hyperdes.fuzz import differential_fuzz
+from hyperdes.oracle import OracleConfig, oracle_check
 
 FUZZ_SEED = 20260823
 FUZZ_COUNT = 500

@@ -2,7 +2,8 @@
 
 Exit codes are part of the interface: 0 when everything checked holds, 1 on
 a violation, 2 on usage or model errors (including engine disagreement), 3
-when a bounded search stayed inconclusive and nothing was violated.  stdout
+when a bounded search stayed inconclusive and nothing was violated, 4 on an
+internal error.  stdout
 must stay machine output (JSON, or DOT on request); prose goes to stderr.
 """
 
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import hyperdes.cli
 from hyperdes.cli import main
 from hyperdes.modelio import serialize_model
 from tests.conftest import make_twin_branch
@@ -77,6 +79,31 @@ def test_engine_both_agreeing_is_not_an_error(capsys):
     assert len(entries) == 6
     assert [e["property"] for e in entries[:2]] == ["initial-state-opacity"] * 2
     assert entries[0]["engine"] != entries[1]["engine"]
+
+
+def test_engine_both_never_compares_a_route_with_itself(capsys):
+    """Weak detectability's exact route is the oracle's observer check, so
+    under --engine both the hyper side takes the candidate search."""
+    code, out, _ = run(capsys, "verify", "--model", G_DET,
+                       "--property", "weak-detectability", "--engine", "both")
+    assert code == 0
+    hyper, oracle = json.loads(out)
+    assert hyper["holds"] is oracle["holds"] is True
+    assert hyper["engine"] == "hyper-exists-forall"
+    assert oracle["engine"] == "oracle-observer"
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    """An exception that is neither a model nor an I/O error exits 4, which
+    no verdict uses, and leaves its traceback on stderr."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(hyperdes.cli, "verify", broken)
+    code, out, err = run(capsys, "verify", "--model", G_DIAG,
+                         "--property", "diagnosability")
+    assert code == 4 and out == ""
+    assert "Traceback" in err and "RuntimeError: engine fault" in err
 
 
 def test_all_skips_unannotated_properties(capsys):

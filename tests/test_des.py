@@ -17,7 +17,6 @@ from hyperdes.des import (
     build_observer,
     current_state_estimate,
     delayed_state_estimate,
-    first_fault_strings,
     indicator_states,
     initial_state_estimate,
     observable_step,
@@ -353,14 +352,6 @@ def test_indicator_states_match_run_enumeration(g_diag):
             if all(end in part.fault_states
                    for _, end in enumerate_runs(refined, x, depth)))
         assert indicator_states(refined, part) == expected
-
-
-def test_first_fault_strings_frozen(g_diag):
-    refined, part = refine_fault_partition(g_diag)
-    assert first_fault_strings(refined, part, 2) == [("a", "f")]
-    assert first_fault_strings(refined, part, 4) == [
-        ("a", "f"), ("u1", "b", "u2", "f")]
-    assert first_fault_strings(refined, part, 1) == []
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,20 @@ def test_eval_obs_disagreement():
     assert eval_body(StateEq("p1", "p2"), assign)
 
 
+def test_eval_set_literal_agrees_with_its_expansion(g_det):
+    """eval_body decides a set literal from its binding, as the expanded
+    disjunction would, and refuses an unbound name."""
+    chosen = (("chosen", frozenset(g_det.states[:3])),)
+    literal = Always(Or(InSet("chosen", "p1"), Not(InSet("chosen", "p2"))))
+    expanded = expand_macros(literal, g_det, chosen)
+    for x, y in [(x, y) for x in g_det.states for y in g_det.states]:
+        assign = {"p1": lasso([{f"x:{x}"}], [{f"x:{y}", "o:o1"}]),
+                  "p2": lasso([], [{f"x:{y}", "o:o1"}])}
+        assert eval_body(literal, assign, chosen) == eval_body(expanded, assign), (x, y)
+    with pytest.raises(ValueError):
+        eval_body(literal, assign)
+
+
 def test_eval_until_and_eventually_across_the_wrap():
     assign = {"p1": lasso([{"a"}], [{"a"}, {"b"}]),
               "p2": lasso([], [{}])}

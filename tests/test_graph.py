@@ -1,0 +1,165 @@
+"""The graph kernel against brute force on random small digraphs.
+
+Both decision routes run on these functions, so a fault here would show on
+both sides alike and the differential fuzz could not see it.  Each function
+is therefore compared with a plain fixpoint or table computed here.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from hyperdes.graph import (
+    cyclic_sccs,
+    first_cycle,
+    reachable,
+    sccs,
+    shortest_path,
+    subset_graph,
+)
+
+LABELS = ("a", "b")
+
+
+@st.composite
+def digraphs(draw):
+    """(nodes, edges, roots): up to 8 nodes, edges as (label, source,
+    target) triples, and a nonempty list of roots."""
+    n = draw(st.integers(1, 8))
+    nodes = list(range(n))
+    edges = draw(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(nodes),
+                                    st.sampled_from(nodes)), max_size=3 * n, unique=True))
+    roots = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=n, unique=True))
+    return nodes, edges, roots
+
+
+def successors(nodes, edges):
+    """Unlabelled successor lists, each target once, in edge order."""
+    succ = {x: [] for x in nodes}
+    for _, a, b in edges:
+        if b not in succ[a]:
+            succ[a].append(b)
+    return succ
+
+
+def closure(nodes, succ):
+    """reach[x]: the nodes at the end of a path of one or more edges from x,
+    by fixpoint iteration."""
+    reach = {x: set(succ[x]) for x in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for x in nodes:
+            extra = set().union(*(reach[y] for y in reach[x])) - reach[x]
+            if extra:
+                reach[x] |= extra
+                changed = True
+    return reach
+
+
+def reach_from(roots, reach):
+    return set(roots).union(*(reach[r] for r in roots))
+
+
+checks = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@checks
+@given(digraphs())
+def test_sccs_are_the_mutual_reachability_classes(graph):
+    nodes, edges, roots = graph
+    succ = successors(nodes, edges)
+    reach = closure(nodes, succ)
+    comps = list(sccs(roots, succ.__getitem__))
+    members = [x for comp in comps for x in comp]
+    assert len(members) == len(set(members))
+    assert set(members) == reach_from(roots, reach)
+    which = {x: i for i, comp in enumerate(comps) for x in comp}
+    for x in members:
+        for y in members:
+            mutual = x == y or (y in reach[x] and x in reach[y])
+            assert (which[x] == which[y]) == mutual
+            if which[y] > which[x]:
+                assert y not in reach[x]    # a component comes before its predecessors
+    cyclic = [set(comp) for comp in cyclic_sccs(roots, succ.__getitem__)]
+    assert cyclic == [set(comp) for comp in comps if comp[0] in reach[comp[0]]]
+
+
+@checks
+@given(digraphs())
+def test_first_cycle_is_a_cycle_and_missing_only_when_acyclic(graph):
+    nodes, edges, roots = graph
+    succ = successors(nodes, edges)
+    reach = closure(nodes, succ)
+    found = first_cycle(roots, succ.__getitem__)
+    acyclic = all(x not in reach[x] for x in reach_from(roots, reach))
+    assert (found is None) == acyclic
+    if found is not None:
+        path, i = found
+        assert path[0] in roots
+        assert len(path) == len(set(path)) and 0 <= i < len(path)
+        assert all(b in succ[a] for a, b in zip(path, path[1:]))
+        assert path[i] in succ[path[-1]]
+
+
+@checks
+@given(digraphs())
+def test_reachable_is_the_reflexive_transitive_closure(graph):
+    nodes, edges, roots = graph
+    succ = successors(nodes, edges)
+    assert reachable(roots, succ.__getitem__) == reach_from(roots, closure(nodes, succ))
+
+
+@checks
+@given(digraphs())
+def test_shortest_path_has_the_breadth_first_length(graph):
+    nodes, edges, _ = graph
+    moves = {x: [(label, b) for label, a, b in edges if a == x] for x in nodes}
+    # dist[x][y]: fewest edges from x to y, zero edges allowed, by relaxation
+    inf = len(nodes) + 1
+    dist = {x: {y: 0 if x == y else inf for y in nodes} for x in nodes}
+    for _ in nodes:
+        for _, a, b in edges:
+            for x in nodes:
+                dist[x][b] = min(dist[x][b], dist[x][a] + 1)
+    for source in nodes:
+        for goal in nodes:
+            steps = shortest_path(source, moves.__getitem__, goal)
+            # one or more edges: leave the source first
+            want = min((1 + dist[b][goal] for _, a, b in edges if a == source), default=inf)
+            if want >= inf:
+                assert steps is None
+                continue
+            assert len(steps) == want
+            at = source
+            for label, nxt in steps:
+                assert (label, nxt) in moves[at]
+                at = nxt
+            assert at == goal
+
+
+@checks
+@given(digraphs())
+def test_subset_graph_is_the_closure_under_step(graph):
+    nodes, edges, roots = graph
+
+    def step(states, label):
+        return frozenset(b for lab, a, b in edges if lab == label and a in states)
+
+    root = frozenset(roots)
+    order, succ = subset_graph(root, LABELS, step)
+    want = {root}
+    while True:
+        more = {step(s, label) for s in want for label in LABELS} - {frozenset()}
+        if more <= want:
+            break
+        want |= more
+    assert order[0] == root
+    assert len(order) == len(set(order)) and set(order) == want
+    assert set(succ) == want
+    for s in order:
+        assert succ[s] == [(label, step(s, label)) for label in LABELS if step(s, label)]
+    # breadth first: no set is found before the set it is first reached from
+    first_seen = {root: 0}
+    for s in order:
+        for _, t in succ[s]:
+            first_seen.setdefault(t, order.index(s))
+    assert [first_seen[s] for s in order] == sorted(first_seen[s] for s in order)

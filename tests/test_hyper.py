@@ -15,6 +15,7 @@ from hyperdes.errors import (
 from hyperdes.formula import (
     Always,
     Atom,
+    OPACITY_PROPERTIES,
     HyperFormula,
     Not,
     eval_body,
@@ -46,7 +47,7 @@ from hyperdes.kripke import (
     build_modified_kripke,
     canonical_lasso,
 )
-from support import fault_ring
+from support import fault_ring, labelled_ring
 
 
 def node(state, obs=None, copy=False):
@@ -668,6 +669,24 @@ def test_large_fault_ring_decides_on_the_hyper_route():
         assert verdict.seconds < 10, kind
     verdict = verify(fsa, "predictability")
     assert replay_witness(fsa, "predictability", verdict) is True
+    # replay evaluates the body with its state sets and relations as leaves,
+    # so it does not grow with the ring
+    big = validate_fsa(fault_ring(500))
+    for kind in ("predictability", "strong-detectability", "delayed-detectability"):
+        verdict = verify(big, kind)
+        assert verdict.holds is False, kind
+        assert replay_witness(big, kind, verdict) is True, kind
+
+
+def test_large_labelled_ring_opacity_on_the_hyper_route():
+    """On the 400-state labelled ring, one observation per state, the sync
+    engine reads obseq as a leaf: all three opacity properties are violated
+    and their witnesses replay."""
+    fsa = validate_fsa(labelled_ring(400))
+    for kind in OPACITY_PROPERTIES:
+        verdict = verify(fsa, kind)
+        assert verdict.holds is False, kind
+        assert replay_witness(fsa, kind, verdict) is True, kind
 
 
 def test_cold_and_warm_translation_cache_agree(g_diag, g_det):

@@ -16,9 +16,9 @@ from hyperdes.des import (
 )
 from hyperdes.errors import MissingAnnotation
 from hyperdes.kripke import KNode, Lasso
+from hyperdes.fuzz import differential_fuzz
 from hyperdes.oracle import (
     OracleConfig,
-    differential_fuzz,
     oracle_check,
     weak_detectability_exact,
 )
