@@ -7,16 +7,18 @@ and stateeq(p,q) state agreement of the observation (resp. state)
 propositions of the two traces at an instant, and InSet(name, p) states that
 trace p is in a named set of states, bound to its states by the formula's
 `sets`.  These are leaves of their own: the Büchi translation treats them as
-literals of the pair letter, and expand_macros rewrites them, given the
-binding, into biconditional conjunctions and state disjunctions over a
-concrete structure's alphabet where a body of plain atoms is wanted.
+literals of the pair letter, and the engines decide them there.
 
 property_template instantiates the nine built-in observational properties
 with the relations and the fault, initial and secret sets left as leaves, so
-a template's body depends on the property alone; property_formula returns
-the same templates fully expanded (no helper nodes left).  eval_body decides
-a body on ultimately periodic traces by fixpoint iteration and serves as the
-semantic reference the automaton-based engines are checked against.
+a template's body depends on the property alone; every engine and witness
+replay reads it as it stands.  expand_macros rewrites the leaves, given the
+binding, into biconditional conjunctions and state disjunctions over an
+automaton's alphabet, and property_formula returns the templates so
+expanded (no helper nodes left): the printable surface form, and the
+reference tests compare the templates against.  eval_body decides a body on
+ultimately periodic traces by fixpoint iteration and serves as the semantic
+reference the automaton-based engines are checked against.
 """
 
 from __future__ import annotations
@@ -365,16 +367,14 @@ def format_formula(formula: HyperFormula) -> str:
 # macro expansion, desugaring
 
 
-def expand_macros(body, structure, sets=()):
+def expand_macros(body, fsa, sets=()):
     """Replace obseq/stateeq/F1 and state-set literals with their definitions
-    over a structure.
+    over an automaton's alphabet.
 
-    `structure` may be an automaton or anything carrying one as `.fsa`.
     `sets` binds the names of InSet literals to state sets, as a formula's
     `sets` does; a literal becomes the disjunction of the state atoms of its
     set, in declaration order.
     """
-    fsa = getattr(structure, "fsa", structure)
     obs_props = [f"o:{o}" for o in fsa.observations]
     state_props = [f"x:{x}" for x in fsa.states]
     bound = dict(sets)
@@ -486,7 +486,8 @@ def property_formula(kind, fsa, part=None):
     partition of a refined machine; the opacity properties need declared
     secret states.  The body is property_template's with obseq/stateeq
     expanded over the automaton's alphabet and each state-set literal
-    expanded into the disjunction of its states.
+    expanded into the disjunction of its states: the form to print in the
+    surface syntax.  The engines decide property_template's output.
     """
     formula, structure_kind = property_template(kind, fsa, part)
     body = expand_macros(formula.body, fsa, formula.sets)

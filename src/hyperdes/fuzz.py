@@ -28,13 +28,10 @@ def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3,
         fsa = random_valid_fsa(rng, max_states=max_states, max_events=max_events,
                                max_obs=max_obs)
         for kind in kinds:
-            if kind == "weak-detectability":
-                # the default route for this property is the observer check
-                # itself, so force the candidate-search engine here to keep
-                # the comparison two-sided
-                hv = verify(fsa, kind, wd_route="bounded")
-            else:
-                hv = verify(fsa, kind)
+            # only weak detectability reads wd_route: its default route is the
+            # oracle's observer check itself, so the candidate-search engine
+            # keeps the comparison two-sided
+            hv = verify(fsa, kind, wd_route="bounded")
             ov = oracle_check(fsa, kind)
             key = {True: "true", False: "false"}.get(hv.holds, "inconclusive")
             tallies[kind][key] += 1

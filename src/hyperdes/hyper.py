@@ -5,11 +5,7 @@ properties:
 
 - forall/forall: classic automata route.  The negated body is translated to a
   Büchi automaton, composed with the two-fold self-composition of the
-  structure, and searched for an accepting lasso with a nested DFS.  The
-  obseq/stateeq relations and the state-set literals (fault, initial,
-  secret, boundary) are literals of the letter of each node pair, so the
-  automaton of a built-in property does not depend on the model; it is
-  translated once per process and shared between checks.
+  structure, and searched for an accepting lasso with a nested DFS.
 - forall/exists: the built-in formulas of this shape all lie in a synchronous
   fragment (observation agreement up to a single distinguished instant plus
   membership obligations there), which admits an exact subset-tracking walk:
@@ -19,6 +15,15 @@ properties:
 - exists/forall: bounded candidate enumeration; a found witness is conclusive,
   exhaustion is reported as inconclusive.  verify() prefers the exact
   observer-based route for weak detectability and falls back here on request.
+  A candidate is accepted by the estimate walk for the collapse body and
+  otherwise by the forall/forall product search.
+
+Every engine and witness replay reads a formula's body and `sets` as they
+stand: obseq/stateeq and the state-set literals (fault, initial, secret,
+boundary) are literals of the letter of each node pair, so the automaton of
+a built-in property does not depend on the model and is translated once per
+process.  An expanded body (property_formula's output) is a formula like any
+other; only forall/forall decides it to the same verdict.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .formula import (
     Until,
     _expand_once,
     eval_body,
-    expand_macros,
     property_template,
 )
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
@@ -69,10 +73,6 @@ DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
 # shared helpers
 
 
-def _node_atoms(k, node, var):
-    return frozenset(Atom(p, var) for p in k.label[node])
-
-
 def _pair_letter(k, u, v, v1, v2, sets):
     """Literals true at the product node (u, v): the atoms of both nodes, the
     obseq/stateeq relations that hold there, in both argument orders and
@@ -82,7 +82,8 @@ def _pair_letter(k, u, v, v1, v2, sets):
     node's one state proposition names a member; that is what their
     expansions over the alphabet say."""
     lu, lv = k.label[u], k.label[v]
-    out = set(_node_atoms(k, u, v1) | _node_atoms(k, v, v2))
+    out = {Atom(p, v1) for p in lu}
+    out.update(Atom(p, v2) for p in lv)
     for rel, prefix in ((ObsEq, "o:"), (StateEq, "x:")):
         out.update((rel(v1, v1), rel(v2, v2)))
         if ({p for p in lu if p.startswith(prefix)}
@@ -136,45 +137,47 @@ def _negated_body_automaton(body):
     return ltl_to_buchi(Not(body))
 
 
-def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
-    """Exact check of a two-trace universal formula via nested DFS.
+def _product_lasso(k, formula, roots, pair_succ, first_node):
+    """Accepting lasso of the product of a graph of two-trace positions with
+    the automaton of the negated body, as (stem, cycle) of (position,
+    automaton state) pairs, or None when no pair of traces violates the body.
 
-    obseq/stateeq and state-set leaves are decided on the pair letter, so
-    the body is translated as it stands; an expanded body gives the same
-    verdict.
-    """
-    _check_prefix(formula, ("forall", "forall"))
+    A position c is a pair (first, v): the first trace is at the node
+    first_node(first), the second at the node v, and c reads their pair
+    letter.  The product successors of (c, b) are c's successors, in
+    pair_succ's order, each with every automaton edge from b whose guard
+    admits the letter.  Letter and successors are computed once per
+    position."""
     (_, v1), (_, v2) = formula.prefix
     ba = _negated_body_automaton(formula.body)
-
-    succ_cache = {}
-
-    def comp_succ(c):
-        if c not in succ_cache:
-            u, v = c
-            succ_cache[c] = tuple((a, b) for a in k.succ[u] for b in k.succ[v])
-        return succ_cache[c]
-
-    letter_cache = {}
-
-    def letter(c):
-        if c not in letter_cache:
-            letter_cache[c] = _pair_letter(k, *c, v1, v2, formula.sets)
-        return letter_cache[c]
+    seen = {}
 
     def successors(state):
         c, b = state
-        lab = letter(c)
-        out = []
-        for c2 in comp_succ(c):
-            for guard, b2 in ba.edges[b]:
-                if guard.admits(lab):
-                    out.append((c2, b2))
-        return out
+        if c not in seen:
+            seen[c] = (_pair_letter(k, first_node(c[0]), c[1], v1, v2, formula.sets),
+                       tuple(pair_succ(c)))
+        lab, nexts = seen[c]
+        admitted = [b2 for guard, b2 in ba.edges[b] if guard.admits(lab)]
+        return [(c2, b2) for c2 in nexts for b2 in admitted]
 
-    roots = [((u, v), ba.initial) for u, v in _pair_order(list(k.initial))]
     accepting = ba.accepting
-    hit = _nested_dfs(roots, successors, lambda s: s[1] in accepting)
+    return _nested_dfs([(c, ba.initial) for c in roots], successors,
+                       lambda s: s[1] in accepting)
+
+
+def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
+    """Exact check of a two-trace universal formula via nested DFS.
+
+    The body is translated as it stands: obseq/stateeq and state-set leaves
+    are literals decided on the pair letter.  A body expanded over the
+    alphabet needs no extra code, since the pair letter holds every plain
+    atom, and gives the same verdict.
+    """
+    _check_prefix(formula, ("forall", "forall"))
+    hit = _product_lasso(k, formula, _pair_order(list(k.initial)),
+                         lambda c: [(a, b) for a in k.succ[c[0]] for b in k.succ[c[1]]],
+                         lambda u: u)
     if hit is None:
         return Verdict(property=None, holds=True, mode="exact",
                        engine="hyper-forall-forall")
@@ -308,21 +311,21 @@ def _state_disj(node, var, sets):
     return frozenset(states)
 
 
-def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
+def match_sync_shape(formula: HyperFormula) -> SyncShape:
     """Recognize a supported forall/exists body or explain why not.
 
-    The body is read as it stands: obseq(v1,v2) is a leaf and a state-set
-    literal stands for the states formula.sets binds to its name.  Bodies
-    with these expanded over the structure are recognized too."""
+    The body is read as it stands, so the shape does not depend on the
+    structure: observation agreement is the leaf obseq(v1,v2), and a state
+    set is a disjunction of x-atoms and state-set literals, each literal
+    standing for the states formula.sets binds to its name.  A body with
+    obseq expanded over the alphabet is not recognized."""
     _check_prefix(formula, ("forall", "exists"))
     (_, v1), (_, v2) = formula.prefix
     body = formula.body
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
     sets = dict(formula.sets)
-    # an ObsEq leaf never equals the expansion, so neither comparison recurses
-    # into the other's alphabet-long conjunction
-    obseq = (ObsEq(v1, v2), expand_macros(ObsEq(v1, v2), k))
+    obseq = ObsEq(v1, v2)
     ante = _conjuncts(body.left)
     cons = _conjuncts(body.right)
     tau1 = Atom("tau", v1)
@@ -349,9 +352,9 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
         if len(cons) != 2:
             raise NotSynchronousFragment("consequent must pair agreement with a pause obligation")
         for c in cons:
-            if isinstance(c, Until) and c.left in obseq and c.right == tau1:
+            if isinstance(c, Until) and c.left == obseq and c.right == tau1:
                 scope = "until_anchor"
-            elif isinstance(c, Always) and c.sub in obseq:
+            elif isinstance(c, Always) and c.sub == obseq:
                 scope = "always"
             elif (isinstance(c, Always) and isinstance(c.sub, Implies)
                     and c.sub.left == tau1 and isinstance(c.sub.right, And)
@@ -374,7 +377,7 @@ def match_sync_shape(k: KripkeStructure, formula: HyperFormula) -> SyncShape:
     p2_sets = []
     eq_seen = False
     for c in cons:
-        if isinstance(c, Always) and c.sub in obseq:
+        if isinstance(c, Always) and c.sub == obseq:
             eq_seen = True
             continue
         s = _state_disj(c, v2, sets)
@@ -399,7 +402,7 @@ def _meets(state, sets):
 
 def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     """Exact check of the synchronous forall/exists fragment."""
-    shape = match_sync_shape(k, formula)
+    shape = match_sync_shape(formula)
     if shape.anchor == "tau_once" and not k.modified:
         raise NotSynchronousFragment("pause-anchored formulas need the structure with stalling twins")
 
@@ -505,7 +508,7 @@ def _sync_violation(orig_succ, path):
 def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
                           pi1: Lasso) -> bool:
     """Check that no witness trace exists for this particular universal trace."""
-    shape = match_sync_shape(k, formula)
+    shape = match_sync_shape(formula)
     nodes = list(pi1.stem) + list(pi1.cycle)
     initials = list(k.initial)
     orig_succ = _original_succ(k)
@@ -556,15 +559,12 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
 # exists/forall engine (bounded)
 
 
-def _is_collapse(k, formula):
+def _is_collapse(formula):
     """Whether the body is the collapse body, always obs-equal implies
-    eventually always state-equal, written with the relations or expanded.
-    The relational form is recognized as it stands: comparing two
-    expansions recurses once per proposition of the alphabet."""
+    eventually always state-equal."""
     (_, v1), (_, v2) = formula.prefix
-    relational = Implies(Always(ObsEq(v1, v2)), Eventually(Always(StateEq(v1, v2))))
-    return (formula.body == relational
-            or expand_macros(formula.body, k, formula.sets) == expand_macros(relational, k))
+    return formula.body == Implies(Always(ObsEq(v1, v2)),
+                                   Eventually(Always(StateEq(v1, v2))))
 
 
 def _estimate_walk_accepts(k, pi1):
@@ -595,32 +595,20 @@ def _estimate_walk_accepts(k, pi1):
     return all(singleton[start:])
 
 
-def _inner_universal_holds(k, pi1, formula, nbody_ba):
-    """With the existential trace fixed, check all traces satisfy the body."""
-    (_, v1), (_, v2) = formula.prefix
+def _inner_universal_holds(k, pi1, formula):
+    """With the existential trace fixed to the lasso pi1, check that every
+    trace satisfies the body: the product search of check_forall_forall
+    over positions (index into pi1, node) finds no violating lasso."""
     nodes = list(pi1.stem) + list(pi1.cycle)
-    n = len(nodes)
     wrap = len(pi1.stem)
 
-    def npos(p):
-        return p + 1 if p + 1 < n else wrap
+    def pair_succ(c):
+        p, q2 = c
+        p = p + 1 if p + 1 < len(nodes) else wrap
+        return [(p, t) for t in k.succ[q2]]
 
-    pi1_atoms = [_node_atoms(k, q, v1) for q in nodes]
-
-    def successors(state):
-        p, q2, b = state
-        lab = pi1_atoms[p] | _node_atoms(k, q2, v2)
-        out = []
-        q2succ = k.succ[q2]
-        for guard, b2 in nbody_ba.edges[b]:
-            if guard.admits(lab):
-                for t in q2succ:
-                    out.append((npos(p), t, b2))
-        return out
-
-    roots = [(0, q2, nbody_ba.initial) for q2 in k.initial]
-    hit = _nested_dfs(roots, successors, lambda s: s[2] in nbody_ba.accepting)
-    return hit is None
+    return _product_lasso(k, formula, [(0, q2) for q2 in k.initial], pair_succ,
+                          nodes.__getitem__) is None
 
 
 def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
@@ -636,14 +624,12 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
     _check_prefix(formula, ("exists", "forall"))
     if bound is None:
         bound = len(k.nodes) + 1
-    collapse = _is_collapse(k, formula)
-    nbody_ba = None if collapse else \
-        ltl_to_buchi(Not(expand_macros(formula.body, k, formula.sets)))
+    collapse = _is_collapse(formula)
 
     def accepts(cand):
         if collapse:
             return _estimate_walk_accepts(k, cand)
-        return _inner_universal_holds(k, cand, formula, nbody_ba)
+        return _inner_universal_holds(k, cand, formula)
 
     tried = 0
     stack = []
@@ -814,7 +800,7 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdic
     engine: "hyper" (Kripke encodings) or "oracle" (definition unfoldings).
     wd_route: "observer" for the exact route, "bounded" for candidate search.
 
-    Two properties take a route beyond the formula property_formula builds:
+    Two properties take a route beyond the formula property_template builds:
     predictability is decided with a boundary-anchored trigger
     (see _decision_formula) and a strong-detectability pass of the pair
     search is confirmed against the subset walk (see
@@ -911,7 +897,7 @@ def replay_witness(fsa, kind, verdict: Verdict) -> bool:
             return _replay_pump(k, verdict.details)
         pi1, pi2 = verdict.witness
         if pi2 is None:
-            if not _is_collapse(k, formula):
+            if not _is_collapse(formula):
                 raise NotARun("single-trace violation witness outside the collapse shape")
             _require_run(k, pi1)
             return not _estimate_walk_accepts(k, pi1)
@@ -929,8 +915,7 @@ def replay_witness(fsa, kind, verdict: Verdict) -> bool:
     if verdict.holds is True and quants == ("exists", "forall"):
         pi1, _ = verdict.witness
         _require_run(k, pi1)
-        if _is_collapse(k, formula):
+        if _is_collapse(formula):
             return _estimate_walk_accepts(k, pi1)
-        body = expand_macros(formula.body, k, formula.sets)
-        return _inner_universal_holds(k, pi1, formula, ltl_to_buchi(Not(body)))
+        return _inner_universal_holds(k, pi1, formula)
     raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")

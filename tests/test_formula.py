@@ -293,7 +293,7 @@ def test_obseq_expansion_counts(g_det):
         elif isinstance(node, And):
             stack.extend([node.left, node.right])
     assert len(iffs) == len(g_det.observations) == 3
-    via_kripke = expand_macros(ObsEq("p1", "p2"), build_kripke(g_det))
+    via_kripke = expand_macros(ObsEq("p1", "p2"), build_kripke(g_det).fsa)
     assert via_kripke == expanded
 
 

@@ -1,6 +1,7 @@
 """Tests for the hyperproperty checking engines."""
 
 import random
+import time
 
 import pytest
 
@@ -14,10 +15,19 @@ from hyperdes.errors import (
 )
 from hyperdes.formula import (
     Always,
+    And,
     Atom,
+    Eventually,
     OPACITY_PROPERTIES,
     HyperFormula,
+    Implies,
+    InSet,
+    Next,
     Not,
+    ObsEq,
+    Or,
+    StateEq,
+    Until,
     eval_body,
     expand_macros,
     parse_formula,
@@ -236,7 +246,7 @@ def test_forall_forall_witness_violates_body(g_det):
         v1: (tuple(k.label[q] for q in pi1.stem), tuple(k.label[q] for q in pi1.cycle)),
         v2: (tuple(k.label[q] for q in pi2.stem), tuple(k.label[q] for q in pi2.cycle)),
     }
-    assert eval_body(expand_macros(formula.body, k), assign) is False
+    assert eval_body(expand_macros(formula.body, g_det), assign) is False
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +280,9 @@ def test_infinite_step_opacity_fixture_violated_with_pinned_witness(g_opa):
 def test_sync_shape_of_instant0_formula(g_opa):
     """The initial-state formula matches the instant-0 shape with the right
     requirement and obligation sets."""
-    formula, kind = property_formula("initial-state-opacity", g_opa)
+    formula, kind = property_template("initial-state-opacity", g_opa)
     assert kind == "plain"
-    k = build_kripke(g_opa)
-    shape = match_sync_shape(k, formula)
+    shape = match_sync_shape(formula)
     assert shape.anchor == "instant0"
     assert shape.eq_scope == "always"
     assert frozenset(["0", "3"]) in shape.p1_sets
@@ -284,12 +293,11 @@ def test_sync_shape_of_instant0_formula(g_opa):
 def test_sync_shape_of_pause_formulas(g_opa):
     """Both hindsight formulas match the pause-anchored shape, differing only
     in how long observation agreement is required."""
-    k = build_modified_kripke(build_kripke(g_opa))
-    f_cso, kind_cso = property_formula("current-state-opacity", g_opa)
-    f_ifo, kind_ifo = property_formula("infinite-step-opacity", g_opa)
+    f_cso, kind_cso = property_template("current-state-opacity", g_opa)
+    f_ifo, kind_ifo = property_template("infinite-step-opacity", g_opa)
     assert kind_cso == kind_ifo == "modified"
-    s_cso = match_sync_shape(k, f_cso)
-    s_ifo = match_sync_shape(k, f_ifo)
+    s_cso = match_sync_shape(f_cso)
+    s_ifo = match_sync_shape(f_ifo)
     assert s_cso.anchor == s_ifo.anchor == "tau_once"
     assert s_cso.eq_scope == "until_anchor"
     assert s_ifo.eq_scope == "always"
@@ -299,7 +307,7 @@ def test_sync_shape_of_pause_formulas(g_opa):
 
 def test_sync_engine_rejects_pause_formula_on_plain_structure(g_opa):
     """Pause-anchored formulas need the twin-extended structure."""
-    formula, _ = property_formula("current-state-opacity", g_opa)
+    formula, _ = property_template("current-state-opacity", g_opa)
     k = build_kripke(g_opa)
     with pytest.raises(NotSynchronousFragment):
         check_forall_exists_sync(k, formula)
@@ -319,8 +327,8 @@ def test_sync_engine_rejects_foreign_body(g_opa):
 def test_engines_reject_wrong_prefix(g_opa, g_diag):
     """Each engine refuses formulas with the other quantifier pattern."""
     refined, part = refine_fault_partition(g_diag)
-    f_dia, _ = property_formula("diagnosability", refined, part)
-    f_iso, _ = property_formula("initial-state-opacity", g_opa)
+    f_dia, _ = property_template("diagnosability", refined, part)
+    f_iso, _ = property_template("initial-state-opacity", g_opa)
     k_opa = build_kripke(g_opa)
     k_dia = build_kripke(refined)
     with pytest.raises(PrefixMismatch):
@@ -406,9 +414,7 @@ def test_estimate_walk_is_stricter_than_the_trace_product():
     estimates stay ambiguous regardless, so the walk rejects every one."""
     fsa = make_dying_branch()
     k = build_kripke(fsa)
-    formula, _ = property_formula("weak-detectability", fsa)
-    body = expand_macros(formula.body, k)
-    nba = ltl_to_buchi(Not(body))
+    formula, _ = property_template("weak-detectability", fsa)
     cands = []
     for q0 in k.initial:
         stack = [([q0], {q0})]
@@ -421,9 +427,68 @@ def test_estimate_walk_is_stricter_than_the_trace_product():
                         Lasso(stem=tuple(path[:i]), cycle=tuple(path[i:]))))
                 elif len(path) <= len(k.nodes):
                     stack.append((path + [t], onpath | {t}))
-    accepted = [c for c in cands if _inner_universal_holds(k, c, formula, nba)]
+    accepted = [c for c in cands if _inner_universal_holds(k, c, formula)]
     assert accepted
     assert all(not _estimate_walk_accepts(k, c) for c in accepted)
+
+
+OBSEQ, STATEEQ = ObsEq("p1", "p2"), StateEq("p1", "p2")
+# exists/forall bodies other than the collapse body, with the relations and
+# the set literals as leaves; "chosen" is bound to every other state
+EXISTS_FORALL_BODIES = (
+    Implies(Always(OBSEQ), Eventually(STATEEQ)),
+    Implies(Always(OBSEQ), Always(STATEEQ)),
+    Implies(And(InSet("initial", "p2"), Always(OBSEQ)), Always(STATEEQ)),
+    Always(Implies(InSet("chosen", "p2"), Not(StateEq("p2", "p1")))),
+    Implies(Until(OBSEQ, InSet("chosen", "p2")), InSet("chosen", "p1")),
+    Always(Implies(OBSEQ, Next(Or(STATEEQ, InSet("chosen", "p1"))))),
+)
+
+
+def _exists_forall_outcomes(fsa):
+    """Decide each body on the candidate route as it stands and expanded
+    over the alphabet; the verdicts, witnesses and details must be equal."""
+    k = build_kripke(fsa)
+    prefix = (("exists", "p1"), ("forall", "p2"))
+    sets = (("initial", fsa.initial), ("chosen", frozenset(fsa.states[::2])))
+    outcomes = []
+    for body in EXISTS_FORALL_BODIES:
+        relational = check_exists_forall_bounded(k, HyperFormula(prefix, body, sets))
+        expanded = check_exists_forall_bounded(
+            k, HyperFormula(prefix, expand_macros(body, fsa, sets)))
+        assert relational == expanded, body
+        outcomes.append(relational.holds)
+    return outcomes
+
+
+def test_exists_forall_bodies_agree_with_their_expansion(g_det):
+    """Bodies beyond the collapse body are decided on the pair letter, with
+    the same verdict, witness and details as their expansion, on g_det and
+    a seeded slice of small machines; each body both finds a witness and
+    exhausts its candidates somewhere."""
+    seen = [set() for _ in EXISTS_FORALL_BODIES]
+    rng = random.Random(20260823)
+    machines = [g_det] + [random_valid_fsa(rng, max_states=4, max_events=3, max_obs=2)
+                          for _ in range(12)]
+    for fsa in machines:
+        for outcomes, holds in zip(seen, _exists_forall_outcomes(fsa)):
+            outcomes.add(holds)
+    assert all(outcomes == {True, "inconclusive"} for outcomes in seen)
+
+
+def test_exists_forall_body_decides_without_expansion(g_opa):
+    """Eventual state agreement on g_opa, with a cold translation cache:
+    translating the expansion took seconds, the pair letter keeps the check
+    small."""
+    formula = parse_formula("exists p1. forall p2. G obseq(p1,p2) -> F stateeq(p1,p2)")
+    k = build_kripke(g_opa)
+    _negated_body_automaton.cache_clear()
+    started = time.perf_counter()
+    verdict = check_exists_forall_bounded(k, formula)
+    assert time.perf_counter() - started < 0.1
+    assert verdict.holds is True
+    assert verdict.witness[0] == lasso([node("0"), node("1", "o1"), node("2", "o2")],
+                                       [node("2", "o3")])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +520,7 @@ def test_strong_detectability_sees_ambiguity_without_a_diverging_pair():
     report a run along which the uncertainty recurs."""
     fsa = make_phantom_branch()
     k = build_kripke(fsa)
-    formula, _ = property_formula("strong-detectability", fsa)
+    formula, _ = property_template("strong-detectability", fsa)
     assert check_forall_forall(k, formula).holds is True
     verdict = verify(fsa, "strong-detectability")
     assert verdict.holds is False
@@ -484,7 +549,7 @@ def test_strong_detectability_reports_pumpable_word_for_transient_ambiguity():
         observations=["o1", "o2", "o3", "o4"],
     ))
     k = build_kripke(fsa)
-    formula, _ = property_formula("strong-detectability", fsa)
+    formula, _ = property_template("strong-detectability", fsa)
     assert check_forall_forall(k, formula).holds is True
     verdict = verify(fsa, "strong-detectability")
     assert verdict.holds is False
@@ -512,7 +577,7 @@ def test_predictability_alarm_may_rest_on_the_faulted_steps_observation():
         fault_events=["b"],
     ))
     refined, part = refine_fault_partition(fsa)
-    formula, _ = property_formula("predictability", refined, part)
+    formula, _ = property_template("predictability", refined, part)
     assert check_forall_forall(build_kripke(refined), formula).holds is False
     assert verify(fsa, "predictability").holds is True
     assert verify(fsa, "predictability", engine="oracle").holds is True
@@ -611,7 +676,7 @@ def test_replay_validates_fixture_witnesses(g_diag, g_det, g_opa):
 def test_forall_exists_refutation_is_trace_specific(g_opa):
     """The hindsight refutation accepts the real violating trace and rejects
     a trace whose pause sits at a non-secret state."""
-    formula, _ = property_formula("infinite-step-opacity", g_opa)
+    formula, _ = property_template("infinite-step-opacity", g_opa)
     k = build_modified_kripke(build_kripke(g_opa))
     good = lasso([node("3"), node("4", "o1"), node("4", "o1", copy=True),
                   node("4", "o1"), node("5", "o4")],
