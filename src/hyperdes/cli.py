@@ -86,18 +86,16 @@ def cmd_verify(args):
         print(f"skipping {kind}: model has no {missing} annotation",
               file=sys.stderr)
 
+    # under --engine both, weak detectability compares the hyper engine's
+    # estimate-product check with the oracle's observer check
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
-    # under --engine both, weak detectability takes the candidate search: its
-    # exact route is the oracle's own observer check
-    wd_route = "bounded" if args.engine == "both" else "observer"
     entries = []
     verdicts = []
     disagreements = []
     for kind in checked:
         per_engine = []
         for engine in engines:
-            verdict = verify(fsa, kind, engine=engine, bound=args.bound,
-                             wd_route=wd_route)
+            verdict = verify(fsa, kind, engine=engine, bound=args.bound)
             per_engine.append(verdict)
             verdicts.append(verdict)
             doc = verdict_to_json(verdict)

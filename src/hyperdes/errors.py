@@ -105,6 +105,15 @@ class NotARun(HyperdesError):
     """A claimed witness lasso is not a run of the structure."""
 
 
+class UnknownRoute(HyperdesError):
+    """A weak-detectability route other than "exact" or "bounded" was asked for."""
+
+    def __init__(self, route):
+        self.route = route
+        super().__init__(f"unknown weak-detectability route {route!r}; "
+                         "expected 'exact' or 'bounded'")
+
+
 # --- model files -------------------------------------------------------------
 
 class SchemaError(HyperdesError):

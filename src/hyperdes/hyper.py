@@ -12,11 +12,17 @@ properties:
   the set of still-viable witness candidates for the existential trace is
   advanced along every universal trace, and a property violation is exactly a
   reachable instant where the candidate set has died.
-- exists/forall: bounded candidate enumeration; a found witness is conclusive,
-  exhaustion is reported as inconclusive.  verify() prefers the exact
-  observer-based route for weak detectability and falls back here on request.
-  A candidate is accepted by the estimate walk for the collapse body and
-  otherwise by the forall/forall product search.
+- exists/forall: the collapse body (always obs-equal implies eventually
+  always state-equal, which is weak detectability) is decided on the product
+  of the structure with the current-state estimate: it holds exactly when a
+  cycle of singleton-estimate states is reachable, and its witness is a run
+  into such a cycle.  verify() takes this exact route unless asked for the
+  bounded one.  The bounded route enumerates candidate lassos up to a length
+  bound; a found witness is conclusive, exhaustion is reported as
+  inconclusive.  A candidate is accepted by the estimate walk for the
+  collapse body, which prunes its search to the product states that can
+  still reach a singleton cycle, and otherwise by the forall/forall product
+  search.
 
 Every engine and witness replay reads a formula's body and `sets` as they
 stand: obseq/stateeq and the state-set literals (fault, initial, secret,
@@ -41,6 +47,7 @@ from .errors import (
     NotARun,
     NotSynchronousFragment,
     PrefixMismatch,
+    UnknownRoute,
 )
 from .formula import (
     Always,
@@ -64,7 +71,7 @@ from .formula import (
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
-from .oracle import OracleConfig, oracle_check, weak_detectability_exact
+from .oracle import OracleConfig, oracle_check
 
 DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
 
@@ -556,7 +563,7 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
 
 
 # ---------------------------------------------------------------------------
-# exists/forall engine (bounded)
+# exists/forall engines
 
 
 def _is_collapse(formula):
@@ -565,6 +572,70 @@ def _is_collapse(formula):
     (_, v1), (_, v2) = formula.prefix
     return formula.body == Implies(Always(ObsEq(v1, v2)),
                                    Eventually(Always(StateEq(v1, v2))))
+
+
+def _estimate_product(k):
+    """Reachable product of the structure with the current-state estimate.
+
+    A state (q, D) pairs a node with the estimate D, the nodes the structure
+    can be in after the observations of the path to q; so D holds q.  D
+    starts at the initial nodes, and a step to t moves it to
+    step_nodes(k.succ, D, t.obs).  Returns (succ, core, good): the
+    successors of each reachable state in k.succ's order, the states on a
+    cycle of states whose estimate is a singleton, and the states from which
+    core can be reached.  Every position of a candidate the estimate walk
+    accepts is a state in good, and weak detectability holds exactly when an
+    initial state is in good."""
+    succ, moves = {}, {}
+
+    def successors(state):
+        q, d = state
+        out = succ[state] = []
+        for t in k.succ[q]:
+            if (d, t.obs) not in moves:
+                moves[(d, t.obs)] = step_nodes(k.succ, d, t.obs)
+            out.append((t, moves[(d, t.obs)]))
+        return out
+
+    start = frozenset(k.initial)
+    reachable([(q, start) for q in k.initial], successors)
+    singles = [s for s in succ if len(s[1]) == 1]
+    core = {s for comp in cyclic_sccs(
+        singles, lambda s: [n for n in succ[s] if len(n[1]) == 1]) for s in comp}
+    pred = {}
+    for s, nexts in succ.items():
+        for n in nexts:
+            pred.setdefault(n, []).append(s)
+    good = reachable(core, lambda s: pred.get(s, ()))
+    return succ, core, good
+
+
+def _collapse_exact(k):
+    """Exact decision of the collapse body, weak detectability, on the
+    estimate product.
+
+    Some trace has an estimate that is eventually a singleton forever
+    exactly when an initial product state reaches a cycle of
+    singleton-estimate states.  The witness is the first trace's projection
+    of a lasso from the first such initial state, along a shortest path into
+    core and then round the first cycle inside core that a depth-first
+    search meets; it replays through the estimate walk."""
+    succ, core, good = _estimate_product(k)
+    start = frozenset(k.initial)
+    root = next((s for s in ((q, start) for q in k.initial) if s in good), None)
+    if root is None:
+        return Verdict(property=None, holds=False, mode="exact",
+                       engine="hyper-exists-forall")
+    # None stands for "inside core", an extra successor of every core state
+    steps = shortest_path(root, lambda s: [(None, n) for n in succ[s]]
+                          + ([(None, None)] if s in core else []), None)
+    stem = [root] + [n for _, n in steps[:-1]]
+    cycle, i = first_cycle(stem[-1:], lambda s: [n for n in succ[s] if n in core])
+    run = [q for q, _ in stem[:-1] + cycle]
+    cut = len(stem) - 1 + i
+    pi1 = canonical_lasso(Lasso(stem=tuple(run[:cut]), cycle=tuple(run[cut:])))
+    return Verdict(property=None, holds=True, mode="exact",
+                   engine="hyper-exists-forall", witness=(pi1, None))
 
 
 def _estimate_walk_accepts(k, pi1):
@@ -616,29 +687,47 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
     """Semi-decision for exists/forall: try candidate lassos up to a length
     bound; success is conclusive, exhaustion is not.
 
-    Candidates for the collapse body (always obs-equal implies eventually
-    always state-equal) are accepted with the estimate walk, which also
-    quantifies over finite matching runs; every other body is checked by
-    testing emptiness of the product of the candidate, the structure and the
-    Büchi automaton of the negated body."""
+    Candidates are the simple lassos from each initial node, found by a
+    depth-first search that closes a path back onto itself.  For the
+    collapse body (always obs-equal implies eventually always state-equal)
+    a candidate is accepted by the estimate walk, which also quantifies over
+    finite matching runs, and the search carries the estimate down its path:
+    a root, extension or closing edge whose (node, estimate) state cannot
+    reach a cycle of singleton estimates (see _estimate_product) leads to no
+    acceptable candidate and is skipped.  Every other body is checked on each
+    candidate by testing emptiness of the product of the candidate, the
+    structure and the Büchi automaton of the negated body.  The first
+    accepted candidate is the witness; details["candidates_tried"] of an
+    inconclusive verdict counts the candidates whose acceptance check ran,
+    at most max_candidates."""
     _check_prefix(formula, ("exists", "forall"))
     if bound is None:
         bound = len(k.nodes) + 1
-    collapse = _is_collapse(formula)
+    if _is_collapse(formula):
+        succ, _, good = _estimate_product(k)
+        start = frozenset(k.initial)
+        roots = [(q, start) for q in k.initial if (q, start) in good]
 
-    def accepts(cand):
-        if collapse:
+        def moves(q, d):
+            return [m for m in succ[(q, d)] if m in good]
+
+        def accepts(cand):
             return _estimate_walk_accepts(k, cand)
-        return _inner_universal_holds(k, cand, formula)
+    else:
+        roots = [(q, None) for q in k.initial]
+
+        def moves(q, _):
+            return [(t, None) for t in k.succ[q]]
+
+        def accepts(cand):
+            return _inner_universal_holds(k, cand, formula)
 
     tried = 0
-    stack = []
-    for q0 in k.initial:
-        stack = [([q0], {q0})]
+    for q0, d0 in roots:
+        stack = [([q0], {q0}, d0)]
         while stack:
-            path, onpath = stack.pop()
-            last = path[-1]
-            for t in k.succ[last]:
+            path, onpath, d = stack.pop()
+            for t, dt in moves(path[-1], d):
                 if t in onpath:
                     i = path.index(t)
                     cand = canonical_lasso(
@@ -654,7 +743,7 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
                                        engine="hyper-exists-forall",
                                        details={"candidates_tried": tried})
                 elif len(path) < bound:
-                    stack.append((path + [t], onpath | {t}))
+                    stack.append((path + [t], onpath | {t}, dt))
     return Verdict(property=None, holds="inconclusive", mode="bounded",
                    bound=bound, engine="hyper-exists-forall",
                    details={"candidates_tried": tried})
@@ -665,8 +754,9 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
 
 
 def _decision_problem(fsa, kind):
-    """What a property is decided on: the machine (fault-refined for the
-    fault properties), its decision formula and the structure to check."""
+    """What a property is decided on: its decision formula and the structure
+    to check, built from the machine (fault-refined for the fault
+    properties)."""
     if not fsa.validated:
         validate_fsa(fsa)
     part = None
@@ -679,7 +769,7 @@ def _decision_problem(fsa, kind):
     k = build_kripke(target)
     if structure_kind == "modified":
         k = build_modified_kripke(k)
-    return target, formula, k
+    return formula, k
 
 
 def _decision_formula(kind, target, part):
@@ -794,11 +884,17 @@ def _strong_detectability_gap(k):
                  "pump_suffix": tail_obs})
 
 
-def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdict:
+def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     """Decide one property of an automaton.
 
     engine: "hyper" (Kripke encodings) or "oracle" (definition unfoldings).
-    wd_route: "observer" for the exact route, "bounded" for candidate search.
+    wd_route: how the hyper engine decides weak detectability, the one
+    exists/forall property.  "exact" decides it on the product of the
+    Kripke structure with the current-state estimate (see _collapse_exact);
+    "bounded" runs the candidate search of check_exists_forall_bounded,
+    which can prove the property but reports its failure as inconclusive.
+    Both report engine "hyper-exists-forall"; the oracle's own check is
+    "oracle-observer".  Any other value raises UnknownRoute.
 
     Two properties take a route beyond the formula property_template builds:
     predictability is decided with a boundary-anchored trigger
@@ -808,6 +904,8 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdic
     formulations around matching runs that die out after finitely many
     steps.
     """
+    if wd_route not in ("exact", "bounded"):
+        raise UnknownRoute(wd_route)
     started = time.perf_counter()
     if bound is None and os.environ.get(DEFAULT_BOUND_ENV):
         bound = int(os.environ[DEFAULT_BOUND_ENV])
@@ -819,7 +917,7 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdic
         verdict.seconds = time.perf_counter() - started
         return verdict
 
-    target, formula, k = _decision_problem(fsa, kind)
+    formula, k = _decision_problem(fsa, kind)
     quants = formula.quantifiers()
     if quants == ("forall", "forall"):
         verdict = check_forall_forall(k, formula)
@@ -832,7 +930,7 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="observer") -> Verdic
     elif wd_route == "bounded":
         verdict = check_exists_forall_bounded(k, formula, bound=bound)
     else:
-        verdict = weak_detectability_exact(target)
+        verdict = _collapse_exact(k)
     verdict.property = kind
     verdict.seconds = time.perf_counter() - started
     return verdict
@@ -889,7 +987,7 @@ def _replay_pump(k, details):
 def replay_witness(fsa, kind, verdict: Verdict) -> bool:
     """Re-validate a verdict's witness against the definitions of the
     structures, independently of the search that produced it."""
-    _, formula, k = _decision_problem(fsa, kind)
+    formula, k = _decision_problem(fsa, kind)
     quants = formula.quantifiers()
 
     if verdict.holds is False and quants == ("forall", "forall"):

@@ -123,10 +123,12 @@ def test_structure_encodings_match_pinned_graphs(g_diag, g_opa):
 def test_differential_fuzz_engines_never_disagree(fuzz_report):
     """500 random valid machines, all nine properties: conclusive verdicts
     from the hyperproperty engines and the reference checks coincide, within
-    the ten-minute budget."""
+    the ten-minute budget, and the hyper engine decides weak detectability
+    on every machine."""
     assert fuzz_report["count"] == FUZZ_COUNT
     assert sorted(fuzz_report["properties"]) == sorted(PROPERTIES)
     assert fuzz_report["disagreements"] == []
+    assert fuzz_report["tallies"]["weak-detectability"]["inconclusive"] == 0
     assert fuzz_report["_elapsed"] <= 600.0
 
 

@@ -82,8 +82,8 @@ def test_engine_both_agreeing_is_not_an_error(capsys):
 
 
 def test_engine_both_never_compares_a_route_with_itself(capsys):
-    """Weak detectability's exact route is the oracle's observer check, so
-    under --engine both the hyper side takes the candidate search."""
+    """Under --engine both, weak detectability compares the hyper engine's
+    exact route, the estimate product, with the oracle's observer check."""
     code, out, _ = run(capsys, "verify", "--model", G_DET,
                        "--property", "weak-detectability", "--engine", "both")
     assert code == 0

@@ -12,6 +12,7 @@ from hyperdes.errors import (
     NotARun,
     NotSynchronousFragment,
     PrefixMismatch,
+    UnknownRoute,
 )
 from hyperdes.formula import (
     Always,
@@ -45,6 +46,7 @@ from hyperdes.hyper import (
     replay_witness,
     verify,
     _decision_formula,
+    _estimate_product,
     _estimate_walk_accepts,
     _inner_universal_holds,
     _negated_body_automaton,
@@ -56,7 +58,9 @@ from hyperdes.kripke import (
     build_kripke,
     build_modified_kripke,
     canonical_lasso,
+    step_nodes,
 )
+from hyperdes.oracle import weak_detectability_exact
 from support import fault_ring, labelled_ring
 
 
@@ -346,7 +350,7 @@ def test_engines_reject_wrong_prefix(g_opa, g_diag):
 def test_weak_detectability_routes_agree(g_det):
     """The exact observer route and the bounded candidate search agree on the
     fixture and both witnesses replay."""
-    exact = verify(g_det, "weak-detectability")
+    exact = verify(g_det, "weak-detectability", engine="oracle")
     bounded = verify(g_det, "weak-detectability", wd_route="bounded")
     assert exact.holds is True
     assert exact.engine == "oracle-observer"
@@ -358,7 +362,7 @@ def test_weak_detectability_routes_agree(g_det):
 
 def test_weak_detectability_observer_witness_is_pinned(g_det):
     """The lifted observer witness is the canonical singleton loop trace."""
-    verdict = verify(g_det, "weak-detectability")
+    verdict = verify(g_det, "weak-detectability", engine="oracle")
     pi1, pi2 = verdict.witness
     assert pi2 is None
     assert pi1 == lasso([node("0"), node("4", "o1")], [node("5", "o1")])
@@ -408,13 +412,10 @@ def test_bounded_route_rejects_eternally_ambiguous_machine():
     assert bounded.holds == "inconclusive"
 
 
-def test_estimate_walk_is_stricter_than_the_trace_product():
-    """On the dying-branch machine the product over infinite traces accepts
-    candidates, because each ambiguous branch dies out within a step; their
-    estimates stay ambiguous regardless, so the walk rejects every one."""
-    fsa = make_dying_branch()
-    k = build_kripke(fsa)
-    formula, _ = property_template("weak-detectability", fsa)
+def reference_candidates(k, bound):
+    """Every candidate of the bounded exists/forall search, unpruned and in
+    its order: the simple lassos from each initial node, closed by a
+    depth-first search over paths of fewer than `bound` nodes."""
     cands = []
     for q0 in k.initial:
         stack = [([q0], {q0})]
@@ -425,8 +426,113 @@ def test_estimate_walk_is_stricter_than_the_trace_product():
                     i = path.index(t)
                     cands.append(canonical_lasso(
                         Lasso(stem=tuple(path[:i]), cycle=tuple(path[i:]))))
-                elif len(path) <= len(k.nodes):
+                elif len(path) < bound:
                     stack.append((path + [t], onpath | {t}))
+    return cands
+
+
+def estimate_positions(k, pi1):
+    """The (node, estimate) states of a lasso's stem and first two laps."""
+    nodes = list(pi1.stem) + 2 * list(pi1.cycle)
+    d = frozenset(k.initial)
+    out = [(nodes[0], d)]
+    for t in nodes[1:]:
+        d = step_nodes(k.succ, d, t.obs)
+        out.append((t, d))
+    return out
+
+
+def product_machines():
+    """g_det, the twin and dying branches and 40 seeded small machines."""
+    from conftest import make_g_det, make_twin_branch
+    rng = random.Random(20261018)
+    return ([make_g_det(), validate_fsa(make_twin_branch()), make_dying_branch()]
+            + [random_valid_fsa(rng, max_states=8, max_events=4, max_obs=3)
+               for _ in range(40)])
+
+
+def test_pruned_candidate_search_matches_the_unpruned_one():
+    """With the estimate product pruning it, the collapse-body search returns
+    the verdict, bound and witness of the unpruned enumeration, and every
+    candidate the estimate walk accepts stays inside good."""
+    holds = set()
+    for fsa in product_machines():
+        k = build_kripke(fsa)
+        formula, _ = property_template("weak-detectability", fsa)
+        bound = len(k.nodes) + 1
+        cands = reference_candidates(k, bound)
+        accepted = [c for c in cands if _estimate_walk_accepts(k, c)]
+        _, core, good = _estimate_product(k)
+        assert core <= good
+        for c in accepted:
+            assert set(estimate_positions(k, c)) <= good
+        verdict = check_exists_forall_bounded(k, formula)
+        assert verdict.bound == bound
+        if accepted:
+            assert verdict.holds is True
+            assert verdict.witness == (accepted[0], None)
+        else:
+            assert verdict.holds == "inconclusive"
+            assert verdict.witness is None
+            assert verdict.details["candidates_tried"] <= len(cands)
+        holds.add(verdict.holds)
+    assert holds == {True, "inconclusive"}
+
+
+def test_exact_route_agrees_with_the_observer_check():
+    """The exact hyper route decides weak detectability as the oracle's
+    observer check does, without running it, and each witness replays."""
+    holds = set()
+    for fsa in product_machines():
+        verdict = verify(fsa, "weak-detectability")
+        assert verdict.holds is weak_detectability_exact(fsa).holds
+        assert (verdict.mode, verdict.engine) == ("exact", "hyper-exists-forall")
+        if verdict.holds:
+            assert replay_witness(fsa, "weak-detectability", verdict) is True
+        else:
+            assert verdict.witness is None
+        holds.add(verdict.holds)
+    assert holds == {True, False}
+
+
+def test_bounded_route_exhausts_a_witnessless_machine_at_once():
+    """The 16th machine of at least 12 states from this stream has no
+    witness; the unpruned search gave up at its 20,000-candidate cap after
+    about two seconds, the pruned one runs out of candidates at once."""
+    rng = random.Random(20261017)
+    machines = []
+    while len(machines) < 16:
+        fsa = random_valid_fsa(rng, max_states=16)
+        if len(fsa.states) >= 12:
+            machines.append(fsa)
+    fsa = machines[-1]
+    validate_fsa(fsa)
+    started = time.perf_counter()
+    bounded = verify(fsa, "weak-detectability", wd_route="bounded")
+    assert time.perf_counter() - started < 0.1
+    assert bounded.holds == "inconclusive"
+    assert verify(fsa, "weak-detectability").holds is False
+
+
+def test_unknown_weak_detectability_route_is_refused(g_det):
+    """Only the exact and the bounded route exist; any other name raises a
+    typed error on either engine instead of taking the default route."""
+    assert verify(g_det, "weak-detectability", wd_route="exact").mode == "exact"
+    assert verify(g_det, "weak-detectability", wd_route="bounded").mode == "bounded"
+    for engine in ("hyper", "oracle"):
+        for kind in ("weak-detectability", "i-detectability"):
+            with pytest.raises(UnknownRoute):
+                verify(g_det, kind, engine=engine, wd_route="observer")
+
+
+def test_estimate_walk_is_stricter_than_the_trace_product():
+    """On the dying-branch machine the product over infinite traces accepts
+    candidates, because each ambiguous branch dies out within a step; their
+    estimates stay ambiguous regardless, so the walk rejects every one."""
+    fsa = make_dying_branch()
+    k = build_kripke(fsa)
+    formula, _ = property_template("weak-detectability", fsa)
+    cands = reference_candidates(k, len(k.nodes) + 1)
     accepted = [c for c in cands if _inner_universal_holds(k, c, formula)]
     assert accepted
     assert all(not _estimate_walk_accepts(k, c) for c in accepted)
