@@ -4,8 +4,8 @@ The package decides nine properties of finite-state, partially observed
 discrete-event systems: diagnosability, predictability, four detectability
 variants and three opacity variants.  Each property is encoded as a two-trace
 temporal formula over a Kripke structure derived from the automaton and
-checked by quantifier-prefix-specific engines; an independent brute-force
-oracle unfolds the definitions directly for cross-validation.
+checked by quantifier-prefix-specific engines; an independent oracle decides
+each property from its state-estimate definition for cross-validation.
 
 Typical entry points:
 

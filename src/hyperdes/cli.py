@@ -267,8 +267,10 @@ def build_parser():
                    help="verification engine; both compares and fails on "
                         "disagreement")
     p.add_argument("--bound", type=int, default=None,
-                   help="bound for bounded searches (default: HYPERDES_BOUND "
-                        "env or a structure-derived value)")
+                   help="run the oracle's diagnosability, i- and "
+                        "delayed-detectability checks as probes of this "
+                        "depth (default: HYPERDES_BOUND env, else no bound: "
+                        "exact where the engine can be exact)")
     p.add_argument("--emit-witness", action="store_true",
                    help="include witness lassos in the JSON output")
     p.add_argument("--check-witness", action="store_true",

@@ -114,6 +114,17 @@ class UnknownRoute(HyperdesError):
                          "expected 'exact' or 'bounded'")
 
 
+class InvalidBound(HyperdesError):
+    """A search bound or bound policy the engines cannot use: a bound that
+    is not a non-negative integer, or a conclusive policy other than
+    "strict" or "trusting"."""
+
+    def __init__(self, name, value, expected="a non-negative integer"):
+        self.name = name
+        self.value = value
+        super().__init__(f"invalid {name} {value!r}; expected {expected}")
+
+
 # --- model files -------------------------------------------------------------
 
 class SchemaError(HyperdesError):

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .buchi import ltl_to_buchi
 from .des import boundary_states, refine_fault_partition, validate_fsa
 from .errors import (
+    InvalidBound,
     MissingAnnotation,
     NotARun,
     NotSynchronousFragment,
@@ -71,7 +72,7 @@ from .formula import (
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
-from .oracle import OracleConfig, oracle_check
+from .oracle import OracleConfig, check_bound, oracle_check
 
 DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
 
@@ -887,7 +888,12 @@ def _strong_detectability_gap(k):
 def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     """Decide one property of an automaton.
 
-    engine: "hyper" (Kripke encodings) or "oracle" (definition unfoldings).
+    engine: "hyper" (Kripke encodings) or "oracle" (definition-level checks).
+    bound: None, or when unset the HYPERDES_BOUND environment variable,
+    decides exactly wherever the engine can; an integer runs the oracle's
+    diagnosability, I- and delayed-detectability checks as horizon probes
+    of that depth, and bounds the length of the bounded
+    weak-detectability route's candidate lassos.  A negative or non-integer bound raises InvalidBound.
     wd_route: how the hyper engine decides weak detectability, the one
     exists/forall property.  "exact" decides it on the product of the
     Kripke structure with the current-state estimate (see _collapse_exact);
@@ -908,7 +914,12 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
         raise UnknownRoute(wd_route)
     started = time.perf_counter()
     if bound is None and os.environ.get(DEFAULT_BOUND_ENV):
-        bound = int(os.environ[DEFAULT_BOUND_ENV])
+        text = os.environ[DEFAULT_BOUND_ENV]
+        try:
+            bound = int(text)
+        except ValueError:
+            raise InvalidBound(DEFAULT_BOUND_ENV, text) from None
+    check_bound(bound)
 
     if engine == "oracle":
         config = OracleConfig() if bound is None else \

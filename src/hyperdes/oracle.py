@@ -1,13 +1,20 @@
 """Definition-level reference checks for the nine properties.
 
-Every check here unfolds the defining estimate recursions directly, with no
-formulas, no Büchi automata and no trace quantification, so that agreement
-with the hyperproperty engines is meaningful evidence for both sides.
+Every check here works from the defining state estimates and runs directly,
+with no formulas, no Büchi automata and no trace quantification, so that
+agreement with the hyperproperty engines is meaningful evidence for both
+sides.
 
-The detectability and diagnosis properties quantify over arbitrarily long
-observation suffixes; those checks run a subset machine out to the pumping
-horizon (number of states squared, plus one), beyond which a surviving bad
-configuration repeats a joint state pair and can be pumped forever.  The
+Diagnosability, I-detectability and delayed detectability quantify over
+arbitrarily long observation suffixes.  By default they are decided exactly
+on a graph of state pairs that agree on every observation so far (the twin
+plant of Jiang, Huang, Chandra and Kumar, IEEE TAC 46(8), 2001, and the
+delayed-detectability detector of Shu and Lin, IEEE TAC 58(4), 2013): a
+violation is a reachable cycle, which yields ambiguous strings of every
+length.  Given an integer bound in OracleConfig they instead run the
+defining subset machine out to that many observations; at the pumping
+horizon (number of states squared, plus one) a surviving bad configuration
+repeats a state pair, so the bounded answer is conclusive there.  The
 remaining properties are plain reachability questions and are decided
 exactly.
 """
@@ -27,7 +34,7 @@ from .des import (
     unobservable_reach,
     validate_fsa,
 )
-from .errors import MissingAnnotation
+from .errors import InvalidBound, MissingAnnotation
 from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
@@ -35,29 +42,75 @@ from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 @dataclass
 class OracleConfig:
-    """Knobs for the bounded reference checks.
+    """Knobs for the horizon probes of the three pair-graph checks.
 
     max_obs_len bounds post-fault observation counts (diagnosability) and
     observation string lengths (i-detectability); max_delay bounds the
-    refinement suffix for delayed detectability.  None means the pumping
-    horizon of the machine under analysis.  With conclusive_policy "strict" a
-    verdict obtained under a bound below that horizon is downgraded to
-    inconclusive; "trusting" reports the bounded finding as is.
+    refinement suffix for delayed detectability.  None, the default, decides
+    the property exactly on the state-pair graph; an integer runs the
+    defining unfolding to that many observations instead.  With
+    conclusive_policy "strict" a verdict obtained under a bound below the
+    pumping horizon of the machine is downgraded to inconclusive; "trusting"
+    reports the bounded finding as is.  A negative or non-integer bound, or
+    any other policy, raises InvalidBound.
     """
     max_obs_len: int = None
     max_delay: int = None
     conclusive_policy: str = "strict"
+
+    def __post_init__(self):
+        check_bound(self.max_obs_len, "max_obs_len")
+        check_bound(self.max_delay, "max_delay")
+        if self.conclusive_policy not in ("strict", "trusting"):
+            raise InvalidBound("conclusive_policy", self.conclusive_policy,
+                               "'strict' or 'trusting'")
+
+
+def check_bound(value, name="bound"):
+    """Raise InvalidBound unless `value` is None or a non-negative integer."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                              or value < 0):
+        raise InvalidBound(name, value)
 
 
 def _pumping_horizon(fsa):
     return len(fsa.states) ** 2 + 1
 
 
-def _resolve_bound(requested, fsa, policy):
-    horizon = _pumping_horizon(fsa)
-    bound = horizon if requested is None else requested
-    conclusive = bound >= horizon or policy == "trusting"
-    return bound, conclusive
+def _conclusive(bound, fsa, policy):
+    return bound >= _pumping_horizon(fsa) or policy == "trusting"
+
+
+def _exact_verdict(kind, holds, details=None):
+    return Verdict(property=kind, holds=holds, mode="exact", engine="oracle",
+                   details=details)
+
+
+def _pair_graph(fsa):
+    """Successor function of the state-pair graph: (x, y) steps to (x', y')
+    on an observation o when x' and y' are reached from x and y by strings
+    observed exactly as o.  The pairs reachable from a set of start pairs
+    are the pairs of runs that agree on every observation since the start;
+    the graph has at most n² nodes, so a path of n²+1 observations repeats a
+    pair and a cycle gives such runs for strings of every length."""
+    steps, cache = {}, {}
+
+    def step(x):
+        if x not in steps:
+            steps[x] = {o: t for o in fsa.observations
+                        if (t := observable_step(fsa, [x], o))}
+        return steps[x]
+
+    def succ(pair):
+        out = cache.get(pair)
+        if out is None:
+            x, y = pair
+            right = step(y)
+            out = cache[pair] = list({(a, b) for o, xs in step(x).items()
+                                      if o in right for a in xs for b in right[o]})
+        return out
+
+    return succ
 
 
 def _bounded_verdict(kind, raw_holds, bound, conclusive, details=None):
@@ -74,13 +127,38 @@ def _bounded_verdict(kind, raw_holds, bound, conclusive, details=None):
 
 
 def diagnosability_oracle(fsa, config=None) -> Verdict:
-    """Search for a fault run whose estimate stays ambiguous for a whole
-    pumping horizon of post-fault observations."""
+    """A fault run must not stay observationally equal to a normal run for
+    arbitrarily many post-fault observations.
+
+    Exact by default: on the pair graph of the refined machine, started
+    from every pair of its initial closure, the property fails exactly when
+    a reachable pair lies on a cycle of (fault, normal) pairs.  With an
+    integer max_obs_len, search instead for a fault run whose estimate stays
+    ambiguous for that many post-fault observations.
+    """
     config = config or OracleConfig()
     refined, part = refine_fault_partition(fsa)
-    bound, conclusive = _resolve_bound(config.max_obs_len, refined,
-                                       config.conclusive_policy)
     fault = part.fault_states
+    if config.max_obs_len is None:
+        normal = part.normal_states
+        pairs = _pair_graph(refined)
+
+        def succ(pair):
+            return [q for q in pairs(pair) if q[1] in normal]
+
+        # the fault region is absorbing: a second run that leaves the normal
+        # region never returns, and every pair reached from a (fault, normal)
+        # pair along succ is a (fault, normal) pair again
+        closure = unobservable_reach(refined, refined.initial)
+        found = reachable([(x, y) for x in closure for y in closure & normal], succ)
+        ambiguous = any(cyclic_sccs([p for p in found if p[0] in fault], succ))
+        # such a fault run stays ambiguous past the pumping horizon, as the
+        # unfolding to that horizon reports it
+        return _exact_verdict("diagnosability", not ambiguous,
+                              {"ambiguous_after": _pumping_horizon(refined)}
+                              if ambiguous else None)
+    bound = config.max_obs_len
+    conclusive = _conclusive(bound, refined, config.conclusive_policy)
     est0 = unobservable_reach(refined, refined.initial)
     start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
     seen = set(start)
@@ -182,10 +260,23 @@ def _track_frontier(fsa, roots, is_bad, bound):
 
 
 def i_detectability_oracle(fsa, config=None) -> Verdict:
-    """Initial-state ambiguity surviving a pumping horizon of observations."""
+    """Every long enough observation string must pin the initial state.
+
+    Exact by default: on the pair graph started from the pairs of the
+    unobservable closures of two distinct initial states, the property
+    fails exactly when a cycle is reachable.  With an integer max_obs_len,
+    look instead for initial-state ambiguity surviving that many
+    observations.
+    """
     config = config or OracleConfig()
-    bound, conclusive = _resolve_bound(config.max_obs_len, fsa,
-                                       config.conclusive_policy)
+    if config.max_obs_len is None:
+        closures = {x0: unobservable_reach(fsa, [x0]) for x0 in fsa.initial}
+        starts = {(a, b) for x0 in closures for y0 in closures if x0 != y0
+                  for a in closures[x0] for b in closures[y0]}
+        ambiguous = any(cyclic_sccs(starts, _pair_graph(fsa)))
+        return _exact_verdict("i-detectability", not ambiguous)
+    bound = config.max_obs_len
+    conclusive = _conclusive(bound, fsa, config.conclusive_policy)
     bad = _track_frontier(fsa, [_initial_tracks(fsa)],
                           lambda tracks: len(tracks) >= 2, bound)
     return _bounded_verdict("i-detectability", not bad, bound, conclusive)
@@ -251,10 +342,24 @@ def weak_detectability_exact(fsa) -> Verdict:
 
 def delayed_detectability_oracle(fsa, config=None) -> Verdict:
     """From every reachable estimate, hindsight must pin the anchor state once
-    the refinement suffix outlives the pumping horizon."""
+    the refinement suffix is long enough.
+
+    Exact by default: the pairs reachable on the pair graph from the pairs
+    of the initial closure are the pairs of states some observation string
+    can both reach.  The property fails exactly when a cycle, on the
+    diagonal or off it, is reachable from one of those pairs with two
+    distinct states.  With an integer max_delay, refine every reachable
+    estimate by suffixes of that length instead.
+    """
     config = config or OracleConfig()
-    bound, conclusive = _resolve_bound(config.max_delay, fsa,
-                                       config.conclusive_policy)
+    if config.max_delay is None:
+        succ = _pair_graph(fsa)
+        closure = unobservable_reach(fsa, fsa.initial)
+        found = reachable([(x, y) for x in closure for y in closure], succ)
+        ambiguous = any(cyclic_sccs([p for p in found if p[0] != p[1]], succ))
+        return _exact_verdict("delayed-detectability", not ambiguous)
+    bound = config.max_delay
+    conclusive = _conclusive(bound, fsa, config.conclusive_policy)
     obs = build_observer(fsa)
     bad = False
     for est in obs.nodes:
@@ -322,22 +427,22 @@ def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
     """No observation, refined by any amount of hindsight, may place a past
     estimate inside the secret."""
     secret = fsa.secret_states
-    obs = build_observer(fsa)
-    for est in obs.nodes:
-        start = frozenset((x, x) for x in est)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            pairs = queue.popleft()
-            anchors = frozenset(a for a, _ in pairs)
-            if anchors and anchors <= secret:
-                return Verdict(property="infinite-step-opacity", holds=False,
-                               mode="exact", engine="oracle")
-            for o in fsa.observations:
-                nxt = step_delayed_pairs(fsa, pairs, o)
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+    # whether a pair set exposes the secret depends on the set alone, so
+    # one search from every estimate at once visits each set only once
+    starts = [frozenset((x, x) for x in est) for est in build_observer(fsa).nodes]
+    seen = set(starts)
+    queue = deque(starts)
+    while queue:
+        pairs = queue.popleft()
+        anchors = frozenset(a for a, _ in pairs)
+        if anchors and anchors <= secret:
+            return Verdict(property="infinite-step-opacity", holds=False,
+                           mode="exact", engine="oracle")
+        for o in fsa.observations:
+            nxt = step_delayed_pairs(fsa, pairs, o)
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
     return Verdict(property="infinite-step-opacity", holds=True, mode="exact",
                    engine="oracle")
 

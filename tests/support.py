@@ -122,6 +122,18 @@ def fault_ring(n):
                fault_events=["f"], secret_states=states[::2], name=f"fault-{n}")
 
 
+def o1_ring(n):
+    """fault_ring(n) with every step observed as o1: neither diagnosable
+    nor delayed-detectable, since a run through f stays one state ahead of
+    a fault-free run forever under the same observations; i-detectable
+    trivially, with its single initial state."""
+    ring = fault_ring(n)
+    return Fsa(states=ring.states, events=ring.events,
+               transitions=ring.transitions, initial=ring.initial,
+               mask={"a": "o1", "b": "o1", "f": None},
+               fault_events=ring.fault_events, name=f"o1-ring-{n}")
+
+
 def labelled_ring(n):
     """n-state ring where each step i -> i+1 (mod n) shows its own
     observation o<i>, and f skips 0 -> 1 showing "of"; initial state 0,

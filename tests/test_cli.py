@@ -148,6 +148,21 @@ def test_bound_env_variable_is_honored(capsys, tmp_path, monkeypatch):
     assert json.loads(out)[0]["bound"] == 2
 
 
+def test_invalid_bound_exits_two(capsys, monkeypatch):
+    """A negative --bound or a HYPERDES_BOUND that is not an integer is a
+    usage error: exit 2 with a message, and no verdict on stdout."""
+    code, out, err = run(capsys, "verify", "--model", G_DIAG,
+                         "--property", "diagnosability", "--engine", "oracle",
+                         "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "invalid bound -1" in err
+    monkeypatch.setenv("HYPERDES_BOUND", "abc")
+    code, out, err = run(capsys, "verify", "--model", G_DIAG,
+                         "--property", "diagnosability")
+    assert code == 2 and out == ""
+    assert "HYPERDES_BOUND" in err and "internal error" not in err
+
+
 def test_usage_and_model_errors_exit_two(capsys, tmp_path):
     """Missing files, missing annotations and bad flags all exit 2."""
     assert run(capsys, "verify", "--model", str(tmp_path / "nope.json"),

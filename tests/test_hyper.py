@@ -62,6 +62,7 @@ from hyperdes.kripke import (
 )
 from hyperdes.oracle import weak_detectability_exact
 from support import fault_ring, labelled_ring
+from tests.conftest import make_dying_branch
 
 
 def node(state, obs=None, copy=False):
@@ -379,27 +380,6 @@ def test_bounded_route_inconclusive_when_no_witness_exists():
     assert exact.holds is False
     assert bounded.holds == "inconclusive"
     assert bounded.mode == "bounded"
-
-
-def make_dying_branch():
-    """A machine whose estimate stays ambiguous although the ambiguity is
-    carried only by runs that keep failing to match the next observation.
-
-    From initial state 1 the estimate after every observation is {0, 1}: the
-    unobservable move 0 -> 1 refills state 1 at each instant, yet state 1
-    matches a next observation of o1 only, and that move collapses it back
-    onto the main run.  So no observation sequence ever pins the current
-    state, while every infinite observation-matched pair of runs agrees from
-    some point on.
-    """
-    return validate_fsa(Fsa(
-        states=["0", "1"],
-        events=["a", "b", "u"],
-        transitions={("0", "b"): "0", ("0", "u"): "1", ("1", "a"): "0"},
-        initial=["1"],
-        mask={"a": "o1", "b": "o2", "u": None},
-        observations=["o1", "o2"],
-    ))
 
 
 def test_bounded_route_rejects_eternally_ambiguous_machine():

@@ -1,6 +1,8 @@
 """Tests for the definition-level reference checks."""
 
 import itertools
+import random
+import time
 
 import pytest
 
@@ -14,7 +16,8 @@ from hyperdes.des import (
     refine_fault_partition,
     validate_fsa,
 )
-from hyperdes.errors import MissingAnnotation
+from hyperdes.errors import InvalidBound, MissingAnnotation
+from hyperdes.gen import random_valid_fsa
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
 from hyperdes.oracle import (
@@ -23,7 +26,8 @@ from hyperdes.oracle import (
     weak_detectability_exact,
 )
 from hyperdes.hyper import replay_witness, verify
-from tests.conftest import make_twin_branch
+from support import o1_ring
+from tests.conftest import make_dying_branch, make_twin_branch
 
 
 def all_obs_strings(fsa, max_len):
@@ -68,10 +72,19 @@ def test_oracle_fixture_verdicts(g_diag, g_det, g_opa):
 
 
 def test_oracle_bounded_modes_report_pumping_horizon(g_diag, g_det):
-    """The three horizon-bounded checks record the bound they ran to."""
-    assert oracle_check(g_diag, "diagnosability").bound == 37
-    assert oracle_check(g_det, "i-detectability").bound == 37
-    assert oracle_check(g_det, "delayed-detectability").bound == 37
+    """The three pair-graph checks are exact by default; run as horizon
+    probes they record the bound they ran to."""
+    for fsa, kind in ((g_diag, "diagnosability"), (g_det, "i-detectability"),
+                      (g_det, "delayed-detectability")):
+        verdict = oracle_check(fsa, kind)
+        assert verdict.mode == "exact" and verdict.bound is None, kind
+    probes = ((g_diag, "diagnosability", OracleConfig(max_obs_len=37)),
+              (g_det, "i-detectability", OracleConfig(max_obs_len=37)),
+              (g_det, "delayed-detectability", OracleConfig(max_delay=37)))
+    for fsa, kind, config in probes:
+        verdict = oracle_check(fsa, kind, config)
+        assert verdict.mode == "bounded", kind
+        assert verdict.bound == 37
     assert oracle_check(g_det, "strong-detectability").bound is None
 
 
@@ -115,6 +128,83 @@ def test_default_bound_is_conclusive(g_diag):
     verdict = oracle_check(g_diag, "diagnosability")
     assert verdict.holds is True
     assert verdict.details is None
+
+
+def test_invalid_bounds_and_policies_are_refused(g_diag, monkeypatch):
+    """A bound must be a non-negative integer and the policy one of the
+    two named ones, whether set in OracleConfig, passed to verify or read
+    from HYPERDES_BOUND."""
+    for config in ({"max_obs_len": -1}, {"max_delay": -3}, {"max_obs_len": 2.5},
+                   {"max_delay": "7"}, {"conclusive_policy": "trust"}):
+        with pytest.raises(InvalidBound):
+            OracleConfig(**config)
+    for bound in (-1, 1.5, True):
+        with pytest.raises(InvalidBound):
+            verify(g_diag, "diagnosability", engine="oracle", bound=bound)
+    monkeypatch.setenv("HYPERDES_BOUND", "abc")
+    with pytest.raises(InvalidBound):
+        verify(g_diag, "diagnosability", engine="oracle")
+    monkeypatch.setenv("HYPERDES_BOUND", "-1")
+    with pytest.raises(InvalidBound):
+        verify(g_diag, "diagnosability")
+    assert OracleConfig(max_obs_len=0, conclusive_policy="trusting").max_obs_len == 0
+
+
+# ---------------------------------------------------------------------------
+# exact pair-graph checks against the horizon unfoldings
+
+
+PAIR_KINDS = ("diagnosability", "i-detectability", "delayed-detectability")
+
+
+def _horizon_probe(fsa, kind):
+    """The unfolding run to the pumping horizon of the machine it unfolds:
+    the refined machine for diagnosability."""
+    machine = refine_fault_partition(fsa)[0] if kind == "diagnosability" else fsa
+    horizon = len(machine.states) ** 2 + 1
+    return oracle_check(fsa, kind, OracleConfig(max_obs_len=horizon,
+                                                max_delay=horizon))
+
+
+def test_exact_checks_agree_with_the_horizon_unfolding(g_diag, g_det):
+    """On the fixtures, the twin and dying branches and 60 seeded machines of
+    up to eight states, the default exact check and the unfolding to the
+    pumping horizon give the same verdict, for both answers."""
+    rng = random.Random(20261018)
+    machines = ([g_diag, g_det, make_twin_branch(), make_dying_branch()]
+                + [random_valid_fsa(rng, max_states=8) for _ in range(60)])
+    seen = {kind: set() for kind in PAIR_KINDS}
+    for i, fsa in enumerate(machines):
+        for kind in PAIR_KINDS:
+            if kind == "diagnosability" and fsa.fault_events is None:
+                continue
+            exact = oracle_check(fsa, kind)
+            probe = _horizon_probe(fsa, kind)
+            assert (exact.mode, exact.bound) == ("exact", None)
+            assert probe.mode == "bounded"
+            assert exact.holds == probe.holds, (i, kind)
+            assert exact.details == probe.details, (i, kind)
+            seen[kind].add(exact.holds)
+    assert all(answers == {True, False} for answers in seen.values()), seen
+
+
+def test_exact_checks_decide_the_o1_ring_quickly():
+    """On the ring whose steps all show o1 the pair graph has n² nodes, where
+    the unfolding ran to n²+1 observations: each check decides in under
+    0.05 s at 30 states and 0.1 s at 60 (best of three runs, so that a
+    busy host does not decide the outcome)."""
+    expected = {"diagnosability": False, "i-detectability": True,
+                "delayed-detectability": False}
+    for n, limit in ((30, 0.05), (60, 0.1)):
+        fsa = validate_fsa(o1_ring(n))
+        for kind in PAIR_KINDS:
+            times = []
+            for _ in range(3):
+                started = time.perf_counter()
+                verdict = oracle_check(fsa, kind)
+                times.append(time.perf_counter() - started)
+                assert verdict.holds is expected[kind], (n, kind)
+            assert min(times) < limit, (n, kind, times)
 
 
 # ---------------------------------------------------------------------------
