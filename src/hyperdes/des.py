@@ -72,20 +72,17 @@ class Fsa:
             raise ReservedSymbol("'eps' denotes the unobservable outcome and cannot name an observation")
 
         # observation alphabet: declared order if given, else first appearance
-        used = []
-        for e in self.events:
-            o = self.mask[e]
-            if o is not EPS and o not in used:
-                used.append(o)
+        used = [o for o in dict.fromkeys(self.mask.values()) if o is not EPS]
         if observations is None:
             self.observations = tuple(used)
         else:
             declared = tuple(observations)
-            if len(set(declared)) != len(declared):
+            known = set(declared)
+            if len(known) != len(declared):
                 raise DanglingReference("duplicate observation declarations")
-            if "eps" in declared:
+            if "eps" in known:
                 raise ReservedSymbol("'eps' denotes the unobservable outcome and cannot name an observation")
-            missing = [o for o in used if o not in declared]
+            missing = [o for o in used if o not in known]
             if missing:
                 raise DanglingReference(f"mask uses undeclared observation {missing[0]!r}")
             self.observations = declared
@@ -98,13 +95,15 @@ class Fsa:
         if self.secret_states is not None and not self.secret_states <= set(self.states):
             raise DanglingReference("secret states must be declared states")
 
-        # outgoing adjacency in declaration order, filled once
+        # outgoing adjacency in event declaration order, filled once: the
+        # transitions bucketed by event, then dealt out to their sources
+        by_event = {e: [] for e in self.events}
+        for (x, e), y in self.transitions.items():
+            by_event[e].append((x, y))
         self._out = {x: [] for x in self.states}
-        for x in self.states:
-            for e in self.events:
-                y = self.transitions.get((x, e))
-                if y is not None:
-                    self._out[x].append((e, y))
+        for e, edges in by_event.items():
+            for x, y in edges:
+                self._out[x].append((e, y))
 
         self.validated = False
         self.reachable = None
@@ -196,6 +195,25 @@ def observable_step(fsa: Fsa, states, o) -> frozenset:
     return unobservable_reach(fsa, hits)
 
 
+def observable_moves(fsa: Fsa, states):
+    """observable_step from `states` on every observation at once.
+
+    One pass over the out-edges of the unobservable closure groups the
+    targets by observation.  Returns [(o, observable_step(fsa, states, o))]
+    for the observations whose step is nonempty, in `fsa.observations`
+    order, so the cost grows with the edges leaving the closure and not
+    with the alphabet.
+    """
+    hits = {}
+    for x in unobservable_reach(fsa, states):
+        for e, y in fsa.out_edges(x):
+            o = fsa.mask[e]
+            if o is not EPS:
+                hits.setdefault(o, set()).add(y)
+    return [(o, unobservable_reach(fsa, hits[o]))
+            for o in sorted(hits, key=fsa.obs_index.__getitem__)]
+
+
 def current_state_estimate(fsa: Fsa, alpha) -> frozenset:
     """States the system can be in after observing the sequence `alpha`."""
     est = unobservable_reach(fsa, fsa.initial)
@@ -243,10 +261,12 @@ def step_delayed_pairs(fsa: Fsa, pairs, o):
 
 
 def build_observer(fsa: Fsa) -> Observer:
-    """Reachable subset automaton under the current-estimate recursion."""
+    """Reachable subset automaton under the current-estimate recursion.
+
+    Each estimate's moves come from one observable_moves pass over the
+    out-edges of its states, in observation order."""
     init = unobservable_reach(fsa, fsa.initial)
-    order, moves = subset_graph(init, fsa.observations,
-                                lambda est, o: observable_step(fsa, est, o))
+    order, moves = subset_graph(init, lambda est: observable_moves(fsa, est))
     edges = {(est, o): nxt for est in order for o, nxt in moves[est]}
     return Observer(nodes=tuple(order), initial=init, edges=edges, moves=moves)
 

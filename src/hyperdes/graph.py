@@ -131,17 +131,18 @@ def shortest_path(source, succ, goal):
     return None
 
 
-def subset_graph(root, symbols, step):
-    """Subset construction: the sets reachable from `root` under
-    `step(set, symbol)`, breadth first, where an empty result is no move.
+def subset_graph(root, moves):
+    """Subset construction: the sets reachable from `root`, breadth first,
+    where `moves(set)` returns the list of the set's (symbol, successor set)
+    moves, in the caller's symbol order and with no empty successor.
 
-    Returns (order, succ): the sets in discovery order, and for each set its
-    (symbol, successor set) moves in the order of `symbols`.
+    Returns (order, succ): the sets in discovery order, and for each set
+    the list `moves` returned for it.
     """
     order, succ, seen = [root], {}, {root}
     for current in order:
-        succ[current] = moves = [(s, t) for s in symbols if (t := step(current, s))]
-        for _, t in moves:
+        succ[current] = out = moves(current)
+        for _, t in out:
             if t not in seen:
                 seen.add(t)
                 order.append(t)

@@ -842,8 +842,17 @@ def _strong_detectability_gap(k):
     observation word (prefix, cycle, suffix) instead of a trace witness.
     """
     root = frozenset(k.initial)
-    symbols = sorted({q.obs for q in k.nodes if q.obs is not None})
-    order, succ = subset_graph(root, symbols, lambda d, o: step_nodes(k.succ, d, o))
+
+    def moves(d):
+        # step_nodes(k.succ, d, o) for every o at once, by observation name
+        grouped = {}
+        for q in d:
+            for t in k.succ[q]:
+                if t.obs is not None:
+                    grouped.setdefault(t.obs, set()).add(t)
+        return [(o, frozenset(grouped[o])) for o in sorted(grouped)]
+
+    order, succ = subset_graph(root, moves)
 
     def targets(d):
         return [t for _, t in succ[d]]

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .des import EPS, observable_step, unobservable_reach, validate_fsa
+from .des import EPS, observable_moves, unobservable_reach, validate_fsa
 from .errors import AlreadyModified, StringNotInLanguage
 
 
@@ -110,16 +110,24 @@ def step_nodes(succ, nodes, obs) -> frozenset:
 
 
 def build_kripke(fsa) -> KripkeStructure:
-    """Reachable observation-sampled encoding of a validated automaton."""
+    """Reachable observation-sampled encoding of a validated automaton.
+
+    The successors of a node (x, o) depend on x alone: they are the nodes
+    (x', o') for the observable_moves of x, in observation order and, for
+    each observation, in state declaration order.  Each state's moves are
+    computed once, from its out-edges, so the cost grows with the edges of
+    the automaton and not with its alphabet.
+    """
     if not fsa.validated:
         validate_fsa(fsa)
 
-    step = {}
+    moves = {}
 
-    def targets(x, o):
-        if (x, o) not in step:
-            step[(x, o)] = fsa.sort_states(observable_step(fsa, [x], o))
-        return step[(x, o)]
+    def successors(x):
+        if x not in moves:
+            moves[x] = tuple(KNode(y, o) for o, ys in observable_moves(fsa, [x])
+                             for y in fsa.sort_states(ys))
+        return moves[x]
 
     initial = tuple(KNode(x, EPS) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial)))
     nodes = list(initial)
@@ -128,16 +136,12 @@ def build_kripke(fsa) -> KripkeStructure:
     queue = deque(initial)
     while queue:
         q = queue.popleft()
-        out = []
-        for o in fsa.observations:
-            for y in targets(q.state, o):
-                nxt = KNode(y, o)
-                out.append(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nodes.append(nxt)
-                    queue.append(nxt)
-        succ[q] = tuple(out)
+        succ[q] = out = successors(q.state)
+        for nxt in out:
+            if nxt not in seen:
+                seen.add(nxt)
+                nodes.append(nxt)
+                queue.append(nxt)
 
     label = {}
     for q in nodes:

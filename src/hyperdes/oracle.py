@@ -28,9 +28,9 @@ from .des import (
     boundary_states,
     build_observer,
     indicator_states,
+    observable_moves,
     observable_step,
     refine_fault_partition,
-    step_delayed_pairs,
     unobservable_reach,
     validate_fsa,
 )
@@ -92,13 +92,14 @@ def _pair_graph(fsa):
     observed exactly as o.  The pairs reachable from a set of start pairs
     are the pairs of runs that agree on every observation since the start;
     the graph has at most n² nodes, so a path of n²+1 observations repeats a
-    pair and a cycle gives such runs for strings of every length."""
+    pair and a cycle gives such runs for strings of every length.  Each
+    state's steps are its observable_moves, computed once from its
+    out-edges."""
     steps, cache = {}, {}
 
     def step(x):
         if x not in steps:
-            steps[x] = {o: t for o in fsa.observations
-                        if (t := observable_step(fsa, [x], o))}
+            steps[x] = dict(observable_moves(fsa, [x]))
         return steps[x]
 
     def succ(pair):
@@ -232,13 +233,35 @@ def _initial_tracks(fsa):
     return frozenset((x0, unobservable_reach(fsa, [x0])) for x0 in fsa.initial)
 
 
-def _step_tracks(fsa, tracks, o):
-    out = []
+def _by_observation(fsa, grouped):
+    """The (o, frozenset) moves of a dict of nonempty sets keyed by
+    observation, in observation order."""
+    return [(o, frozenset(grouped[o]))
+            for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
+
+
+def _track_moves(fsa, tracks):
+    """The track-machine node after each observation the string can be
+    extended by: every track that survives it, stepped; in observation
+    order, with no empty node."""
+    grouped = {}
     for x0, cur in tracks:
-        nxt = observable_step(fsa, cur, o)
-        if nxt:
-            out.append((x0, nxt))
-    return frozenset(out)
+        for o, nxt in observable_moves(fsa, cur):
+            grouped.setdefault(o, []).append((x0, nxt))
+    return _by_observation(fsa, grouped)
+
+
+def _pair_moves(fsa, pairs):
+    """step_delayed_pairs on every observation at once: (o, stepped pairs)
+    in observation order, with no empty set."""
+    by_cur = {}
+    for a, c in pairs:
+        by_cur.setdefault(c, []).append(a)
+    grouped = {}
+    for c, anchors in by_cur.items():
+        for o, ys in observable_moves(fsa, [c]):
+            grouped.setdefault(o, set()).update((a, y) for y in ys for a in anchors)
+    return _by_observation(fsa, grouped)
 
 
 def _track_frontier(fsa, roots, is_bad, bound):
@@ -249,13 +272,7 @@ def _track_frontier(fsa, roots, is_bad, bound):
         bad = [t for t in level if is_bad(t)]
         if not bad:
             return False
-        nxt = set()
-        for tracks in level:
-            for o in fsa.observations:
-                stepped = _step_tracks(fsa, tracks, o)
-                if stepped:
-                    nxt.add(stepped)
-        level = nxt
+        level = {t for tracks in level for _, t in _track_moves(fsa, tracks)}
     return any(is_bad(t) for t in level)
 
 
@@ -371,13 +388,7 @@ def delayed_detectability_oracle(fsa, config=None) -> Verdict:
             live = {p for p in level if len({a for a, _ in p}) >= 2}
             if not live:
                 break
-            nxt = set()
-            for pairs in live:
-                for o in fsa.observations:
-                    stepped = step_delayed_pairs(fsa, pairs, o)
-                    if stepped:
-                        nxt.add(stepped)
-            level = nxt
+            level = {t for pairs in live for _, t in _pair_moves(fsa, pairs)}
         else:
             if any(len({a for a, _ in p}) >= 2 for p in level):
                 bad = True
@@ -402,9 +413,8 @@ def initial_state_opacity_oracle(fsa, config=None) -> Verdict:
         if concl and concl <= secret:
             return Verdict(property="initial-state-opacity", holds=False,
                            mode="exact", engine="oracle")
-        for o in fsa.observations:
-            nxt = _step_tracks(fsa, tracks, o)
-            if nxt and nxt not in seen:
+        for _, nxt in _track_moves(fsa, tracks):
+            if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return Verdict(property="initial-state-opacity", holds=True, mode="exact",
@@ -438,9 +448,8 @@ def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
         if anchors and anchors <= secret:
             return Verdict(property="infinite-step-opacity", holds=False,
                            mode="exact", engine="oracle")
-        for o in fsa.observations:
-            nxt = step_delayed_pairs(fsa, pairs, o)
-            if nxt and nxt not in seen:
+        for _, nxt in _pair_moves(fsa, pairs):
+            if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return Verdict(property="infinite-step-opacity", holds=True, mode="exact",

@@ -5,8 +5,9 @@ suite can enumerate a fixed, reproducible stream of cases without hypothesis.
 """
 
 import math
+import random
 
-from hyperdes.des import Fsa
+from hyperdes.des import Fsa, observable_step, validate_fsa
 from hyperdes.formula import (
     And,
     Atom,
@@ -24,6 +25,8 @@ from hyperdes.formula import (
     Top,
     Until,
 )
+from hyperdes.gen import random_valid_fsa
+from hyperdes.kripke import KNode
 
 PROPS = ("a", "x:0", "x:1", "o:o1", "o:o2", "tau")
 TRACES = ("p1", "p2")
@@ -152,3 +155,37 @@ def labelled_ring(n):
     return Fsa(states=states, events=[f"e{i}" for i in range(n)] + ["f"],
                transitions=trans, initial=["0"], mask=mask, fault_events=["f"],
                secret_states=states[::2], name=f"labelled-{n}")
+
+
+def per_observation_moves(fsa, states):
+    """Reference for des.observable_moves: one observable_step per declared
+    observation, in declaration order, empty steps left out."""
+    return [(o, t) for o in fsa.observations if (t := observable_step(fsa, states, o))]
+
+
+def per_observation_kripke_succ(fsa, nodes):
+    """Reference successor tuples of build_kripke's nodes: for each
+    observation in turn, the states one observable_step away, in declaration
+    order."""
+    return {q: tuple(KNode(y, o) for o, t in per_observation_moves(fsa, [q.state])
+                     for y in fsa.sort_states(t))
+            for q in nodes}
+
+
+def reversed_observations(fsa):
+    """The same machine with its observations declared in reverse order, so
+    that declaration order and first appearance in the events differ."""
+    return validate_fsa(Fsa(states=fsa.states, events=fsa.events,
+                            transitions=fsa.transitions, initial=fsa.initial,
+                            mask=fsa.mask, fault_events=fsa.fault_events,
+                            secret_states=fsa.secret_states,
+                            observations=fsa.observations[::-1], name=fsa.name))
+
+
+def seeded_machines(count=60):
+    """`count` seeded random machines, each also with its observations
+    declared in reverse order."""
+    for seed in range(count):
+        fsa = random_valid_fsa(random.Random(seed))
+        yield fsa
+        yield reversed_observations(fsa)

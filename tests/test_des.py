@@ -19,6 +19,7 @@ from hyperdes.des import (
     delayed_state_estimate,
     indicator_states,
     initial_state_estimate,
+    observable_moves,
     observable_step,
     refine_fault_partition,
     unobservable_reach,
@@ -33,6 +34,8 @@ from hyperdes.errors import (
     UnobservableCycle,
 )
 from hyperdes.gen import random_valid_fsa
+from conftest import make_dying_branch, make_twin_branch
+from support import per_observation_moves, reversed_observations, seeded_machines
 
 
 def obs_string_reach(fsa, start_states, max_obs_len):
@@ -233,6 +236,54 @@ def test_delayed_estimate_shrinks_with_longer_suffix(g_diag, g_det, g_opa):
                 for cut in range(len(beta)):
                     assert delayed_state_estimate(fsa, alpha, beta) <= \
                         delayed_state_estimate(fsa, alpha, beta[:cut])
+
+
+def moves_cases(g_diag, g_det, g_opa):
+    """The fixtures and 60 seeded machines, each also with its observations
+    declared in reverse order."""
+    for fsa in (g_diag, g_det, g_opa, make_twin_branch(), make_dying_branch()):
+        yield fsa
+        yield reversed_observations(fsa)
+    yield from seeded_machines(60)
+
+
+def test_observable_moves_is_observable_step_on_every_observation(g_diag, g_det, g_opa):
+    """One grouping pass over the out-edges gives each nonempty
+    observable_step, in declared observation order, from single states,
+    from every estimate and from random sets."""
+    rng = random.Random(7)
+    for fsa in moves_cases(g_diag, g_det, g_opa):
+        sets = [[x] for x in fsa.states] + list(build_observer(fsa).nodes)
+        sets += [rng.sample(fsa.states, rng.randint(1, len(fsa.states))) for _ in range(5)]
+        for states in sets:
+            assert observable_moves(fsa, states) == per_observation_moves(fsa, states), \
+                (fsa.name, fsa.observations, states)
+
+
+def test_observer_moves_match_per_observation_reference(g_diag, g_det, g_opa):
+    for fsa in moves_cases(g_diag, g_det, g_opa):
+        obs = build_observer(fsa)
+        for node in obs.nodes:
+            assert obs.moves[node] == per_observation_moves(fsa, node)
+            for o, nxt in obs.moves[node]:
+                assert obs.edges[(node, o)] == nxt
+        assert len(obs.edges) == sum(len(m) for m in obs.moves.values())
+
+
+def test_out_edges_follow_event_order_whatever_the_transition_order():
+    """Adjacency is grouped from the transition map, in event declaration
+    order, however the map was ordered."""
+    rng = random.Random(3)
+    for _ in range(30):
+        fsa = random_valid_fsa(rng, max_states=6, max_events=5)
+        items = list(fsa.transitions.items())
+        rng.shuffle(items)
+        shuffled = Fsa(states=fsa.states, events=fsa.events, transitions=dict(items),
+                       initial=fsa.initial, mask=fsa.mask)
+        for x in fsa.states:
+            want = [(e, fsa.transitions[(x, e)]) for e in fsa.events
+                    if (x, e) in fsa.transitions]
+            assert shuffled.out_edges(x) == fsa.out_edges(x) == want
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,15 @@ def test_subset_graph_is_the_closure_under_step(graph):
     def step(states, label):
         return frozenset(b for lab, a, b in edges if lab == label and a in states)
 
+    def moves(states):
+        grouped = {}
+        for label, a, b in edges:
+            if a in states:
+                grouped.setdefault(label, set()).add(b)
+        return [(label, frozenset(grouped[label])) for label in LABELS if label in grouped]
+
     root = frozenset(roots)
-    order, succ = subset_graph(root, LABELS, step)
+    order, succ = subset_graph(root, moves)
     want = {root}
     while True:
         more = {step(s, label) for s in want for label in LABELS} - {frozenset()}

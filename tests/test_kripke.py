@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hyperdes.des import current_state_estimate
 from hyperdes.errors import AlreadyModified, StringNotInLanguage
 from hyperdes.gen import random_valid_fsa
+from support import per_observation_kripke_succ, reversed_observations, seeded_machines
 from hyperdes.kripke import (
     KNode,
     Lasso,
@@ -148,6 +149,17 @@ def test_kripke_paths_compute_current_estimates(g_diag, g_det, g_opa):
             every = [a + (o,) for a in every for o in fsa.observations]
             for alpha in every:
                 assert bool(current_state_estimate(fsa, alpha)) == (alpha in lang)
+
+
+def test_kripke_successors_match_per_observation_reference(g_diag, g_det, g_opa):
+    """Successors come in observation order, each observation's targets in
+    state order, exactly as one observable_step per (state, observation)
+    gives them; also when observations are declared out of first-appearance
+    order."""
+    cases = [g_diag, g_det, g_opa] + [reversed_observations(f) for f in (g_diag, g_det, g_opa)]
+    for fsa in cases + list(seeded_machines(60)):
+        k = build_kripke(fsa)
+        assert k.succ == per_observation_kripke_succ(fsa, k.nodes), fsa.observations
 
 
 def test_node_count_bound(g_diag, g_det, g_opa):

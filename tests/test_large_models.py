@@ -1,0 +1,81 @@
+"""Large models on both routes, with time bounds.
+
+Structures are built from each state's out-edges grouped by observation, so
+their cost grows with the edges of the automaton, not with states times
+alphabet.  These models have an alphabet as large as their state space,
+where a loop over the alphabet per state or per estimate shows at once.
+Each time is the best of three runs, so that a busy host does not decide
+the outcome; the bounds were set from measurements and are not to be
+loosened.
+"""
+
+import time
+
+from hyperdes.des import Fsa, validate_fsa
+from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
+from hyperdes.hyper import replay_witness, verify
+from hyperdes.kripke import build_kripke
+from support import labelled_ring
+
+# the labelled ring: every observation names the state it enters
+LABELLED_ANSWERS = {
+    "diagnosability": True, "predictability": False, "i-detectability": True,
+    "strong-detectability": True, "weak-detectability": True,
+    "delayed-detectability": True, "initial-state-opacity": False,
+    "current-state-opacity": False, "infinite-step-opacity": False,
+}
+
+
+def best_of_three(run):
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - started)
+    return min(times), result
+
+
+def has_witness(verdict):
+    return verdict.witness is not None or bool(verdict.details and
+                                               verdict.details.get("pump_cycle"))
+
+
+def test_fully_observable_1200_cycle_on_both_routes():
+    """The 1200-state labelled ring, fault skip and even secrets included,
+    has 1202 observations.  All nine properties decide in under 1 s on
+    each route, the routes agree with each other and with the answers
+    derived by hand, and every witness replays."""
+    fsa = validate_fsa(labelled_ring(1200))
+    for kind in PROPERTIES:
+        for engine in ("hyper", "oracle"):
+            seconds, verdict = best_of_three(lambda: verify(fsa, kind, engine=engine))
+            assert verdict.holds is LABELLED_ANSWERS[kind], (kind, engine)
+            assert seconds < 1.0, (kind, engine, seconds)
+            if has_witness(verdict):
+                assert replay_witness(fsa, kind, verdict) is True, (kind, engine)
+
+
+def test_wide_initial_set_opacity_on_both_routes():
+    """The 150-state labelled ring with every state initial and nothing
+    secret: 150 initial tracks and an estimate holding every state.  The
+    three opacity properties hold, and each decides in under 1 s on each
+    route."""
+    ring = labelled_ring(150)
+    fsa = validate_fsa(Fsa(states=ring.states, events=ring.events,
+                           transitions=ring.transitions, initial=ring.states,
+                           mask=ring.mask, fault_events=ring.fault_events,
+                           secret_states=[], name="all-initial-labelled-150"))
+    for kind in OPACITY_PROPERTIES:
+        for engine in ("hyper", "oracle"):
+            seconds, verdict = best_of_three(lambda: verify(fsa, kind, engine=engine))
+            assert verdict.holds is True, (kind, engine)
+            assert seconds < 1.0, (kind, engine, seconds)
+
+
+def test_kripke_of_the_600_state_labelled_ring_builds_quickly():
+    """One node per state and the observation entering it, plus the
+    initial node and the fault skip's target: 602 nodes in under 0.1 s."""
+    fsa = validate_fsa(labelled_ring(600))
+    seconds, k = best_of_three(lambda: build_kripke(fsa))
+    assert len(k.nodes) == 602
+    assert seconds < 0.1, seconds
