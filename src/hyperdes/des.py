@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     DanglingReference,
     NoFaultEvents,
+    NoInitialState,
     NotLive,
     ReservedSymbol,
     UnknownObservation,
@@ -59,6 +60,8 @@ class Fsa:
         self.initial = frozenset(initial)
         if not self.initial <= set(self.states):
             raise DanglingReference("initial states must be declared states")
+        if not self.initial:
+            raise NoInitialState("an automaton needs at least one initial state")
 
         self.mask = {}
         for e in self.events:

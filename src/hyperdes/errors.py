@@ -11,6 +11,10 @@ class DanglingReference(HyperdesError):
     """A state or event is referenced but never declared."""
 
 
+class NoInitialState(HyperdesError):
+    """The automaton declares no initial state, so it has no run."""
+
+
 class NotLive(HyperdesError):
     """A state has no outgoing transition (violates the liveness assumption)."""
 
@@ -117,7 +121,8 @@ class UnknownRoute(HyperdesError):
 class InvalidBound(HyperdesError):
     """A search bound or bound policy the engines cannot use: a bound that
     is not a non-negative integer, or a conclusive policy other than
-    "strict" or "trusting"."""
+    "strict" or "trusting"; also a fuzz count or machine size limit that
+    no run can use."""
 
     def __init__(self, name, value, expected="a non-negative integer"):
         self.name = name

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import InvalidBound
 from .formula import PROPERTIES
 from .gen import random_valid_fsa
 from .hyper import replay_witness, verify
@@ -18,7 +19,15 @@ from .oracle import oracle_check
 def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3,
                       properties=None, check_witnesses=True) -> dict:
     """Cross-validate the hyperproperty engines against the reference checks
-    of the oracle on random valid automata; returns a deterministic report."""
+    of the oracle on random valid automata; returns a deterministic report.
+
+    A negative count, or a size limit no machine can be drawn under, raises
+    InvalidBound: machines have at least two states, one event and one
+    observation."""
+    for name, value, least in (("count", count, 0), ("max_states", max_states, 2),
+                               ("max_events", max_events, 1), ("max_obs", max_obs, 1)):
+        if value < least:
+            raise InvalidBound(name, value, expected=f"an integer of at least {least}")
     rng = random.Random(seed)
     kinds = list(properties) if properties else list(PROPERTIES)
     tallies = {kind: {"true": 0, "false": 0, "inconclusive": 0} for kind in kinds}

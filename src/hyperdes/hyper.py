@@ -24,6 +24,10 @@ properties:
   still reach a singleton cycle, and otherwise by the forall/forall product
   search.
 
+The searches step the current-state estimate by one memoised step,
+_estimate_moves; replays walk it along a lasso with _lasso_estimates, which
+steps by the definition, kripke.step_nodes, not by the search's step.
+
 Every engine and witness replay reads a formula's body and `sets` as they
 stand: obseq/stateeq and the state-set literals (fault, initial, secret,
 boundary) are literals of the letter of each node pair, so the automaton of
@@ -37,7 +41,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .buchi import ltl_to_buchi
@@ -122,6 +125,41 @@ def _pair_order(items):
 
 def _project(k, product_path, coord):
     return tuple(q[0][coord] for q in product_path)
+
+
+def _estimate_moves(succ):
+    """The subset step of the searches: moves(D) is a dict from each
+    observation of the successors, under `succ`, of D's nodes, in name
+    order, to step_nodes(succ, D, o); other observations step D to the empty
+    set.  Each estimate's moves are computed once, from its out-edges."""
+    memo = {}
+
+    def moves(d):
+        if d not in memo:
+            grouped = {}
+            for q in d:
+                for t in succ[q]:
+                    grouped.setdefault(t.obs, set()).add(t)
+            memo[d] = {o: frozenset(grouped[o]) for o in sorted(grouped)}
+        return memo[d]
+    return moves
+
+
+def _lasso_estimates(succ, pi1, pos, d):
+    """The (position, estimate) states of the subset walk along the lasso
+    pi1 from position pos with estimate d, up to and including the first
+    repeated state.  A step moves to the next position, wrapping from the
+    end of the cycle to its start, and steps d by step_nodes on that node's
+    observation, so that a replay does not trust the search's step."""
+    nodes = list(pi1.stem) + list(pi1.cycle)
+    wrap = len(pi1.stem)
+    seen = set()
+    while (pos, d) not in seen:
+        seen.add((pos, d))
+        yield pos, d
+        pos = pos + 1 if pos + 1 < len(nodes) else wrap
+        d = step_nodes(succ, d, nodes[pos].obs)
+    yield pos, d
 
 
 def _check_prefix(formula, expected):
@@ -409,99 +447,51 @@ def _meets(state, sets):
 
 
 def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdict:
-    """Exact check of the synchronous forall/exists fragment."""
+    """Exact check of the synchronous forall/exists fragment.
+
+    A breadth-first search (graph.shortest_path) over states (phase, q1, D):
+    the universal trace is at q1, and D holds the witness candidates that
+    match its observations, before ("pre") or after ("post") the anchor.
+    The source () leads to the roots, the goal None means "the candidates
+    died", and each edge is labelled with the universal-trace nodes it
+    appends: (t1,) for a step, (twin, q1) for a pause at the anchor."""
     shape = match_sync_shape(formula)
     if shape.anchor == "tau_once" and not k.modified:
         raise NotSynchronousFragment("pause-anchored formulas need the structure with stalling twins")
 
     orig_succ = _original_succ(k)
+    moves = _estimate_moves(orig_succ)
     initials = list(k.initial)
-    parents = {}
-
     if shape.anchor == "instant0":
-        d0_all = frozenset(q for q in initials if _meets(q.state, shape.p2_sets))
-        queue = deque()
-        seen = set()
-        for q1 in initials:
-            if not _meets(q1.state, shape.p1_sets):
-                continue
-            node = ("post", q1, d0_all)
-            if d0_all == frozenset():
-                return _sync_violation(orig_succ, [q1])
-            parents[node] = None
-            seen.add(node)
-            queue.append(node)
-        while queue:
-            node = queue.popleft()
-            _, q1, dset = node
-            for t1 in orig_succ[q1]:
-                d2 = step_nodes(orig_succ, dset, t1.obs)
-                if not d2:
-                    path = _walk_path(parents, node) + [t1]
-                    return _sync_violation(orig_succ, path)
-                nxt = ("post", t1, d2)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parents[nxt] = (node, "step", t1)
-                    queue.append(nxt)
+        d0 = frozenset(q for q in initials if _meets(q.state, shape.p2_sets))
+        roots = [("post", q1) for q1 in initials if _meets(q1.state, shape.p1_sets)]
+    else:
+        d0 = frozenset(initials)
+        roots = [("pre", q1) for q1 in initials]
+
+    def arrive(phase, q1, d):
+        return None if phase == "post" and not d else (phase, q1, d)
+
+    def successors(state):
+        if state == ():
+            return [((q1,), arrive(phase, q1, d0)) for phase, q1 in roots]
+        phase, q1, d = state
+        out = []
+        if phase == "pre" and _meets(q1.state, shape.p1_sets):
+            d_anchor = frozenset(x for x in d if _meets(x.state, shape.p2_sets))
+            if not d_anchor or shape.eq_scope == "always":
+                out.append(((KNode(q1.state, q1.obs, copy=True), q1),
+                            arrive("post", q1, d_anchor)))
+        step = moves(d)
+        out.extend(((t1,), arrive(phase, t1, step.get(t1.obs, frozenset())))
+                   for t1 in orig_succ[q1])
+        return out
+
+    steps = shortest_path((), successors, None)
+    if steps is None:
         return Verdict(property=None, holds=True, mode="exact",
                        engine="hyper-forall-exists")
-
-    # pause-anchored walk
-    d0 = frozenset(initials)
-    queue = deque()
-    seen = set()
-    for q1 in initials:
-        node = ("pre", q1, d0)
-        parents[node] = None
-        seen.add(node)
-        queue.append(node)
-    while queue:
-        node = queue.popleft()
-        phase, q1, dset = node
-        if phase == "pre" and _meets(q1.state, shape.p1_sets):
-            d_anchor = frozenset(d for d in dset if _meets(d.state, shape.p2_sets))
-            if not d_anchor:
-                path = _walk_path(parents, node)
-                path = path + [KNode(q1.state, q1.obs, copy=True), q1]
-                return _sync_violation(orig_succ, path)
-            if shape.eq_scope == "always":
-                nxt = ("post", q1, d_anchor)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parents[nxt] = (node, "anchor", q1)
-                    queue.append(nxt)
-        for t1 in orig_succ[q1]:
-            d2 = step_nodes(orig_succ, dset, t1.obs)
-            if phase == "post" and not d2:
-                path = _walk_path(parents, node) + [t1]
-                return _sync_violation(orig_succ, path)
-            nxt = (phase, t1, d2)
-            if nxt not in seen:
-                seen.add(nxt)
-                parents[nxt] = (node, "step", t1)
-                queue.append(nxt)
-    return Verdict(property=None, holds=True, mode="exact",
-                   engine="hyper-forall-exists")
-
-
-def _walk_path(parents, node):
-    """Universal-trace node sequence leading to a walk state."""
-    segments = []
-    cur = node
-    while cur is not None:
-        entry = parents[cur]
-        if entry is None:
-            segments.append([cur[1]])
-            break
-        prev, move, q = entry
-        if move == "anchor":
-            segments.append([KNode(q.state, q.obs, copy=True), q])
-        else:
-            segments.append([q])
-        cur = prev
-    segments.reverse()
-    return [q for seg in segments for q in seg]
+    return _sync_violation(orig_succ, [q for label, _ in steps for q in label])
 
 
 def _sync_violation(orig_succ, path):
@@ -540,27 +530,10 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
         if shape.eq_scope == "until_anchor":
             return not dset
 
-    # survive the rest of the lasso; periodic repetition means survival forever
-    pos = anchor_index + 1
-    if shape.anchor == "tau_once":
-        pos += 1  # skip the return to the original, which is nodes[anchor+1]
-        if not dset:
-            return True
-    seen = set()
-    stem_len = len(pi1.stem)
-    cycle_len = len(pi1.cycle)
-    while True:
-        if pos >= len(nodes):
-            wrapped = stem_len + (pos - stem_len) % cycle_len if cycle_len else stem_len
-            pos = wrapped
-        key = (pos, dset)
-        if key in seen:
-            return False  # candidates survive the loop: a witness exists
-        seen.add(key)
-        dset = step_nodes(orig_succ, dset, nodes[pos].obs)
-        if not dset:
-            return True
-        pos += 1
+    # survive the rest of the lasso; periodic repetition means survival
+    # forever.  The walk starts at the anchor, or at the return from its twin.
+    start = anchor_index + (1 if shape.anchor == "tau_once" else 0)
+    return any(not d for _, d in _lasso_estimates(orig_succ, pi1, start, dset))
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +560,12 @@ def _estimate_product(k):
     core can be reached.  Every position of a candidate the estimate walk
     accepts is a state in good, and weak detectability holds exactly when an
     initial state is in good."""
-    succ, moves = {}, {}
+    succ, moves = {}, _estimate_moves(k.succ)
 
     def successors(state):
         q, d = state
-        out = succ[state] = []
-        for t in k.succ[q]:
-            if (d, t.obs) not in moves:
-                moves[(d, t.obs)] = step_nodes(k.succ, d, t.obs)
-            out.append((t, moves[(d, t.obs)]))
+        step = moves(d)
+        out = succ[state] = [(t, step[t.obs]) for t in k.succ[q]]
         return out
 
     start = frozenset(k.initial)
@@ -651,20 +621,9 @@ def _estimate_walk_accepts(k, pi1):
     every instant because each ambiguous branch eventually fails to match
     the next observation.  Such a candidate never pins down the state and
     must not count."""
-    nodes = list(pi1.stem) + list(pi1.cycle)
-    n = len(nodes)
-    wrap = len(pi1.stem)
-    pos = 0
-    dset = frozenset(k.initial)
-    first_at = {}
-    singleton = []
-    while (pos, dset) not in first_at:
-        first_at[(pos, dset)] = len(singleton)
-        singleton.append(len(dset) == 1)
-        pos = pos + 1 if pos + 1 < n else wrap
-        dset = step_nodes(k.succ, dset, nodes[pos].obs)
-    start = first_at[(pos, dset)]
-    return all(singleton[start:])
+    walk = list(_lasso_estimates(k.succ, pi1, 0, frozenset(k.initial)))
+    period = walk[walk.index(walk[-1]):-1]
+    return all(len(d) == 1 for _, d in period)
 
 
 def _inner_universal_holds(k, pi1, formula):
@@ -835,24 +794,18 @@ def _strong_detectability_gap(k):
     subset walk.
 
     Returns a violation verdict, or None when the estimates confirm the
-    pair verdict.  When an ambiguous estimate lies on a cycle, a single run
-    keeps the uncertainty alive forever and is reported as the first
-    witness trace with no companion.  Otherwise the ambiguity lives on
-    finite observation records only; the verdict then carries a pumpable
-    observation word (prefix, cycle, suffix) instead of a trace witness.
+    pair verdict.  Its target is the first ambiguous estimate on a cycle,
+    else the first one after a cycle, and its word pumps the cycle through
+    `via`, the target itself or else the first cycle estimate that reaches
+    it: prefix to via, cycle from via to via, suffix from via to the target.
+    When the suffix is empty, a single run keeps the uncertainty alive
+    forever and is reported as the first witness trace with no companion.
+    Otherwise the ambiguity lives on finite observation records only, and
+    the pumpable word stands in for a trace witness.
     """
     root = frozenset(k.initial)
-
-    def moves(d):
-        # step_nodes(k.succ, d, o) for every o at once, by observation name
-        grouped = {}
-        for q in d:
-            for t in k.succ[q]:
-                if t.obs is not None:
-                    grouped.setdefault(t.obs, set()).add(t)
-        return [(o, frozenset(grouped[o])) for o in sorted(grouped)]
-
-    order, succ = subset_graph(root, moves)
+    moves = _estimate_moves(k.succ)
+    order, succ = subset_graph(root, lambda d: list(moves(d).items()))
 
     def targets(d):
         return [t for _, t in succ[d]]
@@ -862,33 +815,21 @@ def _strong_detectability_gap(k):
 
     on_cycle = {d for comp in cyclic_sccs(order, targets) for d in comp}
     reach = reachable(on_cycle, targets)
-
-    def ambiguous(d):
-        return len({q.state for q in d}) >= 2
-
-    target = next((d for d in order if d in on_cycle and ambiguous(d)), None)
-    if target is not None:
-        stem_obs = [] if target == root else word(root, target)
-        cycle_obs = word(target, target)
-        pi1 = _lasso_along(k, stem_obs, cycle_obs)
-        return Verdict(
-            property=None, holds=False, mode="exact",
-            engine="hyper-estimate-graph",
-            witness=None if pi1 is None else (pi1, None),
-            details={"ambiguous_states": sorted({q.state for q in target}),
-                     "pump_prefix": stem_obs, "pump_cycle": cycle_obs,
-                     "pump_suffix": []})
-    target = next((d for d in order if d in reach and ambiguous(d)), None)
+    ambiguous = [d for d in order if len({q.state for q in d}) >= 2]
+    target = next((d for d in ambiguous if d in on_cycle),
+                  next((d for d in ambiguous if d in reach), None))
     if target is None:
         return None
-    via = next(d for d in order
-               if d in on_cycle and target in reachable([d], targets))
+    via = target if target in on_cycle else next(
+        d for d in order if d in on_cycle and target in reachable([d], targets))
     stem_obs = [] if via == root else word(root, via)
     cycle_obs = word(via, via)
-    tail_obs = word(via, target)
+    tail_obs = [] if via == target else word(via, target)
+    pi1 = None if tail_obs else _lasso_along(k, stem_obs, cycle_obs)
     return Verdict(
         property=None, holds=False, mode="exact",
-        engine="hyper-estimate-graph", witness=None,
+        engine="hyper-estimate-graph",
+        witness=None if pi1 is None else (pi1, None),
         details={"ambiguous_states": sorted({q.state for q in target}),
                  "pump_prefix": stem_obs, "pump_cycle": cycle_obs,
                  "pump_suffix": tail_obs})
@@ -902,7 +843,8 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     decides exactly wherever the engine can; an integer runs the oracle's
     diagnosability, I- and delayed-detectability checks as horizon probes
     of that depth, and bounds the length of the bounded
-    weak-detectability route's candidate lassos.  A negative or non-integer bound raises InvalidBound.
+    weak-detectability route's candidate lassos.  A negative or non-integer
+    bound raises InvalidBound.
     wd_route: how the hyper engine decides weak detectability, the one
     exists/forall property.  "exact" decides it on the product of the
     Kripke structure with the current-state estimate (see _collapse_exact);

@@ -270,3 +270,15 @@ def test_fuzz_smoke(capsys):
     report = json.loads(out)
     assert report["count"] == 4 and report["disagreements"] == []
     assert "fuzzed 4 machines" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-states", "0"), ("--max-states", "1"),
+                                         ("--max-events", "0"), ("--max-obs", "0"),
+                                         ("--count", "-1")])
+def test_fuzz_refuses_sizes_it_cannot_draw(capsys, flag, value):
+    """A size limit no machine fits under, or a negative count, is a usage
+    error: exit 2 with the offending name, no report and no traceback."""
+    code, out, err = run(capsys, "fuzz", "--seed", "3", "--count", "2", flag, value)
+    assert code == 2 and out == ""
+    assert f"invalid {flag[2:].replace('-', '_')} {value}" in err
+    assert "Traceback" not in err and "internal error" not in err

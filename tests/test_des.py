@@ -28,6 +28,7 @@ from hyperdes.des import (
 from hyperdes.errors import (
     DanglingReference,
     NoFaultEvents,
+    NoInitialState,
     NotLive,
     ReservedSymbol,
     UnknownObservation,
@@ -136,6 +137,16 @@ def test_dangling_references_rejected():
     with pytest.raises(DanglingReference):
         Fsa(states=["0"], events=["a"], transitions={("0", "a"): "0"},
             initial=["0"], mask={})
+
+
+def test_empty_initial_set_rejected():
+    """A machine without initial states has no run; with one, the estimate
+    is empty and vacuously inside any secret, so the routes would disagree
+    on current-state opacity.  The model schema asks for one initial state,
+    and construction refuses the machine the same way."""
+    with pytest.raises(NoInitialState):
+        Fsa(states=["0"], events=["a"], transitions={("0", "a"): "0"},
+            initial=[], mask={"a": "o1"}, secret_states=["0"])
 
 
 def test_reserved_observation_symbol_rejected():

@@ -46,11 +46,14 @@ from hyperdes.hyper import (
     replay_witness,
     verify,
     _decision_formula,
+    _estimate_moves,
     _estimate_product,
     _estimate_walk_accepts,
     _inner_universal_holds,
+    _lasso_estimates,
     _negated_body_automaton,
     _nested_dfs,
+    _original_succ,
 )
 from hyperdes.kripke import (
     KNode,
@@ -457,6 +460,49 @@ def test_pruned_candidate_search_matches_the_unpruned_one():
             assert verdict.details["candidates_tried"] <= len(cands)
         holds.add(verdict.holds)
     assert holds == {True, "inconclusive"}
+
+
+def helper_machines():
+    """The three fixtures, the phantom branch and product_machines()."""
+    from conftest import make_g_diag, make_g_opa
+    return [make_g_diag(), make_g_opa(), make_phantom_branch()] + product_machines()
+
+
+def test_estimate_moves_is_step_nodes_on_every_observation():
+    """The memoised step gives, for each estimate, step_nodes on every
+    observation entering a successor of one of its nodes, in name order:
+    on the plain structure and on the original nodes of the modified one,
+    from every estimate of the product and from random sets of nodes, all
+    through one memo per structure."""
+    rng = random.Random(20261019)
+    for fsa in helper_machines():
+        k = build_kripke(fsa)
+        product, _, _ = _estimate_product(k)
+        estimates = {d for _, d in product}
+        nodes = list(k.nodes)
+        estimates.update(frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
+                         for _ in range(20))
+        for succ in (k.succ, _original_succ(build_modified_kripke(k))):
+            moves = _estimate_moves(succ)
+            for d in sorted(estimates, key=lambda d: sorted(map(k.index.get, d))):
+                present = sorted({t.obs for q in d for t in succ[q]})
+                assert list(moves(d).items()) == [(o, step_nodes(succ, d, o))
+                                                  for o in present]
+
+
+def test_lasso_estimates_follow_the_lasso_to_the_first_repeat():
+    """The lasso walk visits the (node, estimate) states of estimate_positions
+    in order, and stops at the first state it has visited before."""
+    for fsa in helper_machines():
+        k = build_kripke(fsa)
+        for cand in reference_candidates(k, len(k.nodes) + 1):
+            nodes = list(cand.stem) + list(cand.cycle)
+            walk = list(_lasso_estimates(k.succ, cand, 0, frozenset(k.initial)))
+            assert len(set(walk)) == len(walk) - 1 and walk[-1] in walk[:-1]
+            seen = [(nodes[pos], d) for pos, d in walk]
+            expected = estimate_positions(k, cand)
+            n = min(len(seen), len(expected))
+            assert n > len(nodes) and seen[:n] == expected[:n]
 
 
 def test_exact_route_agrees_with_the_observer_check():

@@ -82,3 +82,40 @@ def test_scan_sees_relative_absolute_and_deferred_imports():
     assert imported_modules(source) == {"des", "kripke", "oracle", "graph"}
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def unused_imports(source):
+    """Names bound by the module-level imports of a source text that the
+    module never uses and does not list in `__all__`; future imports are
+    directives, not names."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_every_module_level_import_is_used():
+    unused = {p.name: unused_imports(p.read_text(encoding="utf-8"))
+              for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_scan_sees_names_attributes_and_exports():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json as j\n"
+              "from .des import Fsa, EPS\n"
+              "from .graph import reachable\n"
+              "__all__ = ['EPS']\n"
+              "def f():\n"
+              "    return os.path.join(j.dumps(Fsa), 'x')\n")
+    assert unused_imports(source) == ["reachable"]
