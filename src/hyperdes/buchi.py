@@ -20,7 +20,6 @@ body, and each set literal that holds there.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 from .formula import (
@@ -35,7 +34,7 @@ from .formula import (
     Until,
     desugar,
 )
-from .graph import cyclic_sccs
+from .graph import bfs, cyclic_sccs
 
 INIT = -1  # virtual initial tableau node
 
@@ -117,9 +116,9 @@ def _tableau(phi):
     incoming = []      # id -> set of predecessor ids (INIT allowed)
     untils = []        # first-appearance order
 
-    work = deque([_Open({INIT}, [phi], {}, {})])
-    while work:
-        node = work.popleft()
+    # first in, first out: the loop also visits the nodes it appends
+    work = [_Open({INIT}, [phi], {}, {})]
+    for node in work:
         dead = False
         while node.new:
             f = node.new.pop(0)
@@ -214,24 +213,17 @@ def ltl_to_buchi(body) -> BuchiAutomaton:
     if not fair:
         fair.append(frozenset(range(n)))
 
-    initial = (INIT, 0)
-    states = [initial]
-    seen = {initial}
     edges = {}
-    queue = deque([initial])
-    while queue:
-        q, i = queue.popleft()
+
+    def expand(state):
+        q, i = state
         advance = q != INIT and q in fair[i]
         j = (i + 1) % k if advance else i
-        out = []
-        for t in raw_edges[q]:
-            target = (t, j)
-            out.append((guards[t], target))
-            if target not in seen:
-                seen.add(target)
-                states.append(target)
-                queue.append(target)
-        edges[(q, i)] = tuple(out)
+        edges[state] = tuple((guards[t], (t, j)) for t in raw_edges[q])
+        return [(t, j) for t in raw_edges[q]]
+
+    initial = (INIT, 0)
+    states = list(bfs([initial], expand))
     accepting = frozenset(s for s in states if s[0] != INIT and s[1] == 0 and s[0] in fair[0])
     return BuchiAutomaton(states=tuple(states), initial=initial,
                           edges=edges, accepting=accepting)

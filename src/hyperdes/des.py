@@ -11,7 +11,6 @@ delayed estimate refines a past instant using subsequent observations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
-from .graph import cyclic_sccs, first_cycle, reachable, subset_graph
+from .graph import bfs, cyclic_sccs, first_cycle, reachable, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -171,8 +170,10 @@ def unobservable_reach(fsa: Fsa, states) -> frozenset:
     """All states reachable from `states` via unobservable events only."""
     seen = set(states)
     frontier = fsa.sort_states(states)
-    # breadth-first: the loop also visits what it appends; on the small
-    # sets this is called with, building a deque costs more than it saves
+    # breadth-first: the loop also visits what it appends.  It does not call
+    # graph.bfs: the oracle alone calls this about 30k times per round of
+    # the fuzz-stream benchmark, nearly always on one to three states, and
+    # going through the generator made each such call about 70% slower
     for x in frontier:
         for y in _uo_targets(fsa, x):
             if y not in seen:
@@ -287,22 +288,14 @@ def refine_fault_partition(fsa: Fsa):
         raise NoFaultEvents("no fault events declared")
     faults = fsa.fault_events
 
-    seen = {}
-    queue = deque()
-    for x0 in fsa.sort_states(fsa.initial):
-        if (x0, False) not in seen:
-            seen[(x0, False)] = len(seen)
-            queue.append((x0, False))
-    while queue:
-        x, bit = queue.popleft()
-        for e, y in fsa.out_edges(x):
-            pair = (y, bit or e in faults)
-            if pair not in seen:
-                seen[pair] = len(seen)
-                queue.append(pair)
+    def succ(pair):
+        x, bit = pair
+        return [(y, bit or e in faults) for e, y in fsa.out_edges(x)]
+
+    order = list(bfs([(x0, False) for x0 in fsa.sort_states(fsa.initial)], succ))
 
     bits = {}
-    for x, bit in seen:
+    for x, bit in order:
         bits.setdefault(x, set()).add(bit)
     needs_split = any(len(b) > 1 for b in bits.values())
 
@@ -324,7 +317,6 @@ def refine_fault_partition(fsa: Fsa):
         taken.add(cand)
         return cand
 
-    order = sorted(seen, key=seen.__getitem__)
     names = {pair: pair_name(*pair) for pair in order}
     states = [names[p] for p in order]
     transitions = {}

@@ -83,6 +83,14 @@ class ArityError(HyperdesError):
     """The quantifier prefix does not have exactly two trace variables."""
 
 
+class UnknownProperty(HyperdesError, ValueError):
+    """A property name that is not one of the built-in properties."""
+
+    def __init__(self, kind, expected):
+        self.kind = kind
+        super().__init__(f"unknown property {kind!r}; expected one of {', '.join(expected)}")
+
+
 class MissingAnnotation(HyperdesError):
     """The model lacks an annotation required by the requested property."""
 
@@ -110,12 +118,16 @@ class NotARun(HyperdesError):
 
 
 class UnknownRoute(HyperdesError):
-    """A weak-detectability route other than "exact" or "bounded" was asked for."""
+    """A route that does not exist was asked for: an engine other than
+    "hyper" or "oracle", or a weak-detectability route other than "exact"
+    or "bounded"."""
 
-    def __init__(self, route):
+    def __init__(self, route, option="weak-detectability route",
+                 expected=("exact", "bounded")):
         self.route = route
-        super().__init__(f"unknown weak-detectability route {route!r}; "
-                         "expected 'exact' or 'bounded'")
+        self.option = option
+        super().__init__(f"unknown {option} {route!r}; expected "
+                         + " or ".join(map(repr, expected)))
 
 
 class InvalidBound(HyperdesError):

@@ -27,7 +27,13 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ArityError, FormulaSyntaxError, MissingAnnotation, UnboundTraceVar
+from .errors import (
+    ArityError,
+    FormulaSyntaxError,
+    MissingAnnotation,
+    UnboundTraceVar,
+    UnknownProperty,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +513,7 @@ def property_template(kind, fsa, part=None):
     process.
     """
     if kind not in PROPERTIES:
-        raise ValueError(f"unknown property {kind!r}; expected one of {', '.join(PROPERTIES)}")
+        raise UnknownProperty(kind, PROPERTIES)
     if kind in FAULT_PROPERTIES and part is None:
         raise MissingAnnotation("fault")
     if kind in OPACITY_PROPERTIES and fsa.secret_states is None:

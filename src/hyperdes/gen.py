@@ -17,9 +17,10 @@ def random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3,
                      with_faults=True, with_secrets=True, max_attempts=500):
     """Draw a live automaton without unobservable cycles.
 
-    States are named "0", "1", ...; events "a", "b", ...; observations
-    "o1", "o2", ....  At least one event is observable, fault events and
-    secret states are nonempty when requested.
+    States are named "0", "1", ...; events "a", "b", ..., "z", and from the
+    27th on "e26", "e27", ...; observations "o1", "o2", ....  At least one
+    event is observable, fault events and secret states are nonempty when
+    requested.
     """
     for _ in range(max_attempts):
         fsa = _draw(rng, max_states, max_events, max_obs, with_faults, with_secrets)
@@ -35,7 +36,7 @@ def _draw(rng, max_states, max_events, max_obs, with_faults, with_secrets):
     m = rng.randint(1, max_events)
     k = rng.randint(1, max_obs)
     states = [str(i) for i in range(n)]
-    events = list(string.ascii_lowercase[:m])
+    events = list(string.ascii_lowercase[:m]) + [f"e{i}" for i in range(26, m)]
     obs = [f"o{i + 1}" for i in range(k)]
 
     mask = {}

@@ -92,16 +92,28 @@ def first_cycle(roots, succ):
     return None
 
 
-def reachable(sources, succ):
-    """The set of nodes reachable from `sources`, the sources included."""
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        for nxt in succ(queue.popleft()):
+def bfs(roots, succ):
+    """The nodes reachable from `roots`, breadth first: each once, in
+    discovery order, the roots first with duplicates removed.
+
+    Lazy: a node is yielded before `succ` is called on it, and `succ` is
+    called at most once per node, so a caller that stops early (with next()
+    or any()) expands no node beyond those it has taken.  A caller may
+    record what `succ` computes for each node it expands.
+    """
+    order = list(dict.fromkeys(roots))
+    seen = set(order)
+    for node in order:
+        yield node
+        for nxt in succ(node):
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
-    return seen
+                order.append(nxt)
+
+
+def reachable(sources, succ):
+    """The set of nodes reachable from `sources`, the sources included."""
+    return set(bfs(sources, succ))
 
 
 def shortest_path(source, succ, goal):
@@ -132,18 +144,17 @@ def shortest_path(source, succ, goal):
 
 
 def subset_graph(root, moves):
-    """Subset construction: the sets reachable from `root`, breadth first,
-    where `moves(set)` returns the list of the set's (symbol, successor set)
+    """Subset construction: the sets reachable from `root`, by bfs, where
+    `moves(set)` returns the list of the set's (symbol, successor set)
     moves, in the caller's symbol order and with no empty successor.
 
-    Returns (order, succ): the sets in discovery order, and for each set
-    the list `moves` returned for it.
+    Returns (order, succ): the sets in bfs order, and for each set the list
+    `moves` returned for it, called once per set.
     """
-    order, succ, seen = [root], {}, {root}
-    for current in order:
+    succ = {}
+
+    def expand(current):
         succ[current] = out = moves(current)
-        for _, t in out:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    return order, succ
+        return [t for _, t in out]
+
+    return list(bfs([root], expand)), succ

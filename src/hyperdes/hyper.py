@@ -838,7 +838,8 @@ def _strong_detectability_gap(k):
 def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     """Decide one property of an automaton.
 
-    engine: "hyper" (Kripke encodings) or "oracle" (definition-level checks).
+    engine: "hyper" (Kripke encodings) or "oracle" (definition-level
+    checks); any other value raises UnknownRoute.
     bound: None, or when unset the HYPERDES_BOUND environment variable,
     decides exactly wherever the engine can; an integer runs the oracle's
     diagnosability, I- and delayed-detectability checks as horizon probes
@@ -861,6 +862,8 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     formulations around matching runs that die out after finitely many
     steps.
     """
+    if engine not in ("hyper", "oracle"):
+        raise UnknownRoute(engine, "engine", ("hyper", "oracle"))
     if wd_route not in ("exact", "bounded"):
         raise UnknownRoute(wd_route)
     started = time.perf_counter()

@@ -14,12 +14,12 @@ corresponding properties quantify over.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .des import EPS, observable_moves, unobservable_reach, validate_fsa
 from .errors import AlreadyModified, StringNotInLanguage
+from .graph import bfs
 
 
 class KNode(NamedTuple):
@@ -121,27 +121,18 @@ def build_kripke(fsa) -> KripkeStructure:
     if not fsa.validated:
         validate_fsa(fsa)
 
-    moves = {}
+    moves, succ = {}, {}
 
-    def successors(x):
+    def expand(q):
+        x = q.state
         if x not in moves:
             moves[x] = tuple(KNode(y, o) for o, ys in observable_moves(fsa, [x])
                              for y in fsa.sort_states(ys))
+        succ[q] = moves[x]
         return moves[x]
 
     initial = tuple(KNode(x, EPS) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial)))
-    nodes = list(initial)
-    seen = set(initial)
-    succ = {}
-    queue = deque(initial)
-    while queue:
-        q = queue.popleft()
-        succ[q] = out = successors(q.state)
-        for nxt in out:
-            if nxt not in seen:
-                seen.add(nxt)
-                nodes.append(nxt)
-                queue.append(nxt)
+    nodes = list(bfs(initial, expand))
 
     label = {}
     for q in nodes:

@@ -21,7 +21,6 @@ exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .des import (
@@ -34,9 +33,9 @@ from .des import (
     unobservable_reach,
     validate_fsa,
 )
-from .errors import InvalidBound, MissingAnnotation
+from .errors import InvalidBound, MissingAnnotation, UnknownProperty
 from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
-from .graph import cyclic_sccs, first_cycle, reachable, shortest_path
+from .graph import bfs, cyclic_sccs, first_cycle, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
@@ -160,30 +159,25 @@ def diagnosability_oracle(fsa, config=None) -> Verdict:
                               if ambiguous else None)
     bound = config.max_obs_len
     conclusive = _conclusive(bound, refined, config.conclusive_policy)
-    est0 = unobservable_reach(refined, refined.initial)
-    start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        x, ctr, est = queue.popleft()
-        if x in fault and ctr >= bound and not est <= fault:
-            return _bounded_verdict("diagnosability", False, bound, conclusive,
-                                    {"ambiguous_after": ctr})
+
+    def succ(node):
+        x, ctr, est = node
         if ctr >= bound or est <= fault:
             # the estimate can never leave the fault region again, and a
             # horizon-length ambiguity would already have been reported
-            continue
+            return
+        bump = 1 if x in fault else 0
         for e, y in refined.out_edges(x):
             o = refined.mask[e]
-            if o is None:
-                nxt = (y, ctr, est)
-            else:
-                bump = 1 if x in fault else 0
-                nxt = (y, min(ctr + bump, bound), observable_step(refined, est, o))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return _bounded_verdict("diagnosability", True, bound, conclusive)
+            yield ((y, ctr, est) if o is None else
+                   (y, min(ctr + bump, bound), observable_step(refined, est, o)))
+
+    est0 = unobservable_reach(refined, refined.initial)
+    start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
+    after = next((ctr for x, ctr, est in bfs(start, succ)
+                  if x in fault and ctr >= bound and not est <= fault), None)
+    return _bounded_verdict("diagnosability", after is None, bound, conclusive,
+                            None if after is None else {"ambiguous_after": after})
 
 
 def predictability_oracle(fsa, config=None) -> Verdict:
@@ -199,28 +193,21 @@ def predictability_oracle(fsa, config=None) -> Verdict:
     boundary = boundary_states(refined, part)
     indicator = indicator_states(refined, part)
     normal = part.normal_states
-    est0 = unobservable_reach(refined, refined.initial) & normal
-    start = [(x0, est0) for x0 in refined.sort_states(refined.initial)]
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        x, est = queue.popleft()
+
+    def succ(node):
+        x, est = node
         if est <= indicator:
-            continue  # predicted from here on, for every extension
-        if x in boundary:
-            return Verdict(property="predictability", holds=False, mode="exact",
-                           engine="oracle")
+            return  # predicted from here on, for every extension
         for e, y in refined.out_edges(x):
             if y not in normal:
                 continue  # a faulted run can never reach the boundary again
             o = refined.mask[e]
-            nxt = (y, est if o is None else
-                   observable_step(refined, est, o) & normal)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return Verdict(property="predictability", holds=True, mode="exact",
-                   engine="oracle")
+            yield y, est if o is None else observable_step(refined, est, o) & normal
+
+    est0 = unobservable_reach(refined, refined.initial) & normal
+    start = [(x0, est0) for x0 in refined.sort_states(refined.initial)]
+    missed = any(x in boundary and not est <= indicator for x, est in bfs(start, succ))
+    return _exact_verdict("predictability", not missed)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +251,19 @@ def _pair_moves(fsa, pairs):
     return _by_observation(fsa, grouped)
 
 
-def _track_frontier(fsa, roots, is_bad, bound):
-    """Breadth-first levels of the track machine; since a bad string keeps all
-    its prefixes bad, a level with no bad node ends the search early."""
-    level = set(roots)
+def _bad_after(roots, moves, is_bad, bound):
+    """Whether a bad node lies `bound` steps from `roots`, where `moves(node)`
+    returns the node's (symbol, successor) moves: the depth-bounded level
+    unfolding of the probes.
+
+    Every prefix of a bad string is bad (no step turns a good node bad), so
+    only bad nodes are stepped, and a level with none ends the search."""
+    level = {t for t in roots if is_bad(t)}
     for _ in range(bound):
-        bad = [t for t in level if is_bad(t)]
-        if not bad:
+        if not level:
             return False
-        level = {t for tracks in level for _, t in _track_moves(fsa, tracks)}
-    return any(is_bad(t) for t in level)
+        level = {t for node in level for _, t in moves(node) if is_bad(t)}
+    return bool(level)
 
 
 def i_detectability_oracle(fsa, config=None) -> Verdict:
@@ -294,8 +284,8 @@ def i_detectability_oracle(fsa, config=None) -> Verdict:
         return _exact_verdict("i-detectability", not ambiguous)
     bound = config.max_obs_len
     conclusive = _conclusive(bound, fsa, config.conclusive_policy)
-    bad = _track_frontier(fsa, [_initial_tracks(fsa)],
-                          lambda tracks: len(tracks) >= 2, bound)
+    bad = _bad_after([_initial_tracks(fsa)], lambda tracks: _track_moves(fsa, tracks),
+                     lambda tracks: len(tracks) >= 2, bound)
     return _bounded_verdict("i-detectability", not bad, bound, conclusive)
 
 
@@ -309,9 +299,7 @@ def strong_detectability_oracle(fsa, config=None) -> Verdict:
 
     on_cycle = [n for comp in cyclic_sccs(obs.nodes, succ) for n in comp]
     closed = reachable(on_cycle, succ)
-    holds = all(len(n) == 1 for n in closed)
-    return Verdict(property="strong-detectability", holds=holds, mode="exact",
-                   engine="oracle")
+    return _exact_verdict("strong-detectability", all(len(n) == 1 for n in closed))
 
 
 def weak_detectability_exact(fsa) -> Verdict:
@@ -377,23 +365,10 @@ def delayed_detectability_oracle(fsa, config=None) -> Verdict:
         return _exact_verdict("delayed-detectability", not ambiguous)
     bound = config.max_delay
     conclusive = _conclusive(bound, fsa, config.conclusive_policy)
-    obs = build_observer(fsa)
-    bad = False
-    for est in obs.nodes:
-        if len(est) == 1:
-            continue
-        start = frozenset((x, x) for x in est)
-        level = {start}
-        for _ in range(bound):
-            live = {p for p in level if len({a for a, _ in p}) >= 2}
-            if not live:
-                break
-            level = {t for pairs in live for _, t in _pair_moves(fsa, pairs)}
-        else:
-            if any(len({a for a, _ in p}) >= 2 for p in level):
-                bad = True
-        if bad:
-            break
+    bad = any(_bad_after([frozenset((x, x) for x in est)],
+                         lambda pairs: _pair_moves(fsa, pairs),
+                         lambda pairs: len({a for a, _ in pairs}) >= 2, bound)
+              for est in build_observer(fsa).nodes if len(est) > 1)
     return _bounded_verdict("delayed-detectability", not bad, bound, conclusive)
 
 
@@ -404,33 +379,17 @@ def delayed_detectability_oracle(fsa, config=None) -> Verdict:
 def initial_state_opacity_oracle(fsa, config=None) -> Verdict:
     """No observation may narrow the initial-state estimate into the secret."""
     secret = fsa.secret_states
-    root = _initial_tracks(fsa)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        tracks = queue.popleft()
-        concl = frozenset(x0 for x0, _ in tracks)
-        if concl and concl <= secret:
-            return Verdict(property="initial-state-opacity", holds=False,
-                           mode="exact", engine="oracle")
-        for _, nxt in _track_moves(fsa, tracks):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return Verdict(property="initial-state-opacity", holds=True, mode="exact",
-                   engine="oracle")
+    reached = bfs([_initial_tracks(fsa)],
+                  lambda tracks: [t for _, t in _track_moves(fsa, tracks)])
+    exposed = any(tracks and {x0 for x0, _ in tracks} <= secret for tracks in reached)
+    return _exact_verdict("initial-state-opacity", not exposed)
 
 
 def current_state_opacity_oracle(fsa, config=None) -> Verdict:
     """No observation may narrow the current-state estimate into the secret."""
     secret = fsa.secret_states
-    obs = build_observer(fsa)
-    for est in obs.nodes:
-        if est <= secret:
-            return Verdict(property="current-state-opacity", holds=False,
-                           mode="exact", engine="oracle")
-    return Verdict(property="current-state-opacity", holds=True, mode="exact",
-                   engine="oracle")
+    return _exact_verdict("current-state-opacity",
+                          not any(est <= secret for est in build_observer(fsa).nodes))
 
 
 def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
@@ -440,20 +399,9 @@ def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
     # whether a pair set exposes the secret depends on the set alone, so
     # one search from every estimate at once visits each set only once
     starts = [frozenset((x, x) for x in est) for est in build_observer(fsa).nodes]
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        pairs = queue.popleft()
-        anchors = frozenset(a for a, _ in pairs)
-        if anchors and anchors <= secret:
-            return Verdict(property="infinite-step-opacity", holds=False,
-                           mode="exact", engine="oracle")
-        for _, nxt in _pair_moves(fsa, pairs):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return Verdict(property="infinite-step-opacity", holds=True, mode="exact",
-                   engine="oracle")
+    reached = bfs(starts, lambda pairs: [t for _, t in _pair_moves(fsa, pairs)])
+    exposed = any(pairs and {a for a, _ in pairs} <= secret for pairs in reached)
+    return _exact_verdict("infinite-step-opacity", not exposed)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +424,7 @@ _ORACLES = {
 def oracle_check(fsa, kind, config=None) -> Verdict:
     """Decide one property straight from its definition."""
     if kind not in _ORACLES:
-        raise ValueError(f"unknown property {kind!r}; expected one of {', '.join(PROPERTIES)}")
+        raise UnknownProperty(kind, PROPERTIES)
     if not fsa.validated:
         validate_fsa(fsa)
     if kind in FAULT_PROPERTIES and fsa.fault_events is None:

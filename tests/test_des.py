@@ -7,6 +7,7 @@ act as the reference the closed-form operators are compared against.
 """
 
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -472,3 +473,17 @@ def test_random_refinement_invariant(seed):
             for s, end in enumerate_runs(refined, x0, length):
                 has_fault = any(e in refined.fault_events for e in s)
                 assert has_fault == (end in part.fault_states)
+
+
+def test_draws_name_events_beyond_the_alphabet():
+    """A draw may have more than 26 events: the first 26 keep their letters
+    and each later one gets a name of its own."""
+    rng = random.Random(7)
+    counts = []
+    for _ in range(20):
+        fsa = random_valid_fsa(rng, max_states=4, max_events=40)
+        events = list(fsa.events)
+        assert len(set(events)) == len(events)
+        assert events[:26] == list(string.ascii_lowercase[:len(events)])
+        counts.append(len(events))
+    assert max(counts) > 26

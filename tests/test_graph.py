@@ -5,9 +5,12 @@ both sides alike and the differential fuzz could not see it.  Each function
 is therefore compared with a plain fixpoint or table computed here.
 """
 
+from itertools import islice
+
 from hypothesis import given, settings, strategies as st
 
 from hyperdes.graph import (
+    bfs,
     cyclic_sccs,
     first_cycle,
     reachable,
@@ -59,6 +62,17 @@ def reach_from(roots, reach):
     return set(roots).union(*(reach[r] for r in roots))
 
 
+def levels(nodes, succ, roots):
+    """dist[x]: fewest edges from any root to x (len(nodes) when x cannot be
+    reached), by relaxation."""
+    dist = {x: 0 if x in roots else len(nodes) for x in nodes}
+    for _ in nodes:
+        for x in nodes:
+            for y in succ[x]:
+                dist[y] = min(dist[y], dist[x] + 1)
+    return dist
+
+
 checks = settings(max_examples=200, deadline=None, derandomize=True)
 
 
@@ -98,6 +112,36 @@ def test_first_cycle_is_a_cycle_and_missing_only_when_acyclic(graph):
         assert len(path) == len(set(path)) and 0 <= i < len(path)
         assert all(b in succ[a] for a, b in zip(path, path[1:]))
         assert path[i] in succ[path[-1]]
+
+
+@checks
+@given(digraphs())
+def test_bfs_yields_each_reachable_node_once_breadth_first_and_lazily(graph):
+    nodes, edges, roots = graph
+    succ = successors(nodes, edges)
+    yielded, expanded = [], []
+
+    def tracked(x):
+        # expanded only once it has been yielded, and only once
+        assert x in yielded and x not in expanded
+        expanded.append(x)
+        return succ[x]
+
+    # a bound one past the node count shows a repeat without looping forever
+    for x in islice(bfs(roots + roots[::-1], tracked), len(nodes) + 1):
+        yielded.append(x)
+    assert len(yielded) == len(set(yielded))
+    assert set(yielded) == reach_from(roots, closure(nodes, succ))
+    assert yielded[:len(roots)] == roots
+    dist = levels(nodes, succ, roots)
+    assert [dist[x] for x in yielded] == sorted(dist[x] for x in yielded)
+
+    for k in range(len(yielded) + 1):
+        yielded.clear()
+        expanded.clear()
+        for x in islice(bfs(roots, tracked), k):
+            yielded.append(x)
+        assert len(expanded) <= k
 
 
 @checks

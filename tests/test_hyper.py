@@ -8,10 +8,12 @@ import pytest
 from hyperdes.buchi import ltl_to_buchi
 from hyperdes.des import Fsa, refine_fault_partition, validate_fsa
 from hyperdes.errors import (
+    HyperdesError,
     MissingAnnotation,
     NotARun,
     NotSynchronousFragment,
     PrefixMismatch,
+    UnknownProperty,
     UnknownRoute,
 )
 from hyperdes.formula import (
@@ -549,6 +551,25 @@ def test_unknown_weak_detectability_route_is_refused(g_det):
         for kind in ("weak-detectability", "i-detectability"):
             with pytest.raises(UnknownRoute):
                 verify(g_det, kind, engine=engine, wd_route="observer")
+
+
+def test_unknown_engine_is_refused(g_det):
+    """Only the hyper and the oracle engine exist; a misspelt name raises a
+    typed error instead of running the hyper route."""
+    for engine in ("orcale", "both", "Hyper", None):
+        with pytest.raises(UnknownRoute) as exc:
+            verify(g_det, "strong-detectability", engine=engine)
+        assert exc.value.route == engine and exc.value.option == "engine"
+
+
+def test_unknown_property_is_a_typed_value_error(g_det):
+    """Both routes refuse a property that is not built in with one error,
+    a HyperdesError that is also a ValueError."""
+    for engine in ("hyper", "oracle"):
+        with pytest.raises(UnknownProperty) as exc:
+            verify(g_det, "liveness", engine=engine)
+        assert isinstance(exc.value, HyperdesError) and isinstance(exc.value, ValueError)
+        assert exc.value.kind == "liveness"
 
 
 def test_estimate_walk_is_stricter_than_the_trace_product():

@@ -1,4 +1,5 @@
-"""Structure of the package: its modules import each other without cycles.
+"""Structure of the package: its modules import each other without cycles,
+and every breadth-first search runs through the graph kernel.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -119,3 +120,33 @@ def test_unused_import_scan_sees_names_attributes_and_exports():
               "def f():\n"
               "    return os.path.join(j.dumps(Fsa), 'x')\n")
     assert unused_imports(source) == ["reachable"]
+
+
+def queue_uses(source):
+    """Line numbers at which a source text imports deque, names it as an
+    attribute (collections.deque) or calls .popleft(): the marks of a
+    hand-written breadth-first queue loop."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "deque" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("deque", "popleft"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_breadth_first_search_runs_only_in_the_graph_kernel():
+    found = {p.name: queue_uses(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "graph.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_queue_scan_sees_imports_attributes_and_popleft():
+    source = ("from collections import deque, defaultdict\n"
+              "import collections\n"
+              "q = collections.deque()\n"
+              "def f(queue, order):\n"
+              "    order.pop()\n"
+              "    return queue.popleft()\n")
+    assert queue_uses(source) == [1, 3, 6]
+    assert queue_uses("from collections import defaultdict\nx = [].pop(0)\n") == []
