@@ -14,7 +14,10 @@ stand, like atoms, so a body need not be expanded over an alphabet first.
 A transition guard lists the literals the consumed letter must contain and
 the ones it must not; a letter for a body with relations must contain each
 relation that holds at that instant, in every argument order used by the
-body, and each set literal that holds there.
+body, and each set literal that holds there.  Guard.admits on such a set is
+the definition; the hyper engine's product search encodes each letter and
+guard as bitmasks over the literals the guards mention (hyper._bit_letters)
+and is tested against it.
 """
 
 from __future__ import annotations

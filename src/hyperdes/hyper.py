@@ -34,6 +34,14 @@ boundary) are literals of the letter of each node pair, so the automaton of
 a built-in property does not depend on the model and is translated once per
 process.  An expanded body (property_formula's output) is a formula like any
 other; only forall/forall decides it to the same verdict.
+
+The product search reads each letter as a bitmask over the literals the
+automaton's guards mention: every guard is a (pos, neg) pair of masks,
+compiled once per body next to the automaton, and every node carries the
+mask of what holds there on either trace, so the letter of a node pair is
+two masks or-ed with the relation bits its observation and state keys call
+for (see _bit_letters).  Guard.admits on the set of literals that hold stays
+the reference the tests compare the masks against.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .buchi import ltl_to_buchi
 from .des import boundary_states, refine_fault_partition, validate_fsa
@@ -82,30 +90,6 @@ DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _pair_letter(k, u, v, v1, v2, sets):
-    """Literals true at the product node (u, v): the atoms of both nodes, the
-    obseq/stateeq relations that hold there, in both argument orders and
-    reflexively, and InSet(name, var) for each bound set holding that
-    node's state.  A relation holds when the two nodes carry the same
-    observation (resp. state) propositions, and a set literal when the
-    node's one state proposition names a member; that is what their
-    expansions over the alphabet say."""
-    lu, lv = k.label[u], k.label[v]
-    out = {Atom(p, v1) for p in lu}
-    out.update(Atom(p, v2) for p in lv)
-    for rel, prefix in ((ObsEq, "o:"), (StateEq, "x:")):
-        out.update((rel(v1, v1), rel(v2, v2)))
-        if ({p for p in lu if p.startswith(prefix)}
-                == {p for p in lv if p.startswith(prefix)}):
-            out.update((rel(v1, v2), rel(v2, v1)))
-    for name, states in sets:
-        if u.state in states:
-            out.add(InSet(name, v1))
-        if v.state in states:
-            out.add(InSet(name, v2))
-    return frozenset(out)
 
 
 def _pair_order(items):
@@ -183,6 +167,90 @@ def _negated_body_automaton(body):
     return ltl_to_buchi(Not(body))
 
 
+@functools.lru_cache(maxsize=64)
+def _guard_masks(body):
+    """Bit encoding of the edges of the negated body's automaton: returns
+    (bits, edges).  Each literal the guards mention gets one bit; bits maps
+    the literal, as the tuple (its type, its two fields), to its bit's mask.
+    edges[b] lists ba.edges[b] in order, each edge as (pos, neg, target)
+    with its guard's pos and neg literals as masks.  Like the automaton it
+    depends on the body alone, so it is computed once per body and
+    process."""
+    bits = {}
+
+    def mask(literals):
+        m = 0
+        for lit in literals:
+            m |= bits.setdefault((type(lit), *astuple(lit)), 1 << len(bits))
+        return m
+
+    ba = _negated_body_automaton(body)
+    guards = dict.fromkeys(guard for edges in ba.edges.values() for guard, _ in edges)
+    guards = {guard: (mask(guard.pos), mask(guard.neg)) for guard in guards}
+    return bits, {b: tuple((*guards[guard], b2) for guard, b2 in edges)
+                  for b, edges in ba.edges.items()}
+
+
+def _bit_letters(k, formula):
+    """Pair letters of k as bitmasks over the literals of the negated body's
+    automaton (see _guard_masks), and the edges they admit: returns
+    (letter, admitted).
+
+    letter(u, v) sets the bit of each literal that holds at the node pair
+    (u, v): the atoms of both nodes, the obseq/stateeq relations in both
+    argument orders and reflexively, and InSet(name, var) when some binding
+    of name in formula.sets holds that node's state.  A relation between the
+    traces holds when the two nodes carry the same observation (resp. state)
+    propositions; a literal on a variable outside the prefix never holds.
+    admitted(letter, b) lists, memoised, the targets of the automaton's edges
+    from b, in order, whose guard admits the letter: every pos bit set and
+    no neg bit.  This is Guard.admits on the set of literals that hold."""
+    (_, v1), (_, v2) = formula.prefix
+    bits, edges = _guard_masks(formula.body)
+    members = [(states, bits.get((InSet, name, v1), 0), bits.get((InSet, name, v2), 0))
+               for name, states in formula.sets]
+    reflexive1 = bits.get((ObsEq, v1, v1), 0) | bits.get((StateEq, v1, v1), 0)
+    reflexive2 = bits.get((ObsEq, v2, v2), 0) | bits.get((StateEq, v2, v2), 0)
+    obs_rel = bits.get((ObsEq, v1, v2), 0) | bits.get((ObsEq, v2, v1), 0)
+    state_rel = bits.get((StateEq, v1, v2), 0) | bits.get((StateEq, v2, v1), 0)
+
+    # per node: the masks of what holds there on either trace, and its
+    # observation and state keys
+    node = {}
+    for q in k.nodes:
+        label = k.label[q]
+        m1, m2 = reflexive1, reflexive2
+        for p in label:
+            m1 |= bits.get((Atom, p, v1), 0)
+            m2 |= bits.get((Atom, p, v2), 0)
+        for states, b1, b2 in members:
+            if q.state in states:
+                m1 |= b1
+                m2 |= b2
+        node[q] = (m1, m2, frozenset(p for p in label if p.startswith("o:")),
+                   frozenset(p for p in label if p.startswith("x:")))
+
+    def letter(u, v):
+        m1, _, obs1, state1 = node[u]
+        _, m2, obs2, state2 = node[v]
+        m = m1 | m2
+        if obs1 == obs2:
+            m |= obs_rel
+        if state1 == state2:
+            m |= state_rel
+        return m
+
+    memo = {}
+
+    def admitted(lab, b):
+        if (lab, b) not in memo:
+            memo[lab, b] = [b2 for pos, neg, b2 in edges[b]
+                            if lab & pos == pos and not lab & neg]
+        return memo[lab, b]
+
+    return letter, admitted
+
+
 def _product_lasso(k, formula, roots, pair_succ, first_node):
     """Accepting lasso of the product of a graph of two-trace positions with
     the automaton of the negated body, as (stem, cycle) of (position,
@@ -190,22 +258,22 @@ def _product_lasso(k, formula, roots, pair_succ, first_node):
 
     A position c is a pair (first, v): the first trace is at the node
     first_node(first), the second at the node v, and c reads their pair
-    letter.  The product successors of (c, b) are c's successors, in
-    pair_succ's order, each with every automaton edge from b whose guard
-    admits the letter.  Letter and successors are computed once per
-    position."""
-    (_, v1), (_, v2) = formula.prefix
+    letter, a bitmask over the automaton's literals (see _bit_letters).  The
+    product successors of (c, b) are c's successors, in pair_succ's order,
+    each with every automaton edge from b whose guard admits the letter.
+    Letter and successors are computed once per position, the admitted
+    edges once per letter and automaton state."""
     ba = _negated_body_automaton(formula.body)
+    letter, admitted = _bit_letters(k, formula)
     seen = {}
 
     def successors(state):
         c, b = state
         if c not in seen:
-            seen[c] = (_pair_letter(k, first_node(c[0]), c[1], v1, v2, formula.sets),
-                       tuple(pair_succ(c)))
+            seen[c] = (letter(first_node(c[0]), c[1]), tuple(pair_succ(c)))
         lab, nexts = seen[c]
-        admitted = [b2 for guard, b2 in ba.edges[b] if guard.admits(lab)]
-        return [(c2, b2) for c2 in nexts for b2 in admitted]
+        targets = admitted(lab, b)
+        return [(c2, b2) for c2 in nexts for b2 in targets]
 
     accepting = ba.accepting
     return _nested_dfs([(c, ba.initial) for c in roots], successors,
@@ -216,9 +284,10 @@ def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     """Exact check of a two-trace universal formula via nested DFS.
 
     The body is translated as it stands: obseq/stateeq and state-set leaves
-    are literals decided on the pair letter.  A body expanded over the
+    are literals decided on the pair letter, a bitmask over the literals of
+    the automaton's guards (see _bit_letters).  A body expanded over the
     alphabet needs no extra code, since the pair letter holds every plain
-    atom, and gives the same verdict.
+    atom it mentions, and gives the same verdict.
     """
     _check_prefix(formula, ("forall", "forall"))
     hit = _product_lasso(k, formula, _pair_order(list(k.initial)),
@@ -239,18 +308,14 @@ def _nested_dfs(roots, successors, is_accepting):
 
     Standard two-color nested DFS: the outer search runs in post-order and
     seeds an inner search from every accepting state; the inner search
-    succeeds when it closes back into the outer search path.
+    succeeds when it closes back into the outer search path.  successors is
+    called on each state once by each search that expands it, so it should
+    be cheap to call again.
     """
     cyan = set()
     blue = set()
     red = set()
     path = []
-    succ_cache = {}
-
-    def succ_of(state):
-        if state not in succ_cache:
-            succ_cache[state] = tuple(successors(state))
-        return succ_cache[state]
 
     def red_search(seed):
         # returns path seed -> ... -> some cyan node, or None
@@ -258,7 +323,7 @@ def _nested_dfs(roots, successors, is_accepting):
         stack = [seed]
         while stack:
             node = stack.pop()
-            for nxt in succ_of(node):
+            for nxt in successors(node):
                 if nxt in cyan:
                     chain = [nxt, node]
                     cur = node
@@ -276,7 +341,7 @@ def _nested_dfs(roots, successors, is_accepting):
     for root in roots:
         if root in blue:
             continue
-        stack = [(root, iter(succ_of(root)))]
+        stack = [(root, iter(successors(root)))]
         cyan.add(root)
         path.append(root)
         while stack:
@@ -286,7 +351,7 @@ def _nested_dfs(roots, successors, is_accepting):
                 if nxt not in cyan and nxt not in blue:
                     cyan.add(nxt)
                     path.append(nxt)
-                    stack.append((nxt, iter(succ_of(nxt))))
+                    stack.append((nxt, iter(successors(nxt))))
                     advanced = True
                     break
             if advanced:

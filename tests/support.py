@@ -16,6 +16,7 @@ from hyperdes.formula import (
     Always,
     Iff,
     Implies,
+    InSet,
     Next,
     Not,
     ObsEq,
@@ -104,6 +105,32 @@ def assignment_letters(assignment):
     stem_letters = [letter(i) for i in range(stem_len)]
     cycle_letters = [letter(stem_len + j) for j in range(period)]
     return stem_letters, cycle_letters
+
+
+# The pair letter as a set of literals: with Guard.admits, the reference for
+# the bitmask letters of hyper._bit_letters.
+def pair_letter(k, u, v, v1, v2, sets):
+    """Literals true at the product node (u, v): the atoms of both nodes, the
+    obseq/stateeq relations that hold there, in both argument orders and
+    reflexively, and InSet(name, var) for each bound set holding that
+    node's state.  A relation holds when the two nodes carry the same
+    observation (resp. state) propositions, and a set literal when the
+    node's one state proposition names a member; that is what their
+    expansions over the alphabet say."""
+    lu, lv = k.label[u], k.label[v]
+    out = {Atom(p, v1) for p in lu}
+    out.update(Atom(p, v2) for p in lv)
+    for rel, prefix in ((ObsEq, "o:"), (StateEq, "x:")):
+        out.update((rel(v1, v1), rel(v2, v2)))
+        if ({p for p in lu if p.startswith(prefix)}
+                == {p for p in lv if p.startswith(prefix)}):
+            out.update((rel(v1, v2), rel(v2, v1)))
+    for name, states in sets:
+        if u.state in states:
+            out.add(InSet(name, v1))
+        if v.state in states:
+            out.add(InSet(name, v2))
+    return frozenset(out)
 
 
 def fault_ring(n):

@@ -47,10 +47,12 @@ from hyperdes.hyper import (
     match_sync_shape,
     replay_witness,
     verify,
+    _bit_letters,
     _decision_formula,
     _estimate_moves,
     _estimate_product,
     _estimate_walk_accepts,
+    _guard_masks,
     _inner_universal_holds,
     _lasso_estimates,
     _negated_body_automaton,
@@ -66,8 +68,8 @@ from hyperdes.kripke import (
     step_nodes,
 )
 from hyperdes.oracle import weak_detectability_exact
-from support import fault_ring, labelled_ring
-from tests.conftest import make_dying_branch
+from support import fault_ring, labelled_ring, pair_letter
+from tests.conftest import make_dying_branch, make_twin_branch
 
 
 def node(state, obs=None, copy=False):
@@ -257,6 +259,55 @@ def test_forall_forall_witness_violates_body(g_det):
         v2: (tuple(k.label[q] for q in pi2.stem), tuple(k.label[q] for q in pi2.cycle)),
     }
     assert eval_body(expand_macros(formula.body, g_det), assign) is False
+
+
+def _letter_reference_cases(g_diag, g_det, g_opa):
+    """(machine, formula) pairs for the letter reference: the five
+    forall/forall templates, the boundary-triggered predictability body, a
+    written body using the relations reversed and reflexively, on the
+    fixtures, the twin and dying branches and 40 seeded random machines, and
+    the i-detectability body expanded over the alphabet, on all but g_opa
+    and the random machines (its expansion over g_opa's four observations
+    translates to an automaton of 657 states)."""
+    written = parse_formula("forall p1. forall p2. "
+                            "G obseq(p2,p1) & obseq(p1,p1) -> G stateeq(p2,p1)")
+    named = [g_diag, g_det, g_opa, make_twin_branch(), make_dying_branch()]
+    for fsa in named:
+        if fsa is not g_opa:
+            yield fsa, property_formula("i-detectability", fsa)[0]
+    for fsa in named + [random_valid_fsa(random.Random(seed)) for seed in range(40)]:
+        yield fsa, written
+        for kind in FORALL_FORALL[2:]:
+            yield fsa, property_template(kind, fsa)[0]
+        if fsa.fault_events:
+            refined, part = refine_fault_partition(fsa)
+            for kind in FORALL_FORALL[:2]:
+                yield refined, property_template(kind, refined, part)[0]
+            yield refined, _decision_formula("predictability", refined, part)[0]
+
+
+def test_bit_letters_admit_the_edges_the_literal_sets_admit(g_diag, g_det, g_opa):
+    """For every automaton state and every node pair of the plain and the
+    modified structure, the bitmask letter admits the same edges, in the
+    same order, as Guard.admits on the set-of-literals letter."""
+    for fsa, formula in _letter_reference_cases(g_diag, g_det, g_opa):
+        (_, v1), (_, v2) = formula.prefix
+        ba = _negated_body_automaton(formula.body)
+        mentioned = {lit for edges in ba.edges.values() for guard, _ in edges
+                     for lit in guard.pos | guard.neg}
+        k = build_kripke(fsa)
+        for structure in (k, build_modified_kripke(k)):
+            letter, admitted = _bit_letters(structure, formula)
+            # a guard asks only about the literals it mentions, and admitted
+            # reads only the bit letter, so each distinct pair of the two
+            # stands for every node pair that reads it
+            letters = {(pair_letter(structure, u, v, v1, v2, formula.sets) & mentioned,
+                        letter(u, v))
+                       for u in structure.nodes for v in structure.nodes}
+            for literals, bits in letters:
+                for b, edges in ba.edges.items():
+                    want = [b2 for guard, b2 in edges if guard.admits(literals)]
+                    assert admitted(bits, b) == want, (fsa.name, formula.body, b)
 
 
 # ---------------------------------------------------------------------------
@@ -907,28 +958,53 @@ def test_large_labelled_ring_opacity_on_the_hyper_route():
         assert replay_witness(fsa, kind, verdict) is True, kind
 
 
-def test_cold_and_warm_translation_cache_agree(g_diag, g_det):
-    """Verdicts and witnesses are the same whether each check translates its
-    body afresh or takes the automaton an earlier check translated; a warm
-    pass translates nothing, and the five forall/forall decision formulas
-    need five translations however many machines use them."""
+def _cache_cases(g_diag, g_det):
+    """Every forall/forall property on fault rings and a fixture."""
     cases = [(fsa, kind) for fsa in (fault_ring(6), fault_ring(9), g_diag)
              for kind in ("diagnosability", "predictability")]
     cases += [(fsa, kind) for fsa in (fault_ring(6), g_det, fault_ring(9))
               for kind in ("i-detectability", "strong-detectability",
                            "delayed-detectability")]
+    return cases
 
-    def outcome(verdict):
-        return verdict.holds, verdict.mode, verdict.engine, verdict.witness, verdict.details
 
+def _outcome(verdict):
+    return verdict.holds, verdict.mode, verdict.engine, verdict.witness, verdict.details
+
+
+def test_cold_and_warm_translation_cache_agree(g_diag, g_det):
+    """Verdicts and witnesses are the same whether each check translates its
+    body afresh or takes the automaton an earlier check translated; a warm
+    pass translates nothing, and the five forall/forall decision formulas
+    need five translations however many machines use them."""
+    cases = _cache_cases(g_diag, g_det)
     cold = []
     for fsa, kind in cases:
         _negated_body_automaton.cache_clear()
-        cold.append(outcome(verify(fsa, kind)))
+        cold.append(_outcome(verify(fsa, kind)))
     _negated_body_automaton.cache_clear()
-    first = [outcome(verify(fsa, kind)) for fsa, kind in cases]
+    first = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
     assert _negated_body_automaton.cache_info().misses == len(FORALL_FORALL)
-    warm = [outcome(verify(fsa, kind)) for fsa, kind in cases]
+    warm = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
     assert _negated_body_automaton.cache_info().misses == len(FORALL_FORALL)
     assert cold == first == warm
     assert {holds for holds, *_ in cold} == {True, False}
+
+
+def test_guard_masks_are_compiled_once_per_body(g_diag, g_det):
+    """The bit encoding of the automaton's guards is compiled once per body:
+    across a cold pass (each check translating its body afresh), a first
+    and a warm pass, the five forall/forall decision formulas compile five
+    times, and the verdicts of the three passes are the same."""
+    cases = _cache_cases(g_diag, g_det)
+    _guard_masks.cache_clear()
+    cold = []
+    for fsa, kind in cases:
+        _negated_body_automaton.cache_clear()
+        cold.append(_outcome(verify(fsa, kind)))
+    assert _guard_masks.cache_info().misses == len(FORALL_FORALL)
+    _negated_body_automaton.cache_clear()
+    first = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
+    warm = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
+    assert _guard_masks.cache_info().misses == len(FORALL_FORALL)
+    assert cold == first == warm
