@@ -9,9 +9,15 @@ each property from its state-estimate definition for cross-validation.
 
 Typical entry points:
 
-    from hyperdes import load_model, verify
+    from hyperdes import HyperAnalysis, load_model, verify
     fsa = load_model("model.json")
     verdict = verify(fsa, "diagnosability")
+
+verify builds the structures it needs for one property and drops them.  To
+decide many properties of one machine, hold one HyperAnalysis(fsa): it
+builds each structure once and shares it across its verify and replay
+calls.  OracleAnalysis does the same on the oracle route, and oracle_check
+decides one property on a fresh one.
 
 The `hyperdes` console script exposes the same functionality (plus structure
 inspection and differential fuzzing) on the command line.
@@ -27,7 +33,7 @@ from .des import (
 )
 from .formula import PROPERTIES, parse_formula, property_formula
 from .fuzz import differential_fuzz
-from .hyper import replay_witness, verify
+from .hyper import HyperAnalysis, replay_witness, verify
 from .kripke import KNode, Lasso, Verdict, build_kripke, build_modified_kripke, export_dot
 from .modelio import (
     load_model,
@@ -35,15 +41,16 @@ from .modelio import (
     serialize_model,
     serialize_verdict,
 )
-from .oracle import OracleConfig, oracle_check
+from .oracle import OracleAnalysis, oracle_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Fsa",
+    "HyperAnalysis",
     "KNode",
     "Lasso",
-    "OracleConfig",
+    "OracleAnalysis",
     "PROPERTIES",
     "Verdict",
     "build_kripke",

@@ -25,7 +25,7 @@ from .des import (
 from .errors import HyperdesError, UnknownObservation
 from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
 from .fuzz import differential_fuzz
-from .hyper import replay_witness, verify
+from .hyper import HyperAnalysis
 from .kripke import build_kripke, build_modified_kripke, export_dot
 from .modelio import MASK_EPS, load_model, serialize_model, verdict_to_json
 
@@ -89,13 +89,14 @@ def cmd_verify(args):
     # under --engine both, weak detectability compares the hyper engine's
     # estimate-product check with the oracle's observer check
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
+    analysis = HyperAnalysis(fsa)
     entries = []
     verdicts = []
     disagreements = []
     for kind in checked:
         per_engine = []
         for engine in engines:
-            verdict = verify(fsa, kind, engine=engine, bound=args.bound)
+            verdict = analysis.verify(kind, engine=engine, bound=args.bound)
             per_engine.append(verdict)
             verdicts.append(verdict)
             doc = verdict_to_json(verdict)
@@ -116,7 +117,7 @@ def cmd_verify(args):
             has_pump = bool(verdict.details and verdict.details.get("pump_cycle"))
             if verdict.witness is None and not has_pump:
                 continue
-            if not replay_witness(fsa, verdict.property, verdict):
+            if not analysis.replay(verdict.property, verdict):
                 print(f"error: witness for {verdict.property} did not replay",
                       file=sys.stderr)
                 return 2

@@ -83,6 +83,14 @@ class ArityError(HyperdesError):
     """The quantifier prefix does not have exactly two trace variables."""
 
 
+class DuplicateSetName(HyperdesError):
+    """A formula's `sets` binds one state-set name twice."""
+
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"state set {name!r} is bound twice")
+
+
 class UnknownProperty(HyperdesError, ValueError):
     """A property name that is not one of the built-in properties."""
 
@@ -131,10 +139,9 @@ class UnknownRoute(HyperdesError):
 
 
 class InvalidBound(HyperdesError):
-    """A search bound or bound policy the engines cannot use: a bound that
-    is not a non-negative integer, or a conclusive policy other than
-    "strict" or "trusting"; also a fuzz count or machine size limit that
-    no run can use."""
+    """A search bound the engines cannot use, one that is not a
+    non-negative integer; also a fuzz count or machine size limit that no
+    run can use."""
 
     def __init__(self, name, value, expected="a non-negative integer"):
         self.name = name

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ArityError,
+    DuplicateSetName,
     FormulaSyntaxError,
     MissingAnnotation,
     UnboundTraceVar,
@@ -148,6 +149,15 @@ class HyperFormula:
     prefix: tuple       # ((quantifier, var), (quantifier, var))
     body: object
     sets: tuple = ()    # ((name, frozenset of states), ...) binding the InSet names
+
+    def __post_init__(self):
+        # the engines read a name as bound by any of its bindings, while
+        # eval_body reads only the last, so a name bound twice is refused
+        names = set()
+        for name, _ in self.sets:
+            if name in names:
+                raise DuplicateSetName(name)
+            names.add(name)
 
     def quantifiers(self):
         return tuple(q for q, _ in self.prefix)

@@ -83,9 +83,11 @@ from .formula import (
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
-from .oracle import OracleConfig, check_bound, oracle_check
+from .oracle import OracleAnalysis, check_bound
 
 DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
+# candidate lassos the bounded exists/forall search tries before it gives up
+MAX_CANDIDATES = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +710,7 @@ def _inner_universal_holds(k, pi1, formula):
 
 
 def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
-                                bound=None, max_candidates=20000) -> Verdict:
+                                bound=None) -> Verdict:
     """Semi-decision for exists/forall: try candidate lassos up to a length
     bound; success is conclusive, exhaustion is not.
 
@@ -724,7 +726,7 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
     structure and the Büchi automaton of the negated body.  The first
     accepted candidate is the witness; details["candidates_tried"] of an
     inconclusive verdict counts the candidates whose acceptance check ran,
-    at most max_candidates."""
+    at most MAX_CANDIDATES."""
     _check_prefix(formula, ("exists", "forall"))
     if bound is None:
         bound = len(k.nodes) + 1
@@ -762,7 +764,7 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
                         return Verdict(property=None, holds=True, mode="bounded",
                                        engine="hyper-exists-forall",
                                        bound=bound, witness=(cand, None))
-                    if tried >= max_candidates:
+                    if tried >= MAX_CANDIDATES:
                         return Verdict(property=None, holds="inconclusive",
                                        mode="bounded", bound=bound,
                                        engine="hyper-exists-forall",
@@ -776,25 +778,6 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-
-def _decision_problem(fsa, kind):
-    """What a property is decided on: its decision formula and the structure
-    to check, built from the machine (fault-refined for the fault
-    properties)."""
-    if not fsa.validated:
-        validate_fsa(fsa)
-    part = None
-    target = fsa
-    if kind in ("diagnosability", "predictability"):
-        if fsa.fault_events is None:
-            raise MissingAnnotation("fault")
-        target, part = refine_fault_partition(fsa)
-    formula, structure_kind = _decision_formula(kind, target, part)
-    k = build_kripke(target)
-    if structure_kind == "modified":
-        k = build_modified_kripke(k)
-    return formula, k
 
 
 def _decision_formula(kind, target, part):
@@ -900,72 +883,6 @@ def _strong_detectability_gap(k):
                  "pump_suffix": tail_obs})
 
 
-def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
-    """Decide one property of an automaton.
-
-    engine: "hyper" (Kripke encodings) or "oracle" (definition-level
-    checks); any other value raises UnknownRoute.
-    bound: None, or when unset the HYPERDES_BOUND environment variable,
-    decides exactly wherever the engine can; an integer runs the oracle's
-    diagnosability, I- and delayed-detectability checks as horizon probes
-    of that depth, and bounds the length of the bounded
-    weak-detectability route's candidate lassos.  A negative or non-integer
-    bound raises InvalidBound.
-    wd_route: how the hyper engine decides weak detectability, the one
-    exists/forall property.  "exact" decides it on the product of the
-    Kripke structure with the current-state estimate (see _collapse_exact);
-    "bounded" runs the candidate search of check_exists_forall_bounded,
-    which can prove the property but reports its failure as inconclusive.
-    Both report engine "hyper-exists-forall"; the oracle's own check is
-    "oracle-observer".  Any other value raises UnknownRoute.
-
-    Two properties take a route beyond the formula property_template builds:
-    predictability is decided with a boundary-anchored trigger
-    (see _decision_formula) and a strong-detectability pass of the pair
-    search is confirmed against the subset walk (see
-    _strong_detectability_gap); both close blind spots of the two-trace
-    formulations around matching runs that die out after finitely many
-    steps.
-    """
-    if engine not in ("hyper", "oracle"):
-        raise UnknownRoute(engine, "engine", ("hyper", "oracle"))
-    if wd_route not in ("exact", "bounded"):
-        raise UnknownRoute(wd_route)
-    started = time.perf_counter()
-    if bound is None and os.environ.get(DEFAULT_BOUND_ENV):
-        text = os.environ[DEFAULT_BOUND_ENV]
-        try:
-            bound = int(text)
-        except ValueError:
-            raise InvalidBound(DEFAULT_BOUND_ENV, text) from None
-    check_bound(bound)
-
-    if engine == "oracle":
-        config = OracleConfig() if bound is None else \
-            OracleConfig(max_obs_len=bound, max_delay=bound)
-        verdict = oracle_check(fsa, kind, config)
-        verdict.seconds = time.perf_counter() - started
-        return verdict
-
-    formula, k = _decision_problem(fsa, kind)
-    quants = formula.quantifiers()
-    if quants == ("forall", "forall"):
-        verdict = check_forall_forall(k, formula)
-        if kind == "strong-detectability" and verdict.holds is True:
-            gap = _strong_detectability_gap(k)
-            if gap is not None:
-                verdict = gap
-    elif quants == ("forall", "exists"):
-        verdict = check_forall_exists_sync(k, formula)
-    elif wd_route == "bounded":
-        verdict = check_exists_forall_bounded(k, formula, bound=bound)
-    else:
-        verdict = _collapse_exact(k)
-    verdict.property = kind
-    verdict.seconds = time.perf_counter() - started
-    return verdict
-
-
 def _require_run(k, lasso):
     nodes = list(lasso.stem) + list(lasso.cycle)
     if not nodes:
@@ -1014,36 +931,149 @@ def _replay_pump(k, details):
             and sorted({q.state for q in final}) == list(details["ambiguous_states"]))
 
 
+class HyperAnalysis:
+    """One machine on the hyper route: its validation, fault refinement and
+    plain and modified Kripke structures, each built on first use and shared
+    by every verdict and replay asked of it.  For engine="oracle" it runs an
+    OracleAnalysis of its own, which builds the oracle's structures apart."""
+
+    def __init__(self, fsa):
+        self.fsa = fsa
+        self._built = {}
+
+    def _once(self, key, build):
+        built = self._built
+        if key not in built:
+            built[key] = build()
+        return built[key]
+
+    def _problem(self, kind):
+        """What a property is decided on: its decision formula and the
+        structure to check, built from the machine (fault-refined for the
+        fault properties)."""
+        key = ("problem", kind)
+        if key not in self._built:
+            fsa = self.fsa
+            if not fsa.validated:
+                validate_fsa(fsa)
+            target, part = fsa, None
+            if kind in ("diagnosability", "predictability"):
+                if fsa.fault_events is None:
+                    raise MissingAnnotation("fault")
+                target, part = self._once("refined", lambda: refine_fault_partition(fsa))
+            formula, structure_kind = _decision_formula(kind, target, part)
+            k = self._once(("kripke", target), lambda: build_kripke(target))
+            if structure_kind == "modified":
+                k = self._once(("modified", target), lambda: build_modified_kripke(k))
+            self._built[key] = formula, k
+        return self._built[key]
+
+    def verify(self, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
+        """verify() on this machine's structures."""
+        if engine not in ("hyper", "oracle"):
+            raise UnknownRoute(engine, "engine", ("hyper", "oracle"))
+        if wd_route not in ("exact", "bounded"):
+            raise UnknownRoute(wd_route)
+        started = time.perf_counter()
+        if bound is None and os.environ.get(DEFAULT_BOUND_ENV):
+            text = os.environ[DEFAULT_BOUND_ENV]
+            try:
+                bound = int(text)
+            except ValueError:
+                raise InvalidBound(DEFAULT_BOUND_ENV, text) from None
+        check_bound(bound)
+
+        if engine == "oracle":
+            verdict = self._once("oracle", lambda: OracleAnalysis(self.fsa)).check(kind, bound)
+            verdict.seconds = time.perf_counter() - started
+            return verdict
+
+        formula, k = self._problem(kind)
+        quants = formula.quantifiers()
+        if quants == ("forall", "forall"):
+            verdict = check_forall_forall(k, formula)
+            if kind == "strong-detectability" and verdict.holds is True:
+                gap = _strong_detectability_gap(k)
+                if gap is not None:
+                    verdict = gap
+        elif quants == ("forall", "exists"):
+            verdict = check_forall_exists_sync(k, formula)
+        elif wd_route == "bounded":
+            verdict = check_exists_forall_bounded(k, formula, bound=bound)
+        else:
+            verdict = _collapse_exact(k)
+        verdict.property = kind
+        verdict.seconds = time.perf_counter() - started
+        return verdict
+
+    def replay(self, kind, verdict: Verdict) -> bool:
+        """replay_witness() on this machine's structures."""
+        formula, k = self._problem(kind)
+        quants = formula.quantifiers()
+
+        if verdict.holds is False and quants == ("forall", "forall"):
+            if verdict.witness is None:
+                return _replay_pump(k, verdict.details)
+            pi1, pi2 = verdict.witness
+            if pi2 is None:
+                if not _is_collapse(formula):
+                    raise NotARun("single-trace violation witness outside the collapse shape")
+                _require_run(k, pi1)
+                return not _estimate_walk_accepts(k, pi1)
+            _require_run(k, pi1)
+            _require_run(k, pi2)
+            (_, v1), (_, v2) = formula.prefix
+            assign = {v1: _lasso_labels(k, pi1), v2: _lasso_labels(k, pi2)}
+            return eval_body(formula.body, assign, formula.sets) is False
+        if verdict.holds is False and quants == ("forall", "exists"):
+            pi1, pi2 = verdict.witness
+            if pi2 is not None:
+                raise NotARun("a forall/exists violation has no witness for the second trace")
+            _require_run(k, pi1)
+            return forall_exists_refutes(k, formula, pi1)
+        if verdict.holds is True and quants == ("exists", "forall"):
+            pi1, _ = verdict.witness
+            _require_run(k, pi1)
+            if _is_collapse(formula):
+                return _estimate_walk_accepts(k, pi1)
+            return _inner_universal_holds(k, pi1, formula)
+        raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")
+
+
+def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
+    """Decide one property of an automaton.
+
+    engine: "hyper" (Kripke encodings) or "oracle" (definition-level
+    checks); any other value raises UnknownRoute.
+    bound: None, or when unset the HYPERDES_BOUND environment variable,
+    decides exactly wherever the engine can; an integer runs the oracle's
+    diagnosability, I- and delayed-detectability checks as horizon probes
+    of that depth, and bounds the length of the bounded
+    weak-detectability route's candidate lassos.  A negative or non-integer
+    bound raises InvalidBound.
+    wd_route: how the hyper engine decides weak detectability, the one
+    exists/forall property.  "exact" decides it on the product of the
+    Kripke structure with the current-state estimate (see _collapse_exact);
+    "bounded" runs the candidate search of check_exists_forall_bounded,
+    which can prove the property but reports its failure as inconclusive.
+    Both report engine "hyper-exists-forall"; the oracle's own check is
+    "oracle-observer".  Any other value raises UnknownRoute.
+
+    Two properties take a route beyond the formula property_template builds:
+    predictability is decided with a boundary-anchored trigger
+    (see _decision_formula) and a strong-detectability pass of the pair
+    search is confirmed against the subset walk (see
+    _strong_detectability_gap); both close blind spots of the two-trace
+    formulations around matching runs that die out after finitely many
+    steps.
+
+    Each call builds the machine's structures afresh; a HyperAnalysis of
+    the machine builds them once for all the properties asked of it.
+    """
+    return HyperAnalysis(fsa).verify(kind, engine, bound, wd_route)
+
+
 def replay_witness(fsa, kind, verdict: Verdict) -> bool:
     """Re-validate a verdict's witness against the definitions of the
     structures, independently of the search that produced it."""
-    formula, k = _decision_problem(fsa, kind)
-    quants = formula.quantifiers()
-
-    if verdict.holds is False and quants == ("forall", "forall"):
-        if verdict.witness is None:
-            return _replay_pump(k, verdict.details)
-        pi1, pi2 = verdict.witness
-        if pi2 is None:
-            if not _is_collapse(formula):
-                raise NotARun("single-trace violation witness outside the collapse shape")
-            _require_run(k, pi1)
-            return not _estimate_walk_accepts(k, pi1)
-        _require_run(k, pi1)
-        _require_run(k, pi2)
-        (_, v1), (_, v2) = formula.prefix
-        assign = {v1: _lasso_labels(k, pi1), v2: _lasso_labels(k, pi2)}
-        return eval_body(formula.body, assign, formula.sets) is False
-    if verdict.holds is False and quants == ("forall", "exists"):
-        pi1, pi2 = verdict.witness
-        if pi2 is not None:
-            raise NotARun("a forall/exists violation has no witness for the second trace")
-        _require_run(k, pi1)
-        return forall_exists_refutes(k, formula, pi1)
-    if verdict.holds is True and quants == ("exists", "forall"):
-        pi1, _ = verdict.witness
-        _require_run(k, pi1)
-        if _is_collapse(formula):
-            return _estimate_walk_accepts(k, pi1)
-        return _inner_universal_holds(k, pi1, formula)
-    raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")
+    return HyperAnalysis(fsa).replay(kind, verdict)

@@ -1,4 +1,4 @@
-"""JSON model documents and verdict serialization.
+"""Model files and verdict serialization.
 
 Model schema v1 (see models/model.schema.json for the machine-readable form):
 
@@ -22,6 +22,8 @@ declaring it empty.  Arrays keep declaration order and object keys serialize
 sorted, so serialization is canonical and parse(serialize(fsa)) reproduces
 the automaton exactly.
 
+document_from_json checks a decoded JSON value and builds the automaton
+from it directly; serialize_model writes the canonical JSON of an automaton.
 Every parse error names the offending location as a JSON path like
 "$.transitions[3][1]".
 """
@@ -29,8 +31,6 @@ Every parse error names the offending location as a JSON path like
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 from .des import EPS, Fsa
 from .errors import DuplicateTransition, ReservedSymbol, SchemaError, UnknownId
@@ -40,26 +40,6 @@ MASK_EPS = "eps"
 
 _REQUIRED_KEYS = ("version", "states", "events", "initial", "transitions", "mask")
 _OPTIONAL_KEYS = ("name", "observations", "fault_events", "secret_states")
-
-
-@dataclass(frozen=True)
-class ModelDocument:
-    """Checked in-memory form of a schema v1 model file.
-
-    Arrays keep the declaration order of the file.  Optional annotations are
-    None when the file omits them, an empty tuple when it declares them empty.
-    """
-
-    version: int
-    states: tuple
-    events: tuple
-    initial: tuple
-    transitions: tuple              # (source, event, target) triples
-    mask: tuple                     # (event, observation or "eps") pairs
-    observations: Optional[tuple] = None
-    fault_events: Optional[tuple] = None
-    secret_states: Optional[tuple] = None
-    name: Optional[str] = None
 
 
 def _ident(value, path):
@@ -90,8 +70,9 @@ def _declared(item, declared, path):
     return item
 
 
-def document_from_json(raw) -> ModelDocument:
-    """Check a decoded JSON value against schema v1."""
+def document_from_json(raw) -> Fsa:
+    """Check a decoded JSON value against schema v1 and build the automaton;
+    declaration order carries over unchanged."""
     if not isinstance(raw, dict):
         raise SchemaError("model document must be a JSON object", "$")
     for key in raw:
@@ -178,82 +159,17 @@ def document_from_json(raw) -> ModelDocument:
         for i, x in enumerate(secret_states):
             _declared(x, state_set, f"$.secret_states[{i}]")
 
-    return ModelDocument(
-        version=SCHEMA_VERSION,
+    return Fsa(
         states=states,
         events=events,
+        transitions={(s, e): t for s, e, t in triples},
         initial=initial,
-        transitions=tuple(triples),
-        mask=tuple(pairs),
-        observations=observations,
+        mask={e: (EPS if v == MASK_EPS else v) for e, v in pairs},
         fault_events=fault_events,
         secret_states=secret_states,
+        observations=observations,
         name=name,
     )
-
-
-def document_to_fsa(doc: ModelDocument) -> Fsa:
-    """Build the automaton; declaration order carries over unchanged."""
-    mask = {e: (EPS if v == MASK_EPS else v) for e, v in doc.mask}
-    return Fsa(
-        states=doc.states,
-        events=doc.events,
-        transitions={(s, e): t for s, e, t in doc.transitions},
-        initial=doc.initial,
-        mask=mask,
-        fault_events=doc.fault_events,
-        secret_states=doc.secret_states,
-        observations=doc.observations,
-        name=doc.name,
-    )
-
-
-def fsa_to_document(fsa: Fsa) -> ModelDocument:
-    """Canonical document for an automaton.
-
-    Declaration order drives every array; transitions are listed by source
-    state, then by event.  The observation alphabet is always written out so
-    a round trip never depends on mask-derived defaults.
-    """
-    triples = tuple((x, e, y) for x in fsa.states for e, y in fsa.out_edges(x))
-    mask = tuple((e, MASK_EPS if fsa.mask[e] is EPS else fsa.mask[e]) for e in fsa.events)
-    fault = None if fsa.fault_events is None else \
-        tuple(e for e in fsa.events if e in fsa.fault_events)
-    secret = None if fsa.secret_states is None else \
-        tuple(x for x in fsa.states if x in fsa.secret_states)
-    return ModelDocument(
-        version=SCHEMA_VERSION,
-        states=fsa.states,
-        events=fsa.events,
-        initial=tuple(fsa.sort_states(fsa.initial)),
-        transitions=triples,
-        mask=mask,
-        observations=fsa.observations,
-        fault_events=fault,
-        secret_states=secret,
-        name=fsa.name,
-    )
-
-
-def document_to_json(doc: ModelDocument) -> dict:
-    """Plain JSON value for a document; optional keys appear only when set."""
-    out = {
-        "version": doc.version,
-        "states": list(doc.states),
-        "events": list(doc.events),
-        "initial": list(doc.initial),
-        "transitions": [list(t) for t in doc.transitions],
-        "mask": [list(p) for p in doc.mask],
-    }
-    if doc.observations is not None:
-        out["observations"] = list(doc.observations)
-    if doc.fault_events is not None:
-        out["fault_events"] = list(doc.fault_events)
-    if doc.secret_states is not None:
-        out["secret_states"] = list(doc.secret_states)
-    if doc.name is not None:
-        out["name"] = doc.name
-    return out
 
 
 def parse_model(text) -> Fsa:
@@ -268,7 +184,7 @@ def parse_model(text) -> Fsa:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}",
                           f"$ (line {exc.lineno}, column {exc.colno})") from exc
-    return document_to_fsa(document_from_json(raw))
+    return document_from_json(raw)
 
 
 def load_model(path) -> Fsa:
@@ -278,9 +194,28 @@ def load_model(path) -> Fsa:
 
 
 def serialize_model(fsa: Fsa) -> str:
-    """Canonical JSON text: sorted keys, declaration-order arrays."""
-    return json.dumps(document_to_json(fsa_to_document(fsa)),
-                      indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, declaration-order arrays.
+
+    Transitions are listed by source state, then by event.  The observation
+    alphabet is always written out so a round trip never depends on
+    mask-derived defaults; the other optional keys appear only when set.
+    """
+    out = {
+        "version": SCHEMA_VERSION,
+        "states": list(fsa.states),
+        "events": list(fsa.events),
+        "initial": fsa.sort_states(fsa.initial),
+        "transitions": [[x, e, y] for x in fsa.states for e, y in fsa.out_edges(x)],
+        "mask": [[e, MASK_EPS if fsa.mask[e] is EPS else fsa.mask[e]] for e in fsa.events],
+        "observations": list(fsa.observations),
+    }
+    if fsa.fault_events is not None:
+        out["fault_events"] = [e for e in fsa.events if e in fsa.fault_events]
+    if fsa.secret_states is not None:
+        out["secret_states"] = [x for x in fsa.states if x in fsa.secret_states]
+    if fsa.name is not None:
+        out["name"] = fsa.name
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def _node_to_json(node):

@@ -5,23 +5,27 @@ with no formulas, no Büchi automata and no trace quantification, so that
 agreement with the hyperproperty engines is meaningful evidence for both
 sides.
 
+A machine is checked through one OracleAnalysis, which builds the fault
+refinement, the observer and the state-pair graphs on first use and hands
+the same structures to every property it is asked about; oracle_check makes
+a fresh one for a single property.
+
 Diagnosability, I-detectability and delayed detectability quantify over
 arbitrarily long observation suffixes.  By default they are decided exactly
 on a graph of state pairs that agree on every observation so far (the twin
 plant of Jiang, Huang, Chandra and Kumar, IEEE TAC 46(8), 2001, and the
 delayed-detectability detector of Shu and Lin, IEEE TAC 58(4), 2013): a
 violation is a reachable cycle, which yields ambiguous strings of every
-length.  Given an integer bound in OracleConfig they instead run the
-defining subset machine out to that many observations; at the pumping
-horizon (number of states squared, plus one) a surviving bad configuration
-repeats a state pair, so the bounded answer is conclusive there.  The
+length.  Given an integer bound they instead run the defining subset
+machine out to that many observations; at the pumping horizon (number of
+states squared, plus one) a surviving bad configuration repeats a state
+pair, so the bounded answer is conclusive there, and below it the verdict
+is inconclusive with the finding in details["bounded_finding"].  The
 remaining properties are plain reachability questions and are decided
 exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .des import (
     boundary_states,
@@ -39,30 +43,50 @@ from .graph import bfs, cyclic_sccs, first_cycle, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
-@dataclass
-class OracleConfig:
-    """Knobs for the horizon probes of the three pair-graph checks.
+class OracleAnalysis:
+    """One machine on the oracle route: its fault refinement, observer and
+    state-pair graphs, each built on first use and shared by every check."""
 
-    max_obs_len bounds post-fault observation counts (diagnosability) and
-    observation string lengths (i-detectability); max_delay bounds the
-    refinement suffix for delayed detectability.  None, the default, decides
-    the property exactly on the state-pair graph; an integer runs the
-    defining unfolding to that many observations instead.  With
-    conclusive_policy "strict" a verdict obtained under a bound below the
-    pumping horizon of the machine is downgraded to inconclusive; "trusting"
-    reports the bounded finding as is.  A negative or non-integer bound, or
-    any other policy, raises InvalidBound.
-    """
-    max_obs_len: int = None
-    max_delay: int = None
-    conclusive_policy: str = "strict"
+    def __init__(self, fsa):
+        self.fsa = fsa
+        self._built = {}
 
-    def __post_init__(self):
-        check_bound(self.max_obs_len, "max_obs_len")
-        check_bound(self.max_delay, "max_delay")
-        if self.conclusive_policy not in ("strict", "trusting"):
-            raise InvalidBound("conclusive_policy", self.conclusive_policy,
-                               "'strict' or 'trusting'")
+    def _once(self, key, build):
+        built = self._built
+        if key not in built:
+            built[key] = build()
+        return built[key]
+
+    def refined(self):
+        """The fault-refined machine and its partition."""
+        return self._once("refined", lambda: refine_fault_partition(self.fsa))
+
+    def observer(self):
+        return self._once("observer", lambda: build_observer(self.fsa))
+
+    def pairs(self, machine):
+        """The pair graph of the machine or of its refinement."""
+        return self._once(("pairs", machine), lambda: _pair_graph(machine))
+
+    def check(self, kind, bound=None) -> Verdict:
+        """Decide one property straight from its definition; an integer
+        bound runs the three pair-graph checks as horizon probes."""
+        check_bound(bound)
+        if kind not in _ORACLES:
+            raise UnknownProperty(kind, PROPERTIES)
+        fsa = self.fsa
+        if not fsa.validated:
+            validate_fsa(fsa)
+        if kind in FAULT_PROPERTIES and fsa.fault_events is None:
+            raise MissingAnnotation("fault")
+        if kind in OPACITY_PROPERTIES and fsa.secret_states is None:
+            raise MissingAnnotation("secret")
+        return _ORACLES[kind](self, bound)
+
+
+def oracle_check(fsa, kind, bound=None) -> Verdict:
+    """Decide one property of a machine on a fresh OracleAnalysis."""
+    return OracleAnalysis(fsa).check(kind, bound)
 
 
 def check_bound(value, name="bound"):
@@ -74,10 +98,6 @@ def check_bound(value, name="bound"):
 
 def _pumping_horizon(fsa):
     return len(fsa.states) ** 2 + 1
-
-
-def _conclusive(bound, fsa, policy):
-    return bound >= _pumping_horizon(fsa) or policy == "trusting"
 
 
 def _exact_verdict(kind, holds, details=None):
@@ -113,7 +133,10 @@ def _pair_graph(fsa):
     return succ
 
 
-def _bounded_verdict(kind, raw_holds, bound, conclusive, details=None):
+def _bounded_verdict(kind, raw_holds, bound, machine, details=None):
+    """A probe's verdict: conclusive at the pumping horizon of the machine
+    it unfolded, else inconclusive with the finding recorded."""
+    conclusive = bound >= _pumping_horizon(machine)
     holds = raw_holds if conclusive else "inconclusive"
     det = dict(details or {})
     if not conclusive:
@@ -124,24 +147,25 @@ def _bounded_verdict(kind, raw_holds, bound, conclusive, details=None):
 
 # ---------------------------------------------------------------------------
 # fault properties
+#
+# Each check takes the machine's OracleAnalysis `an` and the bound of check().
 
 
-def diagnosability_oracle(fsa, config=None) -> Verdict:
+def diagnosability_oracle(an, bound=None) -> Verdict:
     """A fault run must not stay observationally equal to a normal run for
     arbitrarily many post-fault observations.
 
     Exact by default: on the pair graph of the refined machine, started
     from every pair of its initial closure, the property fails exactly when
     a reachable pair lies on a cycle of (fault, normal) pairs.  With an
-    integer max_obs_len, search instead for a fault run whose estimate stays
+    integer bound, search instead for a fault run whose estimate stays
     ambiguous for that many post-fault observations.
     """
-    config = config or OracleConfig()
-    refined, part = refine_fault_partition(fsa)
+    refined, part = an.refined()
     fault = part.fault_states
-    if config.max_obs_len is None:
+    if bound is None:
         normal = part.normal_states
-        pairs = _pair_graph(refined)
+        pairs = an.pairs(refined)
 
         def succ(pair):
             return [q for q in pairs(pair) if q[1] in normal]
@@ -157,8 +181,6 @@ def diagnosability_oracle(fsa, config=None) -> Verdict:
         return _exact_verdict("diagnosability", not ambiguous,
                               {"ambiguous_after": _pumping_horizon(refined)}
                               if ambiguous else None)
-    bound = config.max_obs_len
-    conclusive = _conclusive(bound, refined, config.conclusive_policy)
 
     def succ(node):
         x, ctr, est = node
@@ -176,11 +198,11 @@ def diagnosability_oracle(fsa, config=None) -> Verdict:
     start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
     after = next((ctr for x, ctr, est in bfs(start, succ)
                   if x in fault and ctr >= bound and not est <= fault), None)
-    return _bounded_verdict("diagnosability", after is None, bound, conclusive,
+    return _bounded_verdict("diagnosability", after is None, bound, refined,
                             None if after is None else {"ambiguous_after": after})
 
 
-def predictability_oracle(fsa, config=None) -> Verdict:
+def predictability_oracle(an, bound=None) -> Verdict:
     """Look for a run that reaches a fault boundary state while no prefix
     estimate ever fell inside the indicator region.
 
@@ -189,7 +211,7 @@ def predictability_oracle(fsa, config=None) -> Verdict:
     end state must not block an alarm; and the fault region is absorbing, so
     the restricted estimate is self-contained under stepping.
     """
-    refined, part = refine_fault_partition(fsa)
+    refined, part = an.refined()
     boundary = boundary_states(refined, part)
     indicator = indicator_states(refined, part)
     normal = part.normal_states
@@ -266,33 +288,30 @@ def _bad_after(roots, moves, is_bad, bound):
     return bool(level)
 
 
-def i_detectability_oracle(fsa, config=None) -> Verdict:
+def i_detectability_oracle(an, bound=None) -> Verdict:
     """Every long enough observation string must pin the initial state.
 
     Exact by default: on the pair graph started from the pairs of the
     unobservable closures of two distinct initial states, the property
-    fails exactly when a cycle is reachable.  With an integer max_obs_len,
-    look instead for initial-state ambiguity surviving that many
-    observations.
+    fails exactly when a cycle is reachable.  With an integer bound, look
+    instead for initial-state ambiguity surviving that many observations.
     """
-    config = config or OracleConfig()
-    if config.max_obs_len is None:
+    fsa = an.fsa
+    if bound is None:
         closures = {x0: unobservable_reach(fsa, [x0]) for x0 in fsa.initial}
         starts = {(a, b) for x0 in closures for y0 in closures if x0 != y0
                   for a in closures[x0] for b in closures[y0]}
-        ambiguous = any(cyclic_sccs(starts, _pair_graph(fsa)))
+        ambiguous = any(cyclic_sccs(starts, an.pairs(fsa)))
         return _exact_verdict("i-detectability", not ambiguous)
-    bound = config.max_obs_len
-    conclusive = _conclusive(bound, fsa, config.conclusive_policy)
     bad = _bad_after([_initial_tracks(fsa)], lambda tracks: _track_moves(fsa, tracks),
                      lambda tracks: len(tracks) >= 2, bound)
-    return _bounded_verdict("i-detectability", not bad, bound, conclusive)
+    return _bounded_verdict("i-detectability", not bad, bound, fsa)
 
 
-def strong_detectability_oracle(fsa, config=None) -> Verdict:
+def strong_detectability_oracle(an, bound=None) -> Verdict:
     """All long observation strings must pin the current state: every observer
     node on or after a cycle has to be a singleton."""
-    obs = build_observer(fsa)
+    obs = an.observer()
 
     def succ(n):
         return [t for _, t in obs.moves[n]]
@@ -302,13 +321,11 @@ def strong_detectability_oracle(fsa, config=None) -> Verdict:
     return _exact_verdict("strong-detectability", all(len(n) == 1 for n in closed))
 
 
-def weak_detectability_exact(fsa) -> Verdict:
+def weak_detectability_oracle(an, bound=None) -> Verdict:
     """Some observation trace must pin the current state forever: a reachable
     cycle of singleton observer nodes.  A positive verdict carries the trace,
     lifted back to the state/observation structure."""
-    if not fsa.validated:
-        validate_fsa(fsa)
-    obs = build_observer(fsa)
+    fsa, obs = an.fsa, an.observer()
     moves = obs.moves
     singles = [n for n in obs.nodes if len(n) == 1]
     found = first_cycle(singles, lambda n: [t for _, t in moves[n] if len(t) == 1])
@@ -345,7 +362,7 @@ def weak_detectability_exact(fsa) -> Verdict:
                    engine="oracle-observer", witness=(witness, None))
 
 
-def delayed_detectability_oracle(fsa, config=None) -> Verdict:
+def delayed_detectability_oracle(an, bound=None) -> Verdict:
     """From every reachable estimate, hindsight must pin the anchor state once
     the refinement suffix is long enough.
 
@@ -353,31 +370,30 @@ def delayed_detectability_oracle(fsa, config=None) -> Verdict:
     of the initial closure are the pairs of states some observation string
     can both reach.  The property fails exactly when a cycle, on the
     diagonal or off it, is reachable from one of those pairs with two
-    distinct states.  With an integer max_delay, refine every reachable
+    distinct states.  With an integer bound, refine every reachable
     estimate by suffixes of that length instead.
     """
-    config = config or OracleConfig()
-    if config.max_delay is None:
-        succ = _pair_graph(fsa)
+    fsa = an.fsa
+    if bound is None:
+        succ = an.pairs(fsa)
         closure = unobservable_reach(fsa, fsa.initial)
         found = reachable([(x, y) for x in closure for y in closure], succ)
         ambiguous = any(cyclic_sccs([p for p in found if p[0] != p[1]], succ))
         return _exact_verdict("delayed-detectability", not ambiguous)
-    bound = config.max_delay
-    conclusive = _conclusive(bound, fsa, config.conclusive_policy)
     bad = any(_bad_after([frozenset((x, x) for x in est)],
                          lambda pairs: _pair_moves(fsa, pairs),
                          lambda pairs: len({a for a, _ in pairs}) >= 2, bound)
-              for est in build_observer(fsa).nodes if len(est) > 1)
-    return _bounded_verdict("delayed-detectability", not bad, bound, conclusive)
+              for est in an.observer().nodes if len(est) > 1)
+    return _bounded_verdict("delayed-detectability", not bad, bound, fsa)
 
 
 # ---------------------------------------------------------------------------
 # opacity properties
 
 
-def initial_state_opacity_oracle(fsa, config=None) -> Verdict:
+def initial_state_opacity_oracle(an, bound=None) -> Verdict:
     """No observation may narrow the initial-state estimate into the secret."""
+    fsa = an.fsa
     secret = fsa.secret_states
     reached = bfs([_initial_tracks(fsa)],
                   lambda tracks: [t for _, t in _track_moves(fsa, tracks)])
@@ -385,20 +401,21 @@ def initial_state_opacity_oracle(fsa, config=None) -> Verdict:
     return _exact_verdict("initial-state-opacity", not exposed)
 
 
-def current_state_opacity_oracle(fsa, config=None) -> Verdict:
+def current_state_opacity_oracle(an, bound=None) -> Verdict:
     """No observation may narrow the current-state estimate into the secret."""
-    secret = fsa.secret_states
+    secret = an.fsa.secret_states
     return _exact_verdict("current-state-opacity",
-                          not any(est <= secret for est in build_observer(fsa).nodes))
+                          not any(est <= secret for est in an.observer().nodes))
 
 
-def infinite_step_opacity_oracle(fsa, config=None) -> Verdict:
+def infinite_step_opacity_oracle(an, bound=None) -> Verdict:
     """No observation, refined by any amount of hindsight, may place a past
     estimate inside the secret."""
+    fsa = an.fsa
     secret = fsa.secret_states
     # whether a pair set exposes the secret depends on the set alone, so
     # one search from every estimate at once visits each set only once
-    starts = [frozenset((x, x) for x in est) for est in build_observer(fsa).nodes]
+    starts = [frozenset((x, x) for x in est) for est in an.observer().nodes]
     reached = bfs(starts, lambda pairs: [t for _, t in _pair_moves(fsa, pairs)])
     exposed = any(pairs and {a for a, _ in pairs} <= secret for pairs in reached)
     return _exact_verdict("infinite-step-opacity", not exposed)
@@ -413,22 +430,10 @@ _ORACLES = {
     "predictability": predictability_oracle,
     "i-detectability": i_detectability_oracle,
     "strong-detectability": strong_detectability_oracle,
-    "weak-detectability": lambda fsa, config=None: weak_detectability_exact(fsa),
+    "weak-detectability": weak_detectability_oracle,
     "delayed-detectability": delayed_detectability_oracle,
     "initial-state-opacity": initial_state_opacity_oracle,
     "current-state-opacity": current_state_opacity_oracle,
     "infinite-step-opacity": infinite_step_opacity_oracle,
 }
 
-
-def oracle_check(fsa, kind, config=None) -> Verdict:
-    """Decide one property straight from its definition."""
-    if kind not in _ORACLES:
-        raise UnknownProperty(kind, PROPERTIES)
-    if not fsa.validated:
-        validate_fsa(fsa)
-    if kind in FAULT_PROPERTIES and fsa.fault_events is None:
-        raise MissingAnnotation("fault")
-    if kind in OPACITY_PROPERTIES and fsa.secret_states is None:
-        raise MissingAnnotation("secret")
-    return _ORACLES[kind](fsa, config)

@@ -99,7 +99,7 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(hyperdes.cli, "verify", broken)
+    monkeypatch.setattr(hyperdes.cli.HyperAnalysis, "verify", broken)
     code, out, err = run(capsys, "verify", "--model", G_DIAG,
                          "--property", "diagnosability")
     assert code == 4 and out == ""

@@ -8,6 +8,7 @@ import pytest
 from hyperdes.buchi import ltl_to_buchi
 from hyperdes.des import Fsa, refine_fault_partition, validate_fsa
 from hyperdes.errors import (
+    DuplicateSetName,
     HyperdesError,
     MissingAnnotation,
     NotARun,
@@ -67,7 +68,7 @@ from hyperdes.kripke import (
     canonical_lasso,
     step_nodes,
 )
-from hyperdes.oracle import weak_detectability_exact
+from hyperdes.oracle import oracle_check
 from support import fault_ring, labelled_ring, pair_letter
 from tests.conftest import make_dying_branch, make_twin_branch
 
@@ -259,6 +260,27 @@ def test_forall_forall_witness_violates_body(g_det):
         v2: (tuple(k.label[q] for q in pi2.stem), tuple(k.label[q] for q in pi2.cycle)),
     }
     assert eval_body(expand_macros(formula.body, g_det), assign) is False
+
+
+def test_a_set_name_bound_twice_is_refused(g_det):
+    """The product search reads InSet(name) as holding where any binding of
+    the name holds the state, eval_body by the last binding only: bound to
+    {"0"} and then to {"nope"}, "s" made G !InSet("s", p1) violated on g_det
+    with a witness that eval_body says satisfies the body.  HyperFormula
+    refuses such a `sets`; with one binding the engine and eval_body agree."""
+    prefix = (("forall", "p1"), ("forall", "p2"))
+    body = Always(Not(InSet("s", "p1")))
+    with pytest.raises(DuplicateSetName) as exc:
+        HyperFormula(prefix, body, (("s", frozenset({"0"})), ("s", frozenset({"nope"}))))
+    assert isinstance(exc.value, HyperdesError) and exc.value.name == "s"
+
+    formula = HyperFormula(prefix, body, (("s", frozenset({"0"})),))
+    k = build_kripke(g_det)
+    verdict = check_forall_forall(k, formula)
+    assert verdict.holds is False
+    assign = {v: (tuple(k.label[q] for q in pi.stem), tuple(k.label[q] for q in pi.cycle))
+              for (_, v), pi in zip(prefix, verdict.witness)}
+    assert eval_body(body, assign, formula.sets) is False
 
 
 def _letter_reference_cases(g_diag, g_det, g_opa):
@@ -564,7 +586,7 @@ def test_exact_route_agrees_with_the_observer_check():
     holds = set()
     for fsa in product_machines():
         verdict = verify(fsa, "weak-detectability")
-        assert verdict.holds is weak_detectability_exact(fsa).holds
+        assert verdict.holds is oracle_check(fsa, "weak-detectability").holds
         assert (verdict.mode, verdict.engine) == ("exact", "hyper-exists-forall")
         if verdict.holds:
             assert replay_witness(fsa, "weak-detectability", verdict) is True

@@ -20,11 +20,7 @@ from hyperdes.errors import InvalidBound, MissingAnnotation
 from hyperdes.gen import random_valid_fsa
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
-from hyperdes.oracle import (
-    OracleConfig,
-    oracle_check,
-    weak_detectability_exact,
-)
+from hyperdes.oracle import oracle_check
 from hyperdes.hyper import replay_witness, verify
 from support import o1_ring
 from tests.conftest import make_dying_branch, make_twin_branch
@@ -78,11 +74,10 @@ def test_oracle_bounded_modes_report_pumping_horizon(g_diag, g_det):
                       (g_det, "delayed-detectability")):
         verdict = oracle_check(fsa, kind)
         assert verdict.mode == "exact" and verdict.bound is None, kind
-    probes = ((g_diag, "diagnosability", OracleConfig(max_obs_len=37)),
-              (g_det, "i-detectability", OracleConfig(max_obs_len=37)),
-              (g_det, "delayed-detectability", OracleConfig(max_delay=37)))
-    for fsa, kind, config in probes:
-        verdict = oracle_check(fsa, kind, config)
+    probes = ((g_diag, "diagnosability"), (g_det, "i-detectability"),
+              (g_det, "delayed-detectability"))
+    for fsa, kind in probes:
+        verdict = oracle_check(fsa, kind, 37)
         assert verdict.mode == "bounded", kind
         assert verdict.bound == 37
     assert oracle_check(g_det, "strong-detectability").bound is None
@@ -110,18 +105,10 @@ def test_twin_branch_machine_fails_current_state_properties():
 
 def test_strict_policy_downgrades_small_bounds(g_diag):
     """Under a bound below the pumping horizon a verdict is only a finding."""
-    config = OracleConfig(max_obs_len=2, conclusive_policy="strict")
-    verdict = oracle_check(g_diag, "diagnosability", config)
+    verdict = oracle_check(g_diag, "diagnosability", 2)
     assert verdict.holds == "inconclusive"
     assert verdict.bound == 2
     assert verdict.details["bounded_finding"] is True
-
-
-def test_trusting_policy_reports_findings_as_is(g_diag):
-    config = OracleConfig(max_obs_len=2, conclusive_policy="trusting")
-    verdict = oracle_check(g_diag, "diagnosability", config)
-    assert verdict.holds is True
-    assert verdict.bound == 2
 
 
 def test_default_bound_is_conclusive(g_diag):
@@ -131,13 +118,12 @@ def test_default_bound_is_conclusive(g_diag):
 
 
 def test_invalid_bounds_and_policies_are_refused(g_diag, monkeypatch):
-    """A bound must be a non-negative integer and the policy one of the
-    two named ones, whether set in OracleConfig, passed to verify or read
-    from HYPERDES_BOUND."""
-    for config in ({"max_obs_len": -1}, {"max_delay": -3}, {"max_obs_len": 2.5},
-                   {"max_delay": "7"}, {"conclusive_policy": "trust"}):
-        with pytest.raises(InvalidBound):
-            OracleConfig(**config)
+    """A bound must be a non-negative integer, whether passed to
+    oracle_check or verify or read from HYPERDES_BOUND."""
+    for kind in ("diagnosability", "predictability"):
+        for bound in (-1, -3, 2.5, "7"):
+            with pytest.raises(InvalidBound):
+                oracle_check(g_diag, kind, bound)
     for bound in (-1, 1.5, True):
         with pytest.raises(InvalidBound):
             verify(g_diag, "diagnosability", engine="oracle", bound=bound)
@@ -147,7 +133,7 @@ def test_invalid_bounds_and_policies_are_refused(g_diag, monkeypatch):
     monkeypatch.setenv("HYPERDES_BOUND", "-1")
     with pytest.raises(InvalidBound):
         verify(g_diag, "diagnosability")
-    assert OracleConfig(max_obs_len=0, conclusive_policy="trusting").max_obs_len == 0
+    assert oracle_check(g_diag, "diagnosability", 0).bound == 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +148,7 @@ def _horizon_probe(fsa, kind):
     the refined machine for diagnosability."""
     machine = refine_fault_partition(fsa)[0] if kind == "diagnosability" else fsa
     horizon = len(machine.states) ** 2 + 1
-    return oracle_check(fsa, kind, OracleConfig(max_obs_len=horizon,
-                                                max_delay=horizon))
+    return oracle_check(fsa, kind, horizon)
 
 
 def test_exact_checks_agree_with_the_horizon_unfolding(g_diag, g_det):
@@ -311,7 +296,7 @@ def test_delayed_detectability_violation_matches_definition(g_det):
 
 
 def test_weak_witness_is_a_replayable_trace(g_det):
-    verdict = weak_detectability_exact(g_det)
+    verdict = oracle_check(g_det, "weak-detectability")
     assert verdict.holds is True
     assert replay_witness(g_det, "weak-detectability", verdict) is True
 
@@ -319,7 +304,7 @@ def test_weak_witness_is_a_replayable_trace(g_det):
 def test_weak_witness_estimate_trace_is_eventually_singleton(g_det):
     """Along the witness observations the estimate reaches and keeps size
     one, which is the defining condition."""
-    verdict = weak_detectability_exact(g_det)
+    verdict = oracle_check(g_det, "weak-detectability")
     pi1, _ = verdict.witness
     obs = [q.obs for q in pi1.stem if q.obs is not None]
     cycle_obs = [q.obs for q in pi1.cycle]
@@ -329,7 +314,7 @@ def test_weak_witness_estimate_trace_is_eventually_singleton(g_det):
 
 
 def test_weak_detectability_false_has_no_witness():
-    verdict = weak_detectability_exact(make_twin_branch())
+    verdict = oracle_check(make_twin_branch(), "weak-detectability")
     assert verdict.holds is False
     assert verdict.witness is None
 

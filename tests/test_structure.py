@@ -1,5 +1,6 @@
 """Structure of the package: its modules import each other without cycles,
-and every breadth-first search runs through the graph kernel.
+every breadth-first search runs through the graph kernel, and neither route
+imports the structure builders of the other.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -150,3 +151,71 @@ def test_queue_scan_sees_imports_attributes_and_popleft():
               "    return queue.popleft()\n")
     assert queue_uses(source) == [1, 3, 6]
     assert queue_uses("from collections import defaultdict\nx = [].pop(0)\n") == []
+
+
+def names_imported_from(source, module):
+    """Names a source text imports from one module of the package, anywhere
+    in it; "*" stands for the module itself, imported whole."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"hyperdes.{base}" if base else "hyperdes"
+            if base == f"hyperdes.{module}":
+                out.update(a.name for a in node.names)
+            elif base == "hyperdes" and any(a.name == module for a in node.names):
+                out.add("*")
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[:2] == ["hyperdes", module] for a in node.names):
+                out.add("*")
+    return out
+
+
+# what each route may import of the module the other route builds on
+ROUTE_IMPORTS = {
+    ("oracle", "kripke"): {"KNode", "Lasso", "Verdict", "canonical_lasso"},
+    ("hyper", "oracle"): {"OracleAnalysis", "oracle_check", "check_bound"},
+}
+# the oracle's structures, which the hyper route never builds or steps
+ORACLE_ONLY = {"build_observer", "observable_moves", "observable_step"}
+
+
+def route_leaks(sources):
+    """(importer, module, name) for every import by which one route could
+    reach into the structures of the other."""
+    leaks = []
+    for (importer, module), allowed in ROUTE_IMPORTS.items():
+        found = names_imported_from(sources[importer], module) - allowed
+        leaks += [(importer, module, name) for name in sorted(found)]
+    found = names_imported_from(sources["hyper"], "des") & ORACLE_ONLY
+    return leaks + [("hyper", "des", name) for name in sorted(found)]
+
+
+def route_sources():
+    return {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in ("hyper", "oracle")}
+
+
+def test_routes_stay_independent():
+    """The oracle takes only the verdict and witness types from the Kripke
+    module, and the hyper route only the oracle's per-machine object and
+    its bound check, and none of the oracle's estimate builders."""
+    assert route_leaks(route_sources()) == []
+
+
+def test_route_scan_sees_each_injected_import():
+    injections = (
+        ("oracle", "from .kripke import build_kripke\n", ("oracle", "kripke", "build_kripke")),
+        ("oracle", "def f():\n    from hyperdes.kripke import step_nodes\n",
+         ("oracle", "kripke", "step_nodes")),
+        ("oracle", "import hyperdes.kripke\n", ("oracle", "kripke", "*")),
+        ("hyper", "from .oracle import _pair_graph\n", ("hyper", "oracle", "_pair_graph")),
+        ("hyper", "from . import oracle\n", ("hyper", "oracle", "*")),
+        ("hyper", "from .des import build_observer\n", ("hyper", "des", "build_observer")),
+        ("hyper", "from .des import observable_moves\n", ("hyper", "des", "observable_moves")),
+        ("hyper", "from hyperdes.des import observable_step\n",
+         ("hyper", "des", "observable_step")),
+    )
+    sources = route_sources()
+    for module, line, leak in injections:
+        assert route_leaks(dict(sources, **{module: sources[module] + line})) == [leak], line
