@@ -23,15 +23,19 @@ from .des import (
     validate_fsa,
 )
 from .errors import HyperdesError, UnknownObservation
-from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
+from .formula import (
+    DETECTABILITY_PROPERTIES,
+    OPACITY_PROPERTIES,
+    PROPERTIES,
+    missing_annotation,
+)
 from .fuzz import differential_fuzz
 from .hyper import HyperAnalysis
 from .kripke import build_kripke, build_modified_kripke, export_dot
 from .modelio import MASK_EPS, load_model, serialize_model, verdict_to_json
 
-DETECTABILITY_PROPERTIES = tuple(
-    p for p in PROPERTIES
-    if p not in FAULT_PROPERTIES and p not in OPACITY_PROPERTIES)
+# the model field that carries each annotation
+ANNOTATION_FIELDS = {"fault": "fault_events", "secret": "secret_states"}
 
 
 def _emit(text, out_path):
@@ -72,18 +76,16 @@ def cmd_verify(args):
 
     checked = []
     for kind in chosen:
-        if kind in FAULT_PROPERTIES and fsa.fault_events is None:
-            missing = "fault_events"
-        elif kind in OPACITY_PROPERTIES and fsa.secret_states is None:
-            missing = "secret_states"
-        else:
+        missing = missing_annotation(kind, fsa)
+        if missing is None:
             checked.append(kind)
             continue
+        field = ANNOTATION_FIELDS[missing]
         if kind in explicit:
-            print(f"error: {kind} needs the {missing} annotation on the model",
+            print(f"error: {kind} needs the {field} annotation on the model",
                   file=sys.stderr)
             return 2
-        print(f"skipping {kind}: model has no {missing} annotation",
+        print(f"skipping {kind}: model has no {field} annotation",
               file=sys.stderr)
 
     # under --engine both, weak detectability compares the hyper engine's
@@ -112,17 +114,13 @@ def cmd_verify(args):
                 disagreements.append(kind)
 
     if args.check_witness:
-        replayed = 0
-        for verdict in verdicts:
-            has_pump = bool(verdict.details and verdict.details.get("pump_cycle"))
-            if verdict.witness is None and not has_pump:
-                continue
+        replayable = [v for v in verdicts if v.replayable]
+        for verdict in replayable:
             if not analysis.replay(verdict.property, verdict):
                 print(f"error: witness for {verdict.property} did not replay",
                       file=sys.stderr)
                 return 2
-            replayed += 1
-        print(f"replayed {replayed} witness(es), all confirmed", file=sys.stderr)
+        print(f"replayed {len(replayable)} witness(es), all confirmed", file=sys.stderr)
 
     _emit(_json_text(entries), args.out)
     if disagreements:

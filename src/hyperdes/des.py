@@ -108,7 +108,6 @@ class Fsa:
                 self._out[x].append((e, y))
 
         self.validated = False
-        self.reachable = None
 
     def out_edges(self, state):
         """Outgoing (event, target) pairs from a state, in event order."""
@@ -142,7 +141,7 @@ class Observer:
 
 
 def validate_fsa(fsa: Fsa) -> Fsa:
-    """Check liveness and absence of unobservable cycles; cache reachability.
+    """Check liveness and absence of unobservable cycles.
 
     Returns the same object marked validated.  Raises NotLive for the first
     state (in declaration order) without outgoing transitions and
@@ -156,8 +155,6 @@ def validate_fsa(fsa: Fsa) -> Fsa:
     if found is not None:
         path, i = found
         raise UnobservableCycle(path[i:] + [path[i]])
-    fsa.reachable = frozenset(reachable(fsa.initial,
-                                        lambda x: [y for _, y in fsa.out_edges(x)]))
     fsa.validated = True
     return fsa
 

@@ -9,16 +9,16 @@ trace p is in a named set of states, bound to its states by the formula's
 `sets`.  These are leaves of their own: the Büchi translation treats them as
 literals of the pair letter, and the engines decide them there.
 
-property_template instantiates the nine built-in observational properties
-with the relations and the fault, initial and secret sets left as leaves, so
-a template's body depends on the property alone; every engine and witness
-replay reads it as it stands.  expand_macros rewrites the leaves, given the
-binding, into biconditional conjunctions and state disjunctions over an
-automaton's alphabet, and property_formula returns the templates so
-expanded (no helper nodes left): the printable surface form, and the
-reference tests compare the templates against.  eval_body decides a body on
-ultimately periodic traces by fixpoint iteration and serves as the semantic
-reference the automaton-based engines are checked against.
+missing_annotation says which annotation each built-in property needs, and
+property_template builds the formula the hyper route decides for it, with
+the relations and the state sets left as leaves, so a template's body
+depends on the property alone; every engine and witness replay reads it as
+it stands.  expand_macros rewrites the leaves, given the binding, into
+biconditional conjunctions and state disjunctions over an automaton's
+alphabet, and property_formula returns the templates so expanded: the
+printable form of what is decided.  eval_body decides a body on ultimately
+periodic traces by fixpoint iteration and serves as the semantic reference
+the automaton-based engines are checked against.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .des import boundary_states
 from .errors import (
     ArityError,
     DuplicateSetName,
@@ -483,6 +484,22 @@ PROPERTIES = (
 FAULT_PROPERTIES = ("diagnosability", "predictability")
 OPACITY_PROPERTIES = ("initial-state-opacity", "current-state-opacity",
                       "infinite-step-opacity")
+DETECTABILITY_PROPERTIES = tuple(
+    p for p in PROPERTIES if p not in FAULT_PROPERTIES + OPACITY_PROPERTIES)
+
+
+def missing_annotation(kind, fsa):
+    """The annotation property `kind` needs and the machine lacks: "fault"
+    for a fault property of a machine without fault events, "secret" for an
+    opacity property of one without secret states, else None.  A name that
+    is not a built-in property raises UnknownProperty."""
+    if kind not in PROPERTIES:
+        raise UnknownProperty(kind, PROPERTIES)
+    if kind in FAULT_PROPERTIES and fsa.fault_events is None:
+        return "fault"
+    if kind in OPACITY_PROPERTIES and fsa.secret_states is None:
+        return "secret"
+    return None
 
 
 def _disj(states, var):
@@ -494,53 +511,51 @@ def _disj(states, var):
 
 
 def property_formula(kind, fsa, part=None):
-    """Instantiate a built-in property over an automaton.
-
-    Returns (formula, structure_kind) where structure_kind says which
-    encoding the formula is to be checked on: "plain" or "modified" (the one
-    with stalling twins).  Diagnosability and predictability need the fault
-    partition of a refined machine; the opacity properties need declared
-    secret states.  The body is property_template's with obseq/stateeq
-    expanded over the automaton's alphabet and each state-set literal
-    expanded into the disjunction of its states: the form to print in the
-    surface syntax.  The engines decide property_template's output.
-    """
+    """property_template's output with obseq/stateeq expanded over the
+    automaton's alphabet and each state-set literal expanded into the
+    disjunction of its states: what is decided, in the surface syntax."""
     formula, structure_kind = property_template(kind, fsa, part)
     body = expand_macros(formula.body, fsa, formula.sets)
     return HyperFormula(formula.prefix, body), structure_kind
 
 
 def property_template(kind, fsa, part=None):
-    """Like property_formula, with the relations and state sets left as
-    literals of the pair letter.
+    """The formula the hyper route decides for a built-in property, and the
+    encoding to check it on: "plain" or "modified" (the one with stalling
+    twins).  Diagnosability and predictability take the fault partition of
+    a refined machine; a missing annotation or partition raises
+    MissingAnnotation.
 
     The body is the same for every automaton: obseq/stateeq compare the two
-    traces, and InSet("fault" | "initial" | "secret" | "nonsecret", p) says
-    that trace p is in that set of states.  The returned formula's `sets`
-    binds each of these names to the automaton's states.  The engines decide
-    these literals on the pair letter directly, so the Büchi automaton of a
-    template depends on the property alone and is translated once per
-    process.
+    traces, and InSet("fault" | "boundary" | "initial" | "secret" |
+    "nonsecret", p) says that trace p is in that set of states.  The
+    returned formula's `sets` binds each of these names to the automaton's
+    states.  The engines decide these literals on the pair letter directly,
+    so the Büchi automaton of a template depends on the property alone and
+    is translated once per process.
     """
-    if kind not in PROPERTIES:
-        raise UnknownProperty(kind, PROPERTIES)
-    if kind in FAULT_PROPERTIES and part is None:
-        raise MissingAnnotation("fault")
-    if kind in OPACITY_PROPERTIES and fsa.secret_states is None:
-        raise MissingAnnotation("secret")
+    missing = missing_annotation(kind, fsa)
+    if missing is not None or kind in FAULT_PROPERTIES and part is None:
+        raise MissingAnnotation(missing or "fault")
 
     forall2 = (("forall", "p1"), ("forall", "p2"))
     obseq = ObsEq("p1", "p2")
     stateeq = StateEq("p1", "p2")
 
-    if kind in FAULT_PROPERTIES:
-        fault1 = InSet("fault", "p1")
-        fault2 = InSet("fault", "p2")
-        if kind == "diagnosability":
-            body = Implies(And(Eventually(fault1), Always(obseq)), Eventually(fault2))
-        else:
-            body = Implies(Until(obseq, fault1), Eventually(fault2))
+    if kind == "diagnosability":
+        body = Implies(And(Eventually(InSet("fault", "p1")), Always(obseq)),
+                       Eventually(InSet("fault", "p2")))
         return HyperFormula(forall2, body, (("fault", part.fault_states),)), "plain"
+    if kind == "predictability":
+        # triggered at the boundary states (normal, a fault enabled next),
+        # not at the first faulted instant: the encoded step that brings the
+        # fault can carry an observation emitted before it, and an alarm may
+        # rest on that observation, which a trigger at the faulted instant
+        # never asks the compared trace to match
+        body = Implies(Until(obseq, And(InSet("boundary", "p1"), obseq)),
+                       Eventually(InSet("fault", "p2")))
+        sets = (("boundary", boundary_states(fsa, part)), ("fault", part.fault_states))
+        return HyperFormula(forall2, body, sets), "plain"
 
     initial = (("initial", fsa.initial),)
     if kind == "i-detectability":

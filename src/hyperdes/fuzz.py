@@ -17,7 +17,7 @@ from .oracle import OracleAnalysis
 
 
 def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3,
-                      properties=None, check_witnesses=True) -> dict:
+                      properties=None) -> dict:
     """Cross-validate the hyperproperty engines against the reference checks
     of the oracle on random valid automata; returns a deterministic report.
 
@@ -51,15 +51,11 @@ def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3,
             if both_conclusive and hv.holds != ov.holds:
                 disagreements.append({"index": index, "property": kind,
                                       "hyper": hv.holds, "oracle": ov.holds})
-            if check_witnesses:
-                for side in (hv, ov):
-                    has_pump = bool(side.details and side.details.get("pump_cycle"))
-                    if side.witness is None and not has_pump:
-                        continue
-                    if not hyper.replay(kind, side):
-                        witness_failures.append({"index": index, "property": kind,
-                                                 "engine": side.engine,
-                                                 "holds": side.holds})
+            for side in (hv, ov):
+                if side.replayable and not hyper.replay(kind, side):
+                    witness_failures.append({"index": index, "property": kind,
+                                             "engine": side.engine,
+                                             "holds": side.holds})
     return {
         "seed": seed,
         "count": count,

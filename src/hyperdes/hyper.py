@@ -49,19 +49,19 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 from .buchi import ltl_to_buchi
-from .des import boundary_states, refine_fault_partition, validate_fsa
+from .des import refine_fault_partition, validate_fsa
 from .errors import (
     InvalidBound,
-    MissingAnnotation,
     NotARun,
     NotSynchronousFragment,
     PrefixMismatch,
     UnknownRoute,
 )
 from .formula import (
+    FAULT_PROPERTIES,
     Always,
     And,
     Atom,
@@ -78,6 +78,7 @@ from .formula import (
     Until,
     _expand_once,
     eval_body,
+    missing_annotation,
     property_template,
 )
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
@@ -313,6 +314,11 @@ def _nested_dfs(roots, successors, is_accepting):
     succeeds when it closes back into the outer search path.  successors is
     called on each state once by each search that expands it, so it should
     be cheap to call again.
+
+    It stays beside graph.cyclic_sccs because it stops at the first
+    accepting cycle it closes: an SCC pass with a shortest stem gives
+    shorter witnesses, but completes a component only after exploring all
+    it reaches, and the stem search expands the product again.
     """
     cyan = set()
     blue = set()
@@ -406,10 +412,11 @@ def _conjuncts(node):
     return out
 
 
-def _state_disj(node, var, sets):
-    """Set of states from a disjunction of x-atoms and state-set literals
-    over `var`, the literals' names bound by `sets`, else None."""
-    states = set()
+def _state_disj(node, var, names):
+    """A disjunction of x-atoms and state-set literals over `var`, the
+    literals' names among `names`, as (the states its x-atoms name, the
+    names of its set literals in order), else None."""
+    states, named = set(), []
     stack = [node]
     while stack:
         cur = stack.pop()
@@ -417,11 +424,11 @@ def _state_disj(node, var, sets):
             stack.extend([cur.left, cur.right])
         elif isinstance(cur, Atom) and cur.trace == var and cur.prop.startswith("x:"):
             states.add(cur.prop[2:])
-        elif isinstance(cur, InSet) and cur.trace == var and cur.name in sets:
-            states.update(sets[cur.name])
+        elif isinstance(cur, InSet) and cur.trace == var and cur.name in names:
+            named.append(cur.name)
         elif not isinstance(cur, Bottom):
             return None
-    return frozenset(states)
+    return frozenset(states), tuple(named)
 
 
 def match_sync_shape(formula: HyperFormula) -> SyncShape:
@@ -431,13 +438,28 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
     structure: observation agreement is the leaf obseq(v1,v2), and a state
     set is a disjunction of x-atoms and state-set literals, each literal
     standing for the states formula.sets binds to its name.  A body with
-    obseq expanded over the alphabet is not recognized."""
+    obseq expanded over the alphabet is not recognized.  The body is read
+    once per body (see _sync_form); the set literals are bound per call."""
     _check_prefix(formula, ("forall", "exists"))
-    (_, v1), (_, v2) = formula.prefix
-    body = formula.body
+    shape = _sync_form(formula.prefix, formula.body,
+                       frozenset(name for name, _ in formula.sets))
+    sets = dict(formula.sets)
+
+    def bind(disjs):
+        return tuple(states.union(*map(sets.get, named)) for states, named in disjs)
+
+    return replace(shape, p1_sets=bind(shape.p1_sets), p2_sets=bind(shape.p2_sets))
+
+
+@functools.lru_cache(maxsize=64)
+def _sync_form(prefix, body, names):
+    """match_sync_shape's shape of a body whose `sets` binds `names`, each
+    state set left unbound as _state_disj gives it.  Like the automaton it
+    depends on the body alone, so it is computed once per body and
+    process."""
+    (_, v1), (_, v2) = prefix
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
-    sets = dict(formula.sets)
     obseq = ObsEq(v1, v2)
     ante = _conjuncts(body.left)
     cons = _conjuncts(body.right)
@@ -457,7 +479,7 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
         if not (isinstance(guard, Always) and isinstance(guard.sub, Implies)
                 and guard.sub.left == tau1):
             raise NotSynchronousFragment("pause constraint must condition on the pause marker")
-        p1_states = _state_disj(guard.sub.right, v1, sets)
+        p1_states = _state_disj(guard.sub.right, v1, names)
         if p1_states is None:
             raise NotSynchronousFragment("pause constraint must be a state disjunction")
         scope = None
@@ -472,7 +494,7 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
             elif (isinstance(c, Always) and isinstance(c.sub, Implies)
                     and c.sub.left == tau1 and isinstance(c.sub.right, And)
                     and c.sub.right.left == tau2):
-                duty_states = _state_disj(c.sub.right.right, v2, sets)
+                duty_states = _state_disj(c.sub.right.right, v2, names)
         if scope is None:
             raise NotSynchronousFragment("agreement must hold always or until the pause")
         if duty_states is None:
@@ -484,7 +506,7 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
 
     # instant-0 shape: requirements and obligations are checked at the first
     # instant and agreement holds forever.
-    p1_sets = tuple(_state_disj(c, v1, sets) for c in ante)
+    p1_sets = tuple(_state_disj(c, v1, names) for c in ante)
     if any(s is None for s in p1_sets):
         raise NotSynchronousFragment("antecedent must be state disjunctions at instant 0")
     p2_sets = []
@@ -493,7 +515,7 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
         if isinstance(c, Always) and c.sub == obseq:
             eq_seen = True
             continue
-        s = _state_disj(c, v2, sets)
+        s = _state_disj(c, v2, names)
         if s is None:
             raise NotSynchronousFragment("consequent must be state disjunctions plus agreement")
         p2_sets.append(s)
@@ -780,32 +802,6 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
 # orchestration
 
 
-def _decision_formula(kind, target, part):
-    """Formula actually used to decide a property.
-
-    Same as property_template for every kind except predictability.  The
-    predictability body property_template builds triggers at the first
-    faulted instant and requires the compared trace to agree on
-    observations strictly before that instant.  An encoded step bundles one
-    observable event with the unobservable events that follow it, so the
-    step introducing the fault can itself carry an observation, emitted
-    before the fault event; an alarm may rest on that observation, yet that
-    trigger never asks the compared trace to match it, which produces
-    spurious violations.  Anchoring the trigger at the boundary states,
-    the last normal states from which a fault is enabled next, requires
-    agreement on every observation preceding the fault and matches the
-    alarm-based reading exactly.  On runs where the faulted step carries
-    no fresh observation the two triggers coincide.
-    """
-    if kind != "predictability":
-        return property_template(kind, target, part)
-    obseq = ObsEq("p1", "p2")
-    body = Implies(Until(obseq, And(InSet("boundary", "p1"), obseq)),
-                   Eventually(InSet("fault", "p2")))
-    sets = (("boundary", boundary_states(target, part)), ("fault", part.fault_states))
-    return HyperFormula((("forall", "p1"), ("forall", "p2")), body, sets), "plain"
-
-
 def _lasso_along(k, stem_obs, cycle_obs):
     """Some run of the structure whose observation sequence follows stem_obs
     and then repeats cycle_obs forever, or None if no run can.
@@ -948,20 +944,19 @@ class HyperAnalysis:
         return built[key]
 
     def _problem(self, kind):
-        """What a property is decided on: its decision formula and the
-        structure to check, built from the machine (fault-refined for the
-        fault properties)."""
+        """What a property is decided on: its template and the structure to
+        check, built from the machine (fault-refined for the fault
+        properties)."""
         key = ("problem", kind)
         if key not in self._built:
             fsa = self.fsa
             if not fsa.validated:
                 validate_fsa(fsa)
             target, part = fsa, None
-            if kind in ("diagnosability", "predictability"):
-                if fsa.fault_events is None:
-                    raise MissingAnnotation("fault")
+            # a machine without its annotation is refused by the template
+            if kind in FAULT_PROPERTIES and missing_annotation(kind, fsa) is None:
                 target, part = self._once("refined", lambda: refine_fault_partition(fsa))
-            formula, structure_kind = _decision_formula(kind, target, part)
+            formula, structure_kind = property_template(kind, target, part)
             k = self._once(("kripke", target), lambda: build_kripke(target))
             if structure_kind == "modified":
                 k = self._once(("modified", target), lambda: build_modified_kripke(k))
@@ -1059,13 +1054,11 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     Both report engine "hyper-exists-forall"; the oracle's own check is
     "oracle-observer".  Any other value raises UnknownRoute.
 
-    Two properties take a route beyond the formula property_template builds:
-    predictability is decided with a boundary-anchored trigger
-    (see _decision_formula) and a strong-detectability pass of the pair
-    search is confirmed against the subset walk (see
-    _strong_detectability_gap); both close blind spots of the two-trace
-    formulations around matching runs that die out after finitely many
-    steps.
+    Every property is decided on the formula property_template builds.
+    One, strong detectability, goes beyond it: a pass of the pair search is
+    confirmed against the subset walk (see _strong_detectability_gap), which
+    closes a blind spot of the two-trace formulation around matching runs
+    that die out after finitely many steps.
 
     Each call builds the machine's structures afresh; a HyperAnalysis of
     the machine builds them once for all the properties asked of it.

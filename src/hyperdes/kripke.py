@@ -44,11 +44,6 @@ class Lasso:
         if not self.cycle:
             raise ValueError("a lasso needs a nonempty cycle")
 
-    def node_at(self, i):
-        if i < len(self.stem):
-            return self.stem[i]
-        return self.cycle[(i - len(self.stem)) % len(self.cycle)]
-
 
 @dataclass
 class Verdict:
@@ -61,6 +56,11 @@ class Verdict:
     witness: tuple = None       # (pi1 Lasso, pi2 Lasso or None)
     details: dict = None
     seconds: float = None
+
+    @property
+    def replayable(self):
+        """Whether it has a witness or a pumpable word for a replay to check."""
+        return self.witness is not None or bool(self.details and self.details.get("pump_cycle"))
 
 
 def canonical_lasso(lasso: Lasso) -> Lasso:

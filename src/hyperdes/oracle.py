@@ -37,8 +37,8 @@ from .des import (
     unobservable_reach,
     validate_fsa,
 )
-from .errors import InvalidBound, MissingAnnotation, UnknownProperty
-from .formula import FAULT_PROPERTIES, OPACITY_PROPERTIES, PROPERTIES
+from .errors import InvalidBound, MissingAnnotation
+from .formula import missing_annotation
 from .graph import bfs, cyclic_sccs, first_cycle, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
@@ -72,16 +72,15 @@ class OracleAnalysis:
         """Decide one property straight from its definition; an integer
         bound runs the three pair-graph checks as horizon probes."""
         check_bound(bound)
-        if kind not in _ORACLES:
-            raise UnknownProperty(kind, PROPERTIES)
         fsa = self.fsa
+        missing = missing_annotation(kind, fsa)
+        if missing is not None:
+            raise MissingAnnotation(missing)
         if not fsa.validated:
             validate_fsa(fsa)
-        if kind in FAULT_PROPERTIES and fsa.fault_events is None:
-            raise MissingAnnotation("fault")
-        if kind in OPACITY_PROPERTIES and fsa.secret_states is None:
-            raise MissingAnnotation("secret")
-        return _ORACLES[kind](self, bound)
+        verdict = _ORACLES[kind](self, bound)
+        verdict.property = kind
+        return verdict
 
 
 def oracle_check(fsa, kind, bound=None) -> Verdict:
@@ -89,19 +88,19 @@ def oracle_check(fsa, kind, bound=None) -> Verdict:
     return OracleAnalysis(fsa).check(kind, bound)
 
 
-def check_bound(value, name="bound"):
+def check_bound(value):
     """Raise InvalidBound unless `value` is None or a non-negative integer."""
     if value is not None and (isinstance(value, bool) or not isinstance(value, int)
                               or value < 0):
-        raise InvalidBound(name, value)
+        raise InvalidBound("bound", value)
 
 
 def _pumping_horizon(fsa):
     return len(fsa.states) ** 2 + 1
 
 
-def _exact_verdict(kind, holds, details=None):
-    return Verdict(property=kind, holds=holds, mode="exact", engine="oracle",
+def _exact_verdict(holds, details=None):
+    return Verdict(property=None, holds=holds, mode="exact", engine="oracle",
                    details=details)
 
 
@@ -133,7 +132,7 @@ def _pair_graph(fsa):
     return succ
 
 
-def _bounded_verdict(kind, raw_holds, bound, machine, details=None):
+def _bounded_verdict(raw_holds, bound, machine, details=None):
     """A probe's verdict: conclusive at the pumping horizon of the machine
     it unfolded, else inconclusive with the finding recorded."""
     conclusive = bound >= _pumping_horizon(machine)
@@ -141,14 +140,15 @@ def _bounded_verdict(kind, raw_holds, bound, machine, details=None):
     det = dict(details or {})
     if not conclusive:
         det["bounded_finding"] = raw_holds
-    return Verdict(property=kind, holds=holds, mode="bounded", engine="oracle",
+    return Verdict(property=None, holds=holds, mode="bounded", engine="oracle",
                    bound=bound, details=det or None)
 
 
 # ---------------------------------------------------------------------------
 # fault properties
 #
-# Each check takes the machine's OracleAnalysis `an` and the bound of check().
+# Each check takes the machine's OracleAnalysis `an` and the bound of check();
+# check() names the verdict's property.
 
 
 def diagnosability_oracle(an, bound=None) -> Verdict:
@@ -178,7 +178,7 @@ def diagnosability_oracle(an, bound=None) -> Verdict:
         ambiguous = any(cyclic_sccs([p for p in found if p[0] in fault], succ))
         # such a fault run stays ambiguous past the pumping horizon, as the
         # unfolding to that horizon reports it
-        return _exact_verdict("diagnosability", not ambiguous,
+        return _exact_verdict(not ambiguous,
                               {"ambiguous_after": _pumping_horizon(refined)}
                               if ambiguous else None)
 
@@ -198,7 +198,7 @@ def diagnosability_oracle(an, bound=None) -> Verdict:
     start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
     after = next((ctr for x, ctr, est in bfs(start, succ)
                   if x in fault and ctr >= bound and not est <= fault), None)
-    return _bounded_verdict("diagnosability", after is None, bound, refined,
+    return _bounded_verdict(after is None, bound, refined,
                             None if after is None else {"ambiguous_after": after})
 
 
@@ -229,7 +229,7 @@ def predictability_oracle(an, bound=None) -> Verdict:
     est0 = unobservable_reach(refined, refined.initial) & normal
     start = [(x0, est0) for x0 in refined.sort_states(refined.initial)]
     missed = any(x in boundary and not est <= indicator for x, est in bfs(start, succ))
-    return _exact_verdict("predictability", not missed)
+    return _exact_verdict(not missed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,10 @@ def i_detectability_oracle(an, bound=None) -> Verdict:
         starts = {(a, b) for x0 in closures for y0 in closures if x0 != y0
                   for a in closures[x0] for b in closures[y0]}
         ambiguous = any(cyclic_sccs(starts, an.pairs(fsa)))
-        return _exact_verdict("i-detectability", not ambiguous)
+        return _exact_verdict(not ambiguous)
     bad = _bad_after([_initial_tracks(fsa)], lambda tracks: _track_moves(fsa, tracks),
                      lambda tracks: len(tracks) >= 2, bound)
-    return _bounded_verdict("i-detectability", not bad, bound, fsa)
+    return _bounded_verdict(not bad, bound, fsa)
 
 
 def strong_detectability_oracle(an, bound=None) -> Verdict:
@@ -318,7 +318,7 @@ def strong_detectability_oracle(an, bound=None) -> Verdict:
 
     on_cycle = [n for comp in cyclic_sccs(obs.nodes, succ) for n in comp]
     closed = reachable(on_cycle, succ)
-    return _exact_verdict("strong-detectability", all(len(n) == 1 for n in closed))
+    return _exact_verdict(all(len(n) == 1 for n in closed))
 
 
 def weak_detectability_oracle(an, bound=None) -> Verdict:
@@ -330,7 +330,7 @@ def weak_detectability_oracle(an, bound=None) -> Verdict:
     singles = [n for n in obs.nodes if len(n) == 1]
     found = first_cycle(singles, lambda n: [t for _, t in moves[n] if len(t) == 1])
     if found is None:
-        return Verdict(property="weak-detectability", holds=False, mode="exact",
+        return Verdict(property=None, holds=False, mode="exact",
                        engine="oracle-observer")
 
     path, i = found
@@ -358,7 +358,7 @@ def weak_detectability_oracle(an, bound=None) -> Verdict:
     lap = tuple(KNode(cycle_states[(j + 1) % len(cycle_states)], cyc_obs[j])
                 for j in range(len(cyc_obs)))
     witness = canonical_lasso(Lasso(stem=stem, cycle=lap))
-    return Verdict(property="weak-detectability", holds=True, mode="exact",
+    return Verdict(property=None, holds=True, mode="exact",
                    engine="oracle-observer", witness=(witness, None))
 
 
@@ -379,12 +379,12 @@ def delayed_detectability_oracle(an, bound=None) -> Verdict:
         closure = unobservable_reach(fsa, fsa.initial)
         found = reachable([(x, y) for x in closure for y in closure], succ)
         ambiguous = any(cyclic_sccs([p for p in found if p[0] != p[1]], succ))
-        return _exact_verdict("delayed-detectability", not ambiguous)
+        return _exact_verdict(not ambiguous)
     bad = any(_bad_after([frozenset((x, x) for x in est)],
                          lambda pairs: _pair_moves(fsa, pairs),
                          lambda pairs: len({a for a, _ in pairs}) >= 2, bound)
               for est in an.observer().nodes if len(est) > 1)
-    return _bounded_verdict("delayed-detectability", not bad, bound, fsa)
+    return _bounded_verdict(not bad, bound, fsa)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +398,13 @@ def initial_state_opacity_oracle(an, bound=None) -> Verdict:
     reached = bfs([_initial_tracks(fsa)],
                   lambda tracks: [t for _, t in _track_moves(fsa, tracks)])
     exposed = any(tracks and {x0 for x0, _ in tracks} <= secret for tracks in reached)
-    return _exact_verdict("initial-state-opacity", not exposed)
+    return _exact_verdict(not exposed)
 
 
 def current_state_opacity_oracle(an, bound=None) -> Verdict:
     """No observation may narrow the current-state estimate into the secret."""
     secret = an.fsa.secret_states
-    return _exact_verdict("current-state-opacity",
-                          not any(est <= secret for est in an.observer().nodes))
+    return _exact_verdict(not any(est <= secret for est in an.observer().nodes))
 
 
 def infinite_step_opacity_oracle(an, bound=None) -> Verdict:
@@ -418,7 +417,7 @@ def infinite_step_opacity_oracle(an, bound=None) -> Verdict:
     starts = [frozenset((x, x) for x in est) for est in an.observer().nodes]
     reached = bfs(starts, lambda pairs: [t for _, t in _pair_moves(fsa, pairs)])
     exposed = any(pairs and {a for a, _ in pairs} <= secret for pairs in reached)
-    return _exact_verdict("infinite-step-opacity", not exposed)
+    return _exact_verdict(not exposed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ compared on random formulas and random ultimately periodic traces.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes.des import refine_fault_partition
+from hyperdes.des import boundary_states, refine_fault_partition
 from hyperdes.errors import (
     ArityError,
     FormulaSyntaxError,
@@ -301,9 +301,10 @@ def test_template_bodies_do_not_depend_on_the_model(g_diag, g_det, g_opa):
     """A template names its state sets; only the binding differs between
     machines, and expanding the template with it gives property_formula."""
     refined, part = refine_fault_partition(g_diag)
-    for kind in ("diagnosability", "predictability"):
+    boundary = (("boundary", boundary_states(refined, part)),)
+    for kind, extra in (("diagnosability", ()), ("predictability", boundary)):
         template, _ = property_template(kind, refined, part)
-        assert template.sets == (("fault", part.fault_states),)
+        assert template.sets == extra + (("fault", part.fault_states),)
         assert property_formula(kind, refined, part)[0] == HyperFormula(
             template.prefix, expand_macros(template.body, refined, template.sets))
     for kind in ("i-detectability", "strong-detectability", "delayed-detectability",

@@ -23,6 +23,7 @@ from hyperdes.formula import (
     Atom,
     Eventually,
     OPACITY_PROPERTIES,
+    PROPERTIES,
     HyperFormula,
     Implies,
     InSet,
@@ -34,12 +35,14 @@ from hyperdes.formula import (
     Until,
     eval_body,
     expand_macros,
+    missing_annotation,
     parse_formula,
     property_formula,
     property_template,
 )
 from hyperdes.gen import random_valid_fsa
 from hyperdes.hyper import (
+    HyperAnalysis,
     Verdict,
     check_exists_forall_bounded,
     check_forall_exists_sync,
@@ -49,7 +52,6 @@ from hyperdes.hyper import (
     replay_witness,
     verify,
     _bit_letters,
-    _decision_formula,
     _estimate_moves,
     _estimate_product,
     _estimate_walk_accepts,
@@ -203,9 +205,9 @@ def _check_both_routes(fsa, template):
 
 
 def test_relational_and_expanded_templates_agree_on_fixtures(g_diag, g_det):
-    """The five forall/forall templates and the boundary-triggered
-    predictability formula give the same verdict whether obseq/stateeq and
-    the fault, boundary and initial sets are decided on the pair letter or
+    """The five forall/forall templates, predictability's boundary-triggered
+    one among them, give the same verdict whether obseq/stateeq and the
+    fault, boundary and initial sets are decided on the pair letter or
     expanded over the alphabet, and every violation pair replays on the
     expanded body; so does a written formula using the relations reversed
     and reflexively."""
@@ -219,8 +221,6 @@ def test_relational_and_expanded_templates_agree_on_fixtures(g_diag, g_det):
         expanded, _ = property_formula(kind, fsa, p)
         assert expanded.body == expand_macros(template.body, fsa, template.sets)
         assert _check_both_routes(fsa, template) is want, kind
-    trigger, _ = _decision_formula("predictability", refined, part)
-    assert _check_both_routes(refined, trigger) is False
     written = parse_formula("forall p1. forall p2. "
                             "G obseq(p2,p1) & obseq(p1,p1) -> G stateeq(p2,p1)")
     assert _check_both_routes(g_det, written) is False
@@ -229,8 +229,8 @@ def test_relational_and_expanded_templates_agree_on_fixtures(g_diag, g_det):
 def test_relational_and_expanded_templates_agree_on_fuzz_stream():
     """A seeded slice of the acceptance fuzz stream, on the templates whose
     expanded automata stay small: i- and delayed-detectability, and
-    diagnosability and the boundary-triggered predictability formula on the
-    machines that declare a fault."""
+    diagnosability and predictability on the machines that declare a
+    fault."""
     rng = random.Random(20260823)
     outcomes = {}
     for _ in range(12):
@@ -239,7 +239,7 @@ def test_relational_and_expanded_templates_agree_on_fuzz_stream():
                  for kind in ("i-detectability", "delayed-detectability")]
         if fsa.fault_events:
             refined, part = refine_fault_partition(fsa)
-            cases += [(refined, _decision_formula(kind, refined, part)[0])
+            cases += [(refined, property_template(kind, refined, part)[0])
                       for kind in ("diagnosability", "predictability")]
         for machine, formula in cases:
             outcome = _check_both_routes(machine, formula)
@@ -285,8 +285,8 @@ def test_a_set_name_bound_twice_is_refused(g_det):
 
 def _letter_reference_cases(g_diag, g_det, g_opa):
     """(machine, formula) pairs for the letter reference: the five
-    forall/forall templates, the boundary-triggered predictability body, a
-    written body using the relations reversed and reflexively, on the
+    forall/forall templates, predictability's boundary-triggered body among
+    them, a written body using the relations reversed and reflexively, on the
     fixtures, the twin and dying branches and 40 seeded random machines, and
     the i-detectability body expanded over the alphabet, on all but g_opa
     and the random machines (its expansion over g_opa's four observations
@@ -305,7 +305,6 @@ def _letter_reference_cases(g_diag, g_det, g_opa):
             refined, part = refine_fault_partition(fsa)
             for kind in FORALL_FORALL[:2]:
                 yield refined, property_template(kind, refined, part)[0]
-            yield refined, _decision_formula("predictability", refined, part)[0]
 
 
 def test_bit_letters_admit_the_edges_the_literal_sets_admit(g_diag, g_det, g_opa):
@@ -789,9 +788,10 @@ def test_strong_detectability_reports_pumpable_word_for_transient_ambiguity():
 def test_predictability_alarm_may_rest_on_the_faulted_steps_observation():
     """The fault b fires right after the observable c inside one encoded
     step, and the estimate after ... o3 is already fully indicating, so the
-    fault is predictable.  A trigger placed at the faulted instant compares
-    observations strictly before it and misses that o3; the boundary-anchored
-    trigger used by verify must accept the machine."""
+    fault is predictable.  A trigger placed at the faulted instant, written
+    out here, compares observations strictly before it and misses that o3;
+    the boundary-anchored trigger of the template must accept the
+    machine."""
     fsa = validate_fsa(Fsa(
         states=["0", "1", "3"],
         events=["a", "b", "c"],
@@ -803,10 +803,31 @@ def test_predictability_alarm_may_rest_on_the_faulted_steps_observation():
         fault_events=["b"],
     ))
     refined, part = refine_fault_partition(fsa)
+    k = build_kripke(refined)
+    first_fault = HyperFormula(
+        (("forall", "p1"), ("forall", "p2")),
+        Implies(Until(ObsEq("p1", "p2"), InSet("fault", "p1")), Eventually(InSet("fault", "p2"))),
+        (("fault", part.fault_states),))
+    assert check_forall_forall(k, first_fault).holds is False
     formula, _ = property_template("predictability", refined, part)
-    assert check_forall_forall(build_kripke(refined), formula).holds is False
+    assert check_forall_forall(k, formula).holds is True
     assert verify(fsa, "predictability").holds is True
     assert verify(fsa, "predictability", engine="oracle").holds is True
+
+
+def test_predictability_template_agrees_with_verify_on_fuzz_machine_358():
+    """Machine 358 of the acceptance fuzz stream is predictable on both
+    routes.  The template used to trigger at the first faulted instant,
+    which the product search found violated there; the template is now the
+    formula verify decides, and it holds."""
+    rng = random.Random(20260823)
+    for _ in range(359):
+        fsa = random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3)
+    refined, part = refine_fault_partition(validate_fsa(fsa))
+    formula, _ = property_template("predictability", refined, part)
+    assert check_forall_forall(build_kripke(refined), formula).holds is True
+    assert verify(fsa, "predictability").holds is True
+    assert oracle_check(fsa, "predictability").holds is True
 
 
 def test_bound_env_var_overrides_default(g_det, monkeypatch):
@@ -922,11 +943,21 @@ FORALL_FORALL = ("diagnosability", "predictability", "i-detectability",
 
 
 def _decided(fsa, kind):
-    """The formula verify decides `kind` with, over the machine it uses."""
+    """The template of `kind` over the machine verify decides it on."""
     if kind in ("diagnosability", "predictability"):
         target, part = refine_fault_partition(validate_fsa(fsa))
-        return _decision_formula(kind, target, part)[0]
-    return _decision_formula(kind, validate_fsa(fsa), None)[0]
+        return property_template(kind, target, part)[0]
+    return property_template(kind, validate_fsa(fsa))[0]
+
+
+def test_the_decided_formula_is_the_template(g_diag, g_det, g_opa):
+    """For every property, the formula the hyper route decides is
+    property_template's output over the machine it decides on."""
+    for fsa in (g_diag, g_det, g_opa):
+        analysis = HyperAnalysis(fsa)
+        for kind in PROPERTIES:
+            if missing_annotation(kind, fsa) is None:
+                assert analysis._problem(kind)[0] == _decided(fsa, kind), kind
 
 
 def test_negated_body_automata_do_not_depend_on_the_model(g_diag, g_det, g_opa):

@@ -245,12 +245,6 @@ def test_lasso_requires_cycle():
         Lasso(stem=(), cycle=())
 
 
-def test_lasso_indexing(g_diag):
-    k = build_kripke(g_diag)
-    las = Lasso(stem=(n("0"),), cycle=(n("1", "o1"), n("2", "o2")))
-    assert [las.node_at(i).state for i in range(5)] == ["0", "1", "2", "1", "2"]
-
-
 def test_export_dot_deterministic(g_opa):
     k = build_kripke(g_opa)
     text = export_dot(k)

@@ -63,8 +63,10 @@ def test_fuzz_builds_each_structure_once_per_machine_and_route(builds):
     """differential_fuzz holds one analysis per route per machine for all
     nine verdicts of each route and every replay: at most two Kripke
     structures (the machine and its refinement), one modified structure,
-    one observer, and one refinement on each route, per machine."""
+    one observer, and one refinement on each route, per machine.  The shape
+    of a forall/exists body is read once per body, for all machines."""
     count = 500
+    hyperdes.hyper._sync_form.cache_clear()
     report = differential_fuzz(seed=20260823, count=count)
     assert report["disagreements"] == [] and report["witness_failures"] == []
     made = {key: len(args) for key, args in builds.items()}
@@ -74,3 +76,4 @@ def test_fuzz_builds_each_structure_once_per_machine_and_route(builds):
     assert made[("hyper", "refine_fault_partition")] <= count
     assert made[("oracle", "refine_fault_partition")] <= count
     assert min(made.values()) > 0
+    assert hyperdes.hyper._sync_form.cache_info().misses == 3

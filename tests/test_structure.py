@@ -219,3 +219,46 @@ def test_route_scan_sees_each_injected_import():
     sources = route_sources()
     for module, line, leak in injections:
         assert route_leaks(dict(sources, **{module: sources[module] + line})) == [leak], line
+
+
+# the modules that own the model's annotations: the machine that carries
+# them, the file format that reads them and the property declarations that
+# say which property needs which
+ANNOTATION_OWNERS = {"des.py", "modelio.py", "formula.py"}
+ANNOTATIONS = {"fault_events", "secret_states"}
+
+
+def annotation_checks(source):
+    """Line numbers at which a source text compares fault_events or
+    secret_states, as a name or an attribute, with None."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        named = any(isinstance(o, ast.Attribute) and o.attr in ANNOTATIONS
+                    or isinstance(o, ast.Name) and o.id in ANNOTATIONS for o in operands)
+        if named and any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_owners_test_for_missing_annotations():
+    """Which annotation a property needs is declared once, by
+    formula.missing_annotation; no other module tests an annotation for
+    None."""
+    found = {p.name: annotation_checks(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name not in ANNOTATION_OWNERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_annotation_scan_sees_each_injected_check():
+    source = (PACKAGE / "hyper.py").read_text(encoding="utf-8")
+    end = len(source.splitlines())
+    # each injection, and the line of its check after the end of the source
+    for line, at in (("if fsa.fault_events is None:\n    pass\n", 1),
+                     ("x = self.fsa.secret_states is not None\n", 1),
+                     ("y = None == fsa.secret_states\n", 1),
+                     ("def f(fault_events):\n    return fault_events != None\n", 2)):
+        assert annotation_checks(source + line) == [end + at], line
+    assert annotation_checks("fault_events = None\nx = fsa.fault_events or ()\n") == []
