@@ -9,15 +9,17 @@ each property from its state-estimate definition for cross-validation.
 
 Typical entry points:
 
-    from hyperdes import HyperAnalysis, load_model, verify
+    from hyperdes import HyperAnalysis, load_model, oracle_check, verify
     fsa = load_model("model.json")
-    verdict = verify(fsa, "diagnosability")
+    verdict = verify(fsa, "diagnosability")          # the hyper route
+    reference = oracle_check(fsa, "diagnosability")  # the oracle route
 
-verify builds the structures it needs for one property and drops them.  To
-decide many properties of one machine, hold one HyperAnalysis(fsa): it
-builds each structure once and shares it across its verify and replay
-calls.  OracleAnalysis does the same on the oracle route, and oracle_check
-decides one property on a fresh one.
+Each route has one per-machine object, and the two are peers that never
+share a structure.  HyperAnalysis(fsa) builds each of the hyper route's
+structures once and shares it across its verify and replay calls;
+OracleAnalysis(fsa) does the same for the oracle's checks.  verify and
+oracle_check decide one property on a fresh object.  Every verdict carries
+the seconds it took.
 
 The `hyperdes` console script exposes the same functionality (plus structure
 inspection and differential fuzzing) on the command line.

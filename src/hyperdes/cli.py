@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -22,7 +23,7 @@ from .des import (
     initial_state_estimate,
     validate_fsa,
 )
-from .errors import HyperdesError, UnknownObservation
+from .errors import HyperdesError, InvalidBound, UnknownObservation
 from .formula import (
     DETECTABILITY_PROPERTIES,
     OPACITY_PROPERTIES,
@@ -33,9 +34,12 @@ from .fuzz import differential_fuzz
 from .hyper import HyperAnalysis
 from .kripke import build_kripke, build_modified_kripke, export_dot
 from .modelio import MASK_EPS, load_model, serialize_model, verdict_to_json
+from .oracle import OracleAnalysis
 
 # the model field that carries each annotation
 ANNOTATION_FIELDS = {"fault": "fault_events", "secret": "secret_states"}
+# the environment variable that supplies --bound when the flag is absent
+BOUND_ENV = "HYPERDES_BOUND"
 
 
 def _emit(text, out_path):
@@ -88,17 +92,26 @@ def cmd_verify(args):
         print(f"skipping {kind}: model has no {field} annotation",
               file=sys.stderr)
 
-    # under --engine both, weak detectability compares the hyper engine's
+    bound = args.bound
+    if bound is None and os.environ.get(BOUND_ENV):
+        text = os.environ[BOUND_ENV]
+        try:
+            bound = int(text)
+        except ValueError:
+            raise InvalidBound(BOUND_ENV, text) from None
+    # one analysis per route, so the routes never share a structure; under
+    # --engine both, weak detectability compares the hyper engine's
     # estimate-product check with the oracle's observer check
-    engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
     analysis = HyperAnalysis(fsa)
+    decide = {"hyper": analysis.verify, "oracle": OracleAnalysis(fsa).check}
+    engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
     entries = []
     verdicts = []
     disagreements = []
     for kind in checked:
         per_engine = []
         for engine in engines:
-            verdict = analysis.verify(kind, engine=engine, bound=args.bound)
+            verdict = decide[engine](kind, bound)
             per_engine.append(verdict)
             verdicts.append(verdict)
             doc = verdict_to_json(verdict)
@@ -155,9 +168,8 @@ def _kripke_json(k):
 def _observer_json(fsa, observer):
     order = {est: i for i, est in enumerate(observer.nodes)}
     nodes = [fsa.sort_states(est) for est in observer.nodes]
-    edges = sorted(
-        ([order[src], o, order[dst]] for (src, o), dst in observer.edges.items()),
-        key=lambda e: (e[0], e[1]))
+    edges = sorted(([order[src], o, order[dst]] for src in observer.nodes
+                    for o, dst in observer.moves[src]), key=lambda e: (e[0], e[1]))
     return {"initial": order[observer.initial], "nodes": nodes, "edges": edges}
 
 
@@ -165,15 +177,14 @@ def _observer_dot(fsa, observer):
     def name(est):
         return "{" + ",".join(fsa.sort_states(est)) + "}"
 
-    order = {est: i for i, est in enumerate(observer.nodes)}
     lines = ["digraph observer {", "  rankdir=LR;",
              "  node [shape=box, fontsize=10];"]
     for est in observer.nodes:
         extra = ", peripheries=2" if est == observer.initial else ""
         lines.append(f'  "{name(est)}" [label="{name(est)}"{extra}];')
-    for (src, o), dst in sorted(observer.edges.items(),
-                                key=lambda kv: (order[kv[0][0]], kv[0][1])):
-        lines.append(f'  "{name(src)}" -> "{name(dst)}" [label="{o}"];')
+    for src in observer.nodes:
+        for o, dst in sorted(observer.moves[src], key=lambda move: move[0]):
+            lines.append(f'  "{name(src)}" -> "{name(dst)}" [label="{o}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -136,7 +136,6 @@ class Observer:
     """Subset automaton whose nodes are current-state estimates."""
     nodes: tuple            # estimate frozensets in discovery order
     initial: frozenset
-    edges: dict             # (estimate, observation) -> estimate
     moves: dict             # estimate -> [(observation, estimate)], in observation order
 
 
@@ -268,8 +267,7 @@ def build_observer(fsa: Fsa) -> Observer:
     out-edges of its states, in observation order."""
     init = unobservable_reach(fsa, fsa.initial)
     order, moves = subset_graph(init, lambda est: observable_moves(fsa, est))
-    edges = {(est, o): nxt for est in order for o, nxt in moves[est]}
-    return Observer(nodes=tuple(order), initial=init, edges=edges, moves=moves)
+    return Observer(nodes=tuple(order), initial=init, moves=moves)
 
 
 def refine_fault_partition(fsa: Fsa):
@@ -281,7 +279,7 @@ def refine_fault_partition(fsa: Fsa):
     as normal); otherwise a split automaton is returned whose fault copies
     are named "<state>#F".
     """
-    if not fsa.fault_events:
+    if fsa.fault_events is None:
         raise NoFaultEvents("no fault events declared")
     faults = fsa.fault_events
 

@@ -32,7 +32,8 @@ class UnobservableCycle(HyperdesError):
 
 
 class NoFaultEvents(HyperdesError):
-    """Fault partition requested but the model declares no fault events."""
+    """Fault partition requested of a model that does not declare its fault
+    events; an empty declaration is a declaration."""
 
 
 class UnknownObservation(HyperdesError):
@@ -126,16 +127,12 @@ class NotARun(HyperdesError):
 
 
 class UnknownRoute(HyperdesError):
-    """A route that does not exist was asked for: an engine other than
-    "hyper" or "oracle", or a weak-detectability route other than "exact"
-    or "bounded"."""
+    """A weak-detectability route other than "exact" or "bounded"."""
 
-    def __init__(self, route, option="weak-detectability route",
-                 expected=("exact", "bounded")):
+    def __init__(self, route):
         self.route = route
-        self.option = option
-        super().__init__(f"unknown {option} {route!r}; expected "
-                         + " or ".join(map(repr, expected)))
+        super().__init__(f"unknown weak-detectability route {route!r}; "
+                         "expected 'exact' or 'bounded'")
 
 
 class InvalidBound(HyperdesError):
@@ -147,6 +144,13 @@ class InvalidBound(HyperdesError):
         self.name = name
         self.value = value
         super().__init__(f"invalid {name} {value!r}; expected {expected}")
+
+
+def check_bound(value):
+    """Raise InvalidBound unless `value` is None or a non-negative integer."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                              or value < 0):
+        raise InvalidBound("bound", value)
 
 
 # --- model files -------------------------------------------------------------

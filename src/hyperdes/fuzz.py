@@ -36,8 +36,7 @@ def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3,
     for index in range(count):
         fsa = random_valid_fsa(rng, max_states=max_states, max_events=max_events,
                                max_obs=max_obs)
-        # one analysis per route: the routes never share a structure, and
-        # the oracle stays exact whatever bound the environment sets
+        # one analysis per route: the routes never share a structure
         hyper, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
         for kind in kinds:
             # weak detectability takes the hyper engine's exact route, the

@@ -12,18 +12,20 @@ import string
 from .des import Fsa, validate_fsa
 from .errors import UnobservableCycle
 
+# draws rejected for an unobservable cycle before the generator gives up
+MAX_ATTEMPTS = 500
 
-def random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3,
-                     with_faults=True, with_secrets=True, max_attempts=500):
+
+def random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3):
     """Draw a live automaton without unobservable cycles.
 
     States are named "0", "1", ...; events "a", "b", ..., "z", and from the
     27th on "e26", "e27", ...; observations "o1", "o2", ....  At least one
-    event is observable, fault events and secret states are nonempty when
-    requested.
+    event is observable, and fault events and secret states are declared
+    and nonempty.
     """
-    for _ in range(max_attempts):
-        fsa = _draw(rng, max_states, max_events, max_obs, with_faults, with_secrets)
+    for _ in range(MAX_ATTEMPTS):
+        fsa = _draw(rng, max_states, max_events, max_obs)
         try:
             return validate_fsa(fsa)
         except UnobservableCycle:
@@ -31,7 +33,7 @@ def random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3,
     raise RuntimeError("could not draw a valid automaton; loosen the size limits")
 
 
-def _draw(rng, max_states, max_events, max_obs, with_faults, with_secrets):
+def _draw(rng, max_states, max_events, max_obs):
     n = rng.randint(2, max_states)
     m = rng.randint(1, max_events)
     k = rng.randint(1, max_obs)
@@ -60,13 +62,8 @@ def _draw(rng, max_states, max_events, max_obs, with_faults, with_secrets):
 
     initial = sorted(rng.sample(states, rng.randint(1, min(2, n))), key=int)
 
-    fault_events = None
-    if with_faults:
-        fault_events = sorted(rng.sample(events, rng.randint(1, min(2, m))))
-
-    secret_states = None
-    if with_secrets:
-        secret_states = sorted(rng.sample(states, rng.randint(1, max(1, n - 1))), key=int)
+    fault_events = sorted(rng.sample(events, rng.randint(1, min(2, m))))
+    secret_states = sorted(rng.sample(states, rng.randint(1, max(1, n - 1))), key=int)
 
     return Fsa(states=states, events=events, transitions=transitions,
                initial=initial, mask=mask, fault_events=fault_events,

@@ -47,18 +47,17 @@ the reference the tests compare the masks against.
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import astuple, dataclass, replace
 
 from .buchi import ltl_to_buchi
 from .des import refine_fault_partition, validate_fsa
 from .errors import (
-    InvalidBound,
     NotARun,
     NotSynchronousFragment,
     PrefixMismatch,
     UnknownRoute,
+    check_bound,
 )
 from .formula import (
     FAULT_PROPERTIES,
@@ -84,9 +83,7 @@ from .formula import (
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
-from .oracle import OracleAnalysis, check_bound
 
-DEFAULT_BOUND_ENV = "HYPERDES_BOUND"
 # candidate lassos the bounded exists/forall search tries before it gives up
 MAX_CANDIDATES = 20000
 
@@ -930,8 +927,8 @@ def _replay_pump(k, details):
 class HyperAnalysis:
     """One machine on the hyper route: its validation, fault refinement and
     plain and modified Kripke structures, each built on first use and shared
-    by every verdict and replay asked of it.  For engine="oracle" it runs an
-    OracleAnalysis of its own, which builds the oracle's structures apart."""
+    by every verdict and replay asked of it.  The oracle route's
+    OracleAnalysis is its peer: neither builds a structure of the other."""
 
     def __init__(self, fsa):
         self.fsa = fsa
@@ -963,26 +960,12 @@ class HyperAnalysis:
             self._built[key] = formula, k
         return self._built[key]
 
-    def verify(self, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
+    def verify(self, kind, bound=None, wd_route="exact") -> Verdict:
         """verify() on this machine's structures."""
-        if engine not in ("hyper", "oracle"):
-            raise UnknownRoute(engine, "engine", ("hyper", "oracle"))
         if wd_route not in ("exact", "bounded"):
             raise UnknownRoute(wd_route)
         started = time.perf_counter()
-        if bound is None and os.environ.get(DEFAULT_BOUND_ENV):
-            text = os.environ[DEFAULT_BOUND_ENV]
-            try:
-                bound = int(text)
-            except ValueError:
-                raise InvalidBound(DEFAULT_BOUND_ENV, text) from None
         check_bound(bound)
-
-        if engine == "oracle":
-            verdict = self._once("oracle", lambda: OracleAnalysis(self.fsa)).check(kind, bound)
-            verdict.seconds = time.perf_counter() - started
-            return verdict
-
         formula, k = self._problem(kind)
         quants = formula.quantifiers()
         if quants == ("forall", "forall"):
@@ -1035,17 +1018,13 @@ class HyperAnalysis:
         raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")
 
 
-def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
-    """Decide one property of an automaton.
+def verify(fsa, kind, bound=None, wd_route="exact") -> Verdict:
+    """Decide one property of an automaton on the hyper route, over its
+    Kripke encodings; oracle.oracle_check decides it on the other route.
 
-    engine: "hyper" (Kripke encodings) or "oracle" (definition-level
-    checks); any other value raises UnknownRoute.
-    bound: None, or when unset the HYPERDES_BOUND environment variable,
-    decides exactly wherever the engine can; an integer runs the oracle's
-    diagnosability, I- and delayed-detectability checks as horizon probes
-    of that depth, and bounds the length of the bounded
-    weak-detectability route's candidate lassos.  A negative or non-integer
-    bound raises InvalidBound.
+    bound: the length limit of the bounded weak-detectability route's
+    candidate lassos (None: the structure's node count plus one); no other
+    property reads it.  A negative or non-integer bound raises InvalidBound.
     wd_route: how the hyper engine decides weak detectability, the one
     exists/forall property.  "exact" decides it on the product of the
     Kripke structure with the current-state estimate (see _collapse_exact);
@@ -1063,7 +1042,7 @@ def verify(fsa, kind, engine="hyper", bound=None, wd_route="exact") -> Verdict:
     Each call builds the machine's structures afresh; a HyperAnalysis of
     the machine builds them once for all the properties asked of it.
     """
-    return HyperAnalysis(fsa).verify(kind, engine, bound, wd_route)
+    return HyperAnalysis(fsa).verify(kind, bound, wd_route)
 
 
 def replay_witness(fsa, kind, verdict: Verdict) -> bool:

@@ -27,6 +27,8 @@ exactly.
 
 from __future__ import annotations
 
+import time
+
 from .des import (
     boundary_states,
     build_observer,
@@ -37,7 +39,7 @@ from .des import (
     unobservable_reach,
     validate_fsa,
 )
-from .errors import InvalidBound, MissingAnnotation
+from .errors import MissingAnnotation, check_bound
 from .formula import missing_annotation
 from .graph import bfs, cyclic_sccs, first_cycle, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
@@ -71,6 +73,7 @@ class OracleAnalysis:
     def check(self, kind, bound=None) -> Verdict:
         """Decide one property straight from its definition; an integer
         bound runs the three pair-graph checks as horizon probes."""
+        started = time.perf_counter()
         check_bound(bound)
         fsa = self.fsa
         missing = missing_annotation(kind, fsa)
@@ -80,19 +83,13 @@ class OracleAnalysis:
             validate_fsa(fsa)
         verdict = _ORACLES[kind](self, bound)
         verdict.property = kind
+        verdict.seconds = time.perf_counter() - started
         return verdict
 
 
 def oracle_check(fsa, kind, bound=None) -> Verdict:
     """Decide one property of a machine on a fresh OracleAnalysis."""
     return OracleAnalysis(fsa).check(kind, bound)
-
-
-def check_bound(value):
-    """Raise InvalidBound unless `value` is None or a non-negative integer."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                              or value < 0):
-        raise InvalidBound("bound", value)
 
 
 def _pumping_horizon(fsa):

@@ -14,6 +14,8 @@ import pytest
 
 import hyperdes.cli
 from hyperdes.cli import main
+from hyperdes.des import Fsa
+from hyperdes.formula import PROPERTIES
 from hyperdes.modelio import serialize_model
 from tests.conftest import make_twin_branch
 
@@ -125,6 +127,28 @@ def test_check_witness_confirms_replay(capsys):
     assert "replayed 1 witness(es), all confirmed" in err
 
 
+def test_declared_empty_fault_events_decide_every_property(capsys, tmp_path):
+    """A model whose fault_events is [] declares the annotation: --all
+    checks all nine properties on both routes, and diagnosability and
+    predictability hold on each."""
+    model = tmp_path / "fault-free.json"
+    model.write_text(serialize_model(Fsa(
+        states=["0", "1"], events=["a", "b"],
+        transitions={("0", "a"): "1", ("1", "b"): "0", ("1", "a"): "1"},
+        initial=["0"], mask={"a": "o1", "b": None},
+        fault_events=[], secret_states=["1"])), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--model", str(model), "--all",
+                         "--engine", "both", "--check-witness")
+    assert code in (0, 1), err
+    entries = json.loads(out)
+    assert [e["property"] for e in entries[::2]] == list(PROPERTIES)
+    assert all(e["holds"] in (True, False) for e in entries)
+    for entry in entries:
+        if entry["property"] in ("diagnosability", "predictability"):
+            assert entry["holds"] is True
+    assert "skipping" not in err
+
+
 def test_bounded_inconclusive_exits_three(capsys, tmp_path):
     """An under-horizon oracle bound yields holds=inconclusive and exit 3."""
     model = tmp_path / "twin.json"
@@ -149,18 +173,25 @@ def test_bound_env_variable_is_honored(capsys, tmp_path, monkeypatch):
 
 
 def test_invalid_bound_exits_two(capsys, monkeypatch):
-    """A negative --bound or a HYPERDES_BOUND that is not an integer is a
-    usage error: exit 2 with a message, and no verdict on stdout."""
+    """A negative --bound, and a HYPERDES_BOUND that is not an integer or is
+    negative, is a usage error on either route: exit 2 with a message, and
+    no verdict on stdout."""
     code, out, err = run(capsys, "verify", "--model", G_DIAG,
                          "--property", "diagnosability", "--engine", "oracle",
                          "--bound", "-1")
     assert code == 2 and out == ""
     assert "invalid bound -1" in err
-    monkeypatch.setenv("HYPERDES_BOUND", "abc")
-    code, out, err = run(capsys, "verify", "--model", G_DIAG,
-                         "--property", "diagnosability")
-    assert code == 2 and out == ""
-    assert "HYPERDES_BOUND" in err and "internal error" not in err
+    for engine in ("hyper", "oracle"):
+        monkeypatch.setenv("HYPERDES_BOUND", "abc")
+        code, out, err = run(capsys, "verify", "--model", G_DIAG,
+                             "--property", "diagnosability", "--engine", engine)
+        assert code == 2 and out == ""
+        assert "invalid HYPERDES_BOUND 'abc'" in err and "internal error" not in err
+        monkeypatch.setenv("HYPERDES_BOUND", "-1")
+        code, out, err = run(capsys, "verify", "--model", G_DIAG,
+                             "--property", "diagnosability", "--engine", engine)
+        assert code == 2 and out == ""
+        assert "invalid bound -1" in err and "internal error" not in err
 
 
 def test_usage_and_model_errors_exit_two(capsys, tmp_path):
@@ -270,6 +301,17 @@ def test_fuzz_smoke(capsys):
     report = json.loads(out)
     assert report["count"] == 4 and report["disagreements"] == []
     assert "fuzzed 4 machines" in err
+
+
+def test_fuzz_ignores_the_bound_environment_variable(capsys, monkeypatch):
+    """The fuzz takes no bound, so HYPERDES_BOUND, which only verify reads,
+    leaves its exit code and report as they are without the variable."""
+    argv = ("fuzz", "--seed", "1", "--count", "3")
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("HYPERDES_BOUND", "abc")
+    code, out, _ = run(capsys, *argv)
+    assert unset[0] == code == 0
+    assert out == unset[1]
 
 
 @pytest.mark.parametrize("flag, value", [("--max-states", "0"), ("--max-states", "1"),

@@ -428,7 +428,7 @@ def test_engines_reject_wrong_prefix(g_opa, g_diag):
 def test_weak_detectability_routes_agree(g_det):
     """The exact observer route and the bounded candidate search agree on the
     fixture and both witnesses replay."""
-    exact = verify(g_det, "weak-detectability", engine="oracle")
+    exact = oracle_check(g_det, "weak-detectability")
     bounded = verify(g_det, "weak-detectability", wd_route="bounded")
     assert exact.holds is True
     assert exact.engine == "oracle-observer"
@@ -440,7 +440,7 @@ def test_weak_detectability_routes_agree(g_det):
 
 def test_weak_detectability_observer_witness_is_pinned(g_det):
     """The lifted observer witness is the canonical singleton loop trace."""
-    verdict = verify(g_det, "weak-detectability", engine="oracle")
+    verdict = oracle_check(g_det, "weak-detectability")
     pi1, pi2 = verdict.witness
     assert pi2 is None
     assert pi1 == lasso([node("0"), node("4", "o1")], [node("5", "o1")])
@@ -616,30 +616,22 @@ def test_bounded_route_exhausts_a_witnessless_machine_at_once():
 
 def test_unknown_weak_detectability_route_is_refused(g_det):
     """Only the exact and the bounded route exist; any other name raises a
-    typed error on either engine instead of taking the default route."""
+    typed error, whatever the property, instead of taking the default
+    route."""
     assert verify(g_det, "weak-detectability", wd_route="exact").mode == "exact"
     assert verify(g_det, "weak-detectability", wd_route="bounded").mode == "bounded"
-    for engine in ("hyper", "oracle"):
-        for kind in ("weak-detectability", "i-detectability"):
-            with pytest.raises(UnknownRoute):
-                verify(g_det, kind, engine=engine, wd_route="observer")
-
-
-def test_unknown_engine_is_refused(g_det):
-    """Only the hyper and the oracle engine exist; a misspelt name raises a
-    typed error instead of running the hyper route."""
-    for engine in ("orcale", "both", "Hyper", None):
+    for kind in ("weak-detectability", "i-detectability"):
         with pytest.raises(UnknownRoute) as exc:
-            verify(g_det, "strong-detectability", engine=engine)
-        assert exc.value.route == engine and exc.value.option == "engine"
+            verify(g_det, kind, wd_route="observer")
+        assert exc.value.route == "observer"
 
 
 def test_unknown_property_is_a_typed_value_error(g_det):
     """Both routes refuse a property that is not built in with one error,
     a HyperdesError that is also a ValueError."""
-    for engine in ("hyper", "oracle"):
+    for decide in (verify, oracle_check):
         with pytest.raises(UnknownProperty) as exc:
-            verify(g_det, "liveness", engine=engine)
+            decide(g_det, "liveness")
         assert isinstance(exc.value, HyperdesError) and isinstance(exc.value, ValueError)
         assert exc.value.kind == "liveness"
 
@@ -754,7 +746,7 @@ def test_strong_detectability_sees_ambiguity_without_a_diverging_pair():
     assert pi2 is None
     assert not _estimate_walk_accepts(k, pi1)
     assert verdict.details["ambiguous_states"] == ["a", "b"]
-    assert verify(fsa, "strong-detectability", engine="oracle").holds is False
+    assert oracle_check(fsa, "strong-detectability").holds is False
     assert replay_witness(fsa, "strong-detectability", verdict) is True
 
 
@@ -781,7 +773,7 @@ def test_strong_detectability_reports_pumpable_word_for_transient_ambiguity():
     assert verdict.witness is None
     assert verdict.details["ambiguous_states"] == ["t", "u"]
     assert verdict.details["pump_cycle"]
-    assert verify(fsa, "strong-detectability", engine="oracle").holds is False
+    assert oracle_check(fsa, "strong-detectability").holds is False
     assert replay_witness(fsa, "strong-detectability", verdict) is True
 
 
@@ -812,7 +804,7 @@ def test_predictability_alarm_may_rest_on_the_faulted_steps_observation():
     formula, _ = property_template("predictability", refined, part)
     assert check_forall_forall(k, formula).holds is True
     assert verify(fsa, "predictability").holds is True
-    assert verify(fsa, "predictability", engine="oracle").holds is True
+    assert oracle_check(fsa, "predictability").holds is True
 
 
 def test_predictability_template_agrees_with_verify_on_fuzz_machine_358():
@@ -830,12 +822,19 @@ def test_predictability_template_agrees_with_verify_on_fuzz_machine_358():
     assert oracle_check(fsa, "predictability").holds is True
 
 
-def test_bound_env_var_overrides_default(g_det, monkeypatch):
-    """The environment bound feeds the candidate search."""
+def test_library_ignores_the_bound_environment_variable(g_det, monkeypatch):
+    """Only the command line reads HYPERDES_BOUND: the bounded candidate
+    search gives the same verdict with the variable set, and an explicit
+    bound still feeds it."""
+    unset = verify(g_det, "weak-detectability", wd_route="bounded")
     monkeypatch.setenv("HYPERDES_BOUND", "4")
     verdict = verify(g_det, "weak-detectability", wd_route="bounded")
-    assert verdict.bound == 4
-    assert verdict.holds is True
+    assert verdict.bound == unset.bound != 4
+    assert verdict.holds is unset.holds is True
+    assert verdict.witness == unset.witness
+    explicit = verify(g_det, "weak-detectability", bound=4, wd_route="bounded")
+    assert explicit.bound == 4
+    assert explicit.holds is True
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +866,7 @@ def test_verify_oracle_engine_agrees_on_fixtures(g_diag, g_det, g_opa):
     ]
     for fsa, kind in cases:
         hyper = verify(fsa, kind)
-        oracle = verify(fsa, kind, engine="oracle")
+        oracle = oracle_check(fsa, kind)
         assert hyper.holds == oracle.holds, kind
 
 

@@ -15,8 +15,11 @@ from hyperdes.des import Fsa, validate_fsa
 from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
 from hyperdes.hyper import replay_witness, verify
 from hyperdes.kripke import build_kripke
+from hyperdes.oracle import oracle_check
 from support import labelled_ring
 
+# each route's entry point for one property of one machine
+ROUTES = {"hyper": verify, "oracle": oracle_check}
 # the labelled ring: every observation names the state it enters
 LABELLED_ANSWERS = {
     "diagnosability": True, "predictability": False, "i-detectability": True,
@@ -47,8 +50,8 @@ def test_fully_observable_1200_cycle_on_both_routes():
     derived by hand, and every witness replays."""
     fsa = validate_fsa(labelled_ring(1200))
     for kind in PROPERTIES:
-        for engine in ("hyper", "oracle"):
-            seconds, verdict = best_of_three(lambda: verify(fsa, kind, engine=engine))
+        for engine, decide in ROUTES.items():
+            seconds, verdict = best_of_three(lambda: decide(fsa, kind))
             assert verdict.holds is LABELLED_ANSWERS[kind], (kind, engine)
             assert seconds < 1.0, (kind, engine, seconds)
             if has_witness(verdict):
@@ -66,8 +69,8 @@ def test_wide_initial_set_opacity_on_both_routes():
                            mask=ring.mask, fault_events=ring.fault_events,
                            secret_states=[], name="all-initial-labelled-150"))
     for kind in OPACITY_PROPERTIES:
-        for engine in ("hyper", "oracle"):
-            seconds, verdict = best_of_three(lambda: verify(fsa, kind, engine=engine))
+        for engine, decide in ROUTES.items():
+            seconds, verdict = best_of_three(lambda: decide(fsa, kind))
             assert verdict.holds is True, (kind, engine)
             assert seconds < 1.0, (kind, engine, seconds)
 

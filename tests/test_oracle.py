@@ -20,7 +20,7 @@ from hyperdes.errors import InvalidBound, MissingAnnotation
 from hyperdes.gen import random_valid_fsa
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
-from hyperdes.oracle import oracle_check
+from hyperdes.oracle import OracleAnalysis, oracle_check
 from hyperdes.hyper import replay_witness, verify
 from support import o1_ring
 from tests.conftest import make_dying_branch, make_twin_branch
@@ -117,23 +117,49 @@ def test_default_bound_is_conclusive(g_diag):
     assert verdict.details is None
 
 
-def test_invalid_bounds_and_policies_are_refused(g_diag, monkeypatch):
+def test_invalid_bounds_and_policies_are_refused(g_diag):
     """A bound must be a non-negative integer, whether passed to
-    oracle_check or verify or read from HYPERDES_BOUND."""
+    oracle_check, OracleAnalysis.check or verify; the command line's
+    HYPERDES_BOUND is tested with the command line."""
     for kind in ("diagnosability", "predictability"):
         for bound in (-1, -3, 2.5, "7"):
             with pytest.raises(InvalidBound):
                 oracle_check(g_diag, kind, bound)
     for bound in (-1, 1.5, True):
         with pytest.raises(InvalidBound):
-            verify(g_diag, "diagnosability", engine="oracle", bound=bound)
-    monkeypatch.setenv("HYPERDES_BOUND", "abc")
-    with pytest.raises(InvalidBound):
-        verify(g_diag, "diagnosability", engine="oracle")
-    monkeypatch.setenv("HYPERDES_BOUND", "-1")
-    with pytest.raises(InvalidBound):
-        verify(g_diag, "diagnosability")
+            OracleAnalysis(g_diag).check("diagnosability", bound)
+        with pytest.raises(InvalidBound):
+            verify(g_diag, "diagnosability", bound=bound)
     assert oracle_check(g_diag, "diagnosability", 0).bound == 0
+
+
+def declared_fault_free(fsa):
+    """The machine with its fault annotation declared and empty."""
+    return Fsa(states=fsa.states, events=fsa.events, transitions=fsa.transitions,
+               initial=fsa.initial, mask=fsa.mask, fault_events=[],
+               secret_states=fsa.secret_states, observations=fsa.observations)
+
+
+def test_declared_empty_fault_events_are_decided_on_both_routes():
+    """A machine that declares its fault events, and none, never faults:
+    both routes decide that diagnosability and predictability hold, as they
+    decide an empty secret set, instead of refusing the machine."""
+    rng = random.Random(5)
+    for index in range(300):
+        fsa = declared_fault_free(random_valid_fsa(rng))
+        for kind in ("diagnosability", "predictability"):
+            assert verify(fsa, kind).holds is True, (index, kind)
+            assert oracle_check(fsa, kind).holds is True, (index, kind)
+
+
+def test_oracle_verdicts_carry_their_seconds(g_diag, g_det):
+    """Each route times its own verdicts: an oracle verdict, from
+    oracle_check or a held OracleAnalysis, carries a non-negative float."""
+    oracle = OracleAnalysis(g_det)
+    for verdict in (oracle_check(g_diag, "diagnosability"),
+                    oracle_check(g_diag, "diagnosability", 3),
+                    oracle.check("weak-detectability"), oracle.check("i-detectability")):
+        assert isinstance(verdict.seconds, float) and verdict.seconds >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Structure of the package: its modules import each other without cycles,
 every breadth-first search runs through the graph kernel, and neither route
-imports the structure builders of the other.
+imports the other.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -68,10 +68,15 @@ def test_package_has_no_import_cycle():
 
 
 def test_oracle_does_not_import_the_formula_engines():
+    """The routes are peers: neither imports the other, the oracle imports
+    no formula automaton, and only the package, the CLI and the fuzz hold
+    both."""
     graph = import_graph()
-    assert "oracle" in graph["hyper"]
+    assert "oracle" not in graph["hyper"] and "hyper" not in graph["oracle"]
     assert not graph["oracle"] & {"hyper", "buchi", "fuzz"}
     assert graph["graph"] == set()
+    assert {m for m, deps in graph.items() if {"hyper", "oracle"} <= deps} == {
+        "__init__", "cli", "fuzz"}
 
 
 def test_scan_sees_relative_absolute_and_deferred_imports():
@@ -175,7 +180,7 @@ def names_imported_from(source, module):
 # what each route may import of the module the other route builds on
 ROUTE_IMPORTS = {
     ("oracle", "kripke"): {"KNode", "Lasso", "Verdict", "canonical_lasso"},
-    ("hyper", "oracle"): {"OracleAnalysis", "oracle_check", "check_bound"},
+    ("hyper", "oracle"): set(),
 }
 # the oracle's structures, which the hyper route never builds or steps
 ORACLE_ONLY = {"build_observer", "observable_moves", "observable_step"}
@@ -198,8 +203,8 @@ def route_sources():
 
 def test_routes_stay_independent():
     """The oracle takes only the verdict and witness types from the Kripke
-    module, and the hyper route only the oracle's per-machine object and
-    its bound check, and none of the oracle's estimate builders."""
+    module; the hyper route takes nothing from the oracle and none of the
+    oracle's estimate builders."""
     assert route_leaks(route_sources()) == []
 
 
@@ -210,6 +215,7 @@ def test_route_scan_sees_each_injected_import():
          ("oracle", "kripke", "step_nodes")),
         ("oracle", "import hyperdes.kripke\n", ("oracle", "kripke", "*")),
         ("hyper", "from .oracle import _pair_graph\n", ("hyper", "oracle", "_pair_graph")),
+        ("hyper", "from .oracle import OracleAnalysis\n", ("hyper", "oracle", "OracleAnalysis")),
         ("hyper", "from . import oracle\n", ("hyper", "oracle", "*")),
         ("hyper", "from .des import build_observer\n", ("hyper", "des", "build_observer")),
         ("hyper", "from .des import observable_moves\n", ("hyper", "des", "observable_moves")),
@@ -262,3 +268,34 @@ def test_annotation_scan_sees_each_injected_check():
                      ("def f(fault_events):\n    return fault_events != None\n", 2)):
         assert annotation_checks(source + line) == [end + at], line
     assert annotation_checks("fault_events = None\nx = fsa.fault_events or ()\n") == []
+
+
+def environment_reads(source):
+    """Line numbers at which a source text names os.environ or os.getenv,
+    or imports either."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+                a.name in ("environ", "getenv") for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_command_line_reads_the_environment():
+    """HYPERDES_BOUND is a command-line setting: no library module reads
+    the environment, so a verdict depends on its arguments alone."""
+    found = {p.name: environment_reads(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert environment_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) != []
+
+
+def test_environment_scan_sees_each_injected_read():
+    source = ("import os\n"
+              "a = os.environ.get('X')\n"
+              "from os import getenv\n"
+              "b = os.getenv('X')\n"
+              "environ = {}\n")
+    assert environment_reads(source) == [2, 3, 4]
