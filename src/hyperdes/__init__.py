@@ -37,12 +37,7 @@ from .formula import PROPERTIES, parse_formula, property_formula
 from .fuzz import differential_fuzz
 from .hyper import HyperAnalysis, replay_witness, verify
 from .kripke import KNode, Lasso, Verdict, build_kripke, build_modified_kripke, export_dot
-from .modelio import (
-    load_model,
-    parse_model,
-    serialize_model,
-    serialize_verdict,
-)
+from .modelio import load_model, parse_model, serialize_model
 from .oracle import OracleAnalysis, oracle_check
 
 __version__ = "0.1.0"
@@ -70,7 +65,6 @@ __all__ = [
     "property_formula",
     "replay_witness",
     "serialize_model",
-    "serialize_verdict",
     "validate_fsa",
     "verify",
     "__version__",

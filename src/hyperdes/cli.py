@@ -23,7 +23,7 @@ from .des import (
     initial_state_estimate,
     validate_fsa,
 )
-from .errors import HyperdesError, InvalidBound, UnknownObservation
+from .errors import HyperdesError, InvalidBound, check_bound
 from .formula import (
     DETECTABILITY_PROPERTIES,
     OPACITY_PROPERTIES,
@@ -99,11 +99,12 @@ def cmd_verify(args):
             bound = int(text)
         except ValueError:
             raise InvalidBound(BOUND_ENV, text) from None
+    check_bound(bound)
     # one analysis per route, so the routes never share a structure; under
     # --engine both, weak detectability compares the hyper engine's
     # estimate-product check with the oracle's observer check
-    analysis = HyperAnalysis(fsa)
-    decide = {"hyper": analysis.verify, "oracle": OracleAnalysis(fsa).check}
+    analysis, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
+    decide = {"hyper": analysis.verify, "oracle": lambda kind: oracle.check(kind, bound)}
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
     entries = []
     verdicts = []
@@ -111,7 +112,7 @@ def cmd_verify(args):
     for kind in checked:
         per_engine = []
         for engine in engines:
-            verdict = decide[engine](kind, bound)
+            verdict = decide[engine](kind)
             per_engine.append(verdict)
             verdicts.append(verdict)
             doc = verdict_to_json(verdict)
@@ -193,9 +194,6 @@ def cmd_inspect(args):
     fsa = validate_fsa(load_model(args.model))
     if args.what == "estimates":
         obs = tuple(s for s in args.obs.split(",") if s) if args.obs else ()
-        for o in obs:
-            if o not in fsa.obs_index:
-                raise UnknownObservation(o)
         if args.delay < 0 or args.delay > len(obs):
             print(f"error: --delay must be between 0 and {len(obs)}",
                   file=sys.stderr)

@@ -7,6 +7,11 @@ operators work directly on the definitions: the initial-state estimate is the
 set of initial states admitting a run with the observed string, the
 current-state estimate is the set of states reachable under it, and the
 delayed estimate refines a past instant using subsequent observations.
+
+Each estimate has one step on every observation at once, shared by the
+estimate functions and the oracle: observable_moves for the current-state,
+track_moves for the initial-state and pair_moves for the delayed estimate.
+observable_step, on one observation, is the reference for observable_moves.
 """
 
 from __future__ import annotations
@@ -214,12 +219,57 @@ def observable_moves(fsa: Fsa, states):
             for o in sorted(hits, key=fsa.obs_index.__getitem__)]
 
 
+def initial_tracks(fsa: Fsa) -> frozenset:
+    """Deterministic machine node: which initial states still admit the
+    observed string, each with its current-state spread."""
+    return frozenset((x0, unobservable_reach(fsa, [x0])) for x0 in fsa.initial)
+
+
+def _by_observation(fsa, grouped):
+    """The (o, frozenset) moves of a dict of nonempty sets keyed by
+    observation, in observation order."""
+    return [(o, frozenset(grouped[o]))
+            for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
+
+
+def track_moves(fsa: Fsa, tracks):
+    """The track-machine node after each observation the string can be
+    extended by: every track that survives it, stepped; in observation
+    order, with no empty node."""
+    grouped = {}
+    for x0, cur in tracks:
+        for o, nxt in observable_moves(fsa, cur):
+            grouped.setdefault(o, []).append((x0, nxt))
+    return _by_observation(fsa, grouped)
+
+
+def pair_moves(fsa: Fsa, pairs):
+    """(o, the (anchor, current) pairs with the current state stepped by o),
+    in observation order, with no empty set."""
+    by_cur = {}
+    for a, c in pairs:
+        by_cur.setdefault(c, []).append(a)
+    grouped = {}
+    for c, anchors in by_cur.items():
+        for o, ys in observable_moves(fsa, [c]):
+            grouped.setdefault(o, set()).update((a, y) for y in ys for a in anchors)
+    return _by_observation(fsa, grouped)
+
+
+def _follow(fsa: Fsa, node, moves, word):
+    """The node `word` leads to from `node` under moves(fsa, node), empty
+    once a symbol has no move; an unknown symbol raises UnknownObservation,
+    also after the node has emptied."""
+    for o in word:
+        if o not in fsa.obs_index:
+            raise UnknownObservation(o)
+        node = dict(moves(fsa, node)).get(o, frozenset())
+    return node
+
+
 def current_state_estimate(fsa: Fsa, alpha) -> frozenset:
     """States the system can be in after observing the sequence `alpha`."""
-    est = unobservable_reach(fsa, fsa.initial)
-    for o in alpha:
-        est = observable_step(fsa, est, o)
-    return est
+    return _follow(fsa, unobservable_reach(fsa, fsa.initial), observable_moves, alpha)
 
 
 def initial_state_estimate(fsa: Fsa, alpha) -> frozenset:
@@ -228,10 +278,7 @@ def initial_state_estimate(fsa: Fsa, alpha) -> frozenset:
     Tracks (initial state, current state) pairs forward instead of
     enumerating strings.
     """
-    tracks = {x0: unobservable_reach(fsa, [x0]) for x0 in fsa.sort_states(fsa.initial)}
-    for o in alpha:
-        tracks = {x0: observable_step(fsa, cur, o) for x0, cur in tracks.items()}
-    return frozenset(x0 for x0, cur in tracks.items() if cur)
+    return frozenset(x0 for x0, _ in _follow(fsa, initial_tracks(fsa), track_moves, alpha))
 
 
 def delayed_state_estimate(fsa: Fsa, alpha, beta) -> frozenset:
@@ -241,23 +288,8 @@ def delayed_state_estimate(fsa: Fsa, alpha, beta) -> frozenset:
     Tracks (state at the split instant, current state) pairs; with an empty
     `beta` this degenerates to the current-state estimate.
     """
-    pairs = {(x, x) for x in current_state_estimate(fsa, alpha)}
-    for o in beta:
-        pairs = step_delayed_pairs(fsa, pairs, o)
-    return frozenset(a for a, _ in pairs)
-
-
-def step_delayed_pairs(fsa: Fsa, pairs, o):
-    """Advance the current component of (anchor, current) pairs by one observation."""
-    out = set()
-    by_cur = {}
-    for a, c in pairs:
-        by_cur.setdefault(c, set()).add(a)
-    for c in fsa.sort_states(by_cur):
-        for y in observable_step(fsa, [c], o):
-            for a in by_cur[c]:
-                out.add((a, y))
-    return frozenset(out)
+    pairs = frozenset((x, x) for x in current_state_estimate(fsa, alpha))
+    return frozenset(a for a, _ in _follow(fsa, pairs, pair_moves, beta))
 
 
 def build_observer(fsa: Fsa) -> Observer:

@@ -53,11 +53,11 @@ from dataclasses import astuple, dataclass, replace
 from .buchi import ltl_to_buchi
 from .des import refine_fault_partition, validate_fsa
 from .errors import (
+    MissingAnnotation,
     NotARun,
     NotSynchronousFragment,
     PrefixMismatch,
     UnknownRoute,
-    check_bound,
 )
 from .formula import (
     FAULT_PROPERTIES,
@@ -728,10 +728,10 @@ def _inner_universal_holds(k, pi1, formula):
                           nodes.__getitem__) is None
 
 
-def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
-                                bound=None) -> Verdict:
+def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     """Semi-decision for exists/forall: try candidate lassos up to a length
-    bound; success is conclusive, exhaustion is not.
+    bound, the structure's node count plus one; success is conclusive,
+    exhaustion is not.
 
     Candidates are the simple lassos from each initial node, found by a
     depth-first search that closes a path back onto itself.  For the
@@ -747,8 +747,7 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula,
     inconclusive verdict counts the candidates whose acceptance check ran,
     at most MAX_CANDIDATES."""
     _check_prefix(formula, ("exists", "forall"))
-    if bound is None:
-        bound = len(k.nodes) + 1
+    bound = len(k.nodes) + 1
     if _is_collapse(formula):
         succ, _, good = _estimate_product(k)
         start = frozenset(k.initial)
@@ -947,11 +946,14 @@ class HyperAnalysis:
         key = ("problem", kind)
         if key not in self._built:
             fsa = self.fsa
+            # the name and the annotation before the machine, as on the oracle route
+            missing = missing_annotation(kind, fsa)
+            if missing is not None:
+                raise MissingAnnotation(missing)
             if not fsa.validated:
                 validate_fsa(fsa)
             target, part = fsa, None
-            # a machine without its annotation is refused by the template
-            if kind in FAULT_PROPERTIES and missing_annotation(kind, fsa) is None:
+            if kind in FAULT_PROPERTIES:
                 target, part = self._once("refined", lambda: refine_fault_partition(fsa))
             formula, structure_kind = property_template(kind, target, part)
             k = self._once(("kripke", target), lambda: build_kripke(target))
@@ -960,12 +962,11 @@ class HyperAnalysis:
             self._built[key] = formula, k
         return self._built[key]
 
-    def verify(self, kind, bound=None, wd_route="exact") -> Verdict:
+    def verify(self, kind, wd_route="exact") -> Verdict:
         """verify() on this machine's structures."""
         if wd_route not in ("exact", "bounded"):
             raise UnknownRoute(wd_route)
         started = time.perf_counter()
-        check_bound(bound)
         formula, k = self._problem(kind)
         quants = formula.quantifiers()
         if quants == ("forall", "forall"):
@@ -977,7 +978,7 @@ class HyperAnalysis:
         elif quants == ("forall", "exists"):
             verdict = check_forall_exists_sync(k, formula)
         elif wd_route == "bounded":
-            verdict = check_exists_forall_bounded(k, formula, bound=bound)
+            verdict = check_exists_forall_bounded(k, formula)
         else:
             verdict = _collapse_exact(k)
         verdict.property = kind
@@ -1018,18 +1019,16 @@ class HyperAnalysis:
         raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")
 
 
-def verify(fsa, kind, bound=None, wd_route="exact") -> Verdict:
+def verify(fsa, kind, wd_route="exact") -> Verdict:
     """Decide one property of an automaton on the hyper route, over its
     Kripke encodings; oracle.oracle_check decides it on the other route.
 
-    bound: the length limit of the bounded weak-detectability route's
-    candidate lassos (None: the structure's node count plus one); no other
-    property reads it.  A negative or non-integer bound raises InvalidBound.
     wd_route: how the hyper engine decides weak detectability, the one
     exists/forall property.  "exact" decides it on the product of the
     Kripke structure with the current-state estimate (see _collapse_exact);
     "bounded" runs the candidate search of check_exists_forall_bounded,
-    which can prove the property but reports its failure as inconclusive.
+    bounded by the structure's node count plus one, which can prove the
+    property but reports its failure as inconclusive.
     Both report engine "hyper-exists-forall"; the oracle's own check is
     "oracle-observer".  Any other value raises UnknownRoute.
 
@@ -1042,7 +1041,7 @@ def verify(fsa, kind, bound=None, wd_route="exact") -> Verdict:
     Each call builds the machine's structures afresh; a HyperAnalysis of
     the machine builds them once for all the properties asked of it.
     """
-    return HyperAnalysis(fsa).verify(kind, bound, wd_route)
+    return HyperAnalysis(fsa).verify(kind, wd_route)
 
 
 def replay_witness(fsa, kind, verdict: Verdict) -> bool:

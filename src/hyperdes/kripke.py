@@ -89,8 +89,7 @@ class KripkeStructure:
     "x:<state>", "o:<observation>" and "tau".
     """
 
-    def __init__(self, fsa, nodes, initial, succ, label, modified):
-        self.fsa = fsa
+    def __init__(self, nodes, initial, succ, label, modified):
         self.nodes = tuple(nodes)
         self.initial = tuple(initial)
         self.succ = succ
@@ -140,7 +139,7 @@ def build_kripke(fsa) -> KripkeStructure:
             label[q] = frozenset({f"x:{q.state}"})
         else:
             label[q] = frozenset({f"x:{q.state}", f"o:{q.obs}"})
-    return KripkeStructure(fsa, nodes, initial, succ, label, modified=False)
+    return KripkeStructure(nodes, initial, succ, label, modified=False)
 
 
 def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:
@@ -156,7 +155,7 @@ def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:
     label = dict(k.label)
     for q in k.nodes:
         label[twins[q]] = frozenset({f"x:{q.state}", "tau"})
-    return KripkeStructure(k.fsa, nodes, k.initial, succ, label, modified=True)
+    return KripkeStructure(nodes, k.initial, succ, label, modified=True)
 
 
 def compatible_runs(fsa, k: KripkeStructure, s, x0, max_runs=None):

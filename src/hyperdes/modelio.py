@@ -184,13 +184,22 @@ def parse_model(text) -> Fsa:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}",
                           f"$ (line {exc.lineno}, column {exc.colno})") from exc
+    except (ValueError, RecursionError) as exc:
+        # nesting deeper than the interpreter's recursion limit, or an
+        # integer longer than its digit limit
+        raise SchemaError(f"unreadable JSON: {exc}", "$") from exc
     return document_from_json(raw)
 
 
 def load_model(path) -> Fsa:
-    """Read and parse a model file."""
+    """Read and parse a model file; a file that is not UTF-8 text raises
+    SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc.reason}", "$") from exc
+    return parse_model(text)
 
 
 def serialize_model(fsa: Fsa) -> str:
@@ -233,11 +242,11 @@ def _lasso_to_json(lasso):
     }
 
 
-def verdict_to_json(verdict, include_timing=True) -> dict:
+def verdict_to_json(verdict) -> dict:
     """JSON value for a verdict; witnesses become node-sequence lassos.
 
-    "bound", "witness" and "details" appear only when present on the verdict;
-    include_timing=False drops the wall-clock field for reproducible output.
+    "bound", "witness", "details" and "seconds" appear only when present on
+    the verdict.
     """
     out = {
         "property": verdict.property,
@@ -252,12 +261,6 @@ def verdict_to_json(verdict, include_timing=True) -> dict:
                           for w in verdict.witness]
     if verdict.details:
         out["details"] = verdict.details
-    if include_timing and verdict.seconds is not None:
+    if verdict.seconds is not None:
         out["seconds"] = verdict.seconds
     return out
-
-
-def serialize_verdict(verdict, include_timing=True) -> str:
-    """Canonical JSON text for one verdict."""
-    return json.dumps(verdict_to_json(verdict, include_timing=include_timing),
-                      indent=2, sort_keys=True) + "\n"

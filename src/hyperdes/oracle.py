@@ -10,6 +10,10 @@ refinement, the observer and the state-pair graphs on first use and hands
 the same structures to every property it is asked about; oracle_check makes
 a fresh one for a single property.
 
+The estimate steps are des's (observable_moves, track_moves, pair_moves),
+shared with the estimate functions; this module keeps the decisions taken on
+them, and the pair graph's per-state step (_pair_graph).
+
 Diagnosability, I-detectability and delayed detectability quantify over
 arbitrarily long observation suffixes.  By default they are decided exactly
 on a graph of state pairs that agree on every observation so far (the twin
@@ -33,9 +37,12 @@ from .des import (
     boundary_states,
     build_observer,
     indicator_states,
+    initial_tracks,
     observable_moves,
     observable_step,
+    pair_moves,
     refine_fault_partition,
+    track_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -233,43 +240,6 @@ def predictability_oracle(an, bound=None) -> Verdict:
 # detectability properties
 
 
-def _initial_tracks(fsa):
-    """Deterministic machine node: which initial states still admit the
-    observed string, each with its current-state spread."""
-    return frozenset((x0, unobservable_reach(fsa, [x0])) for x0 in fsa.initial)
-
-
-def _by_observation(fsa, grouped):
-    """The (o, frozenset) moves of a dict of nonempty sets keyed by
-    observation, in observation order."""
-    return [(o, frozenset(grouped[o]))
-            for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
-
-
-def _track_moves(fsa, tracks):
-    """The track-machine node after each observation the string can be
-    extended by: every track that survives it, stepped; in observation
-    order, with no empty node."""
-    grouped = {}
-    for x0, cur in tracks:
-        for o, nxt in observable_moves(fsa, cur):
-            grouped.setdefault(o, []).append((x0, nxt))
-    return _by_observation(fsa, grouped)
-
-
-def _pair_moves(fsa, pairs):
-    """step_delayed_pairs on every observation at once: (o, stepped pairs)
-    in observation order, with no empty set."""
-    by_cur = {}
-    for a, c in pairs:
-        by_cur.setdefault(c, []).append(a)
-    grouped = {}
-    for c, anchors in by_cur.items():
-        for o, ys in observable_moves(fsa, [c]):
-            grouped.setdefault(o, set()).update((a, y) for y in ys for a in anchors)
-    return _by_observation(fsa, grouped)
-
-
 def _bad_after(roots, moves, is_bad, bound):
     """Whether a bad node lies `bound` steps from `roots`, where `moves(node)`
     returns the node's (symbol, successor) moves: the depth-bounded level
@@ -300,7 +270,7 @@ def i_detectability_oracle(an, bound=None) -> Verdict:
                   for a in closures[x0] for b in closures[y0]}
         ambiguous = any(cyclic_sccs(starts, an.pairs(fsa)))
         return _exact_verdict(not ambiguous)
-    bad = _bad_after([_initial_tracks(fsa)], lambda tracks: _track_moves(fsa, tracks),
+    bad = _bad_after([initial_tracks(fsa)], lambda tracks: track_moves(fsa, tracks),
                      lambda tracks: len(tracks) >= 2, bound)
     return _bounded_verdict(not bad, bound, fsa)
 
@@ -378,7 +348,7 @@ def delayed_detectability_oracle(an, bound=None) -> Verdict:
         ambiguous = any(cyclic_sccs([p for p in found if p[0] != p[1]], succ))
         return _exact_verdict(not ambiguous)
     bad = any(_bad_after([frozenset((x, x) for x in est)],
-                         lambda pairs: _pair_moves(fsa, pairs),
+                         lambda pairs: pair_moves(fsa, pairs),
                          lambda pairs: len({a for a, _ in pairs}) >= 2, bound)
               for est in an.observer().nodes if len(est) > 1)
     return _bounded_verdict(not bad, bound, fsa)
@@ -392,8 +362,8 @@ def initial_state_opacity_oracle(an, bound=None) -> Verdict:
     """No observation may narrow the initial-state estimate into the secret."""
     fsa = an.fsa
     secret = fsa.secret_states
-    reached = bfs([_initial_tracks(fsa)],
-                  lambda tracks: [t for _, t in _track_moves(fsa, tracks)])
+    reached = bfs([initial_tracks(fsa)],
+                  lambda tracks: [t for _, t in track_moves(fsa, tracks)])
     exposed = any(tracks and {x0 for x0, _ in tracks} <= secret for tracks in reached)
     return _exact_verdict(not exposed)
 
@@ -412,7 +382,7 @@ def infinite_step_opacity_oracle(an, bound=None) -> Verdict:
     # whether a pair set exposes the secret depends on the set alone, so
     # one search from every estimate at once visits each set only once
     starts = [frozenset((x, x) for x in est) for est in an.observer().nodes]
-    reached = bfs(starts, lambda pairs: [t for _, t in _pair_moves(fsa, pairs)])
+    reached = bfs(starts, lambda pairs: [t for _, t in pair_moves(fsa, pairs)])
     exposed = any(pairs and {a for a, _ in pairs} <= secret for pairs in reached)
     return _exact_verdict(not exposed)
 

@@ -174,14 +174,14 @@ def test_bound_env_variable_is_honored(capsys, tmp_path, monkeypatch):
 
 def test_invalid_bound_exits_two(capsys, monkeypatch):
     """A negative --bound, and a HYPERDES_BOUND that is not an integer or is
-    negative, is a usage error on either route: exit 2 with a message, and
-    no verdict on stdout."""
-    code, out, err = run(capsys, "verify", "--model", G_DIAG,
-                         "--property", "diagnosability", "--engine", "oracle",
-                         "--bound", "-1")
-    assert code == 2 and out == ""
-    assert "invalid bound -1" in err
+    negative, is a usage error on either route, also when every selected
+    property is skipped: exit 2 with a message, and no verdict on stdout."""
     for engine in ("hyper", "oracle"):
+        for selected in (("--property", "diagnosability"), ("--all-opacity",)):
+            code, out, err = run(capsys, "verify", "--model", G_DIAG, *selected,
+                                 "--engine", engine, "--bound", "-1")
+            assert code == 2 and out == ""
+            assert "invalid bound -1" in err
         monkeypatch.setenv("HYPERDES_BOUND", "abc")
         code, out, err = run(capsys, "verify", "--model", G_DIAG,
                              "--property", "diagnosability", "--engine", engine)
@@ -219,6 +219,25 @@ def test_broken_model_file_exits_two(capsys, tmp_path):
                          "--property", "i-detectability")
     assert code == 2 and out == ""
     assert "$.events" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000,
+    b'{"version": ' + b"1" * 5000 + b"}",
+    b'{"name": "\xff"}',
+], ids=["nested-too-deep", "integer-too-long", "not-utf8"])
+def test_unreadable_model_file_is_a_schema_error(capsys, tmp_path, content):
+    """A file the JSON reader cannot take in (nesting past the recursion
+    limit, an integer past the digit limit, bytes that are not UTF-8) is a
+    schema error at $ for every command that loads a model: exit 2, no
+    traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (("verify", "--model", str(bad), "--property", "i-detectability"),
+                 ("export", "--model", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "(at $)" in err and "Traceback" not in err and "internal error" not in err
 
 
 def test_inspect_estimates_empty_observation(capsys):

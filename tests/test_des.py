@@ -20,9 +20,12 @@ from hyperdes.des import (
     delayed_state_estimate,
     indicator_states,
     initial_state_estimate,
+    initial_tracks,
     observable_moves,
     observable_step,
+    pair_moves,
     refine_fault_partition,
+    track_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -36,6 +39,7 @@ from hyperdes.errors import (
     UnobservableCycle,
 )
 from hyperdes.gen import random_valid_fsa
+from hyperdes.graph import bfs
 from conftest import make_dying_branch, make_twin_branch
 from support import per_observation_moves, reversed_observations, seeded_machines
 
@@ -269,6 +273,36 @@ def test_observable_moves_is_observable_step_on_every_observation(g_diag, g_det,
         for states in sets:
             assert observable_moves(fsa, states) == per_observation_moves(fsa, states), \
                 (fsa.name, fsa.observations, states)
+
+
+def test_track_and_pair_moves_are_observable_step_on_every_observation(g_diag, g_det, g_opa):
+    """The initial- and delayed-estimate steps give, for each observation in
+    declared order, what observable_step makes of every track or pair, and
+    leave out the observations that empty it; on every node reachable from
+    the initial tracks and from the diagonal of every estimate."""
+    for fsa in moves_cases(g_diag, g_det, g_opa):
+        for tracks in bfs([initial_tracks(fsa)], lambda n: [t for _, t in track_moves(fsa, n)]):
+            assert track_moves(fsa, tracks) == [(o, t) for o in fsa.observations if (t := frozenset(
+                (x0, s) for x0, cur in tracks if (s := observable_step(fsa, cur, o))))]
+        diagonals = [frozenset((x, x) for x in est) for est in build_observer(fsa).nodes]
+        for pairs in bfs(diagonals, lambda n: [t for _, t in pair_moves(fsa, n)]):
+            assert pair_moves(fsa, pairs) == [(o, t) for o in fsa.observations if (t := frozenset(
+                (a, y) for a, c in pairs for y in observable_step(fsa, [c], o)))]
+
+
+def test_estimate_walks_refuse_an_unknown_symbol_after_emptying(g_det):
+    """Every estimate walk checks each symbol against the alphabet, also
+    once its estimate is empty: no string with an unknown symbol has an
+    estimate, empty or not."""
+    assert current_state_estimate(g_det, ("o2",)) == frozenset()
+    assert initial_state_estimate(g_det, ("o2",)) == frozenset()
+    assert delayed_state_estimate(g_det, (), ("o2",)) == frozenset()
+    for walk in (lambda: current_state_estimate(g_det, ("o2", "o9")),
+                 lambda: initial_state_estimate(g_det, ("o2", "o9")),
+                 lambda: delayed_state_estimate(g_det, ("o2",), ("o9",)),
+                 lambda: delayed_state_estimate(g_det, (), ("o2", "o9"))):
+        with pytest.raises(UnknownObservation):
+            walk()
 
 
 def test_observer_moves_match_per_observation_reference(g_diag, g_det, g_opa):

@@ -43,7 +43,6 @@ from hyperdes.formula import (
     property_formula,
     property_template,
 )
-from hyperdes.kripke import build_kripke
 
 FF = (("forall", "p1"), ("forall", "p2"))
 
@@ -293,7 +292,7 @@ def test_obseq_expansion_counts(g_det):
         elif isinstance(node, And):
             stack.extend([node.left, node.right])
     assert len(iffs) == len(g_det.observations) == 3
-    via_kripke = expand_macros(ObsEq("p1", "p2"), build_kripke(g_det).fsa)
+    via_kripke = expand_macros(ObsEq("p1", "p2"), g_det)
     assert via_kripke == expanded
 
 

@@ -12,6 +12,7 @@ from hyperdes.errors import (
     HyperdesError,
     MissingAnnotation,
     NotARun,
+    NotLive,
     NotSynchronousFragment,
     PrefixMismatch,
     UnknownProperty,
@@ -636,6 +637,22 @@ def test_unknown_property_is_a_typed_value_error(g_det):
         assert exc.value.kind == "liveness"
 
 
+def test_routes_report_the_same_error_on_an_unannotated_dead_machine():
+    """Both routes test the property name and its annotation before they
+    validate the machine, so a machine that is neither live nor annotated
+    gets the same error from each; a property it is annotated for reaches
+    validation on both."""
+    fsa = Fsa(states=["0", "1"], events=["a"], transitions={("0", "a"): "1"},
+              initial=["0"], mask={"a": "o1"})
+    for kind, error in (("diagnosability", MissingAnnotation),
+                        ("current-state-opacity", MissingAnnotation),
+                        ("liveness", UnknownProperty),
+                        ("strong-detectability", NotLive)):
+        for decide in (verify, oracle_check):
+            with pytest.raises(error):
+                decide(fsa, kind)
+
+
 def test_estimate_walk_is_stricter_than_the_trace_product():
     """On the dying-branch machine the product over infinite traces accepts
     candidates, because each ambiguous branch dies out within a step; their
@@ -824,17 +841,13 @@ def test_predictability_template_agrees_with_verify_on_fuzz_machine_358():
 
 def test_library_ignores_the_bound_environment_variable(g_det, monkeypatch):
     """Only the command line reads HYPERDES_BOUND: the bounded candidate
-    search gives the same verdict with the variable set, and an explicit
-    bound still feeds it."""
+    search gives the same verdict with the variable set."""
     unset = verify(g_det, "weak-detectability", wd_route="bounded")
     monkeypatch.setenv("HYPERDES_BOUND", "4")
     verdict = verify(g_det, "weak-detectability", wd_route="bounded")
     assert verdict.bound == unset.bound != 4
     assert verdict.holds is unset.holds is True
     assert verdict.witness == unset.witness
-    explicit = verify(g_det, "weak-detectability", bound=4, wd_route="bounded")
-    assert explicit.bound == 4
-    assert explicit.holds is True
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hyperdes.des import (
     validate_fsa,
 )
 from hyperdes.errors import InvalidBound, MissingAnnotation
+from hyperdes.formula import PROPERTIES
 from hyperdes.gen import random_valid_fsa
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
@@ -119,8 +120,8 @@ def test_default_bound_is_conclusive(g_diag):
 
 def test_invalid_bounds_and_policies_are_refused(g_diag):
     """A bound must be a non-negative integer, whether passed to
-    oracle_check, OracleAnalysis.check or verify; the command line's
-    HYPERDES_BOUND is tested with the command line."""
+    oracle_check or OracleAnalysis.check; the command line's --bound and
+    HYPERDES_BOUND are tested with the command line."""
     for kind in ("diagnosability", "predictability"):
         for bound in (-1, -3, 2.5, "7"):
             with pytest.raises(InvalidBound):
@@ -128,8 +129,6 @@ def test_invalid_bounds_and_policies_are_refused(g_diag):
     for bound in (-1, 1.5, True):
         with pytest.raises(InvalidBound):
             OracleAnalysis(g_diag).check("diagnosability", bound)
-        with pytest.raises(InvalidBound):
-            verify(g_diag, "diagnosability", bound=bound)
     assert oracle_check(g_diag, "diagnosability", 0).bound == 0
 
 
@@ -373,6 +372,7 @@ def test_differential_fuzz_smoke():
     assert report["witness_failures"] == []
     total = sum(sum(t.values()) for t in report["tallies"].values())
     assert total == 25 * 9
+    assert report["properties"] == list(report["tallies"]) == list(PROPERTIES)
 
 
 def test_differential_fuzz_is_deterministic():
@@ -381,9 +381,3 @@ def test_differential_fuzz_is_deterministic():
     b = differential_fuzz(seed=11, count=6)
     assert a == b
 
-
-def test_differential_fuzz_subset_of_properties():
-    report = differential_fuzz(seed=3, count=8,
-                               properties=["current-state-opacity"])
-    assert list(report["tallies"]) == ["current-state-opacity"]
-    assert report["disagreements"] == []

@@ -1,6 +1,6 @@
 """Structure of the package: its modules import each other without cycles,
-every breadth-first search runs through the graph kernel, and neither route
-imports the other.
+every breadth-first search runs through the graph kernel, neither route
+imports the other, and every estimate step is des's.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -183,7 +183,8 @@ ROUTE_IMPORTS = {
     ("hyper", "oracle"): set(),
 }
 # the oracle's structures, which the hyper route never builds or steps
-ORACLE_ONLY = {"build_observer", "observable_moves", "observable_step"}
+ORACLE_ONLY = {"build_observer", "observable_moves", "observable_step", "initial_tracks",
+               "track_moves", "pair_moves"}
 
 
 def route_leaks(sources):
@@ -299,3 +300,44 @@ def test_environment_scan_sees_each_injected_read():
               "b = os.getenv('X')\n"
               "environ = {}\n")
     assert environment_reads(source) == [2, 3, 4]
+
+
+def calls_outside(source, name, allowed):
+    """(owner, line) of each call of `name`, as a name or an attribute, in a
+    source text outside the module-level definitions named in `allowed`;
+    the owner is the enclosing module-level definition, or None."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == name
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == name):
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_the_oracle_steps_estimates_only_through_des():
+    """des owns the step of each estimate machine (observable_moves,
+    track_moves, pair_moves); the oracle steps single states itself only
+    in the pair graph's twin-plant step."""
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert calls_outside(source, "observable_moves", {"_pair_graph"}) == []
+
+
+def test_step_scan_sees_each_injected_call():
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    end = len(source.splitlines())
+    # each injection, its owner and the line of its call after the end of the source
+    for line, owner, at in (
+            ("def _track_moves(fsa, tracks):\n    return observable_moves(fsa, tracks)\n",
+             "_track_moves", 2),
+            ("moves = des.observable_moves(fsa, [])\n", None, 1),
+            ("class Walk:\n    def step(self, d):\n        return observable_moves(self.fsa, d)\n",
+             "Walk", 3)):
+        assert calls_outside(source + line, "observable_moves", {"_pair_graph"}) == [
+            (owner, end + at)], line
+    assert calls_outside("def _pair_graph(fsa):\n    return observable_moves(fsa, [])\n"
+                         "step = observable_moves\n", "observable_moves", {"_pair_graph"}) == []
