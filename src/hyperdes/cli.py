@@ -2,17 +2,16 @@
 
 stdout carries machine output only (JSON, or DOT when requested); summaries
 and warnings go to stderr.  Exit codes: 0 every checked property holds, 1 at
-least one is violated, 2 usage or model errors (including a conclusive
-disagreement under --engine both), 3 a bounded search stayed inconclusive
-and nothing was violated, 4 an internal error: any other exception, whose
-traceback goes to stderr.
+least one is violated, 2 usage or model errors (including a disagreement
+under --engine both), 4 an internal error: any other exception, whose
+traceback goes to stderr.  Every verdict the command line reports is exact,
+so none is inconclusive and 3 is not used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
@@ -23,7 +22,7 @@ from .des import (
     initial_state_estimate,
     validate_fsa,
 )
-from .errors import HyperdesError, InvalidBound, check_bound
+from .errors import HyperdesError
 from .formula import (
     DETECTABILITY_PROPERTIES,
     OPACITY_PROPERTIES,
@@ -32,14 +31,12 @@ from .formula import (
 )
 from .fuzz import differential_fuzz
 from .hyper import HyperAnalysis
-from .kripke import build_kripke, build_modified_kripke, export_dot
+from .kripke import build_kripke, build_modified_kripke, dot_quote, export_dot
 from .modelio import MASK_EPS, load_model, serialize_model, verdict_to_json
 from .oracle import OracleAnalysis
 
 # the model field that carries each annotation
 ANNOTATION_FIELDS = {"fault": "fault_events", "secret": "secret_states"}
-# the environment variable that supplies --bound when the flag is absent
-BOUND_ENV = "HYPERDES_BOUND"
 
 
 def _emit(text, out_path):
@@ -52,14 +49,6 @@ def _emit(text, out_path):
 
 def _json_text(value):
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-def _holds_word(holds):
-    if holds is True:
-        return "holds"
-    if holds is False:
-        return "violated"
-    return "inconclusive"
 
 
 def cmd_verify(args):
@@ -92,19 +81,11 @@ def cmd_verify(args):
         print(f"skipping {kind}: model has no {field} annotation",
               file=sys.stderr)
 
-    bound = args.bound
-    if bound is None and os.environ.get(BOUND_ENV):
-        text = os.environ[BOUND_ENV]
-        try:
-            bound = int(text)
-        except ValueError:
-            raise InvalidBound(BOUND_ENV, text) from None
-    check_bound(bound)
     # one analysis per route, so the routes never share a structure; under
     # --engine both, weak detectability compares the hyper engine's
     # estimate-product check with the oracle's observer check
     analysis, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
-    decide = {"hyper": analysis.verify, "oracle": lambda kind: oracle.check(kind, bound)}
+    decide = {"hyper": analysis.verify, "oracle": oracle.check}
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)
     entries = []
     verdicts = []
@@ -119,13 +100,11 @@ def cmd_verify(args):
             if not args.emit_witness:
                 doc.pop("witness", None)
             entries.append(doc)
-            print(f"{kind}: {_holds_word(verdict.holds)} "
+            print(f"{kind}: {'holds' if verdict.holds else 'violated'} "
                   f"[{verdict.engine}, {verdict.mode}, {verdict.seconds:.3f}s]",
                   file=sys.stderr)
-        if len(per_engine) == 2:
-            a, b = (v.holds for v in per_engine)
-            if a != "inconclusive" and b != "inconclusive" and a != b:
-                disagreements.append(kind)
+        if len(per_engine) == 2 and per_engine[0].holds != per_engine[1].holds:
+            disagreements.append(kind)
 
     if args.check_witness:
         replayable = [v for v in verdicts if v.replayable]
@@ -141,11 +120,7 @@ def cmd_verify(args):
         print("error: engines disagree on: " + ", ".join(disagreements),
               file=sys.stderr)
         return 2
-    if any(v.holds is False for v in verdicts):
-        return 1
-    if any(v.holds == "inconclusive" for v in verdicts):
-        return 3
-    return 0
+    return 1 if any(v.holds is False for v in verdicts) else 0
 
 
 def _kripke_json(k):
@@ -176,16 +151,16 @@ def _observer_json(fsa, observer):
 
 def _observer_dot(fsa, observer):
     def name(est):
-        return "{" + ",".join(fsa.sort_states(est)) + "}"
+        return dot_quote("{" + ",".join(fsa.sort_states(est)) + "}")
 
     lines = ["digraph observer {", "  rankdir=LR;",
              "  node [shape=box, fontsize=10];"]
     for est in observer.nodes:
         extra = ", peripheries=2" if est == observer.initial else ""
-        lines.append(f'  "{name(est)}" [label="{name(est)}"{extra}];')
+        lines.append(f"  {name(est)} [label={name(est)}{extra}];")
     for src in observer.nodes:
         for o, dst in sorted(observer.moves[src], key=lambda move: move[0]):
-            lines.append(f'  "{name(src)}" -> "{name(dst)}" [label="{o}"];')
+            lines.append(f"  {name(src)} -> {name(dst)} [label={dot_quote(o)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -274,11 +249,6 @@ def build_parser():
                    default="hyper",
                    help="verification engine; both compares and fails on "
                         "disagreement")
-    p.add_argument("--bound", type=int, default=None,
-                   help="run the oracle's diagnosability, i- and "
-                        "delayed-detectability checks as probes of this "
-                        "depth (default: HYPERDES_BOUND env, else no bound: "
-                        "exact where the engine can be exact)")
     p.add_argument("--emit-witness", action="store_true",
                    help="include witness lassos in the JSON output")
     p.add_argument("--check-witness", action="store_true",

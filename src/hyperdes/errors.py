@@ -122,6 +122,11 @@ class NotSynchronousFragment(HyperdesError):
         super().__init__(f"not in the synchronous fragment: {reason}")
 
 
+class NotCollapseBody(HyperdesError):
+    """An exists/forall body other than the collapse body, the one such body
+    the engines decide."""
+
+
 class NotARun(HyperdesError):
     """A claimed witness lasso is not a run of the structure."""
 
@@ -136,21 +141,13 @@ class UnknownRoute(HyperdesError):
 
 
 class InvalidBound(HyperdesError):
-    """A search bound the engines cannot use, one that is not a
-    non-negative integer; also a fuzz count or machine size limit that no
-    run can use."""
+    """A fuzz count or machine size limit that no run can use: a negative
+    count, or a limit no machine can be drawn under."""
 
-    def __init__(self, name, value, expected="a non-negative integer"):
+    def __init__(self, name, value, expected):
         self.name = name
         self.value = value
         super().__init__(f"invalid {name} {value!r}; expected {expected}")
-
-
-def check_bound(value):
-    """Raise InvalidBound unless `value` is None or a non-negative integer."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                              or value < 0):
-        raise InvalidBound("bound", value)
 
 
 # --- model files -------------------------------------------------------------

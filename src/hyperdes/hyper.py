@@ -19,10 +19,9 @@ properties:
   into such a cycle.  verify() takes this exact route unless asked for the
   bounded one.  The bounded route enumerates candidate lassos up to a length
   bound; a found witness is conclusive, exhaustion is reported as
-  inconclusive.  A candidate is accepted by the estimate walk for the
-  collapse body, which prunes its search to the product states that can
-  still reach a singleton cycle, and otherwise by the forall/forall product
-  search.
+  inconclusive.  A candidate is accepted by the estimate walk, and the
+  product prunes the search to the states that can still reach a singleton
+  cycle.  Neither route decides any other exists/forall body.
 
 The searches step the current-state estimate by one memoised step,
 _estimate_moves; replays walk it along a lasso with _lasso_estimates, which
@@ -55,6 +54,7 @@ from .des import refine_fault_partition, validate_fsa
 from .errors import (
     MissingAnnotation,
     NotARun,
+    NotCollapseBody,
     NotSynchronousFragment,
     PrefixMismatch,
     UnknownRoute,
@@ -251,26 +251,27 @@ def _bit_letters(k, formula):
     return letter, admitted
 
 
-def _product_lasso(k, formula, roots, pair_succ, first_node):
-    """Accepting lasso of the product of a graph of two-trace positions with
-    the automaton of the negated body, as (stem, cycle) of (position,
-    automaton state) pairs, or None when no pair of traces violates the body.
+def _product_lasso(k, formula, roots):
+    """Accepting lasso of the product of the two-fold self-composition of k
+    with the automaton of the negated body, as (stem, cycle) of (node pair,
+    automaton state) pairs, or None when no pair of traces violates the
+    body.
 
-    A position c is a pair (first, v): the first trace is at the node
-    first_node(first), the second at the node v, and c reads their pair
-    letter, a bitmask over the automaton's literals (see _bit_letters).  The
-    product successors of (c, b) are c's successors, in pair_succ's order,
-    each with every automaton edge from b whose guard admits the letter.
-    Letter and successors are computed once per position, the admitted
-    edges once per letter and automaton state."""
+    A node pair c = (u, v) reads its pair letter, a bitmask over the
+    automaton's literals (see _bit_letters).  The product successors of
+    (c, b) are the pairs succ(u) × succ(v), in that order, each with every
+    automaton edge from b whose guard admits the letter.  Letter and
+    successors are computed once per pair, the admitted edges once per
+    letter and automaton state."""
     ba = _negated_body_automaton(formula.body)
     letter, admitted = _bit_letters(k, formula)
-    seen = {}
+    succ, seen = k.succ, {}
 
     def successors(state):
         c, b = state
         if c not in seen:
-            seen[c] = (letter(first_node(c[0]), c[1]), tuple(pair_succ(c)))
+            u, v = c
+            seen[c] = (letter(u, v), tuple((a, t) for a in succ[u] for t in succ[v]))
         lab, nexts = seen[c]
         targets = admitted(lab, b)
         return [(c2, b2) for c2 in nexts for b2 in targets]
@@ -290,9 +291,7 @@ def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     atom it mentions, and gives the same verdict.
     """
     _check_prefix(formula, ("forall", "forall"))
-    hit = _product_lasso(k, formula, _pair_order(list(k.initial)),
-                         lambda c: [(a, b) for a in k.succ[c[0]] for b in k.succ[c[1]]],
-                         lambda u: u)
+    hit = _product_lasso(k, formula, _pair_order(list(k.initial)))
     if hit is None:
         return Verdict(property=None, holds=True, mode="exact",
                        engine="hyper-forall-forall")
@@ -712,73 +711,44 @@ def _estimate_walk_accepts(k, pi1):
     return all(len(d) == 1 for _, d in period)
 
 
-def _inner_universal_holds(k, pi1, formula):
-    """With the existential trace fixed to the lasso pi1, check that every
-    trace satisfies the body: the product search of check_forall_forall
-    over positions (index into pi1, node) finds no violating lasso."""
-    nodes = list(pi1.stem) + list(pi1.cycle)
-    wrap = len(pi1.stem)
-
-    def pair_succ(c):
-        p, q2 = c
-        p = p + 1 if p + 1 < len(nodes) else wrap
-        return [(p, t) for t in k.succ[q2]]
-
-    return _product_lasso(k, formula, [(0, q2) for q2 in k.initial], pair_succ,
-                          nodes.__getitem__) is None
-
-
 def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Verdict:
-    """Semi-decision for exists/forall: try candidate lassos up to a length
+    """Semi-decision of the collapse body (always obs-equal implies
+    eventually always state-equal): try candidate lassos up to a length
     bound, the structure's node count plus one; success is conclusive,
     exhaustion is not.
 
     Candidates are the simple lassos from each initial node, found by a
-    depth-first search that closes a path back onto itself.  For the
-    collapse body (always obs-equal implies eventually always state-equal)
-    a candidate is accepted by the estimate walk, which also quantifies over
-    finite matching runs, and the search carries the estimate down its path:
-    a root, extension or closing edge whose (node, estimate) state cannot
+    depth-first search that closes a path back onto itself.  A candidate is
+    accepted by the estimate walk, which also quantifies over finite
+    matching runs, and the search carries the estimate down its path: a
+    root, extension or closing edge whose (node, estimate) state cannot
     reach a cycle of singleton estimates (see _estimate_product) leads to no
-    acceptable candidate and is skipped.  Every other body is checked on each
-    candidate by testing emptiness of the product of the candidate, the
-    structure and the Büchi automaton of the negated body.  The first
-    accepted candidate is the witness; details["candidates_tried"] of an
-    inconclusive verdict counts the candidates whose acceptance check ran,
-    at most MAX_CANDIDATES."""
+    acceptable candidate and is skipped.  The first accepted candidate is
+    the witness; details["candidates_tried"] of an inconclusive verdict
+    counts the candidates whose estimate walk ran, at most MAX_CANDIDATES.
+    Any other exists/forall body raises NotCollapseBody."""
     _check_prefix(formula, ("exists", "forall"))
+    if not _is_collapse(formula):
+        raise NotCollapseBody("the exists/forall search decides the collapse body only")
     bound = len(k.nodes) + 1
-    if _is_collapse(formula):
-        succ, _, good = _estimate_product(k)
-        start = frozenset(k.initial)
-        roots = [(q, start) for q in k.initial if (q, start) in good]
-
-        def moves(q, d):
-            return [m for m in succ[(q, d)] if m in good]
-
-        def accepts(cand):
-            return _estimate_walk_accepts(k, cand)
-    else:
-        roots = [(q, None) for q in k.initial]
-
-        def moves(q, _):
-            return [(t, None) for t in k.succ[q]]
-
-        def accepts(cand):
-            return _inner_universal_holds(k, cand, formula)
-
+    succ, _, good = _estimate_product(k)
+    start = frozenset(k.initial)
     tried = 0
-    for q0, d0 in roots:
-        stack = [([q0], {q0}, d0)]
+    for q0 in k.initial:
+        if (q0, start) not in good:
+            continue
+        stack = [([q0], {q0}, start)]
         while stack:
             path, onpath, d = stack.pop()
-            for t, dt in moves(path[-1], d):
+            for t, dt in succ[(path[-1], d)]:
+                if (t, dt) not in good:
+                    continue
                 if t in onpath:
                     i = path.index(t)
                     cand = canonical_lasso(
                         Lasso(stem=tuple(path[:i]), cycle=tuple(path[i:])))
                     tried += 1
-                    if accepts(cand):
+                    if _estimate_walk_accepts(k, cand):
                         return Verdict(property=None, holds=True, mode="bounded",
                                        engine="hyper-exists-forall",
                                        bound=bound, witness=(cand, None))
@@ -1013,9 +983,7 @@ class HyperAnalysis:
         if verdict.holds is True and quants == ("exists", "forall"):
             pi1, _ = verdict.witness
             _require_run(k, pi1)
-            if _is_collapse(formula):
-                return _estimate_walk_accepts(k, pi1)
-            return _inner_universal_holds(k, pi1, formula)
+            return _estimate_walk_accepts(k, pi1)
         raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")
 
 

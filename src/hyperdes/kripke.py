@@ -198,17 +198,22 @@ def compatible_runs(fsa, k: KripkeStructure, s, x0, max_runs=None):
     return runs
 
 
+def dot_quote(text):
+    """A DOT quoted string of text, with its quotes and backslashes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(k: KripkeStructure) -> str:
     """Deterministic DOT rendering; initial nodes get a doubled border."""
     lines = ["digraph kripke {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     initial = set(k.initial)
     for q in k.nodes:
-        props = sorted(k.label[q], key=_prop_order)
+        label = "{" + ",".join(sorted(k.label[q], key=_prop_order)) + "}"
         shape = ", peripheries=2" if q in initial else ""
-        lines.append(f'  "{q.pretty()}" [label="{{{",".join(props)}}}"{shape}];')
+        lines.append(f"  {dot_quote(q.pretty())} [label={dot_quote(label)}{shape}];")
     for q in k.nodes:
         for t in k.succ[q]:
-            lines.append(f'  "{q.pretty()}" -> "{t.pretty()}";')
+            lines.append(f"  {dot_quote(q.pretty())} -> {dot_quote(t.pretty())};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

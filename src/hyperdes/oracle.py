@@ -15,18 +15,13 @@ shared with the estimate functions; this module keeps the decisions taken on
 them, and the pair graph's per-state step (_pair_graph).
 
 Diagnosability, I-detectability and delayed detectability quantify over
-arbitrarily long observation suffixes.  By default they are decided exactly
-on a graph of state pairs that agree on every observation so far (the twin
-plant of Jiang, Huang, Chandra and Kumar, IEEE TAC 46(8), 2001, and the
+arbitrarily long observation suffixes.  They are decided on a graph of
+state pairs that agree on every observation so far (the twin plant of
+Jiang, Huang, Chandra and Kumar, IEEE TAC 46(8), 2001, and the
 delayed-detectability detector of Shu and Lin, IEEE TAC 58(4), 2013): a
 violation is a reachable cycle, which yields ambiguous strings of every
-length.  Given an integer bound they instead run the defining subset
-machine out to that many observations; at the pumping horizon (number of
-states squared, plus one) a surviving bad configuration repeats a state
-pair, so the bounded answer is conclusive there, and below it the verdict
-is inconclusive with the finding in details["bounded_finding"].  The
-remaining properties are plain reachability questions and are decided
-exactly.
+length.  The remaining properties are plain reachability questions.  Every
+check is exact and takes the machine alone.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from .des import (
     unobservable_reach,
     validate_fsa,
 )
-from .errors import MissingAnnotation, check_bound
+from .errors import MissingAnnotation
 from .formula import missing_annotation
 from .graph import bfs, cyclic_sccs, first_cycle, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
@@ -77,30 +72,24 @@ class OracleAnalysis:
         """The pair graph of the machine or of its refinement."""
         return self._once(("pairs", machine), lambda: _pair_graph(machine))
 
-    def check(self, kind, bound=None) -> Verdict:
-        """Decide one property straight from its definition; an integer
-        bound runs the three pair-graph checks as horizon probes."""
+    def check(self, kind) -> Verdict:
+        """Decide one property straight from its definition."""
         started = time.perf_counter()
-        check_bound(bound)
         fsa = self.fsa
         missing = missing_annotation(kind, fsa)
         if missing is not None:
             raise MissingAnnotation(missing)
         if not fsa.validated:
             validate_fsa(fsa)
-        verdict = _ORACLES[kind](self, bound)
+        verdict = _ORACLES[kind](self)
         verdict.property = kind
         verdict.seconds = time.perf_counter() - started
         return verdict
 
 
-def oracle_check(fsa, kind, bound=None) -> Verdict:
+def oracle_check(fsa, kind) -> Verdict:
     """Decide one property of a machine on a fresh OracleAnalysis."""
-    return OracleAnalysis(fsa).check(kind, bound)
-
-
-def _pumping_horizon(fsa):
-    return len(fsa.states) ** 2 + 1
+    return OracleAnalysis(fsa).check(kind)
 
 
 def _exact_verdict(holds, details=None):
@@ -136,77 +125,43 @@ def _pair_graph(fsa):
     return succ
 
 
-def _bounded_verdict(raw_holds, bound, machine, details=None):
-    """A probe's verdict: conclusive at the pumping horizon of the machine
-    it unfolded, else inconclusive with the finding recorded."""
-    conclusive = bound >= _pumping_horizon(machine)
-    holds = raw_holds if conclusive else "inconclusive"
-    det = dict(details or {})
-    if not conclusive:
-        det["bounded_finding"] = raw_holds
-    return Verdict(property=None, holds=holds, mode="bounded", engine="oracle",
-                   bound=bound, details=det or None)
-
-
 # ---------------------------------------------------------------------------
 # fault properties
 #
-# Each check takes the machine's OracleAnalysis `an` and the bound of check();
-# check() names the verdict's property.
+# Each check takes the machine's OracleAnalysis `an`; check() names the
+# verdict's property.
 
 
-def diagnosability_oracle(an, bound=None) -> Verdict:
+def diagnosability_oracle(an) -> Verdict:
     """A fault run must not stay observationally equal to a normal run for
     arbitrarily many post-fault observations.
 
-    Exact by default: on the pair graph of the refined machine, started
-    from every pair of its initial closure, the property fails exactly when
-    a reachable pair lies on a cycle of (fault, normal) pairs.  With an
-    integer bound, search instead for a fault run whose estimate stays
-    ambiguous for that many post-fault observations.
+    On the pair graph of the refined machine, started from every pair of its
+    initial closure, the property fails exactly when a reachable pair lies
+    on a cycle of (fault, normal) pairs.
     """
     refined, part = an.refined()
-    fault = part.fault_states
-    if bound is None:
-        normal = part.normal_states
-        pairs = an.pairs(refined)
+    fault, normal = part.fault_states, part.normal_states
+    pairs = an.pairs(refined)
 
-        def succ(pair):
-            return [q for q in pairs(pair) if q[1] in normal]
+    def succ(pair):
+        return [q for q in pairs(pair) if q[1] in normal]
 
-        # the fault region is absorbing: a second run that leaves the normal
-        # region never returns, and every pair reached from a (fault, normal)
-        # pair along succ is a (fault, normal) pair again
-        closure = unobservable_reach(refined, refined.initial)
-        found = reachable([(x, y) for x in closure for y in closure & normal], succ)
-        ambiguous = any(cyclic_sccs([p for p in found if p[0] in fault], succ))
-        # such a fault run stays ambiguous past the pumping horizon, as the
-        # unfolding to that horizon reports it
-        return _exact_verdict(not ambiguous,
-                              {"ambiguous_after": _pumping_horizon(refined)}
-                              if ambiguous else None)
-
-    def succ(node):
-        x, ctr, est = node
-        if ctr >= bound or est <= fault:
-            # the estimate can never leave the fault region again, and a
-            # horizon-length ambiguity would already have been reported
-            return
-        bump = 1 if x in fault else 0
-        for e, y in refined.out_edges(x):
-            o = refined.mask[e]
-            yield ((y, ctr, est) if o is None else
-                   (y, min(ctr + bump, bound), observable_step(refined, est, o)))
-
-    est0 = unobservable_reach(refined, refined.initial)
-    start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
-    after = next((ctr for x, ctr, est in bfs(start, succ)
-                  if x in fault and ctr >= bound and not est <= fault), None)
-    return _bounded_verdict(after is None, bound, refined,
-                            None if after is None else {"ambiguous_after": after})
+    # the fault region is absorbing: a second run that leaves the normal
+    # region never returns, and every pair reached from a (fault, normal)
+    # pair along succ is a (fault, normal) pair again
+    closure = unobservable_reach(refined, refined.initial)
+    found = reachable([(x, y) for x in closure for y in closure & normal], succ)
+    ambiguous = any(cyclic_sccs([p for p in found if p[0] in fault], succ))
+    # such a fault run stays ambiguous past the pumping horizon, states
+    # squared plus one, as the unfolding to that horizon reports it (the
+    # reference of the tests, tests/support.horizon_unfolding)
+    return _exact_verdict(not ambiguous,
+                          {"ambiguous_after": len(refined.states) ** 2 + 1}
+                          if ambiguous else None)
 
 
-def predictability_oracle(an, bound=None) -> Verdict:
+def predictability_oracle(an) -> Verdict:
     """Look for a run that reaches a fault boundary state while no prefix
     estimate ever fell inside the indicator region.
 
@@ -240,42 +195,21 @@ def predictability_oracle(an, bound=None) -> Verdict:
 # detectability properties
 
 
-def _bad_after(roots, moves, is_bad, bound):
-    """Whether a bad node lies `bound` steps from `roots`, where `moves(node)`
-    returns the node's (symbol, successor) moves: the depth-bounded level
-    unfolding of the probes.
-
-    Every prefix of a bad string is bad (no step turns a good node bad), so
-    only bad nodes are stepped, and a level with none ends the search."""
-    level = {t for t in roots if is_bad(t)}
-    for _ in range(bound):
-        if not level:
-            return False
-        level = {t for node in level for _, t in moves(node) if is_bad(t)}
-    return bool(level)
-
-
-def i_detectability_oracle(an, bound=None) -> Verdict:
+def i_detectability_oracle(an) -> Verdict:
     """Every long enough observation string must pin the initial state.
 
-    Exact by default: on the pair graph started from the pairs of the
-    unobservable closures of two distinct initial states, the property
-    fails exactly when a cycle is reachable.  With an integer bound, look
-    instead for initial-state ambiguity surviving that many observations.
+    On the pair graph started from the pairs of the unobservable closures
+    of two distinct initial states, the property fails exactly when a cycle
+    is reachable.
     """
     fsa = an.fsa
-    if bound is None:
-        closures = {x0: unobservable_reach(fsa, [x0]) for x0 in fsa.initial}
-        starts = {(a, b) for x0 in closures for y0 in closures if x0 != y0
-                  for a in closures[x0] for b in closures[y0]}
-        ambiguous = any(cyclic_sccs(starts, an.pairs(fsa)))
-        return _exact_verdict(not ambiguous)
-    bad = _bad_after([initial_tracks(fsa)], lambda tracks: track_moves(fsa, tracks),
-                     lambda tracks: len(tracks) >= 2, bound)
-    return _bounded_verdict(not bad, bound, fsa)
+    closures = {x0: unobservable_reach(fsa, [x0]) for x0 in fsa.initial}
+    starts = {(a, b) for x0 in closures for y0 in closures if x0 != y0
+              for a in closures[x0] for b in closures[y0]}
+    return _exact_verdict(not any(cyclic_sccs(starts, an.pairs(fsa))))
 
 
-def strong_detectability_oracle(an, bound=None) -> Verdict:
+def strong_detectability_oracle(an) -> Verdict:
     """All long observation strings must pin the current state: every observer
     node on or after a cycle has to be a singleton."""
     obs = an.observer()
@@ -288,7 +222,7 @@ def strong_detectability_oracle(an, bound=None) -> Verdict:
     return _exact_verdict(all(len(n) == 1 for n in closed))
 
 
-def weak_detectability_oracle(an, bound=None) -> Verdict:
+def weak_detectability_oracle(an) -> Verdict:
     """Some observation trace must pin the current state forever: a reachable
     cycle of singleton observer nodes.  A positive verdict carries the trace,
     lifted back to the state/observation structure."""
@@ -329,36 +263,27 @@ def weak_detectability_oracle(an, bound=None) -> Verdict:
                    engine="oracle-observer", witness=(witness, None))
 
 
-def delayed_detectability_oracle(an, bound=None) -> Verdict:
+def delayed_detectability_oracle(an) -> Verdict:
     """From every reachable estimate, hindsight must pin the anchor state once
     the refinement suffix is long enough.
 
-    Exact by default: the pairs reachable on the pair graph from the pairs
-    of the initial closure are the pairs of states some observation string
-    can both reach.  The property fails exactly when a cycle, on the
-    diagonal or off it, is reachable from one of those pairs with two
-    distinct states.  With an integer bound, refine every reachable
-    estimate by suffixes of that length instead.
+    The pairs reachable on the pair graph from the pairs of the initial
+    closure are the pairs of states some observation string can both reach.
+    The property fails exactly when a cycle, on the diagonal or off it, is
+    reachable from one of those pairs with two distinct states.
     """
     fsa = an.fsa
-    if bound is None:
-        succ = an.pairs(fsa)
-        closure = unobservable_reach(fsa, fsa.initial)
-        found = reachable([(x, y) for x in closure for y in closure], succ)
-        ambiguous = any(cyclic_sccs([p for p in found if p[0] != p[1]], succ))
-        return _exact_verdict(not ambiguous)
-    bad = any(_bad_after([frozenset((x, x) for x in est)],
-                         lambda pairs: pair_moves(fsa, pairs),
-                         lambda pairs: len({a for a, _ in pairs}) >= 2, bound)
-              for est in an.observer().nodes if len(est) > 1)
-    return _bounded_verdict(not bad, bound, fsa)
+    succ = an.pairs(fsa)
+    closure = unobservable_reach(fsa, fsa.initial)
+    found = reachable([(x, y) for x in closure for y in closure], succ)
+    return _exact_verdict(not any(cyclic_sccs([p for p in found if p[0] != p[1]], succ)))
 
 
 # ---------------------------------------------------------------------------
 # opacity properties
 
 
-def initial_state_opacity_oracle(an, bound=None) -> Verdict:
+def initial_state_opacity_oracle(an) -> Verdict:
     """No observation may narrow the initial-state estimate into the secret."""
     fsa = an.fsa
     secret = fsa.secret_states
@@ -368,13 +293,13 @@ def initial_state_opacity_oracle(an, bound=None) -> Verdict:
     return _exact_verdict(not exposed)
 
 
-def current_state_opacity_oracle(an, bound=None) -> Verdict:
+def current_state_opacity_oracle(an) -> Verdict:
     """No observation may narrow the current-state estimate into the secret."""
     secret = an.fsa.secret_states
     return _exact_verdict(not any(est <= secret for est in an.observer().nodes))
 
 
-def infinite_step_opacity_oracle(an, bound=None) -> Verdict:
+def infinite_step_opacity_oracle(an) -> Verdict:
     """No observation, refined by any amount of hindsight, may place a past
     estimate inside the secret."""
     fsa = an.fsa

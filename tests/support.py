@@ -7,7 +7,17 @@ suite can enumerate a fixed, reproducible stream of cases without hypothesis.
 import math
 import random
 
-from hyperdes.des import Fsa, observable_step, validate_fsa
+from hyperdes.des import (
+    Fsa,
+    build_observer,
+    initial_tracks,
+    observable_step,
+    pair_moves,
+    refine_fault_partition,
+    track_moves,
+    unobservable_reach,
+    validate_fsa,
+)
 from hyperdes.formula import (
     And,
     Atom,
@@ -27,7 +37,8 @@ from hyperdes.formula import (
     Until,
 )
 from hyperdes.gen import random_valid_fsa
-from hyperdes.kripke import KNode
+from hyperdes.graph import bfs
+from hyperdes.kripke import KNode, Verdict
 
 PROPS = ("a", "x:0", "x:1", "o:o1", "o:o2", "tau")
 TRACES = ("p1", "p2")
@@ -216,3 +227,97 @@ def seeded_machines(count=60):
         fsa = random_valid_fsa(random.Random(seed))
         yield fsa
         yield reversed_observations(fsa)
+
+
+# The horizon unfoldings: the reference the oracle's exact pair-graph checks
+# of diagnosability, I- and delayed detectability are compared against.
+
+
+def pumping_horizon(machine):
+    """States squared, plus one: a path of that many observations through
+    the machine's state pairs repeats a pair."""
+    return len(machine.states) ** 2 + 1
+
+
+def _bad_after(roots, moves, is_bad, bound):
+    """Whether a bad node lies `bound` steps from `roots`, where `moves(node)`
+    returns the node's (symbol, successor) moves: the depth-bounded level
+    unfolding.
+
+    Every prefix of a bad string is bad (no step turns a good node bad), so
+    only bad nodes are stepped, and a level with none ends the search."""
+    level = {t for t in roots if is_bad(t)}
+    for _ in range(bound):
+        if not level:
+            return False
+        level = {t for node in level for _, t in moves(node) if is_bad(t)}
+    return bool(level)
+
+
+def _diagnosability_after(fsa, bound):
+    """The refined machine, and the post-fault observation count at which a
+    fault run first shows with an estimate still ambiguous after `bound`
+    post-fault observations, else None."""
+    refined, part = refine_fault_partition(fsa)
+    fault = part.fault_states
+
+    def succ(node):
+        x, ctr, est = node
+        if ctr >= bound or est <= fault:
+            # the estimate can never leave the fault region again, and a
+            # horizon-length ambiguity would already have been reported
+            return
+        bump = 1 if x in fault else 0
+        for e, y in refined.out_edges(x):
+            o = refined.mask[e]
+            yield ((y, ctr, est) if o is None else
+                   (y, min(ctr + bump, bound), observable_step(refined, est, o)))
+
+    est0 = unobservable_reach(refined, refined.initial)
+    start = [(x0, 0, est0) for x0 in refined.sort_states(refined.initial)]
+    return refined, next((ctr for x, ctr, est in bfs(start, succ)
+                          if x in fault and ctr >= bound and not est <= fault), None)
+
+
+def horizon_unfolding(fsa, kind, bound):
+    """Diagnosability, I- or delayed detectability decided by running its
+    defining subset machine out to `bound` observations, as a bounded
+    verdict.
+
+    - diagnosability: a fault run whose estimate stays ambiguous for `bound`
+      post-fault observations, on the fault-refined machine;
+    - I-detectability: initial-state ambiguity surviving `bound`
+      observations;
+    - delayed detectability: some reachable estimate that suffixes of length
+      `bound` leave ambiguous about the anchor state.
+
+    At the pumping horizon of the machine it unfolds a surviving bad
+    configuration repeats a state pair, so the answer is conclusive there;
+    below it holds is "inconclusive", with the finding in
+    details["bounded_finding"]."""
+    if not fsa.validated:
+        validate_fsa(fsa)
+    details = {}
+    if kind == "diagnosability":
+        machine, after = _diagnosability_after(fsa, bound)
+        holds = after is None
+        if not holds:
+            details["ambiguous_after"] = after
+    elif kind == "i-detectability":
+        machine = fsa
+        holds = not _bad_after([initial_tracks(fsa)],
+                               lambda tracks: track_moves(fsa, tracks),
+                               lambda tracks: len(tracks) >= 2, bound)
+    elif kind == "delayed-detectability":
+        machine = fsa
+        holds = not any(_bad_after([frozenset((x, x) for x in est)],
+                                   lambda pairs: pair_moves(fsa, pairs),
+                                   lambda pairs: len({a for a, _ in pairs}) >= 2, bound)
+                        for est in build_observer(fsa).nodes if len(est) > 1)
+    else:
+        raise ValueError(f"no horizon unfolding for {kind!r}")
+    if bound < pumping_horizon(machine):
+        details["bounded_finding"] = holds
+        holds = "inconclusive"
+    return Verdict(property=kind, holds=holds, mode="bounded", engine="oracle",
+                   bound=bound, details=details or None)

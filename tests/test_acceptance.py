@@ -11,7 +11,12 @@ import time
 
 import pytest
 
-from support import assignment_letters, random_body, random_lasso_labels
+from support import (
+    assignment_letters,
+    horizon_unfolding,
+    random_body,
+    random_lasso_labels,
+)
 
 from hyperdes.buchi import accepts_lasso, ltl_to_buchi
 from hyperdes.des import delayed_state_estimate, refine_fault_partition
@@ -173,7 +178,7 @@ def test_diagnosability_violations_show_within_pumping_horizon(fuzz_report):
         if oracle_check(fsa, "diagnosability").holds is not False:
             continue
         horizon = len(fsa.states) ** 2 + 1
-        capped = oracle_check(fsa, "diagnosability", horizon)
+        capped = horizon_unfolding(fsa, "diagnosability", horizon)
         # below the horizon of the refined machine the probe's finding is
         # reported, not trusted
         finding = (capped.details["bounded_finding"]

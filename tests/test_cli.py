@@ -1,23 +1,23 @@
 """End-to-end command-line behavior on the shipped fixture models.
 
 Exit codes are part of the interface: 0 when everything checked holds, 1 on
-a violation, 2 on usage or model errors (including engine disagreement), 3
-when a bounded search stayed inconclusive and nothing was violated, 4 on an
-internal error.  stdout
+a violation, 2 on usage or model errors (including engine disagreement), 4
+on an internal error; every verdict is exact, so 3 is not used.  stdout
 must stay machine output (JSON, or DOT on request); prose goes to stderr.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import hyperdes.cli
 from hyperdes.cli import main
-from hyperdes.des import Fsa
+from hyperdes.des import Fsa, build_observer
 from hyperdes.formula import PROPERTIES
-from hyperdes.modelio import serialize_model
-from tests.conftest import make_twin_branch
+from hyperdes.kripke import build_kripke, build_modified_kripke
+from hyperdes.modelio import load_model, serialize_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 G_DIAG = str(MODELS / "g_diag.json")
@@ -149,49 +149,35 @@ def test_declared_empty_fault_events_decide_every_property(capsys, tmp_path):
     assert "skipping" not in err
 
 
-def test_bounded_inconclusive_exits_three(capsys, tmp_path):
-    """An under-horizon oracle bound yields holds=inconclusive and exit 3."""
-    model = tmp_path / "twin.json"
-    model.write_text(serialize_model(make_twin_branch()), encoding="utf-8")
-    code, out, _ = run(capsys, "verify", "--model", str(model),
-                       "--property", "diagnosability",
-                       "--engine", "oracle", "--bound", "2")
-    assert code == 3
-    entry = json.loads(out)[0]
-    assert entry["holds"] == "inconclusive" and entry["bound"] == 2
+def test_invalid_bound_exits_two(capsys):
+    """The command line takes no bound: --bound is an argparse usage error,
+    exit 2 with the usage message and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", G_DIAG, "--property", "diagnosability",
+              "--bound", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --bound 2" in captured.err
+    assert "Traceback" not in captured.err
 
 
-def test_bound_env_variable_is_honored(capsys, tmp_path, monkeypatch):
-    """HYPERDES_BOUND supplies the default bound when --bound is absent."""
-    model = tmp_path / "twin.json"
-    model.write_text(serialize_model(make_twin_branch()), encoding="utf-8")
-    monkeypatch.setenv("HYPERDES_BOUND", "2")
-    code, out, _ = run(capsys, "verify", "--model", str(model),
-                       "--property", "diagnosability", "--engine", "oracle")
-    assert code == 3
-    assert json.loads(out)[0]["bound"] == 2
+def test_verify_ignores_the_bound_environment_variable(capsys, monkeypatch):
+    """No module reads HYPERDES_BOUND: whether it is a number or not,
+    verify --all --engine both gives, on every fixture, the exit code and
+    stdout it gives with the variable unset (the verdicts' seconds aside)."""
+    def outcome(model):
+        code, out, _ = run(capsys, "verify", "--model", model, "--all",
+                           "--engine", "both")
+        return code, [{k: v for k, v in e.items() if k != "seconds"}
+                      for e in json.loads(out)]
 
-
-def test_invalid_bound_exits_two(capsys, monkeypatch):
-    """A negative --bound, and a HYPERDES_BOUND that is not an integer or is
-    negative, is a usage error on either route, also when every selected
-    property is skipped: exit 2 with a message, and no verdict on stdout."""
-    for engine in ("hyper", "oracle"):
-        for selected in (("--property", "diagnosability"), ("--all-opacity",)):
-            code, out, err = run(capsys, "verify", "--model", G_DIAG, *selected,
-                                 "--engine", engine, "--bound", "-1")
-            assert code == 2 and out == ""
-            assert "invalid bound -1" in err
-        monkeypatch.setenv("HYPERDES_BOUND", "abc")
-        code, out, err = run(capsys, "verify", "--model", G_DIAG,
-                             "--property", "diagnosability", "--engine", engine)
-        assert code == 2 and out == ""
-        assert "invalid HYPERDES_BOUND 'abc'" in err and "internal error" not in err
-        monkeypatch.setenv("HYPERDES_BOUND", "-1")
-        code, out, err = run(capsys, "verify", "--model", G_DIAG,
-                             "--property", "diagnosability", "--engine", engine)
-        assert code == 2 and out == ""
-        assert "invalid bound -1" in err and "internal error" not in err
+    for model in (G_DIAG, G_DET, G_OPA):
+        monkeypatch.delenv("HYPERDES_BOUND", raising=False)
+        unset = outcome(model)
+        for value in ("abc", "2"):
+            monkeypatch.setenv("HYPERDES_BOUND", value)
+            assert outcome(model) == unset, (model, value)
 
 
 def test_usage_and_model_errors_exit_two(capsys, tmp_path):
@@ -269,6 +255,94 @@ def test_inspect_kripke_dot(capsys):
     assert out.startswith("digraph")
     assert '"(0,eps)"' in out and '"(3,eps)"' in out
     assert "peripheries=2" in out
+
+
+DOT_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|->|[][{};,=]|\w+')
+
+
+def dot_tokens(line):
+    """The tokens of one line of DOT: quoted strings, ids, -> and
+    punctuation; anything else, such as a quote closed early, fails."""
+    tokens, pos = [], 0
+    while pos < len(line):
+        if line[pos] == " ":
+            pos += 1
+            continue
+        match = DOT_TOKEN.match(line, pos)
+        assert match, (line, pos)
+        tokens.append(match.group())
+        pos = match.end()
+    return tokens
+
+
+def unquote(token):
+    assert len(token) >= 2 and token[0] == token[-1] == '"', token
+    return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+
+def dot_graph(text):
+    """The nodes and edges of a DOT graph as the exporters write it, read
+    one tokenized line at a time: {node id: its attributes} and [(source,
+    target, label)], ids and labels unescaped."""
+    lines = text.splitlines()
+    assert dot_tokens(lines[0])[::2] == ["digraph", "{"] and lines[-1] == "}"
+    nodes, edges = {}, []
+    for line in lines[1:-1]:
+        tokens = dot_tokens(line)
+        assert tokens[-1] == ";", line
+        if tokens[0] in ("rankdir", "node"):
+            continue
+        n = 3 if tokens[1] == "->" else 1
+        ids, attrs, items = [unquote(t) for t in tokens[:n:2]], {}, tokens[n:-1]
+        if items:
+            assert items[0] == "[" and items[-1] == "]", line
+            for i in range(1, len(items) - 1, 4):
+                key, eq, value, sep = items[i:i + 4]
+                assert eq == "=" and sep in (",", "]"), line
+                attrs[key] = unquote(value) if value.startswith('"') else value
+        if n == 1:
+            nodes[ids[0]] = attrs
+        else:
+            edges.append((*ids, attrs.get("label")))
+    return nodes, edges
+
+
+def test_dot_exports_escape_quotes_and_backslashes(capsys, tmp_path):
+    """Every quoted id and label of both DOT exporters escapes quotes and
+    backslashes: on a model whose states and observations hold them, and on
+    g_opa, each output line tokenizes, and its ids and labels read back as
+    the nodes, labels and edges of the structure."""
+    model = tmp_path / "quotes.json"
+    model.write_text(serialize_model(Fsa(
+        states=['a"b', "c\\"], events=["e", "f"],
+        transitions={('a"b', "e"): "c\\", ("c\\", "f"): 'a"b', ("c\\", "e"): "c\\"},
+        initial=['a"b', "c\\"], mask={"e": 'o"1', "f": "o\\2"})), encoding="utf-8")
+    for path in (str(model), G_OPA):
+        fsa = load_model(path)
+        plain = build_kripke(fsa)
+        for what, k in (("kripke", plain), ("modified-kripke", build_modified_kripke(plain))):
+            code, out, _ = run(capsys, "inspect", "--model", path, "--what", what,
+                               "--format", "dot")
+            assert code == 0
+            nodes, edges = dot_graph(out)
+            assert {q: a["label"] for q, a in nodes.items()} == {
+                q.pretty(): "{" + ",".join(sorted(k.label[q], key=lambda p: (
+                    p[:2] != "x:", p[:2] != "o:", p))) + "}" for q in k.nodes}
+            assert edges == [(q.pretty(), t.pretty(), None)
+                             for q in k.nodes for t in k.succ[q]]
+        obs = build_observer(fsa)
+
+        def name(est):
+            return "{" + ",".join(fsa.sort_states(est)) + "}"
+
+        code, out, _ = run(capsys, "inspect", "--model", path, "--what", "observer",
+                           "--format", "dot")
+        assert code == 0
+        nodes, edges = dot_graph(out)
+        assert {q: a["label"] for q, a in nodes.items()} == {
+            name(est): name(est) for est in obs.nodes}
+        assert sorted(edges) == sorted((name(src), name(dst), o) for src in obs.nodes
+                                       for o, dst in obs.moves[src])
 
 
 def test_inspect_observer_json(capsys):

@@ -12,6 +12,7 @@ from hyperdes.errors import (
     HyperdesError,
     MissingAnnotation,
     NotARun,
+    NotCollapseBody,
     NotLive,
     NotSynchronousFragment,
     PrefixMismatch,
@@ -20,7 +21,6 @@ from hyperdes.errors import (
 )
 from hyperdes.formula import (
     Always,
-    And,
     Atom,
     Eventually,
     OPACITY_PROPERTIES,
@@ -28,11 +28,8 @@ from hyperdes.formula import (
     HyperFormula,
     Implies,
     InSet,
-    Next,
     Not,
     ObsEq,
-    Or,
-    StateEq,
     Until,
     eval_body,
     expand_macros,
@@ -57,7 +54,6 @@ from hyperdes.hyper import (
     _estimate_product,
     _estimate_walk_accepts,
     _guard_masks,
-    _inner_universal_holds,
     _lasso_estimates,
     _negated_body_automaton,
     _nested_dfs,
@@ -653,76 +649,15 @@ def test_routes_report_the_same_error_on_an_unannotated_dead_machine():
                 decide(fsa, kind)
 
 
-def test_estimate_walk_is_stricter_than_the_trace_product():
-    """On the dying-branch machine the product over infinite traces accepts
-    candidates, because each ambiguous branch dies out within a step; their
-    estimates stay ambiguous regardless, so the walk rejects every one."""
-    fsa = make_dying_branch()
-    k = build_kripke(fsa)
-    formula, _ = property_template("weak-detectability", fsa)
-    cands = reference_candidates(k, len(k.nodes) + 1)
-    accepted = [c for c in cands if _inner_universal_holds(k, c, formula)]
-    assert accepted
-    assert all(not _estimate_walk_accepts(k, c) for c in accepted)
-
-
-OBSEQ, STATEEQ = ObsEq("p1", "p2"), StateEq("p1", "p2")
-# exists/forall bodies other than the collapse body, with the relations and
-# the set literals as leaves; "chosen" is bound to every other state
-EXISTS_FORALL_BODIES = (
-    Implies(Always(OBSEQ), Eventually(STATEEQ)),
-    Implies(Always(OBSEQ), Always(STATEEQ)),
-    Implies(And(InSet("initial", "p2"), Always(OBSEQ)), Always(STATEEQ)),
-    Always(Implies(InSet("chosen", "p2"), Not(StateEq("p2", "p1")))),
-    Implies(Until(OBSEQ, InSet("chosen", "p2")), InSet("chosen", "p1")),
-    Always(Implies(OBSEQ, Next(Or(STATEEQ, InSet("chosen", "p1"))))),
-)
-
-
-def _exists_forall_outcomes(fsa):
-    """Decide each body on the candidate route as it stands and expanded
-    over the alphabet; the verdicts, witnesses and details must be equal."""
-    k = build_kripke(fsa)
-    prefix = (("exists", "p1"), ("forall", "p2"))
-    sets = (("initial", fsa.initial), ("chosen", frozenset(fsa.states[::2])))
-    outcomes = []
-    for body in EXISTS_FORALL_BODIES:
-        relational = check_exists_forall_bounded(k, HyperFormula(prefix, body, sets))
-        expanded = check_exists_forall_bounded(
-            k, HyperFormula(prefix, expand_macros(body, fsa, sets)))
-        assert relational == expanded, body
-        outcomes.append(relational.holds)
-    return outcomes
-
-
-def test_exists_forall_bodies_agree_with_their_expansion(g_det):
-    """Bodies beyond the collapse body are decided on the pair letter, with
-    the same verdict, witness and details as their expansion, on g_det and
-    a seeded slice of small machines; each body both finds a witness and
-    exhausts its candidates somewhere."""
-    seen = [set() for _ in EXISTS_FORALL_BODIES]
-    rng = random.Random(20260823)
-    machines = [g_det] + [random_valid_fsa(rng, max_states=4, max_events=3, max_obs=2)
-                          for _ in range(12)]
-    for fsa in machines:
-        for outcomes, holds in zip(seen, _exists_forall_outcomes(fsa)):
-            outcomes.add(holds)
-    assert all(outcomes == {True, "inconclusive"} for outcomes in seen)
-
-
-def test_exists_forall_body_decides_without_expansion(g_opa):
-    """Eventual state agreement on g_opa, with a cold translation cache:
-    translating the expansion took seconds, the pair letter keeps the check
-    small."""
-    formula = parse_formula("exists p1. forall p2. G obseq(p1,p2) -> F stateeq(p1,p2)")
-    k = build_kripke(g_opa)
-    _negated_body_automaton.cache_clear()
-    started = time.perf_counter()
-    verdict = check_exists_forall_bounded(k, formula)
-    assert time.perf_counter() - started < 0.1
-    assert verdict.holds is True
-    assert verdict.witness[0] == lasso([node("0"), node("1", "o1"), node("2", "o2")],
-                                       [node("2", "o3")])
+def test_exists_forall_search_refuses_other_bodies(g_det):
+    """The candidate search decides the collapse body only: any other
+    exists/forall body is a typed error, not a verdict."""
+    k = build_kripke(g_det)
+    for text in ("G obseq(p1,p2) -> F stateeq(p1,p2)",
+                 "G obseq(p1,p2) -> G stateeq(p1,p2)"):
+        formula = parse_formula("exists p1. forall p2. " + text)
+        with pytest.raises(NotCollapseBody):
+            check_exists_forall_bounded(k, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +775,8 @@ def test_predictability_template_agrees_with_verify_on_fuzz_machine_358():
 
 
 def test_library_ignores_the_bound_environment_variable(g_det, monkeypatch):
-    """Only the command line reads HYPERDES_BOUND: the bounded candidate
-    search gives the same verdict with the variable set."""
+    """No module reads HYPERDES_BOUND: the bounded candidate search gives
+    the same verdict with the variable set."""
     unset = verify(g_det, "weak-detectability", wd_route="bounded")
     monkeypatch.setenv("HYPERDES_BOUND", "4")
     verdict = verify(g_det, "weak-detectability", wd_route="bounded")

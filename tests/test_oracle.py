@@ -16,14 +16,14 @@ from hyperdes.des import (
     refine_fault_partition,
     validate_fsa,
 )
-from hyperdes.errors import InvalidBound, MissingAnnotation
+from hyperdes.errors import MissingAnnotation
 from hyperdes.formula import PROPERTIES
 from hyperdes.gen import random_valid_fsa
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
 from hyperdes.oracle import OracleAnalysis, oracle_check
 from hyperdes.hyper import replay_witness, verify
-from support import o1_ring
+from support import horizon_unfolding, o1_ring, pumping_horizon
 from tests.conftest import make_dying_branch, make_twin_branch
 
 
@@ -68,22 +68,6 @@ def test_oracle_fixture_verdicts(g_diag, g_det, g_opa):
         assert verdict.property == kind
 
 
-def test_oracle_bounded_modes_report_pumping_horizon(g_diag, g_det):
-    """The three pair-graph checks are exact by default; run as horizon
-    probes they record the bound they ran to."""
-    for fsa, kind in ((g_diag, "diagnosability"), (g_det, "i-detectability"),
-                      (g_det, "delayed-detectability")):
-        verdict = oracle_check(fsa, kind)
-        assert verdict.mode == "exact" and verdict.bound is None, kind
-    probes = ((g_diag, "diagnosability"), (g_det, "i-detectability"),
-              (g_det, "delayed-detectability"))
-    for fsa, kind in probes:
-        verdict = oracle_check(fsa, kind, 37)
-        assert verdict.mode == "bounded", kind
-        assert verdict.bound == 37
-    assert oracle_check(g_det, "strong-detectability").bound is None
-
-
 def test_twin_branch_machine_fails_current_state_properties():
     """Two observation-identical branches defeat diagnosis and every
     current-state detection notion, while the secret stays hidden and the
@@ -101,35 +85,13 @@ def test_twin_branch_machine_fails_current_state_properties():
 
 
 # ---------------------------------------------------------------------------
-# bound policy
-
-
-def test_strict_policy_downgrades_small_bounds(g_diag):
-    """Under a bound below the pumping horizon a verdict is only a finding."""
-    verdict = oracle_check(g_diag, "diagnosability", 2)
-    assert verdict.holds == "inconclusive"
-    assert verdict.bound == 2
-    assert verdict.details["bounded_finding"] is True
+# verdicts
 
 
 def test_default_bound_is_conclusive(g_diag):
     verdict = oracle_check(g_diag, "diagnosability")
     assert verdict.holds is True
     assert verdict.details is None
-
-
-def test_invalid_bounds_and_policies_are_refused(g_diag):
-    """A bound must be a non-negative integer, whether passed to
-    oracle_check or OracleAnalysis.check; the command line's --bound and
-    HYPERDES_BOUND are tested with the command line."""
-    for kind in ("diagnosability", "predictability"):
-        for bound in (-1, -3, 2.5, "7"):
-            with pytest.raises(InvalidBound):
-                oracle_check(g_diag, kind, bound)
-    for bound in (-1, 1.5, True):
-        with pytest.raises(InvalidBound):
-            OracleAnalysis(g_diag).check("diagnosability", bound)
-    assert oracle_check(g_diag, "diagnosability", 0).bound == 0
 
 
 def declared_fault_free(fsa):
@@ -156,7 +118,6 @@ def test_oracle_verdicts_carry_their_seconds(g_diag, g_det):
     oracle_check or a held OracleAnalysis, carries a non-negative float."""
     oracle = OracleAnalysis(g_det)
     for verdict in (oracle_check(g_diag, "diagnosability"),
-                    oracle_check(g_diag, "diagnosability", 3),
                     oracle.check("weak-detectability"), oracle.check("i-detectability")):
         assert isinstance(verdict.seconds, float) and verdict.seconds >= 0.0
 
@@ -172,8 +133,7 @@ def _horizon_probe(fsa, kind):
     """The unfolding run to the pumping horizon of the machine it unfolds:
     the refined machine for diagnosability."""
     machine = refine_fault_partition(fsa)[0] if kind == "diagnosability" else fsa
-    horizon = len(machine.states) ** 2 + 1
-    return oracle_check(fsa, kind, horizon)
+    return horizon_unfolding(fsa, kind, pumping_horizon(machine))
 
 
 def test_exact_checks_agree_with_the_horizon_unfolding(g_diag, g_det):

@@ -284,13 +284,13 @@ def environment_reads(source):
     return sorted(lines)
 
 
-def test_only_the_command_line_reads_the_environment():
-    """HYPERDES_BOUND is a command-line setting: no library module reads
-    the environment, so a verdict depends on its arguments alone."""
-    found = {p.name: environment_reads(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"}
+def test_no_module_reads_the_environment():
+    """No module of the package, the command line included, reads the
+    environment, so a verdict depends on its arguments alone."""
+    found = {str(p.relative_to(PACKAGE)): environment_reads(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.rglob("*.py"))}
+    assert "cli.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
-    assert environment_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) != []
 
 
 def test_environment_scan_sees_each_injected_read():
