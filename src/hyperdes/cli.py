@@ -168,7 +168,11 @@ def _observer_dot(fsa, observer):
 def cmd_inspect(args):
     fsa = validate_fsa(load_model(args.model))
     if args.what == "estimates":
-        obs = tuple(s for s in args.obs.split(",") if s) if args.obs else ()
+        obs = tuple(args.obs.split(",")) if args.obs else ()
+        if "" in obs:
+            print(f"error: --obs {args.obs!r} has an empty observation symbol",
+                  file=sys.stderr)
+            return 2
         if args.delay < 0 or args.delay > len(obs):
             print(f"error: --delay must be between 0 and {len(obs)}",
                   file=sys.stderr)

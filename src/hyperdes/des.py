@@ -8,10 +8,13 @@ set of initial states admitting a run with the observed string, the
 current-state estimate is the set of states reachable under it, and the
 delayed estimate refines a past instant using subsequent observations.
 
-Each estimate has one step on every observation at once, shared by the
-estimate functions and the oracle: observable_moves for the current-state,
-track_moves for the initial-state and pair_moves for the delayed estimate.
-observable_step, on one observation, is the reference for observable_moves.
+Each estimate has one step on every observation at once: observable_moves
+for the current-state, track_moves for the initial-state and pair_moves for
+the delayed estimate.  The estimate functions and the oracle share
+observable_moves; track_moves and pair_moves serve the estimate functions.
+joint_moves steps a tuple of current-state estimates together, on which the
+oracle decides initial-state and infinite-step opacity.  observable_step, on
+one observation, is the reference for observable_moves.
 """
 
 from __future__ import annotations
@@ -217,6 +220,19 @@ def observable_moves(fsa: Fsa, states):
                 hits.setdefault(o, set()).add(y)
     return [(o, unobservable_reach(fsa, hits[o]))
             for o in sorted(hits, key=fsa.obs_index.__getitem__)]
+
+
+def joint_moves(fsa: Fsa, estimates):
+    """observable_moves of a tuple of current-state estimates stepped
+    together: (o, the tuple with each estimate stepped by o) for every
+    observation some estimate can take, in observation order.  An estimate
+    with no move on o steps to the empty set; no all-empty tuple is
+    returned."""
+    grouped = {}
+    for i, est in enumerate(estimates):
+        for o, nxt in observable_moves(fsa, est):
+            grouped.setdefault(o, [frozenset()] * len(estimates))[i] = nxt
+    return [(o, tuple(grouped[o])) for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
 
 
 def initial_tracks(fsa: Fsa) -> frozenset:

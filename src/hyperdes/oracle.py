@@ -10,9 +10,11 @@ refinement, the observer and the state-pair graphs on first use and hands
 the same structures to every property it is asked about; oracle_check makes
 a fresh one for a single property.
 
-The estimate steps are des's (observable_moves, track_moves, pair_moves),
-shared with the estimate functions; this module keeps the decisions taken on
-them, and the pair graph's per-state step (_pair_graph).
+The estimate steps are des's: observable_moves, shared with the estimate
+functions, and joint_moves, which steps the (open, secret) pair of current
+states on which initial-state and infinite-step opacity are decided
+(_exposed).  This module keeps the decisions taken on them, and the pair
+graph's per-state step (_pair_graph).
 
 Diagnosability, I-detectability and delayed detectability quantify over
 arbitrarily long observation suffixes.  They are decided on a graph of
@@ -32,12 +34,10 @@ from .des import (
     boundary_states,
     build_observer,
     indicator_states,
-    initial_tracks,
+    joint_moves,
     observable_moves,
     observable_step,
-    pair_moves,
     refine_fault_partition,
-    track_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -283,33 +283,59 @@ def delayed_detectability_oracle(an) -> Verdict:
 # opacity properties
 
 
+def _exposed(fsa, starts):
+    """Whether an observation string, from one of the (open, secret) start
+    nodes, exposes the secret: on the walk that steps both current-state
+    sets together (des.joint_moves), a node whose open part is empty and
+    whose secret part is not.
+
+    `open` holds the current states of the runs anchored at a non-secret
+    state, `secret` those of the runs anchored at a secret one.  A node
+    with an empty secret part exposes nothing, now or later, and is not
+    stepped."""
+    reached = bfs(starts, lambda node: [t for _, t in joint_moves(fsa, node)] if node[1] else ())
+    return any(secret and not open_ for open_, secret in reached)
+
+
 def initial_state_opacity_oracle(an) -> Verdict:
-    """No observation may narrow the initial-state estimate into the secret."""
+    """No observation may narrow the initial-state estimate into the secret.
+
+    The exposure walk starts once, from the closures of the non-secret and
+    of the secret initial states.  It is a quotient of the search over sets
+    of (initial, current) tracks: the map from a track set to the currents
+    of its non-secret and of its secret initial states commutes with the
+    track step, and a set lies inside the secret exactly when its image is
+    exposed.  So the verdict is the track search's, and the walk has no
+    more nodes than that search has sets."""
     fsa = an.fsa
     secret = fsa.secret_states
-    reached = bfs([initial_tracks(fsa)],
-                  lambda tracks: [t for _, t in track_moves(fsa, tracks)])
-    exposed = any(tracks and {x0 for x0, _ in tracks} <= secret for tracks in reached)
-    return _exact_verdict(not exposed)
+    start = (unobservable_reach(fsa, fsa.initial - secret),
+             unobservable_reach(fsa, fsa.initial & secret))
+    return _exact_verdict(not _exposed(fsa, [start]))
 
 
 def current_state_opacity_oracle(an) -> Verdict:
-    """No observation may narrow the current-state estimate into the secret."""
+    """No observation may narrow the current-state estimate into the secret:
+    the zero-step case of the exposure walk."""
     secret = an.fsa.secret_states
     return _exact_verdict(not any(est <= secret for est in an.observer().nodes))
 
 
 def infinite_step_opacity_oracle(an) -> Verdict:
     """No observation, refined by any amount of hindsight, may place a past
-    estimate inside the secret."""
+    estimate inside the secret.
+
+    The exposure walk starts from every observer node E, split into
+    (E - secret, E & secret).  It is a quotient of the search over sets of
+    (anchor, current) pairs started from each diagonal: the map from a pair
+    set to the currents of its non-secret and of its secret anchors
+    commutes with the pair step, and a set's anchors lie inside the secret
+    exactly when its image is exposed.  So the verdict is the pair search's,
+    and the walk has no more nodes than that search has sets."""
     fsa = an.fsa
     secret = fsa.secret_states
-    # whether a pair set exposes the secret depends on the set alone, so
-    # one search from every estimate at once visits each set only once
-    starts = [frozenset((x, x) for x in est) for est in an.observer().nodes]
-    reached = bfs(starts, lambda pairs: [t for _, t in pair_moves(fsa, pairs)])
-    exposed = any(pairs and {a for a, _ in pairs} <= secret for pairs in reached)
-    return _exact_verdict(not exposed)
+    return _exact_verdict(not _exposed(fsa, [(est - secret, est & secret)
+                                             for est in an.observer().nodes]))
 
 
 # ---------------------------------------------------------------------------

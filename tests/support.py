@@ -229,6 +229,40 @@ def seeded_machines(count=60):
         yield reversed_observations(fsa)
 
 
+# The opacity searches the oracle's exposure walk is a quotient of: over
+# sets of (initial state, current state) tracks, and over sets of (anchor,
+# current state) pairs started from the diagonal of every estimate.
+
+
+def track_sets(fsa):
+    """The track sets reachable from the initial tracks, breadth first."""
+    return bfs([initial_tracks(fsa)],
+               lambda tracks: [t for _, t in track_moves(fsa, tracks)])
+
+
+def pair_sets(fsa):
+    """The pair sets reachable from the diagonal of every observer node,
+    breadth first."""
+    starts = [frozenset((x, x) for x in est) for est in build_observer(fsa).nodes]
+    return bfs(starts, lambda pairs: [t for _, t in pair_moves(fsa, pairs)])
+
+
+def initial_state_opacity_reference(fsa):
+    """Whether no reachable track set has only secret initial states."""
+    secret = fsa.secret_states
+    reached = track_sets(fsa)
+    exposed = any(tracks and {x0 for x0, _ in tracks} <= secret for tracks in reached)
+    return not exposed
+
+
+def infinite_step_opacity_reference(fsa):
+    """Whether no reachable pair set has only secret anchors."""
+    secret = fsa.secret_states
+    reached = pair_sets(fsa)
+    exposed = any(pairs and {a for a, _ in pairs} <= secret for pairs in reached)
+    return not exposed
+
+
 # The horizon unfoldings: the reference the oracle's exact pair-graph checks
 # of diagnosability, I- and delayed detectability are compared against.
 

@@ -236,6 +236,17 @@ def test_inspect_estimates_empty_observation(capsys):
     assert doc["current_estimate"] == ["0", "3"]
 
 
+def test_inspect_estimates_refuses_an_empty_symbol(capsys):
+    """An empty symbol inside a nonempty --obs (leading, doubled or
+    trailing comma) is a usage error: exit 2 with a message and no
+    traceback, where it used to be dropped silently."""
+    for obs in ("o1,,o2", ",o1", "o1,", ","):
+        code, out, err = run(capsys, "inspect", "--model", G_OPA,
+                             "--what", "estimates", "--obs", obs)
+        assert code == 2 and out == "", obs
+        assert "empty observation symbol" in err and "Traceback" not in err, obs
+
+
 def test_inspect_estimates_delay_split(capsys):
     """--delay moves trailing observations into the hindsight suffix."""
     code, out, _ = run(capsys, "inspect", "--model", G_DET,

@@ -21,6 +21,7 @@ from hyperdes.des import (
     indicator_states,
     initial_state_estimate,
     initial_tracks,
+    joint_moves,
     observable_moves,
     observable_step,
     pair_moves,
@@ -288,6 +289,23 @@ def test_track_and_pair_moves_are_observable_step_on_every_observation(g_diag, g
         for pairs in bfs(diagonals, lambda n: [t for _, t in pair_moves(fsa, n)]):
             assert pair_moves(fsa, pairs) == [(o, t) for o in fsa.observations if (t := frozenset(
                 (a, y) for a, c in pairs for y in observable_step(fsa, [c], o)))]
+
+
+def test_joint_moves_is_observable_step_on_every_observation(g_diag, g_det, g_opa):
+    """The joint step gives, for each observation in declared order, what
+    observable_step makes of each estimate of the tuple, and leaves out the
+    observations that empty all of them; on every node reachable from each
+    estimate split by the secret (or by the first state), and from pairs of
+    random sets, one of them empty."""
+    rng = random.Random(11)
+    for fsa in moves_cases(g_diag, g_det, g_opa):
+        part = fsa.secret_states or {fsa.states[0]}
+        starts = [(est - part, est & part) for est in build_observer(fsa).nodes]
+        starts += [(frozenset(rng.sample(fsa.states, rng.randint(0, len(fsa.states)))),
+                    frozenset()) for _ in range(3)]
+        for node in bfs(starts, lambda n: [t for _, t in joint_moves(fsa, n)]):
+            assert joint_moves(fsa, node) == [(o, t) for o in fsa.observations if any(
+                t := tuple(observable_step(fsa, est, o) for est in node))]
 
 
 def test_estimate_walks_refuse_an_unknown_symbol_after_emptying(g_det):

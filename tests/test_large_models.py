@@ -16,7 +16,7 @@ from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
 from hyperdes.hyper import replay_witness, verify
 from hyperdes.kripke import build_kripke
 from hyperdes.oracle import oracle_check
-from support import labelled_ring
+from support import fault_ring, labelled_ring
 
 # each route's entry point for one property of one machine
 ROUTES = {"hyper": verify, "oracle": oracle_check}
@@ -73,6 +73,25 @@ def test_wide_initial_set_opacity_on_both_routes():
             seconds, verdict = best_of_three(lambda: decide(fsa, kind))
             assert verdict.holds is True, (kind, engine)
             assert seconds < 1.0, (kind, engine, seconds)
+
+
+def test_all_initial_fault_ring_opacity_on_both_routes():
+    """The 360-state fault ring with every state initial and the even
+    states secret: an estimate of up to every state, and 718 observer
+    nodes to start the infinite-step search from.  Initial-state and
+    infinite-step opacity fail, the routes agree, and each decides in under
+    1 s; current-state opacity holds on the oracle route in under 1 s."""
+    ring = fault_ring(360)
+    fsa = validate_fsa(Fsa(states=ring.states, events=ring.events,
+                           transitions=ring.transitions, initial=ring.states,
+                           mask=ring.mask, fault_events=ring.fault_events,
+                           secret_states=ring.secret_states, name="all-initial-fault-360"))
+    checks = [(kind, engine, False) for kind in ("initial-state-opacity", "infinite-step-opacity")
+              for engine in ROUTES]
+    for kind, engine, holds in checks + [("current-state-opacity", "oracle", True)]:
+        seconds, verdict = best_of_three(lambda: ROUTES[engine](fsa, kind))
+        assert verdict.holds is holds, (kind, engine)
+        assert seconds < 1.0, (kind, engine, seconds)
 
 
 def test_kripke_of_the_600_state_labelled_ring_builds_quickly():

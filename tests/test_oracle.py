@@ -9,21 +9,34 @@ import pytest
 from hyperdes.des import (
     Fsa,
     boundary_states,
+    build_observer,
     current_state_estimate,
     delayed_state_estimate,
     indicator_states,
     initial_state_estimate,
+    joint_moves,
     refine_fault_partition,
+    unobservable_reach,
     validate_fsa,
 )
 from hyperdes.errors import MissingAnnotation
 from hyperdes.formula import PROPERTIES
 from hyperdes.gen import random_valid_fsa
+from hyperdes.graph import reachable
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
 from hyperdes.oracle import OracleAnalysis, oracle_check
 from hyperdes.hyper import replay_witness, verify
-from support import horizon_unfolding, o1_ring, pumping_horizon
+from support import (
+    horizon_unfolding,
+    infinite_step_opacity_reference,
+    initial_state_opacity_reference,
+    o1_ring,
+    pair_sets,
+    pumping_horizon,
+    seeded_machines,
+    track_sets,
+)
 from tests.conftest import make_dying_branch, make_twin_branch
 
 
@@ -278,6 +291,47 @@ def test_delayed_detectability_violation_matches_definition(g_det):
 
 # ---------------------------------------------------------------------------
 # weak detectability witness lifting
+
+
+def exposure_walk(fsa, starts):
+    """Every (open, secret) node the joint step reaches from `starts`."""
+    return reachable(starts, lambda node: [t for _, t in joint_moves(fsa, node)])
+
+
+def split_by_secret(anchored, secret):
+    """The (open, secret) node of (anchor, current states) items: the
+    current states of the non-secret anchors, and those of the secret
+    ones."""
+    return (frozenset(c for a, cur in anchored if a not in secret for c in cur),
+            frozenset(c for a, cur in anchored if a in secret for c in cur))
+
+
+def test_exposure_walk_is_a_quotient_of_the_track_and_pair_searches():
+    """Keeping, of each track set (pair set), the current states of its
+    non-secret and of its secret initial states (anchors) maps the sets the
+    search reaches onto the nodes the exposure walk reaches.  So the oracle
+    decides both opacity properties as the searches do, and its walk has no
+    more nodes than they have sets."""
+    rng = random.Random(7)
+    machines = list(seeded_machines()) + [random_valid_fsa(rng, max_states=6)
+                                          for _ in range(300)]
+    for index, fsa in enumerate(machines):
+        secret = fsa.secret_states
+        tracks = set(track_sets(fsa))
+        walk = exposure_walk(fsa, [(unobservable_reach(fsa, fsa.initial - secret),
+                                    unobservable_reach(fsa, fsa.initial & secret))])
+        assert {split_by_secret(t, secret) for t in tracks} == walk, index
+        assert len(walk) <= len(tracks)
+        assert (oracle_check(fsa, "initial-state-opacity").holds
+                is initial_state_opacity_reference(fsa)), index
+
+        pairs = set(pair_sets(fsa))
+        walk = exposure_walk(fsa, [(est - secret, est & secret)
+                                   for est in build_observer(fsa).nodes])
+        assert {split_by_secret([(a, [c]) for a, c in p], secret) for p in pairs} == walk, index
+        assert len(walk) <= len(pairs)
+        assert (oracle_check(fsa, "infinite-step-opacity").holds
+                is infinite_step_opacity_reference(fsa)), index
 
 
 def test_weak_witness_is_a_replayable_trace(g_det):

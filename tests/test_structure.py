@@ -184,7 +184,7 @@ ROUTE_IMPORTS = {
 }
 # the oracle's structures, which the hyper route never builds or steps
 ORACLE_ONLY = {"build_observer", "observable_moves", "observable_step", "initial_tracks",
-               "track_moves", "pair_moves"}
+               "track_moves", "pair_moves", "joint_moves"}
 
 
 def route_leaks(sources):
@@ -222,6 +222,7 @@ def test_route_scan_sees_each_injected_import():
         ("hyper", "from .des import observable_moves\n", ("hyper", "des", "observable_moves")),
         ("hyper", "from hyperdes.des import observable_step\n",
          ("hyper", "des", "observable_step")),
+        ("hyper", "from .des import joint_moves\n", ("hyper", "des", "joint_moves")),
     )
     sources = route_sources()
     for module, line, leak in injections:
