@@ -10,11 +10,14 @@ delayed estimate refines a past instant using subsequent observations.
 
 Each estimate has one step on every observation at once: observable_moves
 for the current-state, track_moves for the initial-state and pair_moves for
-the delayed estimate.  The estimate functions and the oracle share
-observable_moves; track_moves and pair_moves serve the estimate functions.
-joint_moves steps a tuple of current-state estimates together, on which the
-oracle decides initial-state and infinite-step opacity.  observable_step, on
-one observation, is the reference for observable_moves.
+the delayed estimate.  The estimate functions share observable_moves;
+track_moves and pair_moves serve the estimate functions.  joint_moves steps
+a tuple of current-state estimates together, on which the oracle decides
+initial-state and infinite-step opacity.  state_moves is observable_moves
+of one state at a time, with each state's unobservable closure computed
+once: the Kripke structures and the oracle's pair graph take their
+successors from it.  observable_step, on one observation, is the reference
+for observable_moves.
 """
 
 from __future__ import annotations
@@ -220,6 +223,33 @@ def observable_moves(fsa: Fsa, states):
                 hits.setdefault(o, set()).add(y)
     return [(o, unobservable_reach(fsa, hits[o]))
             for o in sorted(hits, key=fsa.obs_index.__getitem__)]
+
+
+def state_moves(fsa: Fsa):
+    """The per-state step: a function moves(x) that returns
+    observable_moves(fsa, [x]), in the same order.
+
+    Each state's unobservable closure is computed once per call of
+    state_moves, and reused by every later moves(x) that starts from the
+    state or enters it by an observable event, so a walk over many states
+    pays for each closure once.  Nothing is held on `fsa`."""
+    closures = {}
+
+    def closure(x):
+        c = closures.get(x)
+        if c is None:
+            c = closures[x] = unobservable_reach(fsa, [x])
+        return c
+
+    def moves(x):
+        hits = {}
+        for y in closure(x):
+            for e, z in fsa.out_edges(y):
+                o = fsa.mask[e]
+                if o is not EPS:
+                    hits.setdefault(o, set()).update(closure(z))
+        return [(o, frozenset(hits[o])) for o in sorted(hits, key=fsa.obs_index.__getitem__)]
+    return moves
 
 
 def joint_moves(fsa: Fsa, estimates):

@@ -37,10 +37,16 @@ other; only forall/forall decides it to the same verdict.
 The product search reads each letter as a bitmask over the literals the
 automaton's guards mention: every guard is a (pos, neg) pair of masks,
 compiled once per body next to the automaton, and every node carries the
-mask of what holds there on either trace, so the letter of a node pair is
-two masks or-ed with the relation bits its observation and state keys call
-for (see _bit_letters).  Guard.admits on the set of literals that hold stays
-the reference the tests compare the masks against.
+mask of what holds there on either trace, computed when a pair holding the
+node is first read, so the letter of a node pair is two masks or-ed with
+the relation bits its observation and state keys call for (see
+_bit_letters).  Guard.admits on the set of literals that hold stays the
+reference the tests compare the masks against.
+
+The structures are built on demand (see kripke): the searches and replays
+here look up the successors and labels of the nodes they reach and never
+the whole node list, so a check expands only what it visits.  The bounded
+exists/forall search alone reads the node count, for its length bound.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ from .formula import (
     property_template,
 )
 from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
-from .kripke import (KNode, KripkeStructure, Lasso, Verdict, build_kripke,
+from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
 
 # candidate lassos the bounded exists/forall search tries before it gives up
@@ -204,7 +210,8 @@ def _bit_letters(k, formula):
     propositions; a literal on a variable outside the prefix never holds.
     admitted(letter, b) lists, memoised, the targets of the automaton's edges
     from b, in order, whose guard admits the letter: every pos bit set and
-    no neg bit.  This is Guard.admits on the set of literals that hold."""
+    no neg bit.  This is Guard.admits on the set of literals that hold.
+    Each node's masks are computed on the first letter that reads it."""
     (_, v1), (_, v2) = formula.prefix
     bits, edges = _guard_masks(formula.body)
     members = [(states, bits.get((InSet, name, v1), 0), bits.get((InSet, name, v2), 0))
@@ -214,10 +221,9 @@ def _bit_letters(k, formula):
     obs_rel = bits.get((ObsEq, v1, v2), 0) | bits.get((ObsEq, v2, v1), 0)
     state_rel = bits.get((StateEq, v1, v2), 0) | bits.get((StateEq, v2, v1), 0)
 
-    # per node: the masks of what holds there on either trace, and its
-    # observation and state keys
-    node = {}
-    for q in k.nodes:
+    def masks(q):
+        # the masks of what holds at q on either trace, and its observation
+        # and state keys
         label = k.label[q]
         m1, m2 = reflexive1, reflexive2
         for p in label:
@@ -227,8 +233,10 @@ def _bit_letters(k, formula):
             if q.state in states:
                 m1 |= b1
                 m2 |= b2
-        node[q] = (m1, m2, frozenset(p for p in label if p.startswith("o:")),
-                   frozenset(p for p in label if p.startswith("x:")))
+        return (m1, m2, frozenset(p for p in label if p.startswith("o:")),
+                frozenset(p for p in label if p.startswith("x:")))
+
+    node = OnDemand(masks)
 
     def letter(u, v):
         m1, _, obs1, state1 = node[u]
@@ -522,9 +530,9 @@ def _sync_form(prefix, body, names):
 
 
 def _original_succ(k):
-    """Successors of each original node, stalling twins left out."""
-    return {q: tuple(t for t in k.succ[q] if not t.copy) for q in k.nodes
-            if not q.copy}
+    """Successors of each original node, stalling twins left out, computed
+    on first lookup."""
+    return OnDemand(lambda q: tuple(t for t in k.succ[q] if not t.copy))
 
 
 def _meets(state, sets):
@@ -557,13 +565,16 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     def arrive(phase, q1, d):
         return None if phase == "post" and not d else (phase, q1, d)
 
+    # the candidates of D that meet the witness obligations at the anchor
+    anchored = OnDemand(lambda d: frozenset(x for x in d if _meets(x.state, shape.p2_sets)))
+
     def successors(state):
         if state == ():
             return [((q1,), arrive(phase, q1, d0)) for phase, q1 in roots]
         phase, q1, d = state
         out = []
         if phase == "pre" and _meets(q1.state, shape.p1_sets):
-            d_anchor = frozenset(x for x in d if _meets(x.state, shape.p2_sets))
+            d_anchor = anchored[d]
             if not d_anchor or shape.eq_scope == "always":
                 out.append(((KNode(q1.state, q1.obs, copy=True), q1),
                             arrive("post", q1, d_anchor)))
@@ -846,11 +857,14 @@ def _strong_detectability_gap(k):
 
 
 def _require_run(k, lasso):
+    """Raise NotARun unless the lasso is a run of k: it starts at an initial
+    node and every step, the closing one included, is an edge.  Checked in
+    order, so only nodes already known to be reachable are expanded."""
     nodes = list(lasso.stem) + list(lasso.cycle)
     if not nodes:
         raise NotARun("empty witness trace")
     for q in nodes:
-        if q not in k.index:
+        if not isinstance(q, KNode):
             raise NotARun(f"{q!r} is not a node of the structure")
     if nodes[0] not in k.initial:
         raise NotARun(f"witness starts at non-initial node {nodes[0]!r}")

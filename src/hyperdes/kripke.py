@@ -10,14 +10,22 @@ The modified encoding adds, for every node, a twin labeled with the pause
 proposition "tau" and connected back and forth with its original; a path may
 therefore stall at any instant, which is what delayed estimation and the
 corresponding properties quantify over.
+
+Both encodings are built on demand: a node's successors and label are
+computed when a search or a replay first looks them up, from des's
+per-state step, so a check pays only for the nodes it reaches.  The node
+list and its index cover the whole reachable structure and are computed on
+first use: breadth first from the initial nodes, which expands every plain
+node, and for the modified encoding the plain nodes, then their twins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .des import EPS, observable_moves, unobservable_reach, validate_fsa
+from .des import EPS, state_moves, unobservable_reach, validate_fsa
 from .errors import AlreadyModified, StringNotInLanguage
 from .graph import bfs
 
@@ -82,24 +90,55 @@ def canonical_lasso(lasso: Lasso) -> Lasso:
     return Lasso(stem=tuple(stem), cycle=tuple(cycle))
 
 
+class OnDemand(dict):
+    """A map that computes a missing key's entry, by `compute(key)`, on its
+    first lookup and keeps it.  Only indexing computes: `in`, get() and
+    iteration see the entries computed so far."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 class KripkeStructure:
-    """Finite Kripke structure with set-of-proposition labels.
+    """Finite Kripke structure with set-of-proposition labels, built on
+    demand.
 
     Propositions use the same surface syntax as the formula language:
-    "x:<state>", "o:<observation>" and "tau".
+    "x:<state>", "o:<observation>" and "tau".  `succ` and `label` are
+    OnDemand maps, computing a node's successor tuple and label on first
+    lookup; look up only nodes reached from `initial`.  `nodes`, every
+    reachable node, is computed on first use: by `order()` when the builder
+    gives one, else as the breadth-first order from `initial` over `succ`,
+    which expands every node.  `index` maps each node to its position
+    there.
     """
 
-    def __init__(self, nodes, initial, succ, label, modified):
-        self.nodes = tuple(nodes)
+    def __init__(self, initial, successors, labels, modified, order=None):
         self.initial = tuple(initial)
-        self.succ = succ
-        self.label = label
+        self.succ = OnDemand(successors)
+        self.label = OnDemand(labels)
         self.modified = modified
-        self.index = {q: i for i, q in enumerate(self.nodes)}
+        self._order = order
+
+    @cached_property
+    def nodes(self):
+        if self._order is not None:
+            return tuple(self._order())
+        return tuple(bfs(self.initial, self.succ.__getitem__))
+
+    @cached_property
+    def index(self):
+        return {q: i for i, q in enumerate(self.nodes)}
 
     def __repr__(self):
         kind = "modified Kripke" if self.modified else "Kripke"
-        return f"<{kind}: {len(self.nodes)} nodes, {sum(len(s) for s in self.succ.values())} edges>"
+        edges = sum(len(self.succ[q]) for q in self.nodes)
+        return f"<{kind}: {len(self.nodes)} nodes, {edges} edges>"
 
 
 def step_nodes(succ, nodes, obs) -> frozenset:
@@ -109,53 +148,55 @@ def step_nodes(succ, nodes, obs) -> frozenset:
 
 
 def build_kripke(fsa) -> KripkeStructure:
-    """Reachable observation-sampled encoding of a validated automaton.
+    """Observation-sampled encoding of a validated automaton, on demand.
 
     The successors of a node (x, o) depend on x alone: they are the nodes
     (x', o') for the observable_moves of x, in observation order and, for
-    each observation, in state declaration order.  Each state's moves are
-    computed once, from its out-edges, so the cost grows with the edges of
-    the automaton and not with its alphabet.
+    each observation, in state declaration order.  They come from one
+    des.state_moves step per state, computed when the first node of that
+    state is expanded and shared by the state's other nodes, so the cost
+    grows with the edges the expanded nodes leave and not with the
+    alphabet.  Only the initial nodes are computed here.
     """
     if not fsa.validated:
         validate_fsa(fsa)
 
-    moves, succ = {}, {}
+    step = state_moves(fsa)
+    moves = OnDemand(lambda x: tuple(KNode(y, o) for o, ys in step(x)
+                                     for y in fsa.sort_states(ys)))
 
-    def expand(q):
-        x = q.state
-        if x not in moves:
-            moves[x] = tuple(KNode(y, o) for o, ys in observable_moves(fsa, [x])
-                             for y in fsa.sort_states(ys))
-        succ[q] = moves[x]
-        return moves[x]
+    def label(q):
+        if q.obs is EPS:
+            return frozenset({f"x:{q.state}"})
+        return frozenset({f"x:{q.state}", f"o:{q.obs}"})
 
     initial = tuple(KNode(x, EPS) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial)))
-    nodes = list(bfs(initial, expand))
-
-    label = {}
-    for q in nodes:
-        if q.obs is EPS:
-            label[q] = frozenset({f"x:{q.state}"})
-        else:
-            label[q] = frozenset({f"x:{q.state}", f"o:{q.obs}"})
-    return KripkeStructure(nodes, initial, succ, label, modified=False)
+    return KripkeStructure(initial, lambda q: moves[q.state], label, modified=False)
 
 
 def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:
-    """Add a stalling twin per node, labeled with "tau"."""
+    """A view of `k` with a stalling twin per node, labeled with "tau".
+
+    A twin's one successor is its original; an original keeps its
+    successors in `k`, read from `k` on demand, and gets its twin as a last
+    one.  Its nodes are those of `k`, then their twins in the same order."""
     if k.modified:
         raise AlreadyModified("structure already carries stalling twins")
-    twins = {q: KNode(q.state, q.obs, copy=True) for q in k.nodes}
-    nodes = list(k.nodes) + [twins[q] for q in k.nodes]
-    succ = {}
-    for q in k.nodes:
-        succ[q] = tuple(k.succ[q]) + (twins[q],)
-        succ[twins[q]] = (q,)
-    label = dict(k.label)
-    for q in k.nodes:
-        label[twins[q]] = frozenset({f"x:{q.state}", "tau"})
-    return KripkeStructure(nodes, k.initial, succ, label, modified=True)
+
+    def successors(q):
+        if q.copy:
+            return (KNode(q.state, q.obs),)
+        return k.succ[q] + (KNode(q.state, q.obs, copy=True),)
+
+    def label(q):
+        if q.copy:
+            return frozenset({f"x:{q.state}", "tau"})
+        return k.label[q]
+
+    def order():
+        return k.nodes + tuple(KNode(q.state, q.obs, copy=True) for q in k.nodes)
+
+    return KripkeStructure(k.initial, successors, label, modified=True, order=order)
 
 
 def compatible_runs(fsa, k: KripkeStructure, s, x0, max_runs=None):

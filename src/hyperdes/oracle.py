@@ -10,11 +10,10 @@ refinement, the observer and the state-pair graphs on first use and hands
 the same structures to every property it is asked about; oracle_check makes
 a fresh one for a single property.
 
-The estimate steps are des's: observable_moves, shared with the estimate
-functions, and joint_moves, which steps the (open, secret) pair of current
-states on which initial-state and infinite-step opacity are decided
-(_exposed).  This module keeps the decisions taken on them, and the pair
-graph's per-state step (_pair_graph).
+The estimate steps are des's: state_moves, the per-state step of the pair
+graph (_pair_graph), and joint_moves, which steps the (open, secret) pair
+of current states on which initial-state and infinite-step opacity are
+decided (_exposed).  This module keeps the decisions taken on them.
 
 Diagnosability, I-detectability and delayed detectability quantify over
 arbitrarily long observation suffixes.  They are decided on a graph of
@@ -35,9 +34,9 @@ from .des import (
     build_observer,
     indicator_states,
     joint_moves,
-    observable_moves,
     observable_step,
     refine_fault_partition,
+    state_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -104,13 +103,13 @@ def _pair_graph(fsa):
     are the pairs of runs that agree on every observation since the start;
     the graph has at most n² nodes, so a path of n²+1 observations repeats a
     pair and a cycle gives such runs for strings of every length.  Each
-    state's steps are its observable_moves, computed once from its
-    out-edges."""
-    steps, cache = {}, {}
+    state's steps are its observable_moves, computed once by des's
+    per-state step, state_moves."""
+    moves, steps, cache = state_moves(fsa), {}, {}
 
     def step(x):
         if x not in steps:
-            steps[x] = dict(observable_moves(fsa, [x]))
+            steps[x] = dict(moves(x))
         return steps[x]
 
     def succ(pair):

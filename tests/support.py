@@ -6,11 +6,14 @@ suite can enumerate a fixed, reproducible stream of cases without hypothesis.
 
 import math
 import random
+from types import SimpleNamespace
 
 from hyperdes.des import (
+    EPS,
     Fsa,
     build_observer,
     initial_tracks,
+    observable_moves,
     observable_step,
     pair_moves,
     refine_fault_partition,
@@ -210,6 +213,45 @@ def per_observation_kripke_succ(fsa, nodes):
             for q in nodes}
 
 
+# The eager builders the on-demand structures of hyperdes.kripke replaced:
+# the reference the tests compare them against.
+
+
+def eager_kripke(fsa):
+    """The whole reachable plain structure, built breadth first with every
+    label, as nodes, initial, succ, label and index."""
+    moves, succ = {}, {}
+
+    def expand(q):
+        x = q.state
+        if x not in moves:
+            moves[x] = tuple(KNode(y, o) for o, ys in observable_moves(fsa, [x])
+                             for y in fsa.sort_states(ys))
+        succ[q] = moves[x]
+        return moves[x]
+
+    initial = tuple(KNode(x, EPS) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial)))
+    nodes = tuple(bfs(initial, expand))
+    label = {q: frozenset({f"x:{q.state}"} if q.obs is EPS else {f"x:{q.state}", f"o:{q.obs}"})
+             for q in nodes}
+    return SimpleNamespace(nodes=nodes, initial=initial, succ=succ, label=label,
+                           index={q: i for i, q in enumerate(nodes)})
+
+
+def eager_modified_kripke(k):
+    """eager_kripke's structure with a stalling twin per node, labeled with
+    "tau": the nodes, then their twins."""
+    twins = {q: KNode(q.state, q.obs, copy=True) for q in k.nodes}
+    nodes = tuple(k.nodes) + tuple(twins[q] for q in k.nodes)
+    succ, label = {}, dict(k.label)
+    for q in k.nodes:
+        succ[q] = tuple(k.succ[q]) + (twins[q],)
+        succ[twins[q]] = (q,)
+        label[twins[q]] = frozenset({f"x:{q.state}", "tau"})
+    return SimpleNamespace(nodes=nodes, initial=k.initial, succ=succ, label=label,
+                           index={q: i for i, q in enumerate(nodes)})
+
+
 def reversed_observations(fsa):
     """The same machine with its observations declared in reverse order, so
     that declaration order and first appearance in the events differ."""
@@ -227,6 +269,15 @@ def seeded_machines(count=60):
         fsa = random_valid_fsa(random.Random(seed))
         yield fsa
         yield reversed_observations(fsa)
+
+
+def comparison_machines():
+    """The machines a rewritten structure is compared with its reference
+    on: seeded_machines(), then 300 random machines of up to six states."""
+    yield from seeded_machines()
+    rng = random.Random(7)
+    for _ in range(300):
+        yield random_valid_fsa(rng, max_states=6)
 
 
 # The opacity searches the oracle's exposure walk is a quotient of: over

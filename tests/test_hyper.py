@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -847,6 +848,51 @@ def test_replay_rejects_non_initial_start(g_diag):
                    engine="hyper-forall-forall", witness=(shifted, pi2))
     with pytest.raises(NotARun):
         replay_witness(g_diag, "predictability", fake)
+
+
+def with_unreachable_state(fsa):
+    """The same machine with one more state, "u", which no run reaches: it
+    leaves for the first initial state on the first observable event."""
+    e = next(e for e in fsa.events if fsa.observable(e))
+    return validate_fsa(Fsa(states=fsa.states + ("u",), events=fsa.events,
+                            transitions={**fsa.transitions,
+                                         ("u", e): fsa.sort_states(fsa.initial)[0]},
+                            initial=fsa.initial, mask=fsa.mask,
+                            fault_events=fsa.fault_events,
+                            secret_states=fsa.secret_states, name=fsa.name))
+
+
+def test_replay_refuses_nodes_outside_the_structure(g_diag, g_det, g_opa):
+    """A witness node that names an undeclared state, is not a KNode, or
+    names a declared state no run reaches makes the witness no run: the
+    replay raises NotARun, whether the node opens a trace or closes its
+    cycle, on every witness the three fixtures give."""
+    outsiders = (node("undeclared"), node("undeclared", "o1"), node("u"), node("u", "o1"),
+                 ("0", None, False), ("0", None), "0", ["0"], None)
+    replayed = 0
+    for base in (g_diag, g_det, g_opa):
+        fsa = with_unreachable_state(base)
+        for kind in PROPERTIES:
+            if missing_annotation(kind, fsa) is not None:
+                continue
+            verdict = verify(fsa, kind)
+            if verdict.witness is None:
+                continue
+            assert replay_witness(fsa, kind, verdict) is True, (fsa.name, kind)
+            replayed += 1
+            for i, trace in enumerate(verdict.witness):
+                if trace is None:
+                    continue
+                nodes = list(trace.stem) + list(trace.cycle)
+                for at in (0, len(nodes) - 1):
+                    for bad in outsiders:
+                        broken = nodes[:at] + [bad] + nodes[at + 1:]
+                        witness = list(verdict.witness)
+                        witness[i] = Lasso(stem=tuple(broken[:len(trace.stem)]),
+                                           cycle=tuple(broken[len(trace.stem):]))
+                        with pytest.raises(NotARun):
+                            replay_witness(fsa, kind, replace(verdict, witness=tuple(witness)))
+    assert replayed >= 3
 
 
 def test_replay_refuses_satisfying_pair(g_diag):

@@ -10,10 +10,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes.des import current_state_estimate
+from hyperdes.des import current_state_estimate, validate_fsa
 from hyperdes.errors import AlreadyModified, StringNotInLanguage
 from hyperdes.gen import random_valid_fsa
-from support import per_observation_kripke_succ, reversed_observations, seeded_machines
+from hyperdes.hyper import HyperAnalysis, verify
+from support import (
+    comparison_machines,
+    eager_kripke,
+    eager_modified_kripke,
+    fault_ring,
+    per_observation_kripke_succ,
+    reversed_observations,
+    seeded_machines,
+)
 from hyperdes.kripke import (
     KNode,
     Lasso,
@@ -104,6 +113,48 @@ def test_g_opa_modified_kripke(g_opa):
         assert kt.succ[q] == tuple(k.succ[q]) + (twin,)
         assert "tau" not in kt.label[q]
     assert len(edge_set(kt)) == len(edge_set(k)) + 2 * len(k.nodes)
+
+
+def same_structure(lazy, eager):
+    """Assert that an on-demand structure holds what its eager reference
+    does: node order, initial nodes, index, and the successors and label of
+    every node, with nothing else expanded."""
+    assert lazy.nodes == eager.nodes
+    assert lazy.initial == eager.initial
+    assert lazy.index == eager.index
+    for q in eager.nodes:
+        assert lazy.succ[q] == eager.succ[q], q
+        assert lazy.label[q] == eager.label[q], q
+    assert dict(lazy.succ) == eager.succ
+    assert dict(lazy.label) == eager.label
+
+
+def test_on_demand_structures_match_the_eager_builders():
+    """The plain and modified structures, built on demand, hold exactly
+    what the eager builders they replaced do, on the seeded machines and
+    300 random machines of up to six states."""
+    for fsa in comparison_machines():
+        k = build_kripke(fsa)
+        same_structure(k, eager_kripke(fsa))
+        kt = build_modified_kripke(build_kripke(fsa))
+        same_structure(kt, eager_modified_kripke(eager_kripke(fsa)))
+
+
+def test_a_replay_expands_only_part_of_the_structure():
+    """On a fresh analysis of the 360-state fault ring, replaying a witness
+    looks up fewer nodes than the structure holds: the replay checks its
+    lasso and walks its estimates, and never enumerates the nodes.  The
+    predictability witness runs on the fault-refined machine, the
+    infinite-step opacity witness on the structure with stalling twins;
+    each lasso rounds the ring once."""
+    fsa = validate_fsa(fault_ring(360))
+    for kind in ("predictability", "infinite-step-opacity"):
+        verdict = verify(fsa, kind)
+        analysis = HyperAnalysis(fsa)
+        assert analysis.replay(kind, verdict) is True, kind
+        _, k = analysis._problem(kind)
+        expanded = len(k.succ)
+        assert expanded < len(k.nodes), (kind, expanded, len(k.nodes))
 
 
 def test_modifying_twice_is_rejected(g_opa):

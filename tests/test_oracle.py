@@ -28,13 +28,13 @@ from hyperdes.fuzz import differential_fuzz
 from hyperdes.oracle import OracleAnalysis, oracle_check
 from hyperdes.hyper import replay_witness, verify
 from support import (
+    comparison_machines,
     horizon_unfolding,
     infinite_step_opacity_reference,
     initial_state_opacity_reference,
     o1_ring,
     pair_sets,
     pumping_horizon,
-    seeded_machines,
     track_sets,
 )
 from tests.conftest import make_dying_branch, make_twin_branch
@@ -312,10 +312,7 @@ def test_exposure_walk_is_a_quotient_of_the_track_and_pair_searches():
     search reaches onto the nodes the exposure walk reaches.  So the oracle
     decides both opacity properties as the searches do, and its walk has no
     more nodes than they have sets."""
-    rng = random.Random(7)
-    machines = list(seeded_machines()) + [random_valid_fsa(rng, max_states=6)
-                                          for _ in range(300)]
-    for index, fsa in enumerate(machines):
+    for index, fsa in enumerate(comparison_machines()):
         secret = fsa.secret_states
         tracks = set(track_sets(fsa))
         walk = exposure_walk(fsa, [(unobservable_reach(fsa, fsa.initial - secret),

@@ -342,3 +342,51 @@ def test_step_scan_sees_each_injected_call():
             (owner, end + at)], line
     assert calls_outside("def _pair_graph(fsa):\n    return observable_moves(fsa, [])\n"
                          "step = observable_moves\n", "observable_moves", {"_pair_graph"}) == []
+
+
+# the one hyper function that may read a whole structure: the bounded
+# exists/forall search's length bound is the node count plus one
+WHOLE_STRUCTURE_READERS = {"check_exists_forall_bounded"}
+
+
+def whole_structure_reads(source, allowed):
+    """(owner, line) of each read of a `.nodes` or `.index` attribute in a
+    source text outside the module-level definitions named in `allowed`;
+    the owner is the enclosing module-level definition, or None.  A called
+    attribute, such as list.index(x), is a method call and does not count."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner in allowed:
+            continue
+        called = {id(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("nodes", "index")
+                    and isinstance(node.ctx, ast.Load) and id(node) not in called):
+                found.append((owner, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_the_hyper_route_expands_only_what_it_reaches():
+    """The structures are built on demand, and a structure's `nodes` or
+    `index` lists all of it, expanding every plain node; no hyper function
+    but the bounded exists/forall search reads either."""
+    source = (PACKAGE / "hyper.py").read_text(encoding="utf-8")
+    assert whole_structure_reads(source, WHOLE_STRUCTURE_READERS) == []
+
+
+def test_structure_read_scan_sees_each_injected_read():
+    source = (PACKAGE / "hyper.py").read_text(encoding="utf-8")
+    end = len(source.splitlines())
+    # each injection, its owner and the line of its read after the end of the source
+    for line, owner, at in (
+            ("def _count(k):\n    return len(k.nodes)\n", "_count", 2),
+            ("def _known(k, q):\n    return q in k.index\n", "_known", 2),
+            ("class Walk:\n    def at(self, q):\n        return self.k.index[q]\n", "Walk", 3),
+            ("everything = HyperAnalysis(fsa)._problem(kind)[1].nodes\n", None, 1)):
+        assert whole_structure_reads(source + line, WHOLE_STRUCTURE_READERS) == [
+            (owner, end + at)], line
+    assert whole_structure_reads("def f(path, q, k):\n    k.nodes = ()\n"
+                                 "    return path.index(q)\n"
+                                 "def check_exists_forall_bounded(k):\n    return k.nodes\n",
+                                 WHOLE_STRUCTURE_READERS) == []
