@@ -11,13 +11,14 @@ delayed estimate refines a past instant using subsequent observations.
 Each estimate has one step on every observation at once: observable_moves
 for the current-state, track_moves for the initial-state and pair_moves for
 the delayed estimate.  The estimate functions share observable_moves;
-track_moves and pair_moves serve the estimate functions.  joint_moves steps
-a tuple of current-state estimates together, on which the oracle decides
-initial-state and infinite-step opacity.  state_moves is observable_moves
-of one state at a time, with each state's unobservable closure computed
-once: the Kripke structures and the oracle's pair graph take their
-successors from it.  observable_step, on one observation, is the reference
-for observable_moves.
+track_moves and pair_moves serve the estimate functions.  state_moves is
+the set stepper for walks over many sets: it gives observable_moves of any
+set of states, as the union of its members' steps, each computed once.
+The observer, the Kripke structures and the oracle's pair graph take their
+moves from it, and so does joint_moves, which steps a tuple of
+current-state estimates together, on which the oracle decides
+initial-state and infinite-step opacity.  observable_step, on one
+observation, is the reference for observable_moves.
 """
 
 from __future__ import annotations
@@ -226,14 +227,22 @@ def observable_moves(fsa: Fsa, states):
 
 
 def state_moves(fsa: Fsa):
-    """The per-state step: a function moves(x) that returns
-    observable_moves(fsa, [x]), in the same order.
+    """The set stepper: a function moves(states) that returns the step of a
+    set of states on every observation at once, as a dict from each
+    observation with a nonempty step, in `fsa.observations` order, to
+    observable_step(fsa, states, o); its items are observable_moves(fsa,
+    states).
 
-    Each state's unobservable closure is computed once per call of
-    state_moves, and reused by every later moves(x) that starts from the
-    state or enters it by an observable event, so a walk over many states
-    pays for each closure once.  Nothing is held on `fsa`."""
-    closures = {}
+    observable_step distributes over union: the unobservable closure of a
+    union is the union of the closures, and so is the set of targets of one
+    observable event.  So the step of a set is the union, observation by
+    observation, of its members' steps.  Each state's step, and each
+    state's closure, is computed once per call of state_moves; a set of
+    one state gets that memoised dict itself, which callers only read.  A
+    walk over many sets thus closes each state once, however many sets it
+    lies in.  Nothing is held on `fsa`."""
+    closures, steps = {}, {}
+    order = fsa.obs_index.__getitem__
 
     def closure(x):
         c = closures.get(x)
@@ -241,26 +250,58 @@ def state_moves(fsa: Fsa):
             c = closures[x] = unobservable_reach(fsa, [x])
         return c
 
-    def moves(x):
+    def frozen(hits):
+        """The dict `hits` of sets keyed by observation, in observation
+        order and with its sets frozen."""
+        if len(hits) > 1:
+            hits = {o: hits[o] for o in sorted(hits, key=order)}
+        for o, ys in hits.items():
+            hits[o] = frozenset(ys)
+        return hits
+
+    def step(x):
         hits = {}
         for y in closure(x):
             for e, z in fsa.out_edges(y):
                 o = fsa.mask[e]
                 if o is not EPS:
-                    hits.setdefault(o, set()).update(closure(z))
-        return [(o, frozenset(hits[o])) for o in sorted(hits, key=fsa.obs_index.__getitem__)]
+                    got = hits.get(o)
+                    if got is None:
+                        hits[o] = set(closure(z))
+                    else:
+                        got |= closure(z)
+        out = steps[x] = frozen(hits)
+        return out
+
+    def moves(states):
+        if len(states) == 1:
+            for x in states:
+                out = steps.get(x)
+                return step(x) if out is None else out
+        hits = {}
+        for x in states:
+            out = steps.get(x)
+            if out is None:
+                out = step(x)
+            for o, ys in out.items():
+                got = hits.get(o)
+                if got is None:
+                    hits[o] = set(ys)
+                else:
+                    got |= ys
+        return frozen(hits)
     return moves
 
 
-def joint_moves(fsa: Fsa, estimates):
-    """observable_moves of a tuple of current-state estimates stepped
-    together: (o, the tuple with each estimate stepped by o) for every
-    observation some estimate can take, in observation order.  An estimate
-    with no move on o steps to the empty set; no all-empty tuple is
-    returned."""
+def joint_moves(fsa: Fsa, estimates, moves):
+    """The step of a tuple of current-state estimates stepped together, each
+    by the set stepper `moves` of state_moves(fsa): (o, the tuple with each
+    estimate stepped by o) for every observation some estimate can take,
+    in observation order.  An estimate with no move on o steps to the empty
+    set; no all-empty tuple is returned."""
     grouped = {}
     for i, est in enumerate(estimates):
-        for o, nxt in observable_moves(fsa, est):
+        for o, nxt in moves(est).items():
             grouped.setdefault(o, [frozenset()] * len(estimates))[i] = nxt
     return [(o, tuple(grouped[o])) for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
 
@@ -341,10 +382,12 @@ def delayed_state_estimate(fsa: Fsa, alpha, beta) -> frozenset:
 def build_observer(fsa: Fsa) -> Observer:
     """Reachable subset automaton under the current-estimate recursion.
 
-    Each estimate's moves come from one observable_moves pass over the
-    out-edges of its states, in observation order."""
+    Each estimate's moves, in observation order, come from one set stepper,
+    state_moves(fsa), so each state is closed once for the whole observer
+    and not once per estimate it lies in."""
     init = unobservable_reach(fsa, fsa.initial)
-    order, moves = subset_graph(init, lambda est: observable_moves(fsa, est))
+    step = state_moves(fsa)
+    order, moves = subset_graph(init, lambda est: list(step(est).items()))
     return Observer(nodes=tuple(order), initial=init, moves=moves)
 
 

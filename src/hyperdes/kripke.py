@@ -152,17 +152,17 @@ def build_kripke(fsa) -> KripkeStructure:
 
     The successors of a node (x, o) depend on x alone: they are the nodes
     (x', o') for the observable_moves of x, in observation order and, for
-    each observation, in state declaration order.  They come from one
-    des.state_moves step per state, computed when the first node of that
-    state is expanded and shared by the state's other nodes, so the cost
-    grows with the edges the expanded nodes leave and not with the
-    alphabet.  Only the initial nodes are computed here.
+    each observation, in state declaration order.  They come from des's
+    set stepper, state_moves, on the one-state set {x}, when the first
+    node of that state is expanded, and are shared by the state's other
+    nodes, so the cost grows with the edges the expanded nodes leave and
+    not with the alphabet.  Only the initial nodes are computed here.
     """
     if not fsa.validated:
         validate_fsa(fsa)
 
     step = state_moves(fsa)
-    moves = OnDemand(lambda x: tuple(KNode(y, o) for o, ys in step(x)
+    moves = OnDemand(lambda x: tuple(KNode(y, o) for o, ys in step((x,)).items()
                                      for y in fsa.sort_states(ys)))
 
     def label(q):

@@ -10,8 +10,9 @@ refinement, the observer and the state-pair graphs on first use and hands
 the same structures to every property it is asked about; oracle_check makes
 a fresh one for a single property.
 
-The estimate steps are des's: state_moves, the per-state step of the pair
-graph (_pair_graph), and joint_moves, which steps the (open, secret) pair
+The estimate steps are des's.  Its set stepper, state_moves, steps the
+observer's estimates (build_observer), the states of the pair graph one at
+a time (_pair_graph), and, through joint_moves, the (open, secret) pairs
 of current states on which initial-state and infinite-step opacity are
 decided (_exposed).  This module keeps the decisions taken on them.
 
@@ -21,8 +22,12 @@ state pairs that agree on every observation so far (the twin plant of
 Jiang, Huang, Chandra and Kumar, IEEE TAC 46(8), 2001, and the
 delayed-detectability detector of Shu and Lin, IEEE TAC 58(4), 2013): a
 violation is a reachable cycle, which yields ambiguous strings of every
-length.  The remaining properties are plain reachability questions.  Every
-check is exact and takes the machine alone.
+length.  As every graph of the package, the pair graph follows declaration
+order: a pair's successors come in observation order, then state order,
+and the cycle searches start from the pairs reached breadth first from
+start pairs in state order, so a check does the same work whatever the
+string hashes.  The remaining properties are plain reachability
+questions.  Every check is exact and takes the machine alone.
 """
 
 from __future__ import annotations
@@ -103,22 +108,25 @@ def _pair_graph(fsa):
     are the pairs of runs that agree on every observation since the start;
     the graph has at most n² nodes, so a path of n²+1 observations repeats a
     pair and a cycle gives such runs for strings of every length.  Each
-    state's steps are its observable_moves, computed once by des's
-    per-state step, state_moves."""
-    moves, steps, cache = state_moves(fsa), {}, {}
-
-    def step(x):
-        if x not in steps:
-            steps[x] = dict(moves(x))
-        return steps[x]
+    state's step comes from des's set stepper, state_moves, which computes
+    it once.  A pair's successors are listed in observation order, then in
+    state order of x' and of y', each once."""
+    moves, cache = state_moves(fsa), {}
 
     def succ(pair):
         out = cache.get(pair)
         if out is None:
             x, y = pair
-            right = step(y)
-            out = cache[pair] = list({(a, b) for o, xs in step(x).items()
-                                      if o in right for a in xs for b in right[o]})
+            right = moves((y,))
+            found = {}
+            for o, xs in moves((x,)).items():
+                ys = right.get(o)
+                if ys is not None:
+                    ys = fsa.sort_states(ys)
+                    for a in fsa.sort_states(xs):
+                        for b in ys:
+                            found[a, b] = None
+            out = cache[pair] = list(found)
         return out
 
     return succ
@@ -149,8 +157,8 @@ def diagnosability_oracle(an) -> Verdict:
     # the fault region is absorbing: a second run that leaves the normal
     # region never returns, and every pair reached from a (fault, normal)
     # pair along succ is a (fault, normal) pair again
-    closure = unobservable_reach(refined, refined.initial)
-    found = reachable([(x, y) for x in closure for y in closure & normal], succ)
+    closure = refined.sort_states(unobservable_reach(refined, refined.initial))
+    found = bfs([(x, y) for x in closure for y in closure if y in normal], succ)
     ambiguous = any(cyclic_sccs([p for p in found if p[0] in fault], succ))
     # such a fault run stays ambiguous past the pumping horizon, states
     # squared plus one, as the unfolding to that horizon reports it (the
@@ -202,9 +210,10 @@ def i_detectability_oracle(an) -> Verdict:
     is reachable.
     """
     fsa = an.fsa
-    closures = {x0: unobservable_reach(fsa, [x0]) for x0 in fsa.initial}
-    starts = {(a, b) for x0 in closures for y0 in closures if x0 != y0
-              for a in closures[x0] for b in closures[y0]}
+    closures = {x0: fsa.sort_states(unobservable_reach(fsa, [x0]))
+                for x0 in fsa.sort_states(fsa.initial)}
+    starts = [(a, b) for x0 in closures for y0 in closures if x0 != y0
+              for a in closures[x0] for b in closures[y0]]
     return _exact_verdict(not any(cyclic_sccs(starts, an.pairs(fsa))))
 
 
@@ -273,8 +282,8 @@ def delayed_detectability_oracle(an) -> Verdict:
     """
     fsa = an.fsa
     succ = an.pairs(fsa)
-    closure = unobservable_reach(fsa, fsa.initial)
-    found = reachable([(x, y) for x in closure for y in closure], succ)
+    closure = fsa.sort_states(unobservable_reach(fsa, fsa.initial))
+    found = bfs([(x, y) for x in closure for y in closure], succ)
     return _exact_verdict(not any(cyclic_sccs([p for p in found if p[0] != p[1]], succ)))
 
 
@@ -285,14 +294,16 @@ def delayed_detectability_oracle(an) -> Verdict:
 def _exposed(fsa, starts):
     """Whether an observation string, from one of the (open, secret) start
     nodes, exposes the secret: on the walk that steps both current-state
-    sets together (des.joint_moves), a node whose open part is empty and
-    whose secret part is not.
+    sets together (des.joint_moves, with one set stepper for the whole
+    walk), a node whose open part is empty and whose secret part is not.
 
     `open` holds the current states of the runs anchored at a non-secret
     state, `secret` those of the runs anchored at a secret one.  A node
     with an empty secret part exposes nothing, now or later, and is not
     stepped."""
-    reached = bfs(starts, lambda node: [t for _, t in joint_moves(fsa, node)] if node[1] else ())
+    moves = state_moves(fsa)
+    reached = bfs(starts, lambda node: [t for _, t in joint_moves(fsa, node, moves)]
+                  if node[1] else ())
     return any(secret and not open_ for open_, secret in reached)
 
 

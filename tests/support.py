@@ -166,6 +166,15 @@ def fault_ring(n):
                fault_events=["f"], secret_states=states[::2], name=f"fault-{n}")
 
 
+def all_initial_fault_ring(n):
+    """fault_ring(n) with every state initial: its first estimate holds
+    every state, and its observer has 2n - 2 estimates."""
+    ring = fault_ring(n)
+    return Fsa(states=ring.states, events=ring.events, transitions=ring.transitions,
+               initial=ring.states, mask=ring.mask, fault_events=ring.fault_events,
+               secret_states=ring.secret_states, name=f"all-initial-fault-{n}")
+
+
 def o1_ring(n):
     """fault_ring(n) with every step observed as o1: neither diagnosable
     nor delayed-detectable, since a run through f stays one state ahead of

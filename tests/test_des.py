@@ -12,6 +12,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperdes import des
 from hyperdes.des import (
     Fsa,
     boundary_states,
@@ -44,6 +45,7 @@ from hyperdes.gen import random_valid_fsa
 from hyperdes.graph import bfs
 from conftest import make_dying_branch, make_twin_branch
 from support import (
+    all_initial_fault_ring,
     comparison_machines,
     per_observation_moves,
     reversed_observations,
@@ -283,14 +285,41 @@ def test_observable_moves_is_observable_step_on_every_observation(g_diag, g_det,
 
 
 def test_state_moves_is_observable_moves_of_each_state():
-    """The per-state step gives observable_moves of each state, in the same
-    order, on every state of the seeded machines and of 300 random machines
-    of up to six states.  The states are asked twice, last declared first,
-    so most answers reuse closures an earlier answer computed."""
+    """The set stepper gives observable_moves of each state and of each set,
+    in the same order, on the seeded machines and on 300 random machines of
+    up to six states.  The states are asked twice, last declared first, so
+    most answers reuse closures an earlier answer computed.  The sets are
+    every observer node, and both parts of every node of the exposure walk
+    from each node E split into (E - secret, E & secret).  One stepper
+    answers every question on a machine, so a memo that leaks from one set
+    into another shows."""
     for fsa in comparison_machines():
+        observer = build_observer(fsa).nodes
+        walk_moves = state_moves(fsa)
+        walk = bfs([(est - fsa.secret_states, est & fsa.secret_states) for est in observer],
+                   lambda n: [t for _, t in joint_moves(fsa, n, walk_moves)])
+        sets = [(x,) for x in fsa.states[::-1] + fsa.states] + list(observer)
+        sets += [part for node in walk for part in node]
         moves = state_moves(fsa)
-        for x in fsa.states[::-1] + fsa.states:
-            assert moves(x) == observable_moves(fsa, [x]), (fsa, x)
+        for states in sets:
+            assert list(moves(states).items()) == observable_moves(fsa, states), (fsa, states)
+
+
+def test_observer_closes_each_state_once(monkeypatch):
+    """The observer of the 360-state fault ring with every state initial has
+    718 estimates of up to 360 states.  Its set stepper closes each state
+    under unobservable events once, and build_observer closes the initial
+    states once more: at most 361 closures, not one or more per estimate."""
+    fsa = validate_fsa(all_initial_fault_ring(360))
+    calls = []
+
+    def counted(fsa, states, _reach=des.unobservable_reach):
+        calls.append(states)
+        return _reach(fsa, states)
+
+    monkeypatch.setattr(des, "unobservable_reach", counted)
+    assert len(build_observer(fsa).nodes) == 718
+    assert len(calls) <= len(fsa.states) + 1, len(calls)
 
 
 def test_track_and_pair_moves_are_observable_step_on_every_observation(g_diag, g_det, g_opa):
@@ -320,8 +349,9 @@ def test_joint_moves_is_observable_step_on_every_observation(g_diag, g_det, g_op
         starts = [(est - part, est & part) for est in build_observer(fsa).nodes]
         starts += [(frozenset(rng.sample(fsa.states, rng.randint(0, len(fsa.states)))),
                     frozenset()) for _ in range(3)]
-        for node in bfs(starts, lambda n: [t for _, t in joint_moves(fsa, n)]):
-            assert joint_moves(fsa, node) == [(o, t) for o in fsa.observations if any(
+        moves = state_moves(fsa)
+        for node in bfs(starts, lambda n: [t for _, t in joint_moves(fsa, n, moves)]):
+            assert joint_moves(fsa, node, moves) == [(o, t) for o in fsa.observations if any(
                 t := tuple(observable_step(fsa, est, o) for est in node))]
 
 

@@ -16,7 +16,7 @@ from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
 from hyperdes.hyper import replay_witness, verify
 from hyperdes.kripke import build_kripke
 from hyperdes.oracle import oracle_check
-from support import fault_ring, labelled_ring
+from support import all_initial_fault_ring, labelled_ring
 
 # each route's entry point for one property of one machine
 ROUTES = {"hyper": verify, "oracle": oracle_check}
@@ -81,11 +81,7 @@ def test_all_initial_fault_ring_opacity_on_both_routes():
     nodes to start the infinite-step search from.  Initial-state and
     infinite-step opacity fail and current-state opacity holds; the routes
     agree, and each decides in under 1 s."""
-    ring = fault_ring(360)
-    fsa = validate_fsa(Fsa(states=ring.states, events=ring.events,
-                           transitions=ring.transitions, initial=ring.states,
-                           mask=ring.mask, fault_events=ring.fault_events,
-                           secret_states=ring.secret_states, name="all-initial-fault-360"))
+    fsa = validate_fsa(all_initial_fault_ring(360))
     answers = {"initial-state-opacity": False, "current-state-opacity": True,
                "infinite-step-opacity": False}
     for kind, holds in answers.items():
@@ -93,6 +89,22 @@ def test_all_initial_fault_ring_opacity_on_both_routes():
             seconds, verdict = best_of_three(lambda: ROUTES[engine](fsa, kind))
             assert verdict.holds is holds, (kind, engine)
             assert seconds < 1.0, (kind, engine, seconds)
+
+
+def test_all_initial_fault_ring_estimate_checks_on_the_oracle():
+    """The oracle's checks on the observer of the 360-state fault ring with
+    every state initial, whose 718 estimates hold up to every state: strong
+    and weak detectability fail, since the estimates {i, i+1} recur after
+    every o2 and {359} leads back to {0, 1}, and current-state opacity
+    holds, since every estimate holds an odd state.  Each decides in under
+    0.1 s, the observer built anew each time."""
+    fsa = validate_fsa(all_initial_fault_ring(360))
+    answers = {"strong-detectability": False, "weak-detectability": False,
+               "current-state-opacity": True}
+    for kind, holds in answers.items():
+        seconds, verdict = best_of_three(lambda: oracle_check(fsa, kind))
+        assert verdict.holds is holds, kind
+        assert seconds < 0.1, (kind, seconds)
 
 
 def test_kripke_of_the_600_state_labelled_ring_builds_quickly():

@@ -15,7 +15,9 @@ from hyperdes.des import (
     indicator_states,
     initial_state_estimate,
     joint_moves,
+    observable_step,
     refine_fault_partition,
+    state_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -25,7 +27,7 @@ from hyperdes.gen import random_valid_fsa
 from hyperdes.graph import reachable
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
-from hyperdes.oracle import OracleAnalysis, oracle_check
+from hyperdes.oracle import OracleAnalysis, _pair_graph, oracle_check
 from hyperdes.hyper import replay_witness, verify
 from support import (
     comparison_machines,
@@ -48,7 +50,6 @@ def all_obs_strings(fsa, max_len):
         nxt = []
         for alpha, est in frontier:
             for o in fsa.observations:
-                from hyperdes.des import observable_step
                 step = observable_step(fsa, est, o)
                 if step:
                     word = alpha + (o,)
@@ -190,6 +191,22 @@ def test_exact_checks_decide_the_o1_ring_quickly():
             assert min(times) < limit, (n, kind, times)
 
 
+def test_pair_graph_lists_successors_in_declaration_order():
+    """A pair's successors come in observation order, then in state order
+    of each side, each once, as every other graph of the package lists its
+    nodes; so the pair checks do the same work under every string-hash
+    seed.  Checked on every pair of states of the comparison machines."""
+    for index, fsa in enumerate(comparison_machines()):
+        succ = _pair_graph(fsa)
+        for x in fsa.states:
+            for y in fsa.states:
+                expected = list(dict.fromkeys(
+                    (a, b) for o in fsa.observations
+                    for a in fsa.sort_states(observable_step(fsa, [x], o))
+                    for b in fsa.sort_states(observable_step(fsa, [y], o))))
+                assert succ((x, y)) == expected, (index, x, y)
+
+
 # ---------------------------------------------------------------------------
 # definitional cross-checks by exhaustive enumeration
 
@@ -295,7 +312,8 @@ def test_delayed_detectability_violation_matches_definition(g_det):
 
 def exposure_walk(fsa, starts):
     """Every (open, secret) node the joint step reaches from `starts`."""
-    return reachable(starts, lambda node: [t for _, t in joint_moves(fsa, node)])
+    moves = state_moves(fsa)
+    return reachable(starts, lambda node: [t for _, t in joint_moves(fsa, node, moves)])
 
 
 def split_by_secret(anchored, secret):
