@@ -5,7 +5,10 @@ returning an iterable of nodes (of `(label, node)` pairs for the labelled
 ones); a successor map is passed as `mapping.__getitem__`.  Successors are
 visited in the order given, so results are deterministic, and every search
 is iterative, so long paths do not reach the recursion limit.  Nothing here
-knows about automata, formulas or estimates.
+knows about automata, formulas or estimates: the emptiness check,
+accepting_lasso, takes acceptance as a predicate on nodes, and the caller
+lists each node's successors only when the search first enters it, so a
+product is built only as far as the search goes.
 """
 
 from __future__ import annotations
@@ -90,6 +93,98 @@ def first_cycle(roots, succ):
                 del at[node]
                 done.add(node)
     return None
+
+
+def accepting_lasso(roots, succ, accepting):
+    """A lasso through a node satisfying `accepting`, searching from each
+    root in turn, by Couvreur's on-the-fly SCC check (FM 1999): returns
+    (stem, cycle), two tuples of nodes, or None when no cycle reachable from
+    the roots holds an accepting node.
+
+    The stem starts at a root and each of its steps is an edge, as is the
+    step from the stem's last node (a root, when the stem is empty) into
+    the cycle and from the cycle's last node back to its first.
+
+    One depth-first search keeps Couvreur's stack of (root position,
+    holds an accepting node) for the components still open.  An edge to a
+    node of an open component merges every component above that node, and
+    the search stops as soon as the merged component holds an accepting
+    node; a component that closes without one is never entered again.
+    `succ` and `accepting` are called once per node the search enters.  The
+    cycle is the search path from the edge's target when the target is on
+    it, and that part of the path then holds an accepting node.  Otherwise
+    the stem is the path to the component's root, and the cycle runs
+    breadth first, inside the component, from the root to its nearest
+    accepting node and back, which calls `succ` and `accepting` again on
+    the nodes it visits.
+    """
+    at = {}         # each node entered: its position in `live`, -1 once its component closed
+    live = []       # the nodes of the open components, in search order
+    comps = []      # (position in `live` of the component's root, holds an accepting node)
+    for root in roots:
+        if root in at:
+            continue
+        # every component closed when the last root's search ended
+        at[root] = 0
+        live.append(root)
+        comps.append((0, accepting(root)))
+        path, work = [root], [iter(succ(root))]
+        while work:
+            for nxt in work[-1]:
+                i = at.get(nxt)
+                if i is None:
+                    at[nxt] = len(live)
+                    comps.append((len(live), accepting(nxt)))
+                    live.append(nxt)
+                    path.append(nxt)
+                    work.append(iter(succ(nxt)))
+                    break
+                if i >= 0:
+                    top, found = comps.pop()
+                    while top > i:
+                        top, more = comps.pop()
+                        found = found or more
+                    comps.append((top, found))
+                    if found:
+                        return _lasso_in(path, nxt, live[top:], succ, accepting)
+            else:
+                work.pop()
+                i = at[path.pop()]
+                if comps[-1][0] == i:
+                    comps.pop()
+                    for node in live[i:]:
+                        at[node] = -1
+                    del live[i:]
+    return None
+
+
+def _lasso_in(path, target, comp, succ, accepting):
+    """accepting_lasso's answer when the edge from the end of `path` to
+    `target` closes a cycle inside `comp`, a strongly connected list of
+    nodes that starts at its root, which lies on `path`, and holds an
+    accepting node.
+
+    Before this edge, every component that had merged held no accepting
+    node, or the search would have stopped there.  So each accepting node
+    of `comp` was alone in its component, as its root, and lies on `path`,
+    after `target` when `target` is on it."""
+    if target in path:
+        i = path.index(target)
+        return tuple(path[:i]), tuple(path[i:])
+    root = comp[0]
+    members = set(comp)
+    found = object()        # the goal of the search for an accepting node
+
+    def inside(node):
+        return [(None, nxt) for nxt in succ(node) if nxt in members]
+
+    def onward(node):
+        return inside(node) + [(None, found)] if accepting(node) else inside(node)
+
+    there = [node for _, node in shortest_path(root, onward, found)[:-1]]
+    back = shortest_path(there[-1] if there else root, inside, root)
+    cycle = [root] + there + [node for _, node in back[:-1]]
+    return tuple(path[:path.index(root)]), tuple(cycle)
 
 
 def bfs(roots, succ):

@@ -5,7 +5,11 @@ properties:
 
 - forall/forall: classic automata route.  The negated body is translated to a
   Büchi automaton, composed with the two-fold self-composition of the
-  structure, and searched for an accepting lasso with a nested DFS.
+  structure, and searched for an accepting lasso on the fly by
+  graph.accepting_lasso, Couvreur's SCC-based emptiness check, which stops
+  at the first component that closes with an accepting state.  A node
+  pair's successors are listed only when some automaton edge admits its
+  letter.
 - forall/exists: the built-in formulas of this shape all lie in a synchronous
   fragment (observation agreement up to a single distinguished instant plus
   membership obligations there), which admits an exact subset-tracking walk:
@@ -86,7 +90,8 @@ from .formula import (
     missing_annotation,
     property_template,
 )
-from .graph import cyclic_sccs, first_cycle, reachable, shortest_path, subset_graph
+from .graph import (accepting_lasso, cyclic_sccs, first_cycle, reachable, shortest_path,
+                    subset_graph)
 from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
 
@@ -263,34 +268,38 @@ def _product_lasso(k, formula, roots):
     """Accepting lasso of the product of the two-fold self-composition of k
     with the automaton of the negated body, as (stem, cycle) of (node pair,
     automaton state) pairs, or None when no pair of traces violates the
-    body.
+    body; graph.accepting_lasso searches the product as it goes.
 
     A node pair c = (u, v) reads its pair letter, a bitmask over the
     automaton's literals (see _bit_letters).  The product successors of
     (c, b) are the pairs succ(u) × succ(v), in that order, each with every
-    automaton edge from b whose guard admits the letter.  Letter and
-    successors are computed once per pair, the admitted edges once per
-    letter and automaton state."""
+    automaton edge from b whose guard admits the letter; with no such edge
+    (c, b) has none.  The letter is computed once per pair, the admitted
+    edges once per letter and automaton state, and a pair's successor list
+    once, when some edge admits its letter, so a pair no edge admits
+    expands neither of its nodes."""
     ba = _negated_body_automaton(formula.body)
     letter, admitted = _bit_letters(k, formula)
-    succ, seen = k.succ, {}
+    succ = k.succ
+    letters = OnDemand(lambda c: letter(*c))
+    pairs = OnDemand(lambda c: tuple((a, t) for a in succ[c[0]] for t in succ[c[1]]))
 
     def successors(state):
         c, b = state
-        if c not in seen:
-            u, v = c
-            seen[c] = (letter(u, v), tuple((a, t) for a in succ[u] for t in succ[v]))
-        lab, nexts = seen[c]
-        targets = admitted(lab, b)
-        return [(c2, b2) for c2 in nexts for b2 in targets]
+        targets = admitted(letters[c], b)
+        if not targets:
+            return ()
+        return [(c2, b2) for c2 in pairs[c] for b2 in targets]
 
     accepting = ba.accepting
-    return _nested_dfs([(c, ba.initial) for c in roots], successors,
-                       lambda s: s[1] in accepting)
+    return accepting_lasso([(c, ba.initial) for c in roots], successors,
+                           lambda s: s[1] in accepting)
 
 
 def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
-    """Exact check of a two-trace universal formula via nested DFS.
+    """Exact check of a two-trace universal formula: the emptiness check of
+    the product of its negated body's automaton with the two-fold
+    self-composition of k, by graph.accepting_lasso (see _product_lasso).
 
     The body is translated as it stands: obseq/stateeq and state-set leaves
     are literals decided on the pair letter, a bitmask over the literals of
@@ -308,82 +317,6 @@ def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     pi2 = canonical_lasso(Lasso(stem=_project(k, stem, 1), cycle=_project(k, cycle, 1)))
     return Verdict(property=None, holds=False, mode="exact",
                    engine="hyper-forall-forall", witness=(pi1, pi2))
-
-
-def _nested_dfs(roots, successors, is_accepting):
-    """Search for a reachable accepting cycle; returns (stem, cycle) or None.
-
-    Standard two-color nested DFS: the outer search runs in post-order and
-    seeds an inner search from every accepting state; the inner search
-    succeeds when it closes back into the outer search path.  successors is
-    called on each state once by each search that expands it, so it should
-    be cheap to call again.
-
-    It stays beside graph.cyclic_sccs because it stops at the first
-    accepting cycle it closes: an SCC pass with a shortest stem gives
-    shorter witnesses, but completes a component only after exploring all
-    it reaches, and the stem search expands the product again.
-    """
-    cyan = set()
-    blue = set()
-    red = set()
-    path = []
-
-    def red_search(seed):
-        # returns path seed -> ... -> some cyan node, or None
-        parent = {seed: None}
-        stack = [seed]
-        while stack:
-            node = stack.pop()
-            for nxt in successors(node):
-                if nxt in cyan:
-                    chain = [nxt, node]
-                    cur = node
-                    while parent[cur] is not None:
-                        cur = parent[cur]
-                        chain.append(cur)
-                    chain.reverse()  # seed ... node nxt
-                    return chain
-                if nxt not in red:
-                    red.add(nxt)
-                    parent[nxt] = node
-                    stack.append(nxt)
-        return None
-
-    for root in roots:
-        if root in blue:
-            continue
-        stack = [(root, iter(successors(root)))]
-        cyan.add(root)
-        path.append(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in cyan and nxt not in blue:
-                    cyan.add(nxt)
-                    path.append(nxt)
-                    stack.append((nxt, iter(successors(nxt))))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            if is_accepting(node):
-                found = red_search(node)
-                if found is not None:
-                    # found = node ... w with w on the current path
-                    w = found[-1]
-                    i = path.index(w)
-                    j = path.index(node)
-                    stem = list(path[:i])
-                    cycle = list(path[i:j + 1]) + found[1:-1]
-                    # found[1:-1] is the detour node -> ... -> just before w
-                    return tuple(stem), tuple(cycle)
-            stack.pop()
-            path.pop()
-            cyan.discard(node)
-            blue.add(node)
-    return None
 
 
 # ---------------------------------------------------------------------------

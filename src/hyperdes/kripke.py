@@ -136,9 +136,11 @@ class KripkeStructure:
         return {q: i for i, q in enumerate(self.nodes)}
 
     def __repr__(self):
+        """The nodes expanded so far and the edges they leave; expands
+        none."""
         kind = "modified Kripke" if self.modified else "Kripke"
-        edges = sum(len(self.succ[q]) for q in self.nodes)
-        return f"<{kind}: {len(self.nodes)} nodes, {edges} edges>"
+        edges = sum(map(len, self.succ.values()))
+        return f"<{kind}: {len(self.succ)} nodes expanded, {edges} edges>"
 
 
 def step_nodes(succ, nodes, obs) -> frozenset:

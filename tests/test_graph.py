@@ -10,6 +10,7 @@ from itertools import islice
 from hypothesis import given, settings, strategies as st
 
 from hyperdes.graph import (
+    accepting_lasso,
     bfs,
     cyclic_sccs,
     first_cycle,
@@ -112,6 +113,59 @@ def test_first_cycle_is_a_cycle_and_missing_only_when_acyclic(graph):
         assert len(path) == len(set(path)) and 0 <= i < len(path)
         assert all(b in succ[a] for a, b in zip(path, path[1:]))
         assert path[i] in succ[path[-1]]
+
+
+def test_accepting_lasso_finds_reachable_accepting_cycle():
+    """A graph with one accepting loop yields that loop as the witness."""
+    succ = {"a": ["b"], "b": ["c"], "c": ["c"]}
+    hit = accepting_lasso(["a"], lambda s: succ[s], lambda s: s == "c")
+    assert hit == (("a", "b"), ("c",))
+
+
+def test_accepting_lasso_ignores_non_accepting_cycles():
+    """Cycles that never touch an accepting state are not reported."""
+    succ = {"a": ["a", "b"], "b": ["a"]}
+    assert accepting_lasso(["a"], lambda s: succ[s], lambda s: False) is None
+
+
+def test_accepting_lasso_accepting_state_without_cycle():
+    """Reaching an accepting dead end is not an accepting cycle."""
+    succ = {"a": ["b"], "b": []}
+    assert accepting_lasso(["a"], lambda s: succ[s], lambda s: s == "b") is None
+
+
+def test_accepting_lasso_closing_off_the_search_path_goes_breadth_first():
+    """The edge d -> e closes the component {a, e, d} at e, which the search
+    has left: the cycle runs from the root a to the accepting d and back."""
+    succ = {"a": ["e", "d"], "e": ["a"], "d": ["e"]}
+    assert accepting_lasso(["a"], lambda s: succ[s], lambda s: s == "d") == (
+        (), ("a", "d", "e"))
+
+
+@checks
+@given(digraphs(), st.data())
+def test_accepting_lasso_is_a_lasso_missing_only_without_accepting_cycles(graph, data):
+    nodes, edges, roots = graph
+    accepting = data.draw(st.sets(st.sampled_from(nodes)))
+    succ = successors(nodes, edges)
+    entered = []
+
+    def tracked(x):
+        entered.append(x)
+        return succ[x]
+
+    found = accepting_lasso(roots, tracked, accepting.__contains__)
+    cyclic = cyclic_sccs(roots, succ.__getitem__)
+    assert (found is None) == (not any(accepting.intersection(comp) for comp in cyclic))
+    if found is None:
+        assert len(entered) == len(set(entered))     # each node expanded once
+        return
+    stem, cycle = found
+    run = stem + cycle
+    assert cycle and run[0] in roots
+    assert all(b in succ[a] for a, b in zip(run, run[1:]))
+    assert cycle[0] in succ[cycle[-1]]
+    assert accepting.intersection(cycle)
 
 
 @checks

@@ -57,7 +57,6 @@ from hyperdes.hyper import (
     _guard_masks,
     _lasso_estimates,
     _negated_body_automaton,
-    _nested_dfs,
     _original_succ,
 )
 from hyperdes.kripke import (
@@ -108,29 +107,6 @@ def test_canonical_lasso_rotation_lands_on_same_form():
     b = lasso([node("0"), node("1", "o1"), node("2", "o2")],
               [node("3", "o3"), node("2", "o2")])
     assert canonical_lasso(a) == canonical_lasso(b)
-
-
-# ---------------------------------------------------------------------------
-# nested DFS
-
-
-def test_nested_dfs_finds_reachable_accepting_cycle():
-    """A graph with one accepting loop yields that loop as the witness."""
-    succ = {"a": ["b"], "b": ["c"], "c": ["c"]}
-    hit = _nested_dfs(["a"], lambda s: succ[s], lambda s: s == "c")
-    assert hit == (("a", "b"), ("c",))
-
-
-def test_nested_dfs_ignores_non_accepting_cycles():
-    """Cycles that never touch an accepting state are not reported."""
-    succ = {"a": ["a", "b"], "b": ["a"]}
-    assert _nested_dfs(["a"], lambda s: succ[s], lambda s: False) is None
-
-
-def test_nested_dfs_accepting_state_without_cycle():
-    """Reaching an accepting dead end is not an accepting cycle."""
-    succ = {"a": ["b"], "b": []}
-    assert _nested_dfs(["a"], lambda s: succ[s], lambda s: s == "b") is None
 
 
 # ---------------------------------------------------------------------------

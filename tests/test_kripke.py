@@ -157,6 +157,21 @@ def test_a_replay_expands_only_part_of_the_structure():
         assert expanded < len(k.nodes), (kind, expanded, len(k.nodes))
 
 
+def test_repr_reports_what_is_expanded_and_expands_nothing(g_det):
+    """repr, as in a failure message, names the nodes expanded so far and
+    the edges they leave, and looks up no node itself."""
+    k = build_kripke(g_det)
+    kt = build_modified_kripke(k)
+    assert repr(k) == "<Kripke: 0 nodes expanded, 0 edges>"
+    assert repr(kt) == "<modified Kripke: 0 nodes expanded, 0 edges>"
+    assert len(k.succ) == len(kt.succ) == 0
+    q = k.initial[0]
+    kt.succ[q]
+    assert repr(kt) == (f"<modified Kripke: 1 nodes expanded, "
+                        f"{len(k.succ[q]) + 1} edges>")
+    assert repr(k) == f"<Kripke: 1 nodes expanded, {len(k.succ[q])} edges>"
+
+
 def test_modifying_twice_is_rejected(g_opa):
     kt = build_modified_kripke(build_kripke(g_opa))
     with pytest.raises(AlreadyModified):

@@ -1,6 +1,6 @@
 """Structure of the package: its modules import each other without cycles,
-every breadth-first search runs through the graph kernel, neither route
-imports the other, and every estimate step is des's.
+every breadth-first and depth-first search runs through the graph kernel,
+neither route imports the other, and every estimate step is des's.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -156,6 +156,46 @@ def test_queue_scan_sees_imports_attributes_and_popleft():
               "    return queue.popleft()\n")
     assert queue_uses(source) == [1, 3, 6]
     assert queue_uses("from collections import defaultdict\nx = [].pop(0)\n") == []
+
+
+def iter_pushes(source):
+    """Line numbers at which a source text puts an iter(...) call on a list,
+    as an item of a list display or the argument of .append, itself or in
+    a tuple: the mark of a hand-written depth-first search, whose work
+    stack holds one successor iterator per node on the search path."""
+    def iter_calls(node):
+        items = node.elts if isinstance(node, ast.Tuple) else [node]
+        return [item.lineno for item in items if isinstance(item, ast.Call)
+                and isinstance(item.func, ast.Name) and item.func.id == "iter"]
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.List):
+            for item in node.elts:
+                lines += iter_calls(item)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"):
+            for arg in node.args:
+                lines += iter_calls(arg)
+    return sorted(lines)
+
+
+def test_depth_first_search_runs_only_in_the_graph_kernel():
+    found = {p.name: iter_pushes(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "graph.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_iter_push_scan_sees_lists_appends_and_tuples():
+    source = ("work = [iter(succ(root))]\n"
+              "stack = [(root, iter(succ(root)))]\n"
+              "def f(stack, nxt):\n"
+              "    stack.append((nxt, iter(succ(nxt))))\n"
+              "    work.append(iter(succ(nxt)))\n")
+    assert iter_pushes(source) == [1, 2, 4, 5]
+    assert iter_pushes("first = next(iter(entry))\n"
+                       "cells = [next(iter(n)) for n in nodes]\n"
+                       "seen.add(iter(x))\n") == []
 
 
 def names_imported_from(source, module):
