@@ -14,11 +14,12 @@ the delayed estimate.  The estimate functions share observable_moves;
 track_moves and pair_moves serve the estimate functions.  state_moves is
 the set stepper for walks over many sets: it gives observable_moves of any
 set of states, as the union of its members' steps, each computed once.
-The observer, the Kripke structures and the oracle's pair graph take their
-moves from it, and so does joint_moves, which steps a tuple of
-current-state estimates together, on which the oracle decides
-initial-state and infinite-step opacity.  observable_step, on one
-observation, is the reference for observable_moves.
+The observer and the Kripke structures take their moves from it, and so
+does joint_moves, which steps a tuple of current-state estimates together,
+on which the oracle decides initial-state and infinite-step opacity.  The
+oracle's single-event verifier needs no stepper: it moves on one event at
+a time.  observable_step, on one observation, is the reference for
+observable_moves.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
-from .graph import bfs, cyclic_sccs, first_cycle, reachable, subset_graph
+from .graph import accepting_lasso, bfs, cyclic_sccs, reachable, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -162,10 +163,14 @@ def validate_fsa(fsa: Fsa) -> Fsa:
         if not fsa.out_edges(x):
             raise NotLive(x)
 
-    found = first_cycle(fsa.states, lambda x: _uo_targets(fsa, x))
+    silent = {x: _uo_targets(fsa, x) for x in fsa.states}
+    # a state with no unobservable event lies on no unobservable cycle, so
+    # the search starts only from the others
+    found = accepting_lasso([x for x in fsa.states if silent[x]], silent.__getitem__,
+                            lambda _: True)
     if found is not None:
-        path, i = found
-        raise UnobservableCycle(path[i:] + [path[i]])
+        cycle = found[1]
+        raise UnobservableCycle(cycle + cycle[:1])
     fsa.validated = True
     return fsa
 

@@ -64,37 +64,6 @@ def cyclic_sccs(roots, succ):
             yield comp
 
 
-def first_cycle(roots, succ):
-    """The first cycle a depth-first search meets, searching from each root
-    in turn.
-
-    Returns (path, i): the search path, whose last node has an edge back to
-    path[i]; None when no cycle is reachable.  A fully explored node is not
-    entered again, since no cycle passes through it.
-    """
-    done = set()
-    for root in roots:
-        if root in done:
-            continue
-        path, at = [root], {root: 0}
-        work = [iter(succ(root))]
-        while work:
-            for nxt in work[-1]:
-                if nxt in at:
-                    return path, at[nxt]
-                if nxt not in done:
-                    at[nxt] = len(path)
-                    path.append(nxt)
-                    work.append(iter(succ(nxt)))
-                    break
-            else:
-                work.pop()
-                node = path.pop()
-                del at[node]
-                done.add(node)
-    return None
-
-
 def accepting_lasso(roots, succ, accepting):
     """A lasso through a node satisfying `accepting`, searching from each
     root in turn, by Couvreur's on-the-fly SCC check (FM 1999): returns
@@ -117,6 +86,10 @@ def accepting_lasso(roots, succ, accepting):
     breadth first, inside the component, from the root to its nearest
     accepting node and back, which calls `succ` and `accepting` again on
     the nodes it visits.
+
+    With every node accepting it is a plain cycle search: the first edge
+    back into the search path ends it, and the answer is that path, cut
+    where the edge enters it.
     """
     at = {}         # each node entered: its position in `live`, -1 once its component closed
     live = []       # the nodes of the open components, in search order
@@ -133,8 +106,8 @@ def accepting_lasso(roots, succ, accepting):
             for nxt in work[-1]:
                 i = at.get(nxt)
                 if i is None:
-                    at[nxt] = len(live)
-                    comps.append((len(live), accepting(nxt)))
+                    i = at[nxt] = len(live)
+                    comps.append((i, accepting(nxt)))
                     live.append(nxt)
                     path.append(nxt)
                     work.append(iter(succ(nxt)))

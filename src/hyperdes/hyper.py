@@ -90,8 +90,7 @@ from .formula import (
     missing_annotation,
     property_template,
 )
-from .graph import (accepting_lasso, cyclic_sccs, first_cycle, reachable, shortest_path,
-                    subset_graph)
+from .graph import accepting_lasso, cyclic_sccs, reachable, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
 
@@ -526,8 +525,8 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
 def _sync_violation(orig_succ, path):
     """Package a violating universal trace: extend the path into a lasso."""
     # follow first successors from the last node until they repeat
-    cont, cut = first_cycle([path[-1]], lambda q: orig_succ[q][:1])
-    pi1 = canonical_lasso(Lasso(stem=tuple(path[:-1] + cont[:cut]), cycle=tuple(cont[cut:])))
+    lead, cycle = accepting_lasso([path[-1]], lambda q: orig_succ[q][:1], lambda _: True)
+    pi1 = canonical_lasso(Lasso(stem=tuple(path[:-1]) + lead, cycle=cycle))
     return Verdict(property=None, holds=False, mode="exact",
                    engine="hyper-forall-exists", witness=(pi1, None))
 
@@ -630,9 +629,10 @@ def _collapse_exact(k):
     steps = shortest_path(root, lambda s: [(None, n) for n in succ[s]]
                           + ([(None, None)] if s in core else []), None)
     stem = [root] + [n for _, n in steps[:-1]]
-    cycle, i = first_cycle(stem[-1:], lambda s: [n for n in succ[s] if n in core])
-    run = [q for q, _ in stem[:-1] + cycle]
-    cut = len(stem) - 1 + i
+    lead, cycle = accepting_lasso(stem[-1:], lambda s: [n for n in succ[s] if n in core],
+                                  lambda _: True)
+    run = [q for q, _ in (*stem[:-1], *lead, *cycle)]
+    cut = len(stem) - 1 + len(lead)
     pi1 = canonical_lasso(Lasso(stem=tuple(run[:cut]), cycle=tuple(run[cut:])))
     return Verdict(property=None, holds=True, mode="exact",
                    engine="hyper-exists-forall", witness=(pi1, None))
@@ -727,12 +727,12 @@ def _lasso_along(k, stem_obs, cycle_obs):
         npos = pos + 1 if pos + 1 < len(word) else wrap
         return [(t, npos) for t in k.succ[q] if t.obs == word[pos]]
 
-    found = first_cycle([(q0, 0) for q0 in k.initial], succs)
+    found = accepting_lasso([(q0, 0) for q0 in k.initial], succs, lambda _: True)
     if found is None:
         return None
-    path, i = found
-    nodes = [q for q, _ in path]
-    return canonical_lasso(Lasso(stem=tuple(nodes[:i]), cycle=tuple(nodes[i:])))
+    stem, cycle = found
+    return canonical_lasso(Lasso(stem=tuple(q for q, _ in stem),
+                                 cycle=tuple(q for q, _ in cycle)))
 
 
 def _strong_detectability_gap(k):

@@ -6,27 +6,30 @@ agreement with the hyperproperty engines is meaningful evidence for both
 sides.
 
 A machine is checked through one OracleAnalysis, which builds the fault
-refinement, the observer and the state-pair graphs on first use and hands
-the same structures to every property it is asked about; oracle_check makes
-a fresh one for a single property.
+refinement and the observer on first use and hands the same structures to
+every property it is asked about; oracle_check makes a fresh one for a
+single property.
 
 The estimate steps are des's.  Its set stepper, state_moves, steps the
-observer's estimates (build_observer), the states of the pair graph one at
-a time (_pair_graph), and, through joint_moves, the (open, secret) pairs
-of current states on which initial-state and infinite-step opacity are
-decided (_exposed).  This module keeps the decisions taken on them.
+observer's estimates (build_observer) and, through joint_moves, the (open,
+secret) pairs of current states on which initial-state and infinite-step
+opacity are decided (_exposed).  This module keeps the decisions taken on
+them.
 
 Diagnosability, I-detectability and delayed detectability quantify over
-arbitrarily long observation suffixes.  They are decided on a graph of
-state pairs that agree on every observation so far (the twin plant of
-Jiang, Huang, Chandra and Kumar, IEEE TAC 46(8), 2001, and the
-delayed-detectability detector of Shu and Lin, IEEE TAC 58(4), 2013): a
-violation is a reachable cycle, which yields ambiguous strings of every
-length.  As every graph of the package, the pair graph follows declaration
-order: a pair's successors come in observation order, then state order,
-and the cycle searches start from the pairs reached breadth first from
-start pairs in state order, so a check does the same work whatever the
-string hashes.  The remaining properties are plain reachability
+arbitrarily long observation suffixes.  They are decided on the
+single-event verifier of Yoo and Lafortune (IEEE TAC 47(9), 2002), whose
+pairs of states agree on every observation so far; it reaches the pairs
+of the twin plant of Jiang, Huang, Chandra and Kumar (IEEE TAC 46(8),
+2001), and of the delayed-detectability detector of Shu and Lin (IEEE TAC
+58(4), 2013), one event at a time.  A violation is a reachable cycle,
+which yields ambiguous strings of every length, and each check is one
+emptiness search, graph.accepting_lasso, which stops at the first
+violating cycle and expands a pair only when it first reaches it.  As
+every graph of the package, the verifier follows declaration order: a
+pair's moves come in event and observation order, and the searches start
+from start pairs in state order, so a check does the same work whatever
+the string hashes.  The remaining properties are plain reachability
 questions.  Every check is exact and takes the machine alone.
 """
 
@@ -47,13 +50,14 @@ from .des import (
 )
 from .errors import MissingAnnotation
 from .formula import missing_annotation
-from .graph import bfs, cyclic_sccs, first_cycle, reachable, shortest_path
+from .graph import accepting_lasso, bfs, cyclic_sccs, reachable, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
 class OracleAnalysis:
-    """One machine on the oracle route: its fault refinement, observer and
-    state-pair graphs, each built on first use and shared by every check."""
+    """One machine on the oracle route: its fault refinement and observer,
+    each built on first use and shared by every check.  The pair checks
+    hold no structure: their verifier is searched on the fly."""
 
     def __init__(self, fsa):
         self.fsa = fsa
@@ -71,10 +75,6 @@ class OracleAnalysis:
 
     def observer(self):
         return self._once("observer", lambda: build_observer(self.fsa))
-
-    def pairs(self, machine):
-        """The pair graph of the machine or of its refinement."""
-        return self._once(("pairs", machine), lambda: _pair_graph(machine))
 
     def check(self, kind) -> Verdict:
         """Decide one property straight from its definition."""
@@ -101,32 +101,54 @@ def _exact_verdict(holds, details=None):
                    details=details)
 
 
-def _pair_graph(fsa):
-    """Successor function of the state-pair graph: (x, y) steps to (x', y')
-    on an observation o when x' and y' are reached from x and y by strings
-    observed exactly as o.  The pairs reachable from a set of start pairs
-    are the pairs of runs that agree on every observation since the start;
-    the graph has at most n² nodes, so a path of n²+1 observations repeats a
-    pair and a cycle gives such runs for strings of every length.  Each
-    state's step comes from des's set stepper, state_moves, which computes
-    it once.  A pair's successors are listed in observation order, then in
-    state order of x' and of y', each once."""
-    moves, cache = state_moves(fsa), {}
+def _verifier(fsa):
+    """Successor function of the single-event verifier (Yoo and Lafortune,
+    IEEE TAC 47(9), 2002): a pair (x, y) moves when one side takes an
+    unobservable event, or when both sides take events with the same
+    observation.  From start pairs closed under unobservable moves it
+    reaches the pairs of runs that agree on every observation since the
+    start: the pairs of the closure pair graph, whose step on an
+    observation is unobservable moves, one joint move and unobservable
+    moves again.  A validated machine has no unobservable cycle, so every
+    cycle of the verifier holds a joint move, and a cycle gives such runs
+    for strings of every length.  It has at most n² pairs, and a pair's
+    moves are its states' unobservable out-edges and the pairs of their
+    out-edges with equal observations.
+
+    A pair's moves come in declaration order: side 1's unobservable moves,
+    then side 2's, then the joint moves in observation order and in event
+    order of each side.  A state's events are grouped once, when a pair
+    first holds it; nothing is held per pair."""
+    order = fsa.obs_index.__getitem__
+    grouped = {}
+
+    def events(x):
+        """x's unobservable targets, and its observable targets by
+        observation, in observation order."""
+        found = grouped.get(x)
+        if found is None:
+            quiet, loud = [], {}
+            for e, y in fsa.out_edges(x):
+                o = fsa.mask[e]
+                if o is None:
+                    quiet.append(y)
+                else:
+                    loud.setdefault(o, []).append(y)
+            if len(loud) > 1:
+                loud = {o: loud[o] for o in sorted(loud, key=order)}
+            found = grouped[x] = quiet, loud
+        return found
 
     def succ(pair):
-        out = cache.get(pair)
-        if out is None:
-            x, y = pair
-            right = moves((y,))
-            found = {}
-            for o, xs in moves((x,)).items():
-                ys = right.get(o)
-                if ys is not None:
-                    ys = fsa.sort_states(ys)
-                    for a in fsa.sort_states(xs):
-                        for b in ys:
-                            found[a, b] = None
-            out = cache[pair] = list(found)
+        x, y = pair
+        quiet, loud = events(x)
+        right_quiet, right = events(y)
+        out = [(a, y) for a in quiet]
+        out += [(x, b) for b in right_quiet]
+        for o, xs in loud.items():
+            ys = right.get(o)
+            if ys is not None:
+                out += [(a, b) for a in xs for b in ys]
         return out
 
     return succ
@@ -143,23 +165,24 @@ def diagnosability_oracle(an) -> Verdict:
     """A fault run must not stay observationally equal to a normal run for
     arbitrarily many post-fault observations.
 
-    On the pair graph of the refined machine, started from every pair of its
-    initial closure, the property fails exactly when a reachable pair lies
-    on a cycle of (fault, normal) pairs.
+    On the verifier of the refined machine, with its second side kept
+    normal and started from every pair of its initial closure, the property
+    fails exactly when a reachable cycle holds a (fault, normal) pair: one
+    emptiness search, which stops at the first such cycle.
     """
     refined, part = an.refined()
     fault, normal = part.fault_states, part.normal_states
-    pairs = an.pairs(refined)
+    step = _verifier(refined)
 
     def succ(pair):
-        return [q for q in pairs(pair) if q[1] in normal]
+        return [q for q in step(pair) if q[1] in normal]
 
     # the fault region is absorbing: a second run that leaves the normal
-    # region never returns, and every pair reached from a (fault, normal)
-    # pair along succ is a (fault, normal) pair again
+    # region never returns, and every pair on a cycle through a (fault,
+    # normal) pair is a (fault, normal) pair again
     closure = refined.sort_states(unobservable_reach(refined, refined.initial))
-    found = bfs([(x, y) for x in closure for y in closure if y in normal], succ)
-    ambiguous = any(cyclic_sccs([p for p in found if p[0] in fault], succ))
+    starts = [(x, y) for x in closure for y in closure if y in normal]
+    ambiguous = accepting_lasso(starts, succ, lambda pair: pair[0] in fault) is not None
     # such a fault run stays ambiguous past the pumping horizon, states
     # squared plus one, as the unfolding to that horizon reports it (the
     # reference of the tests, tests/support.horizon_unfolding)
@@ -205,16 +228,16 @@ def predictability_oracle(an) -> Verdict:
 def i_detectability_oracle(an) -> Verdict:
     """Every long enough observation string must pin the initial state.
 
-    On the pair graph started from the pairs of the unobservable closures
-    of two distinct initial states, the property fails exactly when a cycle
-    is reachable.
+    On the verifier started from the pairs of the unobservable closures of
+    two distinct initial states, the property fails exactly when a cycle is
+    reachable: the emptiness search with every pair accepting.
     """
     fsa = an.fsa
     closures = {x0: fsa.sort_states(unobservable_reach(fsa, [x0]))
                 for x0 in fsa.sort_states(fsa.initial)}
     starts = [(a, b) for x0 in closures for y0 in closures if x0 != y0
               for a in closures[x0] for b in closures[y0]]
-    return _exact_verdict(not any(cyclic_sccs(starts, an.pairs(fsa))))
+    return _exact_verdict(accepting_lasso(starts, _verifier(fsa), lambda _: True) is None)
 
 
 def strong_detectability_oracle(an) -> Verdict:
@@ -237,13 +260,13 @@ def weak_detectability_oracle(an) -> Verdict:
     fsa, obs = an.fsa, an.observer()
     moves = obs.moves
     singles = [n for n in obs.nodes if len(n) == 1]
-    found = first_cycle(singles, lambda n: [t for _, t in moves[n] if len(t) == 1])
+    found = accepting_lasso(singles, lambda n: [t for _, t in moves[n] if len(t) == 1],
+                            lambda _: True)
     if found is None:
         return Verdict(property=None, holds=False, mode="exact",
                        engine="oracle-observer")
 
-    path, i = found
-    cyc_nodes = path[i:]
+    cyc_nodes = found[1]
     # each cycle edge is labelled with the first observation taking it
     cyc_obs = [next(o for o, t in moves[a] if t == b)
                for a, b in zip(cyc_nodes, cyc_nodes[1:] + cyc_nodes[:1])]
@@ -275,16 +298,23 @@ def delayed_detectability_oracle(an) -> Verdict:
     """From every reachable estimate, hindsight must pin the anchor state once
     the refinement suffix is long enough.
 
-    The pairs reachable on the pair graph from the pairs of the initial
+    The pairs reachable on the verifier from the pairs of the initial
     closure are the pairs of states some observation string can both reach.
     The property fails exactly when a cycle, on the diagonal or off it, is
-    reachable from one of those pairs with two distinct states.
+    reachable from one of those pairs with two distinct states.  The
+    emptiness search runs on (pair, seen), where `seen` records whether the
+    path has passed an off-diagonal pair, and the nodes with `seen` accept.
     """
     fsa = an.fsa
-    succ = an.pairs(fsa)
+    step = _verifier(fsa)
+
+    def succ(node):
+        pair, seen = node
+        return [(q, seen or q[0] != q[1]) for q in step(pair)]
+
     closure = fsa.sort_states(unobservable_reach(fsa, fsa.initial))
-    found = bfs([(x, y) for x in closure for y in closure], succ)
-    return _exact_verdict(not any(cyclic_sccs([p for p in found if p[0] != p[1]], succ)))
+    starts = [((x, y), x != y) for x in closure for y in closure]
+    return _exact_verdict(accepting_lasso(starts, succ, lambda node: node[1]) is None)
 
 
 # ---------------------------------------------------------------------------

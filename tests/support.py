@@ -17,6 +17,7 @@ from hyperdes.des import (
     observable_step,
     pair_moves,
     refine_fault_partition,
+    state_moves,
     track_moves,
     unobservable_reach,
     validate_fsa,
@@ -40,7 +41,7 @@ from hyperdes.formula import (
     Until,
 )
 from hyperdes.gen import random_valid_fsa
-from hyperdes.graph import bfs
+from hyperdes.graph import bfs, cyclic_sccs
 from hyperdes.kripke import KNode, Verdict
 
 PROPS = ("a", "x:0", "x:1", "o:o1", "o:o2", "tau")
@@ -187,6 +188,28 @@ def o1_ring(n):
                fault_events=ring.fault_events, name=f"o1-ring-{n}")
 
 
+def unobservable_chain(n):
+    """n unobservable steps u<i>: i -> i+1 from state 0 to state n, closed by
+    one event c (observed o) from n back to 0, with an unobservable fault f
+    that skips 0 -> 1 beside u0; initial state 0.
+
+    Every state's closure runs to n, so every pair of states shares each
+    observation.  It is not diagnosable: the run through f and the run
+    through u0 enter state 1 together and show o at every lap, forever.  It
+    is I-detectable, with its single initial state, and not
+    delayed-detectable: states 0 and 1 both lie in the first estimate, and
+    runs from each show o forever, so no suffix tells them apart."""
+    states = [str(i) for i in range(n + 1)]
+    trans = {(str(i), f"u{i}"): str(i + 1) for i in range(n)}
+    trans[(str(n), "c")] = "0"
+    trans[("0", "f")] = "1"
+    mask = {f"u{i}": None for i in range(n)}
+    mask.update(c="o", f=None)
+    return Fsa(states=states, events=[f"u{i}" for i in range(n)] + ["c", "f"],
+               transitions=trans, initial=["0"], mask=mask, fault_events=["f"],
+               name=f"unobservable-chain-{n}")
+
+
 def labelled_ring(n):
     """n-state ring where each step i -> i+1 (mod n) shows its own
     observation o<i>, and f skips 0 -> 1 showing "of"; initial state 0,
@@ -323,7 +346,86 @@ def infinite_step_opacity_reference(fsa):
     return not exposed
 
 
-# The horizon unfoldings: the reference the oracle's exact pair-graph checks
+# The closure pair graph and its three cycle checks, which the oracle's
+# single-event verifier replaced: the reference for its verdicts on
+# diagnosability, I- and delayed detectability.
+
+PAIR_KINDS = ("diagnosability", "i-detectability", "delayed-detectability")
+
+
+def pair_graph(fsa):
+    """Successor function of the closure pair graph, the twin plant of
+    Jiang, Huang, Chandra and Kumar (IEEE TAC 46(8), 2001): (x, y) steps to
+    (x', y') on an observation o when x' and y' are reached from x and y by
+    strings observed exactly as o.  A pair's successors are listed in
+    observation order, then in state order of x' and of y', each once."""
+    moves, cache = state_moves(fsa), {}
+
+    def succ(pair):
+        out = cache.get(pair)
+        if out is None:
+            x, y = pair
+            right = moves((y,))
+            found = {}
+            for o, xs in moves((x,)).items():
+                ys = right.get(o)
+                if ys is not None:
+                    ys = fsa.sort_states(ys)
+                    for a in fsa.sort_states(xs):
+                        for b in ys:
+                            found[a, b] = None
+            out = cache[pair] = list(found)
+        return out
+
+    return succ
+
+
+def pair_graph_verdict(fsa, kind):
+    """Diagnosability, I- or delayed detectability decided on the closure
+    pair graph: the pairs reachable from the start pairs, breadth first,
+    then Tarjan's components for a cycle, as an exact oracle verdict.
+
+    - diagnosability: on the refined machine with the second side kept
+      normal, from every pair of the initial closure, a cycle reachable from
+      a (fault, normal) pair;
+    - I-detectability: a cycle reachable from the pairs of the closures of
+      two distinct initial states;
+    - delayed detectability: a cycle reachable from an off-diagonal pair
+      reachable from the pairs of the initial closure."""
+    if not fsa.validated:
+        validate_fsa(fsa)
+    details = None
+    if kind == "diagnosability":
+        refined, part = refine_fault_partition(fsa)
+        fault, normal = part.fault_states, part.normal_states
+        pairs = pair_graph(refined)
+
+        def succ(pair):
+            return [q for q in pairs(pair) if q[1] in normal]
+
+        closure = refined.sort_states(unobservable_reach(refined, refined.initial))
+        found = bfs([(x, y) for x in closure for y in closure if y in normal], succ)
+        holds = not any(cyclic_sccs([p for p in found if p[0] in fault], succ))
+        if not holds:
+            details = {"ambiguous_after": pumping_horizon(refined)}
+    elif kind == "i-detectability":
+        closures = {x0: fsa.sort_states(unobservable_reach(fsa, [x0]))
+                    for x0 in fsa.sort_states(fsa.initial)}
+        starts = [(a, b) for x0 in closures for y0 in closures if x0 != y0
+                  for a in closures[x0] for b in closures[y0]]
+        holds = not any(cyclic_sccs(starts, pair_graph(fsa)))
+    elif kind == "delayed-detectability":
+        succ = pair_graph(fsa)
+        closure = fsa.sort_states(unobservable_reach(fsa, fsa.initial))
+        found = bfs([(x, y) for x in closure for y in closure], succ)
+        holds = not any(cyclic_sccs([p for p in found if p[0] != p[1]], succ))
+    else:
+        raise ValueError(f"no pair graph check for {kind!r}")
+    return Verdict(property=kind, holds=holds, mode="exact", engine="oracle",
+                   details=details)
+
+
+# The horizon unfoldings: the reference the oracle's exact pair checks
 # of diagnosability, I- and delayed detectability are compared against.
 
 

@@ -13,7 +13,6 @@ from hyperdes.graph import (
     accepting_lasso,
     bfs,
     cyclic_sccs,
-    first_cycle,
     reachable,
     sccs,
     shortest_path,
@@ -100,19 +99,23 @@ def test_sccs_are_the_mutual_reachability_classes(graph):
 
 @checks
 @given(digraphs())
-def test_first_cycle_is_a_cycle_and_missing_only_when_acyclic(graph):
+def test_accepting_lasso_with_every_node_accepting_finds_any_cycle(graph):
+    """With every node accepting, accepting_lasso is the package's cycle
+    search: its answer is the search path, which ends with an edge back
+    into it, and it is missing only when no cycle is reachable."""
     nodes, edges, roots = graph
     succ = successors(nodes, edges)
     reach = closure(nodes, succ)
-    found = first_cycle(roots, succ.__getitem__)
+    found = accepting_lasso(roots, succ.__getitem__, lambda _: True)
     acyclic = all(x not in reach[x] for x in reach_from(roots, reach))
     assert (found is None) == acyclic
     if found is not None:
-        path, i = found
-        assert path[0] in roots
-        assert len(path) == len(set(path)) and 0 <= i < len(path)
+        stem, cycle = found
+        path = stem + cycle
+        assert path[0] in roots and cycle
+        assert len(path) == len(set(path))
         assert all(b in succ[a] for a, b in zip(path, path[1:]))
-        assert path[i] in succ[path[-1]]
+        assert cycle[0] in succ[path[-1]]
 
 
 def test_accepting_lasso_finds_reachable_accepting_cycle():

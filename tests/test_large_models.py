@@ -16,7 +16,7 @@ from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
 from hyperdes.hyper import replay_witness, verify
 from hyperdes.kripke import build_kripke
 from hyperdes.oracle import oracle_check
-from support import all_initial_fault_ring, labelled_ring
+from support import all_initial_fault_ring, labelled_ring, unobservable_chain
 
 # each route's entry point for one property of one machine
 ROUTES = {"hyper": verify, "oracle": oracle_check}
@@ -105,6 +105,23 @@ def test_all_initial_fault_ring_estimate_checks_on_the_oracle():
         seconds, verdict = best_of_three(lambda: oracle_check(fsa, kind))
         assert verdict.holds is holds, kind
         assert seconds < 0.1, (kind, seconds)
+
+
+def test_unobservable_chain_pair_checks_on_the_oracle():
+    """The chain of 300 unobservable steps closed by one observable event,
+    with an unobservable fault skip: every state's closure runs to the end
+    of the chain, so the closure pair graph listed about n² successors per
+    pair, where the single-event verifier has a few moves per pair.
+    Diagnosability and delayed detectability fail and I-detectability
+    holds, as derived by hand, each decided in under 1 s on the oracle
+    route."""
+    fsa = validate_fsa(unobservable_chain(300))
+    answers = {"diagnosability": False, "i-detectability": True,
+               "delayed-detectability": False}
+    for kind, holds in answers.items():
+        seconds, verdict = best_of_three(lambda: oracle_check(fsa, kind))
+        assert verdict.holds is holds, kind
+        assert seconds < 1.0, (kind, seconds)
 
 
 def test_kripke_of_the_600_state_labelled_ring_builds_quickly():

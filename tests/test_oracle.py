@@ -27,14 +27,16 @@ from hyperdes.gen import random_valid_fsa
 from hyperdes.graph import reachable
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
-from hyperdes.oracle import OracleAnalysis, _pair_graph, oracle_check
+from hyperdes.oracle import OracleAnalysis, _verifier, oracle_check
 from hyperdes.hyper import replay_witness, verify
 from support import (
     comparison_machines,
     horizon_unfolding,
     infinite_step_opacity_reference,
     initial_state_opacity_reference,
+    PAIR_KINDS,
     o1_ring,
+    pair_graph_verdict,
     pair_sets,
     pumping_horizon,
     track_sets,
@@ -137,10 +139,7 @@ def test_oracle_verdicts_carry_their_seconds(g_diag, g_det):
 
 
 # ---------------------------------------------------------------------------
-# exact pair-graph checks against the horizon unfoldings
-
-
-PAIR_KINDS = ("diagnosability", "i-detectability", "delayed-detectability")
+# exact pair checks against the horizon unfoldings and the pair graph
 
 
 def _horizon_probe(fsa, kind):
@@ -173,7 +172,7 @@ def test_exact_checks_agree_with_the_horizon_unfolding(g_diag, g_det):
 
 
 def test_exact_checks_decide_the_o1_ring_quickly():
-    """On the ring whose steps all show o1 the pair graph has n² nodes, where
+    """On the ring whose steps all show o1 the verifier has n² pairs, where
     the unfolding ran to n²+1 observations: each check decides in under
     0.05 s at 30 states and 0.1 s at 60 (best of three runs, so that a
     busy host does not decide the outcome)."""
@@ -191,20 +190,40 @@ def test_exact_checks_decide_the_o1_ring_quickly():
             assert min(times) < limit, (n, kind, times)
 
 
-def test_pair_graph_lists_successors_in_declaration_order():
-    """A pair's successors come in observation order, then in state order
-    of each side, each once, as every other graph of the package lists its
-    nodes; so the pair checks do the same work under every string-hash
+def test_verifier_lists_moves_in_declaration_order():
+    """A pair's moves come as the verifier is defined, in declaration
+    order: side 1's unobservable moves, then side 2's, then the joint moves
+    on equal observations, in observation order and in event order of each
+    side; so the pair checks do the same work under every string-hash
     seed.  Checked on every pair of states of the comparison machines."""
     for index, fsa in enumerate(comparison_machines()):
-        succ = _pair_graph(fsa)
+        succ = _verifier(fsa)
         for x in fsa.states:
             for y in fsa.states:
-                expected = list(dict.fromkeys(
-                    (a, b) for o in fsa.observations
-                    for a in fsa.sort_states(observable_step(fsa, [x], o))
-                    for b in fsa.sort_states(observable_step(fsa, [y], o))))
+                expected = [(a, y) for e, a in fsa.out_edges(x) if fsa.mask[e] is None]
+                expected += [(x, b) for e, b in fsa.out_edges(y) if fsa.mask[e] is None]
+                expected += [(a, b) for o in fsa.observations
+                             for e, a in fsa.out_edges(x) if fsa.mask[e] == o
+                             for d, b in fsa.out_edges(y) if fsa.mask[d] == o]
                 assert succ((x, y)) == expected, (index, x, y)
+
+
+def test_verifier_checks_agree_with_the_pair_graph():
+    """The verifier's emptiness searches give the verdicts and details of
+    the closure pair graph's cycle checks (tests/support.pair_graph_verdict)
+    on the comparison machines and on 300 seeded machines of up to twelve
+    states, for both answers."""
+    rng = random.Random(5)
+    machines = list(comparison_machines()) + [random_valid_fsa(rng, max_states=12)
+                                              for _ in range(300)]
+    seen = {kind: set() for kind in PAIR_KINDS}
+    for i, fsa in enumerate(machines):
+        for kind in PAIR_KINDS:
+            exact = oracle_check(fsa, kind)
+            reference = pair_graph_verdict(fsa, kind)
+            assert (exact.holds, exact.details) == (reference.holds, reference.details), (i, kind)
+            seen[kind].add(exact.holds)
+    assert all(answers == {True, False} for answers in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

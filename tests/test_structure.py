@@ -255,7 +255,7 @@ def test_route_scan_sees_each_injected_import():
         ("oracle", "def f():\n    from hyperdes.kripke import step_nodes\n",
          ("oracle", "kripke", "step_nodes")),
         ("oracle", "import hyperdes.kripke\n", ("oracle", "kripke", "*")),
-        ("hyper", "from .oracle import _pair_graph\n", ("hyper", "oracle", "_pair_graph")),
+        ("hyper", "from .oracle import _verifier\n", ("hyper", "oracle", "_verifier")),
         ("hyper", "from .oracle import OracleAnalysis\n", ("hyper", "oracle", "OracleAnalysis")),
         ("hyper", "from . import oracle\n", ("hyper", "oracle", "*")),
         ("hyper", "from .des import build_observer\n", ("hyper", "des", "build_observer")),
@@ -363,9 +363,9 @@ def calls_outside(source, name, allowed):
 def test_the_oracle_steps_estimates_only_through_des():
     """des owns the step of each estimate machine (observable_moves,
     track_moves, pair_moves); the oracle steps single states itself only
-    in the pair graph's twin-plant step."""
+    in the verifier's single-event step."""
     source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
-    assert calls_outside(source, "observable_moves", {"_pair_graph"}) == []
+    assert calls_outside(source, "observable_moves", {"_verifier"}) == []
 
 
 def test_step_scan_sees_each_injected_call():
@@ -378,10 +378,10 @@ def test_step_scan_sees_each_injected_call():
             ("moves = des.observable_moves(fsa, [])\n", None, 1),
             ("class Walk:\n    def step(self, d):\n        return observable_moves(self.fsa, d)\n",
              "Walk", 3)):
-        assert calls_outside(source + line, "observable_moves", {"_pair_graph"}) == [
+        assert calls_outside(source + line, "observable_moves", {"_verifier"}) == [
             (owner, end + at)], line
-    assert calls_outside("def _pair_graph(fsa):\n    return observable_moves(fsa, [])\n"
-                         "step = observable_moves\n", "observable_moves", {"_pair_graph"}) == []
+    assert calls_outside("def _verifier(fsa):\n    return observable_moves(fsa, [])\n"
+                         "step = observable_moves\n", "observable_moves", {"_verifier"}) == []
 
 
 # the one hyper function that may read a whole structure: the bounded
