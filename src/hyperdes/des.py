@@ -20,6 +20,12 @@ on which the oracle decides initial-state and infinite-step opacity.  The
 oracle's single-event verifier needs no stepper: it moves on one event at
 a time.  observable_step, on one observation, is the reference for
 observable_moves.
+
+refine_fault_partition splits the states a run can reach both with and
+without a fault, and boundary_states names the normal states with a
+fault event; the hyper route's fault properties are stated on the refined
+machine.  The oracle decides them on the machine itself and refines it
+only to report a pumping horizon.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
-from .graph import accepting_lasso, bfs, cyclic_sccs, reachable, subset_graph
+from .graph import accepting_lasso, bfs, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -469,21 +475,3 @@ def boundary_states(fsa: Fsa, part: FaultPartition) -> frozenset:
                 break
     return frozenset(out)
 
-
-def indicator_states(fsa: Fsa, part: FaultPartition) -> frozenset:
-    """Normal states from which every long enough string ends in a fault state.
-
-    A normal state escapes the indicator set exactly when it can reach a cycle
-    from which a normal state is still reachable (such a cycle pumps
-    arbitrarily long strings ending in normal states).
-    """
-    succ = {x: [] for x in fsa.states}
-    pred = {x: [] for x in fsa.states}
-    for x in fsa.states:
-        for _, y in fsa.out_edges(x):
-            succ[x].append(y)
-            pred[y].append(x)
-    on_cycle = {x for comp in cyclic_sccs(fsa.states, succ.__getitem__) for x in comp}
-    reaches_normal = reachable(part.normal_states, pred.__getitem__)
-    escaping = reachable(on_cycle & reaches_normal, pred.__getitem__)
-    return frozenset(part.normal_states - escaping)

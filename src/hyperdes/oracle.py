@@ -5,27 +5,34 @@ with no formulas, no Büchi automata and no trace quantification, so that
 agreement with the hyperproperty engines is meaningful evidence for both
 sides.
 
-A machine is checked through one OracleAnalysis, which builds the fault
-refinement and the observer on first use and hands the same structures to
-every property it is asked about; oracle_check makes a fresh one for a
-single property.
+A machine is checked through one OracleAnalysis, which builds the
+observer on first use and hands it to weak detectability and infinite-step
+opacity; oracle_check makes a fresh one for a single property.  Every other
+check runs on the fly on the machine it is given: none builds the observer
+or the fault-refined machine.
 
 The estimate steps are des's.  Its set stepper, state_moves, steps the
-observer's estimates (build_observer) and, through joint_moves, the (open,
+observer's estimates (build_observer), the estimates current-state opacity
+walks until one lies inside the secret, and, through joint_moves, the (open,
 secret) pairs of current states on which initial-state and infinite-step
 opacity are decided (_exposed).  This module keeps the decisions taken on
 them.
 
-Diagnosability, I-detectability and delayed detectability quantify over
-arbitrarily long observation suffixes.  They are decided on the
+Diagnosability, I-, strong and delayed detectability quantify over
+arbitrarily long observation strings.  They are decided on the
 single-event verifier of Yoo and Lafortune (IEEE TAC 47(9), 2002), whose
 pairs of states agree on every observation so far; it reaches the pairs
 of the twin plant of Jiang, Huang, Chandra and Kumar (IEEE TAC 46(8),
-2001), and of the delayed-detectability detector of Shu and Lin (IEEE TAC
-58(4), 2013), one event at a time.  A violation is a reachable cycle,
-which yields ambiguous strings of every length, and each check is one
-emptiness search, graph.accepting_lasso, which stops at the first
-violating cycle and expands a pair only when it first reaches it.  As
+2001), and of the detectors of Shu and Lin (Systems & Control Letters
+60(5), 2011; IEEE TAC 58(4), 2013), one event at a time.  A violation is
+a reachable cycle, which yields ambiguous strings of every length, and
+each check is one emptiness search, graph.accepting_lasso, which stops at
+the first violating cycle and expands a pair only when it first reaches
+it; strong detectability, which asks what a cycle reaches, follows a
+search that finds nothing with one pass of Tarjan's components.
+Diagnosability searches the verifier with a fault bit carried on its
+first side, in place of the verifier of the fault-refined machine, and
+predictability walks the estimates of the machine's fault-free part.  As
 every graph of the package, the verifier follows declaration order: a
 pair's moves come in event and observation order, and the searches start
 from start pairs in state order, so a check does the same work whatever
@@ -38,9 +45,7 @@ from __future__ import annotations
 import time
 
 from .des import (
-    boundary_states,
     build_observer,
-    indicator_states,
     joint_moves,
     observable_step,
     refine_fault_partition,
@@ -50,31 +55,23 @@ from .des import (
 )
 from .errors import MissingAnnotation
 from .formula import missing_annotation
-from .graph import accepting_lasso, bfs, cyclic_sccs, reachable, shortest_path
+from .graph import accepting_lasso, bfs, sccs, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
 class OracleAnalysis:
-    """One machine on the oracle route: its fault refinement and observer,
-    each built on first use and shared by every check.  The pair checks
-    hold no structure: their verifier is searched on the fly."""
+    """One machine on the oracle route: its observer, built on first use
+    and shared by weak detectability and infinite-step opacity.  Every
+    other check holds no structure and searches the machine on the fly."""
 
     def __init__(self, fsa):
         self.fsa = fsa
-        self._built = {}
-
-    def _once(self, key, build):
-        built = self._built
-        if key not in built:
-            built[key] = build()
-        return built[key]
-
-    def refined(self):
-        """The fault-refined machine and its partition."""
-        return self._once("refined", lambda: refine_fault_partition(self.fsa))
+        self._observer = None
 
     def observer(self):
-        return self._once("observer", lambda: build_observer(self.fsa))
+        if self._observer is None:
+            self._observer = build_observer(self.fsa)
+        return self._observer
 
     def check(self, kind) -> Verdict:
         """Decide one property straight from its definition."""
@@ -117,41 +114,49 @@ def _verifier(fsa):
 
     A pair's moves come in declaration order: side 1's unobservable moves,
     then side 2's, then the joint moves in observation order and in event
-    order of each side.  A state's events are grouped once, when a pair
-    first holds it; nothing is held per pair."""
+    order of each side.  A state's out-edges are grouped once
+    (_grouped_edges), when a pair first holds it; nothing is held per
+    pair."""
+    events = _grouped_edges(fsa)
+
+    def succ(pair):
+        x, y = pair
+        quiet, loud = events(x)
+        right_quiet, right = events(y)
+        out = [(a, y) for _, a in quiet]
+        out += [(x, b) for _, b in right_quiet]
+        for o, xs in loud.items():
+            ys = right.get(o)
+            if ys is not None:
+                out += [(a, b) for _, a in xs for _, b in ys]
+        return out
+
+    return succ
+
+
+def _grouped_edges(fsa):
+    """A function events(x): x's unobservable out-edges, and its observable
+    ones by observation, in observation order, as (event, target) lists in
+    event order; grouped when first asked for and then kept."""
     order = fsa.obs_index.__getitem__
     grouped = {}
 
     def events(x):
-        """x's unobservable targets, and its observable targets by
-        observation, in observation order."""
         found = grouped.get(x)
         if found is None:
             quiet, loud = [], {}
             for e, y in fsa.out_edges(x):
                 o = fsa.mask[e]
                 if o is None:
-                    quiet.append(y)
+                    quiet.append((e, y))
                 else:
-                    loud.setdefault(o, []).append(y)
+                    loud.setdefault(o, []).append((e, y))
             if len(loud) > 1:
                 loud = {o: loud[o] for o in sorted(loud, key=order)}
             found = grouped[x] = quiet, loud
         return found
 
-    def succ(pair):
-        x, y = pair
-        quiet, loud = events(x)
-        right_quiet, right = events(y)
-        out = [(a, y) for a in quiet]
-        out += [(x, b) for b in right_quiet]
-        for o, xs in loud.items():
-            ys = right.get(o)
-            if ys is not None:
-                out += [(a, b) for a in xs for b in ys]
-        return out
-
-    return succ
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -165,59 +170,114 @@ def diagnosability_oracle(an) -> Verdict:
     """A fault run must not stay observationally equal to a normal run for
     arbitrarily many post-fault observations.
 
-    On the verifier of the refined machine, with its second side kept
-    normal and started from every pair of its initial closure, the property
-    fails exactly when a reachable cycle holds a (fault, normal) pair: one
-    emptiness search, which stops at the first such cycle.
+    The search runs on the verifier's nodes (x, y, fault): side 1 carries
+    a bit that its first fault event sets, and side 2 takes no fault event.
+    From every pair of initial states, the property fails exactly when a
+    reachable cycle holds a node with the bit set: one emptiness search,
+    which stops at the first such cycle.  The bit never clears, so every
+    node on such a cycle has it.  These nodes are the verifier's pairs of
+    the fault-refined machine (des.refine_fault_partition) with its second
+    side kept normal, so the verdict is the one decided on that machine,
+    which is not built.
+
+    A node lists first the moves that set side 1's bit, then the other
+    joint moves, then the other unobservable ones, each group in the order
+    of its joint moves and then its unobservable ones as the verifier lists
+    them.  So the search takes a fault as soon as one is enabled, and then
+    follows equal observations before it lets one side wait.  On
+    tests/support.o1_ring(n) the verifier's order went round all n² offsets
+    of a fault run and a normal run before it closed a cycle; this order
+    closes one after about n nodes.
     """
-    refined, part = an.refined()
-    fault, normal = part.fault_states, part.normal_states
-    step = _verifier(refined)
+    fsa = an.fsa
+    faults = fsa.fault_events
+    events = _grouped_edges(fsa)
 
-    def succ(pair):
-        return [q for q in step(pair) if q[1] in normal]
+    def succ(node):
+        x, y, fault = node
+        quiet, loud = events(x)
+        right_quiet, right = events(y)
+        ones = [(a, y, fault or e in faults) for e, a in quiet]
+        ones += [(x, b, fault) for d, b in right_quiet if d not in faults]
+        joint = []
+        for o, xs in loud.items():
+            ys = right.get(o)
+            if ys is not None:
+                ys = [b for d, b in ys if d not in faults]
+                joint += [(a, b, fault or e in faults) for e, a in xs for b in ys]
+        moves = joint + ones
+        if fault:
+            return moves
+        return [m for m in moves if m[2]] + [m for m in moves if not m[2]]
 
-    # the fault region is absorbing: a second run that leaves the normal
-    # region never returns, and every pair on a cycle through a (fault,
-    # normal) pair is a (fault, normal) pair again
-    closure = refined.sort_states(unobservable_reach(refined, refined.initial))
-    starts = [(x, y) for x in closure for y in closure if y in normal]
-    ambiguous = accepting_lasso(starts, succ, lambda pair: pair[0] in fault) is not None
-    # such a fault run stays ambiguous past the pumping horizon, states
-    # squared plus one, as the unfolding to that horizon reports it (the
-    # reference of the tests, tests/support.horizon_unfolding)
-    return _exact_verdict(not ambiguous,
-                          {"ambiguous_after": len(refined.states) ** 2 + 1}
-                          if ambiguous else None)
+    initial = fsa.sort_states(fsa.initial)
+    starts = [(x, y, False) for x in initial for y in initial]
+    if accepting_lasso(starts, succ, lambda node: node[2]) is None:
+        return _exact_verdict(True)
+    # such a fault run stays ambiguous past the pumping horizon of the
+    # refined machine, its states squared plus one, as the unfolding to
+    # that horizon reports it (the reference of the tests,
+    # tests/support.horizon_unfolding)
+    refined, _ = refine_fault_partition(fsa)
+    return _exact_verdict(False, {"ambiguous_after": len(refined.states) ** 2 + 1})
 
 
 def predictability_oracle(an) -> Verdict:
     """Look for a run that reaches a fault boundary state while no prefix
     estimate ever fell inside the indicator region.
 
-    The estimate tracked here is its normal-region part only.  A consistent
-    string that already contains a fault carries no false-alarm risk, so its
-    end state must not block an alarm; and the fault region is absorbing, so
-    the restricted estimate is self-contained under stepping.
+    Everything is decided on the fault-free part of the machine: the states
+    reached from the initial ones by non-fault events.  Boundary states are
+    those with a fault event; indicator states reach no cycle of non-fault
+    events, so every long enough continuation from them holds a fault.  The
+    estimates step over non-fault events only.  A consistent string that
+    already contains a fault carries no false-alarm risk, so its end state
+    must not block an alarm, and a run that takes a fault never returns to
+    the fault-free part.
     """
-    refined, part = an.refined()
-    boundary = boundary_states(refined, part)
-    indicator = indicator_states(refined, part)
-    normal = part.normal_states
+    fsa = an.fsa
+    faults, mask = fsa.fault_events, fsa.mask
+    events = _grouped_edges(fsa)
+
+    def targets(x):
+        return [y for e, y in fsa.out_edges(x) if e not in faults]
+
+    # the states that reach a non-fault cycle: sccs lists a component
+    # before every component that reaches it
+    lasting = set()
+    for comp in sccs(fsa.sort_states(fsa.initial), targets):
+        if len(comp) > 1 or any(y in lasting or y == x for x in comp for y in targets(x)):
+            lasting.update(comp)
+
+    def close(states):
+        return frozenset(bfs(states, lambda x: [y for e, y in events(x)[0] if e not in faults]))
+
+    stepped = {}
+
+    def step(est):
+        """The estimate after each observation, over non-fault events."""
+        out = stepped.get(est)
+        if out is None:
+            hits = {}
+            for x in est:
+                for o, edges in events(x)[1].items():
+                    hits.setdefault(o, set()).update(y for e, y in edges if e not in faults)
+            out = stepped[est] = {o: close(ys) for o, ys in hits.items()}
+        return out
 
     def succ(node):
         x, est = node
-        if est <= indicator:
+        if est.isdisjoint(lasting):
             return  # predicted from here on, for every extension
-        for e, y in refined.out_edges(x):
-            if y not in normal:
-                continue  # a faulted run can never reach the boundary again
-            o = refined.mask[e]
-            yield y, est if o is None else observable_step(refined, est, o) & normal
+        for e, y in fsa.out_edges(x):
+            if e not in faults:
+                o = mask[e]
+                yield y, est if o is None else step(est)[o]
 
-    est0 = unobservable_reach(refined, refined.initial) & normal
-    start = [(x0, est0) for x0 in refined.sort_states(refined.initial)]
-    missed = any(x in boundary and not est <= indicator for x, est in bfs(start, succ))
+    est0 = close(fsa.initial)
+    start = [(x0, est0) for x0 in fsa.sort_states(fsa.initial)]
+    missed = any(not est.isdisjoint(lasting) and any(e in faults for e, _ in fsa.out_edges(x))
+                 for x, est in bfs(start, succ))
     return _exact_verdict(not missed)
 
 
@@ -241,16 +301,43 @@ def i_detectability_oracle(an) -> Verdict:
 
 
 def strong_detectability_oracle(an) -> Verdict:
-    """All long observation strings must pin the current state: every observer
-    node on or after a cycle has to be a singleton."""
-    obs = an.observer()
+    """All long observation strings must pin the current state.
 
-    def succ(n):
-        return [t for _, t in obs.moves[n]]
+    Two states share arbitrarily long observation strings exactly when
+    their pair is reachable on the verifier, from the pairs of the initial
+    closure, along a path through a cycle: a path longer than the number
+    of pairs repeats one, every cycle holds a joint move, and a cycle can
+    be pumped.  So the property fails exactly when an off-diagonal pair is
+    reachable from a cycle (Shu and Lin, Systems & Control Letters 60(5),
+    2011; Masopust, Automatica 93, 2018), and no observer is built.
 
-    on_cycle = [n for comp in cyclic_sccs(obs.nodes, succ) for n in comp]
-    closed = reachable(on_cycle, succ)
-    return _exact_verdict(all(len(n) == 1 for n in closed))
+    One emptiness search first looks for an off-diagonal pair on a cycle
+    and stops at the first one.  Without one, every cycle runs through
+    diagonal pairs, and one pass of Tarjan's components over the same
+    pairs, which lists a component before every component that reaches
+    it, looks for a cycle that reaches an off-diagonal pair.
+    """
+    fsa = an.fsa
+    step = _verifier(fsa)
+    closure = fsa.sort_states(unobservable_reach(fsa, fsa.initial))
+    starts = [(x, y) for x in closure for y in closure]
+    if accepting_lasso(starts, step, lambda pair: pair[0] != pair[1]) is not None:
+        return _exact_verdict(False)
+    moves = {}
+
+    def succ(pair):
+        out = moves.get(pair)
+        if out is None:
+            out = moves[pair] = step(pair)
+        return out
+
+    parted = set()      # the pairs that reach an off-diagonal pair
+    for comp in sccs(starts, succ):
+        if any(x != y for x, y in comp) or any(q in parted for p in comp for q in succ(p)):
+            if len(comp) > 1 or comp[0] in succ(comp[0]):
+                return _exact_verdict(False)
+            parted.update(comp)
+    return _exact_verdict(True)
 
 
 def weak_detectability_oracle(an) -> Verdict:
@@ -356,9 +443,14 @@ def initial_state_opacity_oracle(an) -> Verdict:
 
 def current_state_opacity_oracle(an) -> Verdict:
     """No observation may narrow the current-state estimate into the secret:
-    the zero-step case of the exposure walk."""
-    secret = an.fsa.secret_states
-    return _exact_verdict(not any(est <= secret for est in an.observer().nodes))
+    the zero-step case of the exposure walk.  The estimates are walked
+    lazily, each stepped by one set stepper, and the walk stops at the
+    first one inside the secret."""
+    fsa = an.fsa
+    secret = fsa.secret_states
+    moves = state_moves(fsa)
+    reached = bfs([unobservable_reach(fsa, fsa.initial)], lambda est: moves(est).values())
+    return _exact_verdict(not any(est <= secret for est in reached))
 
 
 def infinite_step_opacity_oracle(an) -> Verdict:

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 from hyperdes.des import (
     EPS,
     Fsa,
+    boundary_states,
     build_observer,
     initial_tracks,
     observable_moves,
@@ -41,7 +42,7 @@ from hyperdes.formula import (
     Until,
 )
 from hyperdes.gen import random_valid_fsa
-from hyperdes.graph import bfs, cyclic_sccs
+from hyperdes.graph import bfs, cyclic_sccs, reachable
 from hyperdes.kripke import KNode, Verdict
 
 PROPS = ("a", "x:0", "x:1", "o:o1", "o:o2", "tau")
@@ -423,6 +424,90 @@ def pair_graph_verdict(fsa, kind):
         raise ValueError(f"no pair graph check for {kind!r}")
     return Verdict(property=kind, holds=holds, mode="exact", engine="oracle",
                    details=details)
+
+
+# The checks the oracle's direct ones replaced: predictability on the
+# fault-refined machine, with the indicator states of that machine, and
+# strong detectability and current-state opacity on the observer.  With
+# pair_graph_verdict's diagnosability, they are the reference for the
+# checks that run on the machine itself.
+
+
+def needs_split_machine():
+    """One state reachable both before and after the fault."""
+    return validate_fsa(Fsa(
+        states=["p"], events=["a", "f"],
+        transitions={("p", "a"): "p", ("p", "f"): "p"},
+        initial=["p"], mask={"a": "o1", "f": "o2"},
+        fault_events=["f"], secret_states=["p"]))
+
+
+def enumerate_runs(fsa, start, length):
+    """All event sequences of exactly `length` steps from `start`."""
+    runs = [((), start)]
+    for _ in range(length):
+        runs = [(s + (e,), y) for s, x in runs for e, y in fsa.out_edges(x)]
+    return runs
+
+
+def indicator_states(fsa, part):
+    """Normal states from which every long enough string ends in a fault state.
+
+    A normal state escapes the indicator set exactly when it can reach a cycle
+    from which a normal state is still reachable (such a cycle pumps
+    arbitrarily long strings ending in normal states).
+    """
+    succ = {x: [] for x in fsa.states}
+    pred = {x: [] for x in fsa.states}
+    for x in fsa.states:
+        for _, y in fsa.out_edges(x):
+            succ[x].append(y)
+            pred[y].append(x)
+    on_cycle = {x for comp in cyclic_sccs(fsa.states, succ.__getitem__) for x in comp}
+    reaches_normal = reachable(part.normal_states, pred.__getitem__)
+    escaping = reachable(on_cycle & reaches_normal, pred.__getitem__)
+    return frozenset(part.normal_states - escaping)
+
+
+def refined_predictability(fsa):
+    """Whether no run of the fault-refined machine reaches a boundary state
+    while every prefix estimate, its normal part only, holds a normal state
+    outside the indicator region."""
+    refined, part = refine_fault_partition(validate_fsa(fsa))
+    boundary = boundary_states(refined, part)
+    indicator = indicator_states(refined, part)
+    normal = part.normal_states
+
+    def succ(node):
+        x, est = node
+        if est <= indicator:
+            return  # predicted from here on, for every extension
+        for e, y in refined.out_edges(x):
+            if y not in normal:
+                continue  # a faulted run can never reach the boundary again
+            o = refined.mask[e]
+            yield y, est if o is None else observable_step(refined, est, o) & normal
+
+    est0 = unobservable_reach(refined, refined.initial) & normal
+    start = [(x0, est0) for x0 in refined.sort_states(refined.initial)]
+    return not any(x in boundary and not est <= indicator for x, est in bfs(start, succ))
+
+
+def observer_strong_detectability(fsa):
+    """Whether every observer node on or after a cycle is a singleton."""
+    obs = build_observer(validate_fsa(fsa))
+
+    def succ(n):
+        return [t for _, t in obs.moves[n]]
+
+    on_cycle = [n for comp in cyclic_sccs(obs.nodes, succ) for n in comp]
+    return all(len(n) == 1 for n in reachable(on_cycle, succ))
+
+
+def observer_current_state_opacity(fsa):
+    """Whether no observer node lies inside the secret."""
+    secret = fsa.secret_states
+    return not any(est <= secret for est in build_observer(validate_fsa(fsa)).nodes)
 
 
 # The horizon unfoldings: the reference the oracle's exact pair checks

@@ -19,7 +19,6 @@ from hyperdes.des import (
     build_observer,
     current_state_estimate,
     delayed_state_estimate,
-    indicator_states,
     initial_state_estimate,
     initial_tracks,
     joint_moves,
@@ -47,6 +46,8 @@ from conftest import make_dying_branch, make_twin_branch
 from support import (
     all_initial_fault_ring,
     comparison_machines,
+    enumerate_runs,
+    needs_split_machine,
     per_observation_moves,
     reversed_observations,
     seeded_machines,
@@ -87,14 +88,6 @@ def all_obs_strings(fsa, max_len):
         frontier = [a + (o,) for a in frontier for o in fsa.observations]
         out.extend(frontier)
     return out
-
-
-def enumerate_runs(fsa, start, length):
-    """All event sequences of exactly `length` steps from `start`."""
-    runs = [((), start)]
-    for _ in range(length):
-        runs = [(s + (e,), y) for s, x in runs for e, y in fsa.out_edges(x)]
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +465,6 @@ def test_refine_unchanged_when_faults_are_absorbing(g_diag):
     assert part.normal_states == {"0", "1", "3", "4", "5"}
 
 
-def needs_split_machine():
-    """One state reachable both before and after the fault."""
-    return validate_fsa(Fsa(
-        states=["p"], events=["a", "f"],
-        transitions={("p", "a"): "p", ("p", "f"): "p"},
-        initial=["p"], mask={"a": "o1", "f": "o2"},
-        fault_events=["f"], secret_states=["p"]))
-
-
 def test_refine_splits_fault_ambiguous_state():
     refined, part = refine_fault_partition(needs_split_machine())
     assert set(refined.states) == {"p", "p#F"}
@@ -510,24 +494,6 @@ def test_refined_fault_set_is_a_language_invariant(g_diag):
 def test_boundary_states_frozen(g_diag):
     refined, part = refine_fault_partition(g_diag)
     assert boundary_states(refined, part) == {"1"}
-
-
-def test_indicator_states_frozen(g_diag):
-    refined, part = refine_fault_partition(g_diag)
-    assert indicator_states(refined, part) == {"1"}
-
-
-def test_indicator_states_match_run_enumeration(g_diag):
-    """A normal state is an indicator exactly when every run of |X|+1 steps
-    from it ends in a fault state."""
-    for base in (g_diag, needs_split_machine()):
-        refined, part = refine_fault_partition(base)
-        depth = len(refined.states) + 1
-        expected = frozenset(
-            x for x in part.normal_states
-            if all(end in part.fault_states
-                   for _, end in enumerate_runs(refined, x, depth)))
-        assert indicator_states(refined, part) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
 from hyperdes.hyper import replay_witness, verify
 from hyperdes.kripke import build_kripke
 from hyperdes.oracle import oracle_check
-from support import all_initial_fault_ring, labelled_ring, unobservable_chain
+from support import all_initial_fault_ring, labelled_ring, o1_ring, unobservable_chain
 
 # each route's entry point for one property of one machine
 ROUTES = {"hyper": verify, "oracle": oracle_check}
@@ -97,7 +97,9 @@ def test_all_initial_fault_ring_estimate_checks_on_the_oracle():
     and weak detectability fail, since the estimates {i, i+1} recur after
     every o2 and {359} leads back to {0, 1}, and current-state opacity
     holds, since every estimate holds an odd state.  Each decides in under
-    0.1 s, the observer built anew each time."""
+    0.1 s, from scratch each time: weak detectability on the observer,
+    strong detectability on the verifier's pairs and current-state opacity
+    on the estimates it walks."""
     fsa = validate_fsa(all_initial_fault_ring(360))
     answers = {"strong-detectability": False, "weak-detectability": False,
                "current-state-opacity": True}
@@ -121,6 +123,22 @@ def test_unobservable_chain_pair_checks_on_the_oracle():
     for kind, holds in answers.items():
         seconds, verdict = best_of_three(lambda: oracle_check(fsa, kind))
         assert verdict.holds is holds, kind
+        assert seconds < 1.0, (kind, seconds)
+
+
+def test_o1_ring_fails_strong_detectability_and_diagnosability_on_the_oracle():
+    """The 1000-state ring whose steps all show o1: a run through the fault
+    stays one state ahead of a fault-free run under the same observations
+    forever, so the current state is never pinned and the fault never
+    diagnosed.  Its observer has about n² estimates of up to n states:
+    deciding strong detectability on it took 39 s and 2.8 GB at 500 states
+    and ran out of a 3 GB address space at 1000.  On the verifier a search
+    closes a cycle through an off-diagonal or faulted pair after about n
+    pairs.  Each decides in under 1 s."""
+    fsa = validate_fsa(o1_ring(1000))
+    for kind in ("strong-detectability", "diagnosability"):
+        seconds, verdict = best_of_three(lambda: oracle_check(fsa, kind))
+        assert verdict.holds is False, kind
         assert seconds < 1.0, (kind, seconds)
 
 

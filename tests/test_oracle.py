@@ -12,7 +12,6 @@ from hyperdes.des import (
     build_observer,
     current_state_estimate,
     delayed_state_estimate,
-    indicator_states,
     initial_state_estimate,
     joint_moves,
     observable_step,
@@ -31,14 +30,20 @@ from hyperdes.oracle import OracleAnalysis, _verifier, oracle_check
 from hyperdes.hyper import replay_witness, verify
 from support import (
     comparison_machines,
+    enumerate_runs,
     horizon_unfolding,
+    indicator_states,
     infinite_step_opacity_reference,
     initial_state_opacity_reference,
+    needs_split_machine,
+    observer_current_state_opacity,
+    observer_strong_detectability,
     PAIR_KINDS,
     o1_ring,
     pair_graph_verdict,
     pair_sets,
     pumping_horizon,
+    refined_predictability,
     track_sets,
 )
 from tests.conftest import make_dying_branch, make_twin_branch
@@ -224,6 +229,62 @@ def test_verifier_checks_agree_with_the_pair_graph():
             assert (exact.holds, exact.details) == (reference.holds, reference.details), (i, kind)
             seen[kind].add(exact.holds)
     assert all(answers == {True, False} for answers in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# direct checks against the refined machine and the observer
+
+
+def test_direct_checks_agree_with_the_refined_and_observer_references():
+    """Diagnosability and predictability, decided on the machine itself,
+    give the verdicts (and diagnosability's details) of their references on
+    the fault-refined machine: the closure pair graph of
+    tests/support.pair_graph_verdict and the estimate search of
+    refined_predictability.  Strong detectability and current-state
+    opacity, decided without the observer, give the verdicts of their
+    observer references.  Checked on the comparison machines, on 2,000
+    seeded machines of up to six states and on 300 of up to twelve, for
+    both answers of each property."""
+    rng7, rng5 = random.Random(7), random.Random(5)
+    machines = (list(comparison_machines())
+                + [random_valid_fsa(rng7, max_states=6) for _ in range(2000)]
+                + [random_valid_fsa(rng5, max_states=12) for _ in range(300)])
+    references = {
+        "diagnosability": lambda fsa: pair_graph_verdict(fsa, "diagnosability"),
+        "predictability": refined_predictability,
+        "strong-detectability": observer_strong_detectability,
+        "current-state-opacity": observer_current_state_opacity,
+    }
+    seen = {kind: set() for kind in references}
+    for i, fsa in enumerate(machines):
+        for kind, reference in references.items():
+            exact = oracle_check(fsa, kind)
+            expected = reference(fsa)
+            if kind == "diagnosability":
+                assert (exact.holds, exact.details) == (expected.holds, expected.details), (i, kind)
+            else:
+                assert exact.holds is expected, (i, kind)
+            seen[kind].add(exact.holds)
+    assert all(answers == {True, False} for answers in seen.values()), seen
+
+
+def test_indicator_states_frozen(g_diag):
+    refined, part = refine_fault_partition(g_diag)
+    assert indicator_states(refined, part) == {"1"}
+
+
+def test_indicator_states_match_run_enumeration(g_diag):
+    """A normal state is an indicator exactly when every run of |X|+1 steps
+    from it ends in a fault state."""
+    for base in (g_diag, needs_split_machine()):
+        refined, part = refine_fault_partition(base)
+        depth = len(refined.states) + 1
+        expected = frozenset(
+            x for x in part.normal_states
+            if all(end in part.fault_states
+                   for _, end in enumerate_runs(refined, x, depth)))
+        assert indicator_states(refined, part) == expected
+
 
 
 # ---------------------------------------------------------------------------

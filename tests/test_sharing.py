@@ -2,8 +2,9 @@
 
 The builders are wrapped where each route looks them up, so a call counts
 for the route that made it: the hyper route refines the machine and builds
-its plain and modified Kripke structures, the oracle route refines it and
-builds its observer.
+its plain and modified Kripke structures, the oracle route builds its
+observer, and refines the machine only to report a diagnosability
+violation's pumping horizon.
 """
 
 from pathlib import Path
@@ -13,7 +14,10 @@ import pytest
 import hyperdes.hyper
 import hyperdes.oracle
 from hyperdes.cli import main
+from hyperdes.formula import missing_annotation
 from hyperdes.fuzz import differential_fuzz
+from hyperdes.modelio import load_model
+from hyperdes.oracle import OracleAnalysis
 
 BUILDERS = {
     "hyper": ("refine_fault_partition", "build_kripke", "build_modified_kripke"),
@@ -57,6 +61,22 @@ def test_cli_builds_each_structure_once_per_route(model, builds, capsys):
             assert len(args) <= 1, (route, name)
     assert builds[("hyper", "build_kripke")]
     assert builds[("oracle", "build_observer")]
+
+
+@pytest.mark.parametrize("model", ["g_diag", "g_det", "g_opa"])
+def test_oracle_decides_on_the_machine_without_observer_or_refinement(model, builds):
+    """Strong detectability, current-state opacity, predictability and a
+    holding diagnosability verdict are decided on the machine itself: an
+    OracleAnalysis asked every one of them the model is annotated for
+    builds no observer and no fault refinement."""
+    oracle = OracleAnalysis(load_model(MODELS / f"{model}.json"))
+    asked = [kind for kind in ("strong-detectability", "current-state-opacity",
+                               "diagnosability", "predictability")
+             if missing_annotation(kind, oracle.fsa) is None]
+    verdicts = {kind: oracle.check(kind).holds for kind in asked}
+    assert verdicts.get("diagnosability", True) is True
+    assert {name: args for (route, name), args in builds.items()
+            if route == "oracle" and args} == {}
 
 
 def test_fuzz_builds_each_structure_once_per_machine_and_route(builds):
