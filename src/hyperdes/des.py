@@ -25,7 +25,9 @@ refine_fault_partition splits the states a run can reach both with and
 without a fault, and boundary_states names the normal states with a
 fault event; the hyper route's fault properties are stated on the refined
 machine.  The oracle decides them on the machine itself and refines it
-only to report a pumping horizon.
+only to report a pumping horizon.  cyclic_states names the states on a
+cycle of observable moves, which the hyper route's strong-detectability
+template binds.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
-from .graph import accepting_lasso, bfs, subset_graph
+from .graph import accepting_lasso, bfs, cyclic_sccs, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -475,3 +477,17 @@ def boundary_states(fsa: Fsa, part: FaultPartition) -> frozenset:
                 break
     return frozenset(out)
 
+
+def cyclic_states(fsa: Fsa) -> frozenset:
+    """The states on a cycle of the observable-move graph reachable from the
+    unobservable closure of the initial states: its edges lead from x to
+    every state of observable_moves(fsa, {x}).  These are the states of the
+    Kripke nodes on a cycle, since a node's successors depend on its state
+    alone."""
+    moves = state_moves(fsa)
+
+    def succ(x):
+        return [y for ys in moves((x,)).values() for y in ys]
+
+    roots = fsa.sort_states(unobservable_reach(fsa, fsa.initial))
+    return frozenset(x for comp in cyclic_sccs(roots, succ) for x in comp)

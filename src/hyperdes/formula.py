@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .des import boundary_states
+from .des import boundary_states, cyclic_states
 from .errors import (
     ArityError,
     DuplicateSetName,
@@ -137,7 +137,7 @@ class StateEq:
 class InSet:
     """The state of a trace lies in a named state set; the formula that uses
     it binds the name to the states (see HyperFormula.sets)."""
-    name: str           # "fault", "initial", "secret", "nonsecret" or "boundary"
+    name: str           # "fault", "initial", "secret", "nonsecret", "boundary" or "cyclic"
     trace: str
 
 
@@ -528,7 +528,8 @@ def property_template(kind, fsa, part=None):
 
     The body is the same for every automaton: obseq/stateeq compare the two
     traces, and InSet("fault" | "boundary" | "initial" | "secret" |
-    "nonsecret", p) says that trace p is in that set of states.  The
+    "nonsecret" | "cyclic", p) says that trace p is in that set of states
+    ("cyclic": on a cycle of observable moves, see des.cyclic_states).  The
     returned formula's `sets` binds each of these names to the automaton's
     states.  The engines decide these literals on the pair letter directly,
     so the Büchi automaton of a template depends on the property alone and
@@ -563,8 +564,14 @@ def property_template(kind, fsa, part=None):
                        stateeq)
         return HyperFormula(forall2, body, initial), "plain"
     if kind == "strong-detectability":
-        body = Implies(Always(obseq), Eventually(Always(stateeq)))
-        return HyperFormula(forall2, body), "plain"
+        # two observation-equal traces eventually agree forever, and no two
+        # meet at a state on a cycle and part again while still equal in
+        # observation: the second conjunct also sees matching runs that die
+        # out, whose ambiguity the first, on infinite traces alone, misses
+        body = And(Implies(Always(obseq), Eventually(Always(stateeq))),
+                   Not(Until(obseq, And(stateeq, And(InSet("cyclic", "p1"), Until(
+                       obseq, And(obseq, Not(stateeq))))))))
+        return HyperFormula(forall2, body, (("cyclic", cyclic_states(fsa)),)), "plain"
     if kind == "weak-detectability":
         body = Implies(Always(obseq), Eventually(Always(stateeq)))
         return HyperFormula((("exists", "p1"), ("forall", "p2")), body), "plain"

@@ -9,7 +9,8 @@ properties:
   graph.accepting_lasso, Couvreur's SCC-based emptiness check, which stops
   at the first component that closes with an accepting state.  A node
   pair's successors are listed only when some automaton edge admits its
-  letter.
+  letter.  Five properties are decided this way on their templates alone,
+  strong detectability among them, and every violation is a pair of traces.
 - forall/exists: the built-in formulas of this shape all lie in a synchronous
   fragment (observation agreement up to a single distinguished instant plus
   membership obligations there), which admits an exact subset-tracking walk:
@@ -90,7 +91,7 @@ from .formula import (
     missing_annotation,
     property_template,
 )
-from .graph import accepting_lasso, cyclic_sccs, reachable, shortest_path, subset_graph
+from .graph import accepting_lasso, cyclic_sccs, reachable, shortest_path
 from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
 
@@ -712,83 +713,6 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Ve
 # orchestration
 
 
-def _lasso_along(k, stem_obs, cycle_obs):
-    """Some run of the structure whose observation sequence follows stem_obs
-    and then repeats cycle_obs forever, or None if no run can.
-
-    Searches the product of the structure with the positions of the
-    observation word for a reachable cycle.
-    """
-    word = list(stem_obs) + list(cycle_obs)
-    wrap = len(stem_obs)
-
-    def succs(state):
-        q, pos = state
-        npos = pos + 1 if pos + 1 < len(word) else wrap
-        return [(t, npos) for t in k.succ[q] if t.obs == word[pos]]
-
-    found = accepting_lasso([(q0, 0) for q0 in k.initial], succs, lambda _: True)
-    if found is None:
-        return None
-    stem, cycle = found
-    return canonical_lasso(Lasso(stem=tuple(q for q, _ in stem),
-                                 cycle=tuple(q for q, _ in cycle)))
-
-
-def _strong_detectability_gap(k):
-    """Persistent ambiguity that no pair of infinite traces exhibits.
-
-    The pair search certifies that every two observation-matched infinite
-    runs eventually agree on the state.  The current-state estimate can
-    still stay ambiguous at arbitrarily late instants: states kept alive by
-    matching runs that die out after finitely many steps block detection
-    without ever lying on an infinite matched companion.  This check
-    inspects the estimates themselves: the property fails exactly when an
-    estimate holding two or more states lies on or after a cycle of the
-    subset walk.
-
-    Returns a violation verdict, or None when the estimates confirm the
-    pair verdict.  Its target is the first ambiguous estimate on a cycle,
-    else the first one after a cycle, and its word pumps the cycle through
-    `via`, the target itself or else the first cycle estimate that reaches
-    it: prefix to via, cycle from via to via, suffix from via to the target.
-    When the suffix is empty, a single run keeps the uncertainty alive
-    forever and is reported as the first witness trace with no companion.
-    Otherwise the ambiguity lives on finite observation records only, and
-    the pumpable word stands in for a trace witness.
-    """
-    root = frozenset(k.initial)
-    moves = _estimate_moves(k.succ)
-    order, succ = subset_graph(root, lambda d: list(moves(d).items()))
-
-    def targets(d):
-        return [t for _, t in succ[d]]
-
-    def word(source, goal):     # shortest and nonempty, also if source is goal
-        return [o for o, _ in shortest_path(source, succ.__getitem__, goal)]
-
-    on_cycle = {d for comp in cyclic_sccs(order, targets) for d in comp}
-    reach = reachable(on_cycle, targets)
-    ambiguous = [d for d in order if len({q.state for q in d}) >= 2]
-    target = next((d for d in ambiguous if d in on_cycle),
-                  next((d for d in ambiguous if d in reach), None))
-    if target is None:
-        return None
-    via = target if target in on_cycle else next(
-        d for d in order if d in on_cycle and target in reachable([d], targets))
-    stem_obs = [] if via == root else word(root, via)
-    cycle_obs = word(via, via)
-    tail_obs = [] if via == target else word(via, target)
-    pi1 = None if tail_obs else _lasso_along(k, stem_obs, cycle_obs)
-    return Verdict(
-        property=None, holds=False, mode="exact",
-        engine="hyper-estimate-graph",
-        witness=None if pi1 is None else (pi1, None),
-        details={"ambiguous_states": sorted({q.state for q in target}),
-                 "pump_prefix": stem_obs, "pump_cycle": cycle_obs,
-                 "pump_suffix": tail_obs})
-
-
 def _require_run(k, lasso):
     """Raise NotARun unless the lasso is a run of k: it starts at an initial
     node and every step, the closing one included, is an edge.  Checked in
@@ -811,33 +735,6 @@ def _require_run(k, lasso):
 def _lasso_labels(k, lasso):
     return (tuple(k.label[q] for q in lasso.stem),
             tuple(k.label[q] for q in lasso.cycle))
-
-
-def _replay_pump(k, details):
-    """Check a pumpable ambiguous observation word against the structure.
-
-    The word is prefix + cycle + suffix; the subset walk must return to the
-    same set around the cycle part and end in the claimed ambiguous set.
-    That certifies ambiguity at arbitrarily late instants: the cycle part
-    can be repeated any number of times without changing the outcome.
-    """
-    if not details or "pump_cycle" not in details:
-        raise NotARun("violation verdict carries neither a trace witness nor a pumpable word")
-    if not details["pump_cycle"]:
-        return False
-
-    def advance(d, word):
-        for o in word:
-            d = step_nodes(k.succ, d, o)
-        return d
-
-    before = advance(frozenset(k.initial), details["pump_prefix"])
-    after = advance(before, details["pump_cycle"])
-    if before != after:
-        return False
-    final = advance(after, details["pump_suffix"])
-    return (len(details["ambiguous_states"]) >= 2
-            and sorted({q.state for q in final}) == list(details["ambiguous_states"]))
 
 
 class HyperAnalysis:
@@ -888,10 +785,6 @@ class HyperAnalysis:
         quants = formula.quantifiers()
         if quants == ("forall", "forall"):
             verdict = check_forall_forall(k, formula)
-            if kind == "strong-detectability" and verdict.holds is True:
-                gap = _strong_detectability_gap(k)
-                if gap is not None:
-                    verdict = gap
         elif quants == ("forall", "exists"):
             verdict = check_forall_exists_sync(k, formula)
         elif wd_route == "bounded":
@@ -908,14 +801,9 @@ class HyperAnalysis:
         quants = formula.quantifiers()
 
         if verdict.holds is False and quants == ("forall", "forall"):
-            if verdict.witness is None:
-                return _replay_pump(k, verdict.details)
+            if verdict.witness is None or verdict.witness[1] is None:
+                raise NotARun("a forall/forall violation needs a witness for both traces")
             pi1, pi2 = verdict.witness
-            if pi2 is None:
-                if not _is_collapse(formula):
-                    raise NotARun("single-trace violation witness outside the collapse shape")
-                _require_run(k, pi1)
-                return not _estimate_walk_accepts(k, pi1)
             _require_run(k, pi1)
             _require_run(k, pi2)
             (_, v1), (_, v2) = formula.prefix
@@ -947,11 +835,9 @@ def verify(fsa, kind, wd_route="exact") -> Verdict:
     Both report engine "hyper-exists-forall"; the oracle's own check is
     "oracle-observer".  Any other value raises UnknownRoute.
 
-    Every property is decided on the formula property_template builds.
-    One, strong detectability, goes beyond it: a pass of the pair search is
-    confirmed against the subset walk (see _strong_detectability_gap), which
-    closes a blind spot of the two-trace formulation around matching runs
-    that die out after finitely many steps.
+    Every property is decided on the formula property_template builds and
+    on nothing else: a forall/forall verdict, strong detectability's among
+    them, is the emptiness check of one product (see check_forall_forall).
 
     Each call builds the machine's structures afresh; a HyperAnalysis of
     the machine builds them once for all the properties asked of it.

@@ -67,8 +67,8 @@ class Verdict:
 
     @property
     def replayable(self):
-        """Whether it has a witness or a pumpable word for a replay to check."""
-        return self.witness is not None or bool(self.details and self.details.get("pump_cycle"))
+        """Whether it has a witness for a replay to check."""
+        return self.witness is not None
 
 
 def canonical_lasso(lasso: Lasso) -> Lasso:

@@ -189,7 +189,7 @@ def test_relational_and_expanded_templates_agree_on_fixtures(g_diag, g_det):
     for fsa, kind, p, want in ((refined, "diagnosability", part, True),
                                (refined, "predictability", part, False),
                                (g_det, "i-detectability", None, True),
-                               (g_det, "strong-detectability", None, True),
+                               (make_phantom_branch(), "strong-detectability", None, False),
                                (g_det, "delayed-detectability", None, False)):
         template, _ = property_template(kind, fsa, p)
         expanded, _ = property_formula(kind, fsa, p)
@@ -660,32 +660,13 @@ def make_phantom_branch():
     ))
 
 
-def test_strong_detectability_sees_ambiguity_without_a_diverging_pair():
-    """The pair search passes on the phantom-branch machine, yet the estimate
-    stays ambiguous forever; the subset-walk completion must catch it and
-    report a run along which the uncertainty recurs."""
-    fsa = make_phantom_branch()
-    k = build_kripke(fsa)
-    formula, _ = property_template("strong-detectability", fsa)
-    assert check_forall_forall(k, formula).holds is True
-    verdict = verify(fsa, "strong-detectability")
-    assert verdict.holds is False
-    assert verdict.engine == "hyper-estimate-graph"
-    pi1, pi2 = verdict.witness
-    assert pi2 is None
-    assert not _estimate_walk_accepts(k, pi1)
-    assert verdict.details["ambiguous_states"] == ["a", "b"]
-    assert oracle_check(fsa, "strong-detectability").holds is False
-    assert replay_witness(fsa, "strong-detectability", verdict) is True
+def make_transient_pump():
+    """A machine whose ambiguous estimate {t, u} is left at once.
 
-
-def test_strong_detectability_reports_pumpable_word_for_transient_ambiguity():
-    """Here the ambiguous estimate {t, u} is left immediately: after o2 the
-    next observation separates the states, so no single run carries the
-    uncertainty forever.  It is still reached after arbitrarily many o1
-    steps, so the property fails; the verdict then carries a pumpable
-    observation word in place of a trace witness."""
-    fsa = validate_fsa(Fsa(
+    After o2 the next observation separates t from u, so no single run
+    carries the uncertainty forever; {t, u} is still reached after
+    arbitrarily many o1 steps."""
+    return validate_fsa(Fsa(
         states=["s", "t", "u"],
         events=["e", "g", "h", "i", "j"],
         transitions={("s", "e"): "s", ("s", "g"): "t", ("s", "h"): "u",
@@ -694,16 +675,62 @@ def test_strong_detectability_reports_pumpable_word_for_transient_ambiguity():
         mask={"e": "o1", "g": "o2", "h": "o2", "i": "o3", "j": "o4"},
         observations=["o1", "o2", "o3", "o4"],
     ))
-    k = build_kripke(fsa)
-    formula, _ = property_template("strong-detectability", fsa)
-    assert check_forall_forall(k, formula).holds is True
+
+
+def _fails_on_its_template(fsa):
+    """Strong detectability fails on fsa, although every two
+    observation-matched infinite traces eventually agree: the template's
+    first conjunct alone, G obseq -> F G stateeq, holds, and its second,
+    two traces that meet on a cycle and part again, finds the violation.
+    verify reports the pair search's verdict with a two-trace witness that
+    replays, and the oracle agrees."""
+    first = parse_formula("forall p1. forall p2. G obseq(p1,p2) -> F G stateeq(p1,p2)")
+    assert check_forall_forall(build_kripke(fsa), first).holds is True
     verdict = verify(fsa, "strong-detectability")
     assert verdict.holds is False
-    assert verdict.witness is None
-    assert verdict.details["ambiguous_states"] == ["t", "u"]
-    assert verdict.details["pump_cycle"]
-    assert oracle_check(fsa, "strong-detectability").holds is False
+    assert verdict.engine == "hyper-forall-forall"
+    pi1, pi2 = verdict.witness
+    assert pi1 is not None and pi2 is not None
     assert replay_witness(fsa, "strong-detectability", verdict) is True
+    assert oracle_check(fsa, "strong-detectability").holds is False
+
+
+def test_strong_detectability_sees_ambiguity_without_a_diverging_pair():
+    """On the phantom-branch machine the estimate stays {a, b} forever,
+    though no two infinite traces keep apart; the template alone fails it
+    with a pair that meets at the cyclic state a and parts."""
+    _fails_on_its_template(make_phantom_branch())
+
+
+def test_strong_detectability_reports_pumpable_word_for_transient_ambiguity():
+    """On the transient-pump machine the ambiguity lives on finite records
+    only, after o1 ... o1 o2; the template alone fails it with a pair that
+    meets at the cyclic state s and parts on o2."""
+    _fails_on_its_template(make_transient_pump())
+
+
+# Machines on which strong detectability fails although every two
+# observation-matched infinite traces eventually agree, as (seed, size
+# limits, draw indices), index i being the i-th random_valid_fsa draw from
+# random.Random(seed).  On 660 of seed 7 the ambiguity lives on finite
+# observation records only.
+PAIR_AGREEMENT_BLIND = (
+    (7, {"max_states": 6},
+     (47, 134, 298, 425, 431, 521, 573, 618, 660, 738, 889, 980, 1012, 1017,
+      1020, 1042, 1211, 1314, 1430, 1444, 1563, 1591, 1625, 1810, 1868, 1911)),
+    (5, {"max_states": 12}, (18, 236, 279)),
+    (20260823, {}, (104, 260, 467, 479)),
+)
+
+
+def test_strong_detectability_template_fails_where_pair_agreement_is_blind():
+    """On every pinned machine the template's first conjunct alone holds
+    and the template fails, as on the two machines above."""
+    for seed, limits, indices in PAIR_AGREEMENT_BLIND:
+        rng = random.Random(seed)
+        draws = [random_valid_fsa(rng, **limits) for _ in range(indices[-1] + 1)]
+        for i in indices:
+            _fails_on_its_template(draws[i])
 
 
 def test_predictability_alarm_may_rest_on_the_faulted_steps_observation():
@@ -824,6 +851,18 @@ def test_replay_rejects_non_initial_start(g_diag):
                    engine="hyper-forall-forall", witness=(shifted, pi2))
     with pytest.raises(NotARun):
         replay_witness(g_diag, "predictability", fake)
+
+
+def test_replay_refuses_a_forall_forall_violation_without_two_traces():
+    """A forall/forall violation is replayed on its two traces alone: with
+    the second trace, or the whole witness, missing the replay raises
+    NotARun."""
+    fsa = make_phantom_branch()
+    verdict = verify(fsa, "strong-detectability")
+    pi1, _ = verdict.witness
+    for witness in ((pi1, None), None):
+        with pytest.raises(NotARun):
+            replay_witness(fsa, "strong-detectability", replace(verdict, witness=witness))
 
 
 def with_unreachable_state(fsa):

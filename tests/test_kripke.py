@@ -10,9 +10,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes.des import current_state_estimate, validate_fsa
+from hyperdes.des import current_state_estimate, cyclic_states, validate_fsa
 from hyperdes.errors import AlreadyModified, StringNotInLanguage
 from hyperdes.gen import random_valid_fsa
+from hyperdes.graph import cyclic_sccs
 from hyperdes.hyper import HyperAnalysis, verify
 from support import (
     comparison_machines,
@@ -138,6 +139,24 @@ def test_on_demand_structures_match_the_eager_builders():
         same_structure(k, eager_kripke(fsa))
         kt = build_modified_kripke(build_kripke(fsa))
         same_structure(kt, eager_modified_kripke(eager_kripke(fsa)))
+
+
+def test_cyclic_states_are_the_states_of_the_cyclic_nodes():
+    """des.cyclic_states, computed on automaton states, names exactly the
+    states of the Kripke nodes on a cycle, on the comparison machines and
+    300 random machines of up to twelve states; on some of them a reachable
+    state lies on no cycle."""
+    rng = random.Random(5)
+    machines = [*comparison_machines(),
+                *(random_valid_fsa(rng, max_states=12) for _ in range(300))]
+    acyclic = 0
+    for fsa in machines:
+        k = build_kripke(fsa)
+        nodes = frozenset(q.state for comp in cyclic_sccs(k.initial, k.succ.__getitem__)
+                          for q in comp)
+        assert cyclic_states(fsa) == nodes, fsa
+        acyclic += nodes != {q.state for q in k.nodes}
+    assert acyclic
 
 
 def test_a_replay_expands_only_part_of_the_structure():

@@ -38,11 +38,6 @@ def best_of_three(run):
     return min(times), result
 
 
-def has_witness(verdict):
-    return verdict.witness is not None or bool(verdict.details and
-                                               verdict.details.get("pump_cycle"))
-
-
 def test_fully_observable_1200_cycle_on_both_routes():
     """The 1200-state labelled ring, fault skip and even secrets included,
     has 1202 observations.  All nine properties decide in under 1 s on
@@ -54,7 +49,7 @@ def test_fully_observable_1200_cycle_on_both_routes():
             seconds, verdict = best_of_three(lambda: decide(fsa, kind))
             assert verdict.holds is LABELLED_ANSWERS[kind], (kind, engine)
             assert seconds < 1.0, (kind, engine, seconds)
-            if has_witness(verdict):
+            if verdict.replayable:
                 assert replay_witness(fsa, kind, verdict) is True, (kind, engine)
 
 
