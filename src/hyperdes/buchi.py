@@ -1,4 +1,4 @@
-"""Translation of LTL bodies to Büchi automata and lasso acceptance.
+"""Translation of LTL bodies to Büchi automata.
 
 The translation is the classic on-the-fly tableau: nodes carry obligations
 split into "to process now", "processed" and "postponed to the next instant";
@@ -22,7 +22,6 @@ and is tested against it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .formula import (
@@ -37,7 +36,7 @@ from .formula import (
     Until,
     desugar,
 )
-from .graph import bfs, cyclic_sccs
+from .graph import bfs
 
 INIT = -1  # virtual initial tableau node
 
@@ -230,23 +229,3 @@ def ltl_to_buchi(body) -> BuchiAutomaton:
     accepting = frozenset(s for s in states if s[0] != INIT and s[1] == 0 and s[0] in fair[0])
     return BuchiAutomaton(states=tuple(states), initial=initial,
                           edges=edges, accepting=accepting)
-
-
-def accepts_lasso(ba: BuchiAutomaton, stem_letters, cycle_letters) -> bool:
-    """Whether some run of `ba` over the ultimately periodic word is accepting."""
-    if not cycle_letters:
-        raise ValueError("a lasso needs a nonempty cycle")
-    letters = list(stem_letters) + list(cycle_letters)
-    n = len(letters)
-    wrap = len(stem_letters)
-
-    def npos(p):
-        return p + 1 if p + 1 < n else wrap
-
-    @functools.cache
-    def succ(node):
-        q, p = node
-        return [(t, npos(p)) for guard, t in ba.edges[q] if guard.admits(letters[p])]
-
-    return any(any(q in ba.accepting for q, _ in comp)
-               for comp in cyclic_sccs([(ba.initial, 0)], succ))

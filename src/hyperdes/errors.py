@@ -44,10 +44,6 @@ class UnknownObservation(HyperdesError):
         super().__init__(f"unknown observation symbol {symbol!r}")
 
 
-class StringNotInLanguage(HyperdesError):
-    """An event string is not generated by the automaton from the given state."""
-
-
 class ReservedSymbol(HyperdesError):
     """The reserved mask token 'eps' was used as an observation symbol."""
 

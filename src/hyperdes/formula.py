@@ -10,15 +10,17 @@ trace p is in a named set of states, bound to its states by the formula's
 literals of the pair letter, and the engines decide them there.
 
 missing_annotation says which annotation each built-in property needs, and
-property_template builds the formula the hyper route decides for it, with
+property_template gives the formula the hyper route decides for it, with
 the relations and the state sets left as leaves, so a template's body
-depends on the property alone; every engine and witness replay reads it as
-it stands.  expand_macros rewrites the leaves, given the binding, into
-biconditional conjunctions and state disjunctions over an automaton's
-alphabet, and property_formula returns the templates so expanded: the
-printable form of what is decided.  eval_body decides a body on ultimately
-periodic traces by fixpoint iteration and serves as the semantic reference
-the automaton-based engines are checked against.
+depends on the property alone.  Each body is built once per process, in
+TEMPLATES; property_template computes only the machine's `sets`, the states
+each set name stands for.  Every engine and witness replay reads the
+template as it stands.  expand_macros rewrites the leaves, given the
+binding, into biconditional conjunctions and state disjunctions over an
+automaton's alphabet, and property_formula returns the templates so
+expanded: the printable form of what is decided.  eval_body decides a body
+on ultimately periodic traces by fixpoint iteration and serves as the
+semantic reference the automaton-based engines are checked against.
 """
 
 from __future__ import annotations
@@ -340,46 +342,6 @@ def parse_formula(text: str) -> HyperFormula:
     return _Parser(text).parse()
 
 
-# levels: <-> 1, -> 2, | 3, & 4, U 5, unary 6, atoms 7
-_UNARY_SYMBOL = {Not: "!", Next: "X ", Eventually: "F ", Always: "G ", Once: "F1 "}
-
-
-def _fmt(node, level):
-    t = type(node)
-    if t is Top:
-        return "true"
-    if t is Bottom:
-        return "false"
-    if t is Atom:
-        return f"{node.prop}@{node.trace}"
-    if t is ObsEq:
-        return f"obseq({node.left},{node.right})"
-    if t is StateEq:
-        return f"stateeq({node.left},{node.right})"
-    if t in _UNARY_SYMBOL:
-        return _maybe_paren(f"{_UNARY_SYMBOL[t]}{_fmt(node.sub, 6)}", 6, level)
-    if t is Until:
-        return _maybe_paren(f"{_fmt(node.left, 6)} U {_fmt(node.right, 5)}", 5, level)
-    if t is And:
-        return _maybe_paren(f"{_fmt(node.left, 4)} & {_fmt(node.right, 5)}", 4, level)
-    if t is Or:
-        return _maybe_paren(f"{_fmt(node.left, 3)} | {_fmt(node.right, 4)}", 3, level)
-    if t is Implies:
-        return _maybe_paren(f"{_fmt(node.left, 3)} -> {_fmt(node.right, 2)}", 2, level)
-    if t is Iff:
-        return _maybe_paren(f"{_fmt(node.left, 2)} <-> {_fmt(node.right, 1)}", 1, level)
-    raise TypeError(f"cannot print {t.__name__} in the surface syntax")
-
-
-def _maybe_paren(text, node_level, required):
-    return f"({text})" if node_level < required else text
-
-
-def format_formula(formula: HyperFormula) -> str:
-    prefix = " ".join(f"{q} {v}." for q, v in formula.prefix)
-    return f"{prefix} {_fmt(formula.body, 0)}"
-
-
 # ---------------------------------------------------------------------------
 # macro expansion, desugaring
 
@@ -510,6 +472,83 @@ def _disj(states, var):
     return Bottom() if out is None else out
 
 
+def _templates():
+    """Each built-in property's quantifier prefix, body, structure kind and
+    the names of the state sets its body reads, in binding order."""
+    forall2 = (("forall", "p1"), ("forall", "p2"))
+    forall_exists = (("forall", "p1"), ("exists", "p2"))
+    obseq = ObsEq("p1", "p2")
+    stateeq = StateEq("p1", "p2")
+    collapse = Implies(Always(obseq), Eventually(Always(stateeq)))
+    tau1 = Atom("tau", "p1")
+    tau2 = Atom("tau", "p2")
+    secret_pause = And(_expand_once(tau1), Always(Implies(tau1, InSet("secret", "p1"))))
+    reveal_free = Always(Implies(tau1, And(tau2, InSet("nonsecret", "p2"))))
+    return {
+        "diagnosability": (
+            forall2,
+            Implies(And(Eventually(InSet("fault", "p1")), Always(obseq)),
+                    Eventually(InSet("fault", "p2"))),
+            "plain", ("fault",)),
+        # triggered at the boundary states (normal, a fault enabled next),
+        # not at the first faulted instant: the encoded step that brings the
+        # fault can carry an observation emitted before it, and an alarm may
+        # rest on that observation, which a trigger at the faulted instant
+        # never asks the compared trace to match
+        "predictability": (
+            forall2,
+            Implies(Until(obseq, And(InSet("boundary", "p1"), obseq)),
+                    Eventually(InSet("fault", "p2"))),
+            "plain", ("boundary", "fault")),
+        "i-detectability": (
+            forall2,
+            Implies(And(InSet("initial", "p1"), And(InSet("initial", "p2"), Always(obseq))),
+                    stateeq),
+            "plain", ("initial",)),
+        # two observation-equal traces eventually agree forever, and no two
+        # meet at a state on a cycle and part again while still equal in
+        # observation: the second conjunct also sees matching runs that die
+        # out, whose ambiguity the first, on infinite traces alone, misses
+        "strong-detectability": (
+            forall2,
+            And(collapse, Not(Until(obseq, And(stateeq, And(InSet("cyclic", "p1"), Until(
+                obseq, And(obseq, Not(stateeq)))))))),
+            "plain", ("cyclic",)),
+        "weak-detectability": (
+            (("exists", "p1"), ("forall", "p2")), collapse, "plain", ()),
+        "delayed-detectability": (
+            forall2, Implies(Always(obseq), Always(stateeq)), "plain", ()),
+        "initial-state-opacity": (
+            forall_exists,
+            Implies(And(InSet("initial", "p1"), InSet("secret", "p1")),
+                    And(InSet("initial", "p2"), And(Always(obseq), InSet("nonsecret", "p2")))),
+            "plain", ("initial", "secret", "nonsecret")),
+        "current-state-opacity": (
+            forall_exists,
+            Implies(secret_pause, And(Until(obseq, tau1), reveal_free)),
+            "modified", ("secret", "nonsecret")),
+        "infinite-step-opacity": (
+            forall_exists,
+            Implies(secret_pause, And(Always(obseq), reveal_free)),
+            "modified", ("secret", "nonsecret")),
+    }
+
+
+TEMPLATES = _templates()
+
+# the states each set name stands for, given the machine and, for the fault
+# properties, its fault partition
+_SET_STATES = {
+    "fault": lambda fsa, part: part.fault_states,
+    "boundary": boundary_states,
+    "initial": lambda fsa, part: fsa.initial,
+    "cyclic": lambda fsa, part: cyclic_states(fsa),
+    "secret": lambda fsa, part: fsa.secret_states,
+    "nonsecret": lambda fsa, part: frozenset(
+        x for x in fsa.states if x not in fsa.secret_states),
+}
+
+
 def property_formula(kind, fsa, part=None):
     """property_template's output with obseq/stateeq expanded over the
     automaton's alphabet and each state-set literal expanded into the
@@ -526,11 +565,13 @@ def property_template(kind, fsa, part=None):
     a refined machine; a missing annotation or partition raises
     MissingAnnotation.
 
-    The body is the same for every automaton: obseq/stateeq compare the two
-    traces, and InSet("fault" | "boundary" | "initial" | "secret" |
-    "nonsecret" | "cyclic", p) says that trace p is in that set of states
-    ("cyclic": on a cycle of observable moves, see des.cyclic_states).  The
-    returned formula's `sets` binds each of these names to the automaton's
+    The prefix, body and encoding come from TEMPLATES, built once per
+    process, so every call returns the same body object; only the formula's
+    `sets` is computed here, from the machine.  In the body obseq/stateeq
+    compare the two traces, and InSet("fault" | "boundary" | "initial" |
+    "secret" | "nonsecret" | "cyclic", p) says that trace p is in that set
+    of states ("cyclic": on a cycle of observable moves, see
+    des.cyclic_states); `sets` binds each of these names to the machine's
     states.  The engines decide these literals on the pair letter directly,
     so the Büchi automaton of a template depends on the property alone and
     is translated once per process.
@@ -538,67 +579,9 @@ def property_template(kind, fsa, part=None):
     missing = missing_annotation(kind, fsa)
     if missing is not None or kind in FAULT_PROPERTIES and part is None:
         raise MissingAnnotation(missing or "fault")
-
-    forall2 = (("forall", "p1"), ("forall", "p2"))
-    obseq = ObsEq("p1", "p2")
-    stateeq = StateEq("p1", "p2")
-
-    if kind == "diagnosability":
-        body = Implies(And(Eventually(InSet("fault", "p1")), Always(obseq)),
-                       Eventually(InSet("fault", "p2")))
-        return HyperFormula(forall2, body, (("fault", part.fault_states),)), "plain"
-    if kind == "predictability":
-        # triggered at the boundary states (normal, a fault enabled next),
-        # not at the first faulted instant: the encoded step that brings the
-        # fault can carry an observation emitted before it, and an alarm may
-        # rest on that observation, which a trigger at the faulted instant
-        # never asks the compared trace to match
-        body = Implies(Until(obseq, And(InSet("boundary", "p1"), obseq)),
-                       Eventually(InSet("fault", "p2")))
-        sets = (("boundary", boundary_states(fsa, part)), ("fault", part.fault_states))
-        return HyperFormula(forall2, body, sets), "plain"
-
-    initial = (("initial", fsa.initial),)
-    if kind == "i-detectability":
-        body = Implies(And(InSet("initial", "p1"), And(InSet("initial", "p2"), Always(obseq))),
-                       stateeq)
-        return HyperFormula(forall2, body, initial), "plain"
-    if kind == "strong-detectability":
-        # two observation-equal traces eventually agree forever, and no two
-        # meet at a state on a cycle and part again while still equal in
-        # observation: the second conjunct also sees matching runs that die
-        # out, whose ambiguity the first, on infinite traces alone, misses
-        body = And(Implies(Always(obseq), Eventually(Always(stateeq))),
-                   Not(Until(obseq, And(stateeq, And(InSet("cyclic", "p1"), Until(
-                       obseq, And(obseq, Not(stateeq))))))))
-        return HyperFormula(forall2, body, (("cyclic", cyclic_states(fsa)),)), "plain"
-    if kind == "weak-detectability":
-        body = Implies(Always(obseq), Eventually(Always(stateeq)))
-        return HyperFormula((("exists", "p1"), ("forall", "p2")), body), "plain"
-    if kind == "delayed-detectability":
-        body = Implies(Always(obseq), Always(stateeq))
-        return HyperFormula(forall2, body), "plain"
-
-    forall_exists = (("forall", "p1"), ("exists", "p2"))
-    secret = fsa.secret_states
-    sets = (("secret", secret),
-            ("nonsecret", frozenset(x for x in fsa.states if x not in secret)))
-
-    if kind == "initial-state-opacity":
-        body = Implies(And(InSet("initial", "p1"), InSet("secret", "p1")),
-                       And(InSet("initial", "p2"),
-                           And(Always(obseq), InSet("nonsecret", "p2"))))
-        return HyperFormula(forall_exists, body, initial + sets), "plain"
-
-    tau1 = Atom("tau", "p1")
-    tau2 = Atom("tau", "p2")
-    secret_pause = And(_expand_once(tau1), Always(Implies(tau1, InSet("secret", "p1"))))
-    reveal_free = Always(Implies(tau1, And(tau2, InSet("nonsecret", "p2"))))
-    if kind == "current-state-opacity":
-        body = Implies(secret_pause, And(Until(obseq, tau1), reveal_free))
-    else:
-        body = Implies(secret_pause, And(Always(obseq), reveal_free))
-    return HyperFormula(forall_exists, body, sets), "modified"
+    prefix, body, structure_kind, names = TEMPLATES[kind]
+    sets = tuple((name, _SET_STATES[name](fsa, part)) for name in names)
+    return HyperFormula(prefix, body, sets), structure_kind
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,14 @@ steps by the definition, kripke.step_nodes, not by the search's step.
 
 Every engine and witness replay reads a formula's body and `sets` as they
 stand: obseq/stateeq and the state-set literals (fault, initial, secret,
-boundary) are literals of the letter of each node pair, so the automaton of
-a built-in property does not depend on the model and is translated once per
-process.  An expanded body (property_formula's output) is a formula like any
-other; only forall/forall decides it to the same verdict.
+boundary, cyclic) are literals of the letter of each node pair, so the
+automaton of a built-in property does not depend on the model and is
+translated once per process.  A built-in property's body is one object per
+process (formula.TEMPLATES), and only its `sets` is computed per machine,
+so the per-body caches here (_negated_body_automaton, _guard_masks,
+_sync_form) find their entry by identity rather than by comparing trees.
+An expanded body (property_formula's output) is a formula like any other;
+only forall/forall decides it to the same verdict.
 
 The product search reads each letter as a bitmask over the literals the
 automaton's guards mention: every guard is a (pos, neg) pair of masks,

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .des import EPS, state_moves, unobservable_reach, validate_fsa
-from .errors import AlreadyModified, StringNotInLanguage
+from .errors import AlreadyModified
 from .graph import bfs
 
 
@@ -199,46 +199,6 @@ def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:
         return k.nodes + tuple(KNode(q.state, q.obs, copy=True) for q in k.nodes)
 
     return KripkeStructure(k.initial, successors, label, modified=True, order=order)
-
-
-def compatible_runs(fsa, k: KripkeStructure, s, x0, max_runs=None):
-    """Node paths of `k` compatible with executing the string `s` from `x0`.
-
-    The concrete trajectory is cut into segments at observable events; a
-    compatible path picks one visited state per segment.  Every combination
-    is a path of `k`, and these are all of them.
-    """
-    if x0 not in fsa.initial:
-        raise StringNotInLanguage(f"{x0!r} is not an initial state")
-    segments = [[x0]]
-    seg_obs = [EPS]
-    x = x0
-    for e in s:
-        y = fsa.transitions.get((x, e))
-        if y is None:
-            raise StringNotInLanguage(f"event {e!r} is not enabled after the prefix ending in state {x!r}")
-        if fsa.observable(e):
-            segments.append([y])
-            seg_obs.append(fsa.mask[e])
-        else:
-            segments[-1].append(y)
-        x = y
-
-    choice_sets = []
-    for seg, o in zip(segments, seg_obs):
-        uniq = []
-        for state in seg:
-            q = KNode(state, o)
-            if q not in uniq:
-                uniq.append(q)
-        choice_sets.append(uniq)
-
-    runs = [()]
-    for choices in choice_sets:
-        runs = [r + (q,) for r in runs for q in choices]
-        if max_runs is not None and len(runs) > max_runs:
-            runs = runs[:max_runs]
-    return runs
 
 
 def dot_quote(text):

@@ -4,6 +4,7 @@ Everything here is driven by an explicit random.Random so the acceptance
 suite can enumerate a fixed, reproducible stream of cases without hypothesis.
 """
 
+import functools
 import math
 import random
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from hyperdes.des import (
     unobservable_reach,
     validate_fsa,
 )
+from hyperdes.errors import HyperdesError
 from hyperdes.formula import (
     And,
     Atom,
@@ -602,3 +604,117 @@ def horizon_unfolding(fsa, kind, bound):
         holds = "inconclusive"
     return Verdict(property=kind, holds=holds, mode="bounded", engine="oracle",
                    bound=bound, details=details or None)
+
+
+# ---------------------------------------------------------------------------
+# Printing in the surface syntax: parse_formula's inverse, for round trips.
+
+# levels: <-> 1, -> 2, | 3, & 4, U 5, unary 6, atoms 7
+_UNARY_SYMBOL = {Not: "!", Next: "X ", Eventually: "F ", Always: "G ", Once: "F1 "}
+
+
+def _fmt(node, level):
+    t = type(node)
+    if t is Top:
+        return "true"
+    if t is Bottom:
+        return "false"
+    if t is Atom:
+        return f"{node.prop}@{node.trace}"
+    if t is ObsEq:
+        return f"obseq({node.left},{node.right})"
+    if t is StateEq:
+        return f"stateeq({node.left},{node.right})"
+    if t in _UNARY_SYMBOL:
+        return _maybe_paren(f"{_UNARY_SYMBOL[t]}{_fmt(node.sub, 6)}", 6, level)
+    if t is Until:
+        return _maybe_paren(f"{_fmt(node.left, 6)} U {_fmt(node.right, 5)}", 5, level)
+    if t is And:
+        return _maybe_paren(f"{_fmt(node.left, 4)} & {_fmt(node.right, 5)}", 4, level)
+    if t is Or:
+        return _maybe_paren(f"{_fmt(node.left, 3)} | {_fmt(node.right, 4)}", 3, level)
+    if t is Implies:
+        return _maybe_paren(f"{_fmt(node.left, 3)} -> {_fmt(node.right, 2)}", 2, level)
+    if t is Iff:
+        return _maybe_paren(f"{_fmt(node.left, 2)} <-> {_fmt(node.right, 1)}", 1, level)
+    raise TypeError(f"cannot print {t.__name__} in the surface syntax")
+
+
+def _maybe_paren(text, node_level, required):
+    return f"({text})" if node_level < required else text
+
+
+def format_formula(formula):
+    prefix = " ".join(f"{q} {v}." for q, v in formula.prefix)
+    return f"{prefix} {_fmt(formula.body, 0)}"
+
+
+# ---------------------------------------------------------------------------
+# Lasso acceptance of a Büchi automaton, by definition: the reference the
+# translation is checked against, letter by letter.
+
+def accepts_lasso(ba, stem_letters, cycle_letters):
+    """Whether some run of `ba` over the ultimately periodic word is accepting."""
+    if not cycle_letters:
+        raise ValueError("a lasso needs a nonempty cycle")
+    letters = list(stem_letters) + list(cycle_letters)
+    n = len(letters)
+    wrap = len(stem_letters)
+
+    def npos(p):
+        return p + 1 if p + 1 < n else wrap
+
+    @functools.cache
+    def succ(node):
+        q, p = node
+        return [(t, npos(p)) for guard, t in ba.edges[q] if guard.admits(letters[p])]
+
+    return any(any(q in ba.accepting for q, _ in comp)
+               for comp in cyclic_sccs([(ba.initial, 0)], succ))
+
+
+# ---------------------------------------------------------------------------
+# Kripke paths of a concrete run.
+
+class StringNotInLanguage(HyperdesError):
+    """An event string is not generated by the automaton from the given state."""
+
+
+def compatible_runs(fsa, k, s, x0, max_runs=None):
+    """Node paths of `k` compatible with executing the string `s` from `x0`.
+
+    The concrete trajectory is cut into segments at observable events; a
+    compatible path picks one visited state per segment.  Every combination
+    is a path of `k`, and these are all of them.
+    """
+    if x0 not in fsa.initial:
+        raise StringNotInLanguage(f"{x0!r} is not an initial state")
+    segments = [[x0]]
+    seg_obs = [EPS]
+    x = x0
+    for e in s:
+        y = fsa.transitions.get((x, e))
+        if y is None:
+            raise StringNotInLanguage(f"event {e!r} is not enabled after the prefix ending in state {x!r}")
+        if fsa.observable(e):
+            segments.append([y])
+            seg_obs.append(fsa.mask[e])
+        else:
+            segments[-1].append(y)
+        x = y
+
+    choice_sets = []
+    for seg, o in zip(segments, seg_obs):
+        uniq = []
+        for state in seg:
+            q = KNode(state, o)
+            if q not in uniq:
+                uniq.append(q)
+        choice_sets.append(uniq)
+
+    runs = [()]
+    for choices in choice_sets:
+        runs = [r + (q,) for r in runs for q in choices]
+        if max_runs is not None and len(runs) > max_runs:
+            runs = runs[:max_runs]
+    return runs

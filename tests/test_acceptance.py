@@ -12,13 +12,14 @@ import time
 import pytest
 
 from support import (
+    accepts_lasso,
     assignment_letters,
     horizon_unfolding,
     random_body,
     random_lasso_labels,
 )
 
-from hyperdes.buchi import accepts_lasso, ltl_to_buchi
+from hyperdes.buchi import ltl_to_buchi
 from hyperdes.des import delayed_state_estimate, refine_fault_partition
 from hyperdes.formula import (
     OPACITY_PROPERTIES,

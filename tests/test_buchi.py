@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes.buchi import Guard, accepts_lasso, ltl_to_buchi, nnf
+from hyperdes.buchi import Guard, ltl_to_buchi, nnf
 from hyperdes.formula import (
     Always,
     And,
@@ -23,7 +23,7 @@ from hyperdes.formula import (
     desugar,
     eval_body,
 )
-from support import assignment_letters, random_body, random_lasso_labels
+from support import accepts_lasso, assignment_letters, random_body, random_lasso_labels
 
 A = Atom("a", "p1")
 B = Atom("b", "p1")

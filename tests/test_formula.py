@@ -9,14 +9,18 @@ compared on random formulas and random ultimately periodic traces.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes.des import boundary_states, refine_fault_partition
+from hyperdes.des import boundary_states, cyclic_states, refine_fault_partition, validate_fsa
 from hyperdes.errors import (
     ArityError,
     FormulaSyntaxError,
     MissingAnnotation,
     UnboundTraceVar,
+    UnknownProperty,
 )
 from hyperdes.formula import (
+    FAULT_PROPERTIES,
+    OPACITY_PROPERTIES,
+    PROPERTIES,
     Always,
     And,
     Atom,
@@ -38,11 +42,11 @@ from hyperdes.formula import (
     desugar,
     eval_body,
     expand_macros,
-    format_formula,
     parse_formula,
     property_formula,
     property_template,
 )
+from support import fault_ring, format_formula
 
 FF = (("forall", "p1"), ("forall", "p2"))
 
@@ -297,27 +301,57 @@ def test_obseq_expansion_counts(g_det):
 
 
 def test_template_bodies_do_not_depend_on_the_model(g_diag, g_det, g_opa):
-    """A template names its state sets; only the binding differs between
-    machines, and expanding the template with it gives property_formula."""
-    refined, part = refine_fault_partition(g_diag)
-    boundary = (("boundary", boundary_states(refined, part)),)
-    for kind, extra in (("diagnosability", ()), ("predictability", boundary)):
-        template, _ = property_template(kind, refined, part)
-        assert template.sets == extra + (("fault", part.fault_states),)
-        assert property_formula(kind, refined, part)[0] == HyperFormula(
-            template.prefix, expand_macros(template.body, refined, template.sets))
-    for kind in ("i-detectability", "strong-detectability", "delayed-detectability",
-                 "initial-state-opacity", "current-state-opacity", "infinite-step-opacity"):
-        machines = (g_opa,) if "opacity" in kind else (g_opa, g_det)
-        templates = [property_template(kind, fsa)[0] for fsa in machines]
-        assert len({t.body for t in templates}) == 1
-        for fsa, template in zip(machines, templates):
-            assert property_formula(kind, fsa)[0] == HyperFormula(
+    """Each property's prefix, body and structure kind are one object per
+    process: on two machines property_template returns the same ones, and
+    only `sets`, the states each set name stands for, follows the machine.
+    Expanding a template with its binding gives property_formula, and a
+    call after a successful one still checks the name and the annotation."""
+    ring = validate_fsa(fault_ring(6))
+    refined = [refine_fault_partition(g_diag), refine_fault_partition(ring)]
+    detecting = [(g_det, None), (ring, None)]
+    opaque = [(g_opa, None), (ring, None)]
+
+    def expected_sets(kind, fsa, part):
+        initial = (("initial", fsa.initial),)
+        secret = (("secret", fsa.secret_states),
+                  ("nonsecret", frozenset(fsa.states) - (fsa.secret_states or frozenset())))
+        if kind == "diagnosability":
+            return (("fault", part.fault_states),)
+        if kind == "predictability":
+            return (("boundary", boundary_states(fsa, part)), ("fault", part.fault_states))
+        if kind == "i-detectability":
+            return initial
+        if kind == "strong-detectability":
+            return (("cyclic", cyclic_states(fsa)),)
+        if kind == "initial-state-opacity":
+            return initial + secret
+        if kind in OPACITY_PROPERTIES:
+            return secret
+        return ()
+
+    for kind in PROPERTIES:
+        machines = (refined if kind in FAULT_PROPERTIES
+                    else opaque if kind in OPACITY_PROPERTIES else detecting)
+        (first, first_kind), (second, second_kind) = (
+            property_template(kind, fsa, part) for fsa, part in machines)
+        assert second.body is first.body
+        assert second.prefix is first.prefix
+        assert second_kind is first_kind
+        assert first.sets != second.sets or not first.sets
+        for fsa, part in machines:
+            template, _ = property_template(kind, fsa, part)
+            assert template.sets == expected_sets(kind, fsa, part)
+            assert property_formula(kind, fsa, part)[0] == HyperFormula(
                 template.prefix, expand_macros(template.body, fsa, template.sets))
-    sets = dict(property_template("initial-state-opacity", g_opa)[0].sets)
-    assert sets["initial"] == g_opa.initial
-    assert sets["secret"] == g_opa.secret_states
-    assert sets["nonsecret"] == frozenset(g_opa.states) - g_opa.secret_states
+
+    with pytest.raises(MissingAnnotation):
+        property_template("diagnosability", g_det)
+    with pytest.raises(MissingAnnotation):
+        property_template("predictability", refined[0][0])
+    with pytest.raises(MissingAnnotation):
+        property_template("current-state-opacity", g_det)
+    with pytest.raises(UnknownProperty):
+        property_template("liveness", g_det)
 
 
 def test_set_literal_expands_in_declaration_order(g_det):

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperdes.des import current_state_estimate, cyclic_states, validate_fsa
-from hyperdes.errors import AlreadyModified, StringNotInLanguage
+from hyperdes.errors import AlreadyModified
 from hyperdes.gen import random_valid_fsa
 from hyperdes.graph import cyclic_sccs
 from hyperdes.hyper import HyperAnalysis, verify
 from support import (
+    StringNotInLanguage,
     comparison_machines,
+    compatible_runs,
     eager_kripke,
     eager_modified_kripke,
     fault_ring,
@@ -29,7 +31,6 @@ from hyperdes.kripke import (
     Lasso,
     build_kripke,
     build_modified_kripke,
-    compatible_runs,
     export_dot,
 )
 
