@@ -8,18 +8,18 @@ set of initial states admitting a run with the observed string, the
 current-state estimate is the set of states reachable under it, and the
 delayed estimate refines a past instant using subsequent observations.
 
-Each estimate has one step on every observation at once: observable_moves
-for the current-state, track_moves for the initial-state and pair_moves for
-the delayed estimate.  The estimate functions share observable_moves;
-track_moves and pair_moves serve the estimate functions.  state_moves is
-the set stepper for walks over many sets: it gives observable_moves of any
-set of states, as the union of its members' steps, each computed once.
-The observer and the Kripke structures take their moves from it, and so
-does joint_moves, which steps a tuple of current-state estimates together,
-on which the oracle decides initial-state and infinite-step opacity.  The
-oracle's single-event verifier needs no stepper: it moves on one event at
-a time.  observable_step, on one observation, is the reference for
-observable_moves.
+des has one set stepper, state_moves: it steps a set of states on every
+observation at once, as the union of its members' steps, each computed
+once.  The observer and the Kripke structures take their moves from it,
+and joint_moves steps a tuple of estimates together on it.  The three
+estimate functions are one walk over such a tuple, which differs only in
+where it starts: the closure of the initial states for the current-state
+estimate, the closure of each initial state for the initial-state
+estimate, and each state of the estimate after alpha for the delayed
+one.  The oracle decides initial-state and infinite-step opacity on the
+same joint step; its single-event verifier needs no stepper, as it moves
+on one event at a time.  observable_step, on one observation, is the
+definition the tests' references step by.
 
 refine_fault_partition splits the states a run can reach both with and
 without a fault, and boundary_states names the normal states with a
@@ -220,31 +220,12 @@ def observable_step(fsa: Fsa, states, o) -> frozenset:
     return unobservable_reach(fsa, hits)
 
 
-def observable_moves(fsa: Fsa, states):
-    """observable_step from `states` on every observation at once.
-
-    One pass over the out-edges of the unobservable closure groups the
-    targets by observation.  Returns [(o, observable_step(fsa, states, o))]
-    for the observations whose step is nonempty, in `fsa.observations`
-    order, so the cost grows with the edges leaving the closure and not
-    with the alphabet.
-    """
-    hits = {}
-    for x in unobservable_reach(fsa, states):
-        for e, y in fsa.out_edges(x):
-            o = fsa.mask[e]
-            if o is not EPS:
-                hits.setdefault(o, set()).add(y)
-    return [(o, unobservable_reach(fsa, hits[o]))
-            for o in sorted(hits, key=fsa.obs_index.__getitem__)]
-
-
 def state_moves(fsa: Fsa):
-    """The set stepper: a function moves(states) that returns the step of a
-    set of states on every observation at once, as a dict from each
-    observation with a nonempty step, in `fsa.observations` order, to
-    observable_step(fsa, states, o); its items are observable_moves(fsa,
-    states).
+    """des's one set stepper: a function moves(states) that returns the
+    step of a set of states on every observation at once, as a dict from
+    each observation with a nonempty step, in `fsa.observations` order, to
+    observable_step(fsa, states, o).  The tests' reference takes
+    observable_step on each observation in turn.
 
     observable_step distributes over union: the unobservable closure of a
     union is the union of the closures, and so is the set of targets of one
@@ -319,77 +300,48 @@ def joint_moves(fsa: Fsa, estimates, moves):
     return [(o, tuple(grouped[o])) for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
 
 
-def initial_tracks(fsa: Fsa) -> frozenset:
-    """Deterministic machine node: which initial states still admit the
-    observed string, each with its current-state spread."""
-    return frozenset((x0, unobservable_reach(fsa, [x0])) for x0 in fsa.initial)
-
-
-def _by_observation(fsa, grouped):
-    """The (o, frozenset) moves of a dict of nonempty sets keyed by
-    observation, in observation order."""
-    return [(o, frozenset(grouped[o]))
-            for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
-
-
-def track_moves(fsa: Fsa, tracks):
-    """The track-machine node after each observation the string can be
-    extended by: every track that survives it, stepped; in observation
-    order, with no empty node."""
-    grouped = {}
-    for x0, cur in tracks:
-        for o, nxt in observable_moves(fsa, cur):
-            grouped.setdefault(o, []).append((x0, nxt))
-    return _by_observation(fsa, grouped)
-
-
-def pair_moves(fsa: Fsa, pairs):
-    """(o, the (anchor, current) pairs with the current state stepped by o),
-    in observation order, with no empty set."""
-    by_cur = {}
-    for a, c in pairs:
-        by_cur.setdefault(c, []).append(a)
-    grouped = {}
-    for c, anchors in by_cur.items():
-        for o, ys in observable_moves(fsa, [c]):
-            grouped.setdefault(o, set()).update((a, y) for y in ys for a in anchors)
-    return _by_observation(fsa, grouped)
-
-
-def _follow(fsa: Fsa, node, moves, word):
-    """The node `word` leads to from `node` under moves(fsa, node), empty
-    once a symbol has no move; an unknown symbol raises UnknownObservation,
-    also after the node has emptied."""
+def _estimates_after(fsa: Fsa, estimates, word):
+    """The tuple of estimates `word` leads to from the tuple `estimates`,
+    stepped together by joint_moves on one set stepper; an estimate with no
+    move on a symbol empties.  An unknown symbol raises UnknownObservation,
+    also after every estimate has emptied."""
+    moves = state_moves(fsa)
     for o in word:
         if o not in fsa.obs_index:
             raise UnknownObservation(o)
-        node = dict(moves(fsa, node)).get(o, frozenset())
-    return node
+        estimates = dict(joint_moves(fsa, estimates, moves)).get(
+            o, (frozenset(),) * len(estimates))
+    return estimates
 
 
 def current_state_estimate(fsa: Fsa, alpha) -> frozenset:
     """States the system can be in after observing the sequence `alpha`."""
-    return _follow(fsa, unobservable_reach(fsa, fsa.initial), observable_moves, alpha)
+    return _estimates_after(fsa, (unobservable_reach(fsa, fsa.initial),), alpha)[0]
 
 
 def initial_state_estimate(fsa: Fsa, alpha) -> frozenset:
     """Initial states that admit a run observed exactly as `alpha`.
 
-    Tracks (initial state, current state) pairs forward instead of
-    enumerating strings.
+    Steps the closure of each initial state along `alpha` instead of
+    enumerating strings, and keeps the initial states whose estimate stays
+    nonempty.
     """
-    return frozenset(x0 for x0, _ in _follow(fsa, initial_tracks(fsa), track_moves, alpha))
+    starts = fsa.sort_states(fsa.initial)
+    ends = _estimates_after(fsa, tuple(unobservable_reach(fsa, [x0]) for x0 in starts), alpha)
+    return frozenset(x0 for x0, est in zip(starts, ends) if est)
 
 
 def delayed_state_estimate(fsa: Fsa, alpha, beta) -> frozenset:
     """States the system could have been in right after `alpha`, refined by
     the further observations `beta`.
 
-    Tracks (state at the split instant, current state) pairs; with an empty
-    `beta` this degenerates to the current-state estimate.
+    Steps {x} along `beta` for each state x of the current-state estimate
+    after `alpha`, and keeps the states whose estimate stays nonempty; with
+    an empty `beta` this is the current-state estimate.
     """
-    pairs = frozenset((x, x) for x in current_state_estimate(fsa, alpha))
-    return frozenset(a for a, _ in _follow(fsa, pairs, pair_moves, beta))
+    anchors = fsa.sort_states(current_state_estimate(fsa, alpha))
+    ends = _estimates_after(fsa, tuple(frozenset([x]) for x in anchors), beta)
+    return frozenset(x for x, est in zip(anchors, ends) if est)
 
 
 def build_observer(fsa: Fsa) -> Observer:
@@ -481,9 +433,9 @@ def boundary_states(fsa: Fsa, part: FaultPartition) -> frozenset:
 def cyclic_states(fsa: Fsa) -> frozenset:
     """The states on a cycle of the observable-move graph reachable from the
     unobservable closure of the initial states: its edges lead from x to
-    every state of observable_moves(fsa, {x}).  These are the states of the
-    Kripke nodes on a cycle, since a node's successors depend on its state
-    alone."""
+    every state of its step, state_moves(fsa)({x}), on any observation.
+    These are the states of the Kripke nodes on a cycle, since a node's
+    successors depend on its state alone."""
     moves = state_moves(fsa)
 
     def succ(x):

@@ -718,12 +718,13 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Ve
 
 
 def _require_run(k, lasso):
-    """Raise NotARun unless the lasso is a run of k: it starts at an initial
-    node and every step, the closing one included, is an edge.  Checked in
-    order, so only nodes already known to be reachable are expanded."""
+    """Raise NotARun unless the lasso is a run of k: a Lasso that starts at
+    an initial node and every step of which, the closing one included, is an
+    edge.  Checked in order, so only nodes already known to be reachable are
+    expanded."""
+    if not isinstance(lasso, Lasso):
+        raise NotARun(f"{lasso!r} is not a lasso")
     nodes = list(lasso.stem) + list(lasso.cycle)
-    if not nodes:
-        raise NotARun("empty witness trace")
     for q in nodes:
         if not isinstance(q, KNode):
             raise NotARun(f"{q!r} is not a node of the structure")
@@ -803,24 +804,25 @@ class HyperAnalysis:
         """replay_witness() on this machine's structures."""
         formula, k = self._problem(kind)
         quants = formula.quantifiers()
+        witness = (None, None) if verdict.witness is None else verdict.witness
+        if not isinstance(witness, tuple) or len(witness) != 2:
+            raise NotARun("a witness is a pair of traces")
+        pi1, pi2 = witness
 
         if verdict.holds is False and quants == ("forall", "forall"):
-            if verdict.witness is None or verdict.witness[1] is None:
+            if pi1 is None or pi2 is None:
                 raise NotARun("a forall/forall violation needs a witness for both traces")
-            pi1, pi2 = verdict.witness
             _require_run(k, pi1)
             _require_run(k, pi2)
             (_, v1), (_, v2) = formula.prefix
             assign = {v1: _lasso_labels(k, pi1), v2: _lasso_labels(k, pi2)}
             return eval_body(formula.body, assign, formula.sets) is False
         if verdict.holds is False and quants == ("forall", "exists"):
-            pi1, pi2 = verdict.witness
             if pi2 is not None:
                 raise NotARun("a forall/exists violation has no witness for the second trace")
             _require_run(k, pi1)
             return forall_exists_refutes(k, formula, pi1)
         if verdict.holds is True and quants == ("exists", "forall"):
-            pi1, _ = verdict.witness
             _require_run(k, pi1)
             return _estimate_walk_accepts(k, pi1)
         raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")

@@ -153,12 +153,14 @@ def build_kripke(fsa) -> KripkeStructure:
     """Observation-sampled encoding of a validated automaton, on demand.
 
     The successors of a node (x, o) depend on x alone: they are the nodes
-    (x', o') for the observable_moves of x, in observation order and, for
-    each observation, in state declaration order.  They come from des's
-    set stepper, state_moves, on the one-state set {x}, when the first
-    node of that state is expanded, and are shared by the state's other
-    nodes, so the cost grows with the edges the expanded nodes leave and
-    not with the alphabet.  Only the initial nodes are computed here.
+    (x', o') with x' in observable_step(fsa, [x], o'), in observation order
+    and, for each observation, in state declaration order.  They come from
+    des's one set stepper, state_moves, on the one-state set {x}, when the
+    first node of that state is expanded, and are shared by the state's
+    other nodes, so the cost grows with the edges the expanded nodes leave
+    and not with the alphabet.  The tests' reference steps by
+    observable_step instead, one observation at a time.  Only the initial
+    nodes are computed here.
     """
     if not fsa.validated:
         validate_fsa(fsa)

@@ -14,13 +14,9 @@ from hyperdes.des import (
     Fsa,
     boundary_states,
     build_observer,
-    initial_tracks,
-    observable_moves,
     observable_step,
-    pair_moves,
     refine_fault_partition,
     state_moves,
-    track_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -233,10 +229,37 @@ def labelled_ring(n):
                secret_states=states[::2], name=f"labelled-{n}")
 
 
+# The references for des's one set stepper and for the estimate machines
+# the oracle's walks are quotients of: each steps by observable_step, one
+# declared observation at a time, and leaves out the observations that
+# empty what it steps.
+
+
 def per_observation_moves(fsa, states):
-    """Reference for des.observable_moves: one observable_step per declared
-    observation, in declaration order, empty steps left out."""
+    """Reference for the items of des.state_moves(fsa)(states): one
+    observable_step per declared observation, in declaration order, empty
+    steps left out."""
     return [(o, t) for o in fsa.observations if (t := observable_step(fsa, states, o))]
+
+
+def initial_tracks(fsa):
+    """The initial node of the track machine: each initial state with its
+    current-state spread, the closure of that state."""
+    return frozenset((x0, unobservable_reach(fsa, [x0])) for x0 in fsa.initial)
+
+
+def track_moves(fsa, tracks):
+    """(o, the tracks that survive o, each with its current states stepped
+    by o), in observation order, with no empty node."""
+    return [(o, t) for o in fsa.observations if (t := frozenset(
+        (x0, s) for x0, cur in tracks if (s := observable_step(fsa, cur, o))))]
+
+
+def pair_moves(fsa, pairs):
+    """(o, the (anchor, current) pairs with the current state stepped by
+    o), in observation order, with no empty set."""
+    return [(o, t) for o in fsa.observations if (t := frozenset(
+        (a, y) for a, c in pairs for y in observable_step(fsa, [c], o)))]
 
 
 def per_observation_kripke_succ(fsa, nodes):
@@ -260,7 +283,7 @@ def eager_kripke(fsa):
     def expand(q):
         x = q.state
         if x not in moves:
-            moves[x] = tuple(KNode(y, o) for o, ys in observable_moves(fsa, [x])
+            moves[x] = tuple(KNode(y, o) for o, ys in per_observation_moves(fsa, [x])
                              for y in fsa.sort_states(ys))
         succ[q] = moves[x]
         return moves[x]

@@ -20,14 +20,10 @@ from hyperdes.des import (
     current_state_estimate,
     delayed_state_estimate,
     initial_state_estimate,
-    initial_tracks,
     joint_moves,
-    observable_moves,
     observable_step,
-    pair_moves,
     refine_fault_partition,
     state_moves,
-    track_moves,
     unobservable_reach,
     validate_fsa,
 )
@@ -264,24 +260,12 @@ def moves_cases(g_diag, g_det, g_opa):
     yield from seeded_machines(60)
 
 
-def test_observable_moves_is_observable_step_on_every_observation(g_diag, g_det, g_opa):
-    """One grouping pass over the out-edges gives each nonempty
-    observable_step, in declared observation order, from single states,
-    from every estimate and from random sets."""
-    rng = random.Random(7)
-    for fsa in moves_cases(g_diag, g_det, g_opa):
-        sets = [[x] for x in fsa.states] + list(build_observer(fsa).nodes)
-        sets += [rng.sample(fsa.states, rng.randint(1, len(fsa.states))) for _ in range(5)]
-        for states in sets:
-            assert observable_moves(fsa, states) == per_observation_moves(fsa, states), \
-                (fsa.name, fsa.observations, states)
-
-
 def test_state_moves_is_observable_moves_of_each_state():
-    """The set stepper gives observable_moves of each state and of each set,
-    in the same order, on the seeded machines and on 300 random machines of
-    up to six states.  The states are asked twice, last declared first, so
-    most answers reuse closures an earlier answer computed.  The sets are
+    """The set stepper gives observable_step of each state and of each set
+    on every observation that does not empty it, in declared observation
+    order, on the seeded machines and on 300 random machines of up to six
+    states.  The states are asked twice, last declared first, so most
+    answers reuse closures an earlier answer computed.  The sets are
     every observer node, and both parts of every node of the exposure walk
     from each node E split into (E - secret, E & secret).  One stepper
     answers every question on a machine, so a memo that leaks from one set
@@ -295,7 +279,8 @@ def test_state_moves_is_observable_moves_of_each_state():
         sets += [part for node in walk for part in node]
         moves = state_moves(fsa)
         for states in sets:
-            assert list(moves(states).items()) == observable_moves(fsa, states), (fsa, states)
+            assert list(moves(states).items()) == per_observation_moves(fsa, states), \
+                (fsa, states)
 
 
 def test_observer_closes_each_state_once(monkeypatch):
@@ -313,21 +298,6 @@ def test_observer_closes_each_state_once(monkeypatch):
     monkeypatch.setattr(des, "unobservable_reach", counted)
     assert len(build_observer(fsa).nodes) == 718
     assert len(calls) <= len(fsa.states) + 1, len(calls)
-
-
-def test_track_and_pair_moves_are_observable_step_on_every_observation(g_diag, g_det, g_opa):
-    """The initial- and delayed-estimate steps give, for each observation in
-    declared order, what observable_step makes of every track or pair, and
-    leave out the observations that empty it; on every node reachable from
-    the initial tracks and from the diagonal of every estimate."""
-    for fsa in moves_cases(g_diag, g_det, g_opa):
-        for tracks in bfs([initial_tracks(fsa)], lambda n: [t for _, t in track_moves(fsa, n)]):
-            assert track_moves(fsa, tracks) == [(o, t) for o in fsa.observations if (t := frozenset(
-                (x0, s) for x0, cur in tracks if (s := observable_step(fsa, cur, o))))]
-        diagonals = [frozenset((x, x) for x in est) for est in build_observer(fsa).nodes]
-        for pairs in bfs(diagonals, lambda n: [t for _, t in pair_moves(fsa, n)]):
-            assert pair_moves(fsa, pairs) == [(o, t) for o in fsa.observations if (t := frozenset(
-                (a, y) for a, c in pairs for y in observable_step(fsa, [c], o)))]
 
 
 def test_joint_moves_is_observable_step_on_every_observation(g_diag, g_det, g_opa):

@@ -853,16 +853,25 @@ def test_replay_rejects_non_initial_start(g_diag):
         replay_witness(g_diag, "predictability", fake)
 
 
-def test_replay_refuses_a_forall_forall_violation_without_two_traces():
+def test_replay_refuses_a_forall_forall_violation_without_two_traces(g_det, g_opa):
     """A forall/forall violation is replayed on its two traces alone: with
     the second trace, or the whole witness, missing the replay raises
-    NotARun."""
+    NotARun.  So does a forall/exists violation or a holding exists/forall
+    verdict whose witness is missing, holds no first trace or is a lasso
+    instead of a pair."""
     fsa = make_phantom_branch()
     verdict = verify(fsa, "strong-detectability")
     pi1, _ = verdict.witness
     for witness in ((pi1, None), None):
         with pytest.raises(NotARun):
             replay_witness(fsa, "strong-detectability", replace(verdict, witness=witness))
+    for fsa, kind, holds in ((g_opa, "infinite-step-opacity", False),
+                             (g_det, "weak-detectability", True)):
+        verdict = verify(fsa, kind)
+        assert verdict.holds is holds and replay_witness(fsa, kind, verdict) is True
+        for witness in (None, (None, None), verdict.witness[0]):
+            with pytest.raises(NotARun):
+                replay_witness(fsa, kind, replace(verdict, witness=witness))
 
 
 def with_unreachable_state(fsa):

@@ -1,6 +1,7 @@
 """Structure of the package: its modules import each other without cycles,
 every breadth-first and depth-first search runs through the graph kernel,
-neither route imports the other, and every estimate step is des's.
+neither route imports the other, every estimate step is des's, and every
+function and class is used by the package itself.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -223,8 +224,7 @@ ROUTE_IMPORTS = {
     ("hyper", "oracle"): set(),
 }
 # the oracle's structures, which the hyper route never builds or steps
-ORACLE_ONLY = {"build_observer", "observable_moves", "observable_step", "initial_tracks",
-               "track_moves", "pair_moves", "joint_moves"}
+ORACLE_ONLY = {"build_observer", "observable_step", "joint_moves"}
 
 
 def route_leaks(sources):
@@ -259,7 +259,8 @@ def test_route_scan_sees_each_injected_import():
         ("hyper", "from .oracle import OracleAnalysis\n", ("hyper", "oracle", "OracleAnalysis")),
         ("hyper", "from . import oracle\n", ("hyper", "oracle", "*")),
         ("hyper", "from .des import build_observer\n", ("hyper", "des", "build_observer")),
-        ("hyper", "from .des import observable_moves\n", ("hyper", "des", "observable_moves")),
+        ("hyper", "def f():\n    from .des import build_observer\n",
+         ("hyper", "des", "build_observer")),
         ("hyper", "from hyperdes.des import observable_step\n",
          ("hyper", "des", "observable_step")),
         ("hyper", "from .des import joint_moves\n", ("hyper", "des", "joint_moves")),
@@ -360,28 +361,38 @@ def calls_outside(source, name, allowed):
     return found
 
 
+# where the per-observation step may be called: the oracle lifts weak
+# detectability's witness from estimates to states with it
+PER_OBSERVATION_CALLERS = {"des.py": set(), "oracle.py": {"weak_detectability_oracle"}}
+
+
 def test_the_oracle_steps_estimates_only_through_des():
-    """des owns the step of each estimate machine (observable_moves,
-    track_moves, pair_moves); the oracle steps single states itself only
-    in the verifier's single-event step."""
-    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
-    assert calls_outside(source, "observable_moves", {"_verifier"}) == []
+    """des's one set stepper, state_moves, steps every estimate, also
+    through joint_moves: neither des's estimate functions nor the oracle
+    call observable_step, the step on one observation, but to lift weak
+    detectability's witness from estimates to states."""
+    found = {name: calls_outside((PACKAGE / name).read_text(encoding="utf-8"),
+                                 "observable_step", allowed)
+             for name, allowed in PER_OBSERVATION_CALLERS.items()}
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_step_scan_sees_each_injected_call():
+    allowed = PER_OBSERVATION_CALLERS["oracle.py"]
     source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
     end = len(source.splitlines())
     # each injection, its owner and the line of its call after the end of the source
     for line, owner, at in (
-            ("def _track_moves(fsa, tracks):\n    return observable_moves(fsa, tracks)\n",
+            ("def _track_moves(fsa, tracks, o):\n    return observable_step(fsa, tracks, o)\n",
              "_track_moves", 2),
-            ("moves = des.observable_moves(fsa, [])\n", None, 1),
-            ("class Walk:\n    def step(self, d):\n        return observable_moves(self.fsa, d)\n",
-             "Walk", 3)):
-        assert calls_outside(source + line, "observable_moves", {"_verifier"}) == [
+            ("moves = des.observable_step(fsa, [], 'o1')\n", None, 1),
+            ("class Walk:\n    def step(self, d, o):\n"
+             "        return observable_step(self.fsa, d, o)\n", "Walk", 3)):
+        assert calls_outside(source + line, "observable_step", allowed) == [
             (owner, end + at)], line
-    assert calls_outside("def _verifier(fsa):\n    return observable_moves(fsa, [])\n"
-                         "step = observable_moves\n", "observable_moves", {"_verifier"}) == []
+    assert calls_outside("def weak_detectability_oracle(an):\n"
+                         "    return observable_step(an.fsa, [], 'o1')\n"
+                         "step = observable_step\n", "observable_step", allowed) == []
 
 
 # the one hyper function that may read a whole structure: the bounded
@@ -430,3 +441,62 @@ def test_structure_read_scan_sees_each_injected_read():
                                  "    return path.index(q)\n"
                                  "def check_exists_forall_bounded(k):\n    return k.nodes\n",
                                  WHOLE_STRUCTURE_READERS) == []
+
+
+# the module-level definitions nothing in the package refers to, each with
+# its reason for staying
+UNREFERENCED = {
+    "formula.alternation_depth": "the scaling workload of ROADMAP item 6 labels each "
+                                 "property's complexity class by it",
+}
+
+
+def unreferenced_definitions(sources):
+    """"module.name" of each module-level function and class in the source
+    texts, keyed by module name, that no source refers to outside the
+    definition itself: by name, by attribute, or by a re-export from
+    `__init__`."""
+    defined, users = [], {}
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias) and module == "__init__":
+                    name = node.name
+                else:
+                    continue
+                users.setdefault(name, set()).add((module, owner))
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not users.get(name, set()) - {(module, name)})
+
+
+def package_sources():
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_definition_is_referenced_in_the_package():
+    """No function or class of the package exists for the tests alone: the
+    tests' references live in tests/support.py."""
+    assert unreferenced_definitions(package_sources()) == sorted(UNREFERENCED)
+
+
+def test_reference_scan_sees_each_injected_definition():
+    sources = package_sources()
+    for module, line, found in (
+            ("des", "def _orphan(fsa):\n    return _orphan(fsa)\n", "des._orphan"),
+            ("oracle", "class Walk:\n    def step(self):\n        return Walk\n", "oracle.Walk"),
+            ("hyper", "async def _later():\n    pass\n", "hyper._later")):
+        assert unreferenced_definitions(dict(sources, **{module: sources[module] + line})) == \
+            sorted([*UNREFERENCED, found]), line
+    assert unreferenced_definitions({
+        "__init__": "from .a import exported\n",
+        "a": "def exported():\n    pass\ndef by_name():\n    pass\n"
+             "def by_attribute():\n    pass\n",
+        "b": "from . import a\nx = a.by_attribute\ndef f():\n    return by_name()\n"}) == [
+            "b.f"]
