@@ -6,7 +6,11 @@ disjunctions and the until/release unfoldings fork nodes, contradictory
 literal sets are dropped, and nodes agreeing on processed and postponed
 obligations merge.  Acceptance is generalized (one set per until subformula,
 ensuring its right side is not postponed forever) and then reduced to plain
-Büchi with the usual counter construction.
+Büchi with the usual counter construction.  The translation ends with the
+bisimulation quotient of that automaton (see quotient), which accepts the
+same words with fewer states: the negated bodies of the forall/forall
+templates shrink to 2 states (from 6, or 3 for I-detectability), strong
+detectability's from 20 to 11.
 
 Letters are sets of literals: trace-anchored atoms, the pair relations
 obseq/stateeq and the state-set literals, which are translated as they
@@ -183,7 +187,8 @@ def _tableau(phi):
 
 
 def ltl_to_buchi(body) -> BuchiAutomaton:
-    """Büchi automaton for a body (sugar handled here)."""
+    """Büchi automaton for a body (sugar handled here), reduced to its
+    bisimulation quotient."""
     phi = nnf(desugar(body))
     old_of, _, incoming, untils = _tableau(phi)
     n = len(old_of)
@@ -227,5 +232,34 @@ def ltl_to_buchi(body) -> BuchiAutomaton:
     initial = (INIT, 0)
     states = list(bfs([initial], expand))
     accepting = frozenset(s for s in states if s[0] != INIT and s[1] == 0 and s[0] in fair[0])
-    return BuchiAutomaton(states=tuple(states), initial=initial,
-                          edges=edges, accepting=accepting)
+    return quotient(BuchiAutomaton(states=tuple(states), initial=initial,
+                                   edges=edges, accepting=accepting))
+
+
+def quotient(ba) -> BuchiAutomaton:
+    """The bisimulation quotient of ba, which accepts the same words.
+
+    Two states are merged when they agree on acceptance and, for each guard,
+    on the classes their edges under it lead to: the partition by acceptance
+    is refined on the signature frozenset((guard, class of target)) until it
+    is stable.  Each class is kept as its first state in `states` order, so
+    the initial state, which comes first, stays initial, and that state's
+    edges lead to the kept states of their targets' classes, in their order,
+    without repeats."""
+    cls, count = {s: s in ba.accepting for s in ba.states}, 0
+    while True:
+        signatures = {}
+        cls = {s: signatures.setdefault(
+                   (cls[s], frozenset((g, cls[t]) for g, t in ba.edges[s])), len(signatures))
+               for s in ba.states}
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    kept = {}
+    for s in ba.states:
+        kept.setdefault(cls[s], s)
+    states = tuple(kept.values())
+    edges = {s: tuple(dict.fromkeys((g, kept[cls[t]]) for g, t in ba.edges[s]))
+             for s in states}
+    return BuchiAutomaton(states=states, initial=ba.initial, edges=edges,
+                          accepting=ba.accepting.intersection(states))

@@ -38,19 +38,21 @@ boundary, cyclic) are literals of the letter of each node pair, so the
 automaton of a built-in property does not depend on the model and is
 translated once per process.  A built-in property's body is one object per
 process (formula.TEMPLATES), and only its `sets` is computed per machine,
-so the per-body caches here (_negated_body_automaton, _guard_masks,
-_sync_form) find their entry by identity rather than by comparing trees.
+so the per-body caches here (_negated_body, _sync_form) find their entry by
+identity rather than by comparing trees.
 An expanded body (property_formula's output) is a formula like any other;
 only forall/forall decides it to the same verdict.
 
 The product search reads each letter as a bitmask over the literals the
 automaton's guards mention: every guard is a (pos, neg) pair of masks,
-compiled once per body next to the automaton, and every node carries the
-mask of what holds there on either trace, computed when a pair holding the
-node is first read, so the letter of a node pair is two masks or-ed with
-the relation bits its observation and state keys call for (see
-_bit_letters).  Guard.admits on the set of literals that hold stays the
-reference the tests compare the masks against.
+compiled once per body with the automaton (_negated_body, one cache lookup
+per check), and every node carries the mask of what holds there on either
+trace, computed when a pair holding the node is first read, so the letter
+of a node pair is two masks or-ed with the relation bits its observation
+and state keys call for (see _bit_letters).  The masks and keys come from
+the node's fields; its label is read only when a guard mentions a plain
+atom, as in an expanded body.  Guard.admits on the set of literals that
+hold stays the reference the tests compare the masks against.
 
 The structures are built on demand (see kripke): the searches and replays
 here look up the successors and labels of the nodes they reach and never
@@ -63,6 +65,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import astuple, dataclass, replace
+from itertools import product
 
 from .buchi import ltl_to_buchi
 from .des import refine_fault_partition, validate_fsa
@@ -173,24 +176,17 @@ def _check_prefix(formula, expected):
 
 
 @functools.lru_cache(maxsize=64)
-def _negated_body_automaton(body):
-    """Automaton of the negated body, translated once per body and process.
+def _negated_body(body):
+    """The automaton of the negated body and the bit encoding of its edges,
+    compiled once per body and process: returns (ba, bits, edges, atoms).
 
-    A built-in property's body is the same for every model, so each property
-    is translated once.  The automaton is shared by every check of the body
-    and must not be mutated."""
-    return ltl_to_buchi(Not(body))
-
-
-@functools.lru_cache(maxsize=64)
-def _guard_masks(body):
-    """Bit encoding of the edges of the negated body's automaton: returns
-    (bits, edges).  Each literal the guards mention gets one bit; bits maps
-    the literal, as the tuple (its type, its two fields), to its bit's mask.
-    edges[b] lists ba.edges[b] in order, each edge as (pos, neg, target)
-    with its guard's pos and neg literals as masks.  Like the automaton it
-    depends on the body alone, so it is computed once per body and
-    process."""
+    Each literal the guards mention gets one bit; bits maps the literal, as
+    the tuple (its type, its two fields), to its bit's mask.  edges[b] lists
+    ba.edges[b] in order, each edge as (pos, neg, target) with its guard's
+    pos and neg literals as masks.  atoms says whether any guard mentions a
+    plain Atom.  A built-in property's body is the same for every model, so
+    each property is compiled once; the result is shared by every check of
+    the body and must not be mutated."""
     bits = {}
 
     def mask(literals):
@@ -199,30 +195,35 @@ def _guard_masks(body):
             m |= bits.setdefault((type(lit), *astuple(lit)), 1 << len(bits))
         return m
 
-    ba = _negated_body_automaton(body)
+    ba = ltl_to_buchi(Not(body))
     guards = dict.fromkeys(guard for edges in ba.edges.values() for guard, _ in edges)
     guards = {guard: (mask(guard.pos), mask(guard.neg)) for guard in guards}
-    return bits, {b: tuple((*guards[guard], b2) for guard, b2 in edges)
-                  for b, edges in ba.edges.items()}
+    edges = {b: tuple((*guards[guard], b2) for guard, b2 in out)
+             for b, out in ba.edges.items()}
+    return ba, bits, edges, any(t is Atom for t, *_ in bits)
 
 
-def _bit_letters(k, formula):
+def _bit_letters(k, formula, negated):
     """Pair letters of k as bitmasks over the literals of the negated body's
-    automaton (see _guard_masks), and the edges they admit: returns
-    (letter, admitted).
+    automaton, given its encoding `negated` (see _negated_body), and the
+    edges they admit: returns (letter, admitted).
 
     letter(u, v) sets the bit of each literal that holds at the node pair
     (u, v): the atoms of both nodes, the obseq/stateeq relations in both
     argument orders and reflexively, and InSet(name, var) when some binding
     of name in formula.sets holds that node's state.  A relation between the
     traces holds when the two nodes carry the same observation (resp. state)
-    propositions; a literal on a variable outside the prefix never holds.
-    admitted(letter, b) lists, memoised, the targets of the automaton's edges
-    from b, in order, whose guard admits the letter: every pos bit set and
-    no neg bit.  This is Guard.admits on the set of literals that hold.
-    Each node's masks are computed on the first letter that reads it."""
+    propositions: the observation of a node entered by one, none for an
+    initial node or a stalling twin, and its state, so the keys compared
+    are node fields.  A literal on a variable outside the prefix never
+    holds.  admitted(letter, b) lists, memoised, the targets of the
+    automaton's edges from b, in order, whose guard admits the letter:
+    every pos bit set and no neg bit.  This is Guard.admits on the set of
+    literals that hold.  Each node's masks are computed on the first letter
+    that reads it, and its label is read only when a guard mentions a plain
+    atom."""
     (_, v1), (_, v2) = formula.prefix
-    bits, edges = _guard_masks(formula.body)
+    _, bits, edges, atoms = negated
     members = [(states, bits.get((InSet, name, v1), 0), bits.get((InSet, name, v2), 0))
                for name, states in formula.sets]
     reflexive1 = bits.get((ObsEq, v1, v1), 0) | bits.get((StateEq, v1, v1), 0)
@@ -233,17 +234,16 @@ def _bit_letters(k, formula):
     def masks(q):
         # the masks of what holds at q on either trace, and its observation
         # and state keys
-        label = k.label[q]
         m1, m2 = reflexive1, reflexive2
-        for p in label:
-            m1 |= bits.get((Atom, p, v1), 0)
-            m2 |= bits.get((Atom, p, v2), 0)
+        if atoms:
+            for p in k.label[q]:
+                m1 |= bits.get((Atom, p, v1), 0)
+                m2 |= bits.get((Atom, p, v2), 0)
         for states, b1, b2 in members:
             if q.state in states:
                 m1 |= b1
                 m2 |= b2
-        return (m1, m2, frozenset(p for p in label if p.startswith("o:")),
-                frozenset(p for p in label if p.startswith("x:")))
+        return m1, m2, None if q.copy else q.obs, q.state
 
     node = OnDemand(masks)
 
@@ -278,23 +278,29 @@ def _product_lasso(k, formula, roots):
     automaton's literals (see _bit_letters).  The product successors of
     (c, b) are the pairs succ(u) × succ(v), in that order, each with every
     automaton edge from b whose guard admits the letter; with no such edge
-    (c, b) has none.  The letter is computed once per pair, the admitted
-    edges once per letter and automaton state, and a pair's successor list
-    once, when some edge admits its letter, so a pair no edge admits
-    expands neither of its nodes."""
-    ba = _negated_body_automaton(formula.body)
-    letter, admitted = _bit_letters(k, formula)
+    (c, b) has none.  Each pair keeps one record: its letter, computed on
+    its first visit, and its successor pairs, listed once, when some edge
+    admits its letter, so a pair no edge admits expands neither of its
+    nodes.  The admitted edges are computed once per letter and automaton
+    state."""
+    negated = _negated_body(formula.body)
+    letter, admitted = _bit_letters(k, formula, negated)
     succ = k.succ
-    letters = OnDemand(lambda c: letter(*c))
-    pairs = OnDemand(lambda c: tuple((a, t) for a in succ[c[0]] for t in succ[c[1]]))
+    records = {}    # node pair -> [its letter, its successor pairs or None]
 
     def successors(state):
         c, b = state
-        targets = admitted(letters[c], b)
+        record = records.get(c)
+        if record is None:
+            record = records[c] = [letter(*c), None]
+        targets = admitted(record[0], b)
         if not targets:
             return ()
-        return [(c2, b2) for c2 in pairs[c] for b2 in targets]
+        if record[1] is None:
+            record[1] = tuple(product(succ[c[0]], succ[c[1]]))
+        return [(c2, b2) for c2 in record[1] for b2 in targets]
 
+    ba = negated[0]
     accepting = ba.accepting
     return accepting_lasso([(c, ba.initial) for c in roots], successors,
                            lambda s: s[1] in accepting)

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from hyperdes.buchi import ltl_to_buchi
+from hyperdes import hyper
+from hyperdes.buchi import ltl_to_buchi, quotient
 from hyperdes.des import Fsa, refine_fault_partition, validate_fsa
 from hyperdes.errors import (
     DuplicateSetName,
@@ -26,6 +27,7 @@ from hyperdes.formula import (
     Eventually,
     OPACITY_PROPERTIES,
     PROPERTIES,
+    TEMPLATES,
     HyperFormula,
     Implies,
     InSet,
@@ -54,9 +56,8 @@ from hyperdes.hyper import (
     _estimate_moves,
     _estimate_product,
     _estimate_walk_accepts,
-    _guard_masks,
     _lasso_estimates,
-    _negated_body_automaton,
+    _negated_body,
     _original_succ,
 )
 from hyperdes.kripke import (
@@ -287,12 +288,13 @@ def test_bit_letters_admit_the_edges_the_literal_sets_admit(g_diag, g_det, g_opa
     same order, as Guard.admits on the set-of-literals letter."""
     for fsa, formula in _letter_reference_cases(g_diag, g_det, g_opa):
         (_, v1), (_, v2) = formula.prefix
-        ba = _negated_body_automaton(formula.body)
+        negated = _negated_body(formula.body)
+        ba = negated[0]
         mentioned = {lit for edges in ba.edges.values() for guard, _ in edges
                      for lit in guard.pos | guard.neg}
         k = build_kripke(fsa)
         for structure in (k, build_modified_kripke(k)):
-            letter, admitted = _bit_letters(structure, formula)
+            letter, admitted = _bit_letters(structure, formula, negated)
             # a guard asks only about the literals it mentions, and admitted
             # reads only the bit letter, so each distinct pair of the two
             # stands for every node pair that reads it
@@ -995,6 +997,29 @@ def test_negated_body_automata_do_not_depend_on_the_model(g_diag, g_det, g_opa):
         assert len(sizes) == 1, (kind, sizes)
 
 
+# (states, edges) of the negated templates' automata; the tableau's
+# unreduced automata have 6/9, 6/9, 3/3, 20/37 and 6/9
+REDUCED_SIZES = {"diagnosability": (2, 3), "predictability": (2, 3),
+                 "i-detectability": (2, 2), "strong-detectability": (11, 21),
+                 "delayed-detectability": (2, 3)}
+
+
+def test_negated_body_automata_are_reduced():
+    """ltl_to_buchi returns the bisimulation quotient: the negated bodies of
+    the five forall/forall templates translate at the pinned sizes, a second
+    quotient changes nothing, and a fresh translation has the same states,
+    edges in the same order, and accepting states."""
+    for kind in FORALL_FORALL:
+        negated = Not(TEMPLATES[kind][1])
+        ba = ltl_to_buchi(negated)
+        assert (len(ba.states), sum(len(e) for e in ba.edges.values())) == REDUCED_SIZES[kind]
+        for other in (quotient(ba), ltl_to_buchi(negated)):
+            assert other.states == ba.states, kind
+            assert other.initial == ba.initial == ba.states[0], kind
+            assert list(other.edges.items()) == list(ba.edges.items()), kind
+            assert other.accepting == ba.accepting, kind
+
+
 def test_large_fault_ring_decides_on_the_hyper_route():
     """The 360-state fault ring: diagnosable, not predictable, and weak
     detectability is out of reach of the candidate route (it is false, and
@@ -1042,39 +1067,57 @@ def _outcome(verdict):
     return verdict.holds, verdict.mode, verdict.engine, verdict.witness, verdict.details
 
 
-def test_cold_and_warm_translation_cache_agree(g_diag, g_det):
-    """Verdicts and witnesses are the same whether each check translates its
-    body afresh or takes the automaton an earlier check translated; a warm
-    pass translates nothing, and the five forall/forall decision formulas
-    need five translations however many machines use them."""
+def test_cold_and_warm_translation_cache_agree(g_diag, g_det, monkeypatch):
+    """Verdicts and witnesses are the same whether each check compiles its
+    negated body afresh (its automaton and the automaton's bit encoding)
+    or takes what an earlier check compiled.  A first pass compiles, and
+    translates, the five forall/forall decision formulas five times however
+    many machines use them, and a warm pass compiles and translates
+    nothing."""
+    translations = []
+
+    def translate(body):
+        translations.append(body)
+        return ltl_to_buchi(body)
+
+    monkeypatch.setattr(hyper, "ltl_to_buchi", translate)
     cases = _cache_cases(g_diag, g_det)
     cold = []
     for fsa, kind in cases:
-        _negated_body_automaton.cache_clear()
+        _negated_body.cache_clear()
         cold.append(_outcome(verify(fsa, kind)))
-    _negated_body_automaton.cache_clear()
+    assert len(translations) == len(cases)
+    _negated_body.cache_clear()
+    del translations[:]
     first = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
-    assert _negated_body_automaton.cache_info().misses == len(FORALL_FORALL)
+    assert _negated_body.cache_info().misses == len(FORALL_FORALL)
+    assert len(translations) == len(FORALL_FORALL)
     warm = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
-    assert _negated_body_automaton.cache_info().misses == len(FORALL_FORALL)
+    assert _negated_body.cache_info().misses == len(FORALL_FORALL)
+    assert len(translations) == len(FORALL_FORALL)
     assert cold == first == warm
     assert {holds for holds, *_ in cold} == {True, False}
 
 
 def test_guard_masks_are_compiled_once_per_body(g_diag, g_det):
-    """The bit encoding of the automaton's guards is compiled once per body:
-    across a cold pass (each check translating its body afresh), a first
-    and a warm pass, the five forall/forall decision formulas compile five
-    times, and the verdicts of the three passes are the same."""
+    """The bit encoding of the automaton's guards is compiled once per body,
+    with its automaton: a first and a warm pass over the forall/forall
+    checks compile the five decision formulas five times, every check of a
+    body reads the same encoding, and an encoding compiled afresh has the
+    same literal bits and the same edge masks, in the same order."""
     cases = _cache_cases(g_diag, g_det)
-    _guard_masks.cache_clear()
-    cold = []
-    for fsa, kind in cases:
-        _negated_body_automaton.cache_clear()
-        cold.append(_outcome(verify(fsa, kind)))
-    assert _guard_masks.cache_info().misses == len(FORALL_FORALL)
-    _negated_body_automaton.cache_clear()
+    _negated_body.cache_clear()
     first = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
+    assert _negated_body.cache_info().misses == len(FORALL_FORALL)
+    shared = {kind: _negated_body(TEMPLATES[kind][1]) for kind in FORALL_FORALL}
     warm = [_outcome(verify(fsa, kind)) for fsa, kind in cases]
-    assert _guard_masks.cache_info().misses == len(FORALL_FORALL)
-    assert cold == first == warm
+    assert _negated_body.cache_info().misses == len(FORALL_FORALL)
+    assert first == warm
+    for kind, negated in shared.items():
+        assert _negated_body(TEMPLATES[kind][1]) is negated, kind
+    for kind, (_, bits, edges, atoms) in shared.items():
+        _negated_body.cache_clear()
+        _, fresh_bits, fresh_edges, fresh_atoms = _negated_body(TEMPLATES[kind][1])
+        assert list(fresh_bits.items()) == list(bits.items()), kind
+        assert list(fresh_edges.items()) == list(edges.items()), kind
+        assert fresh_atoms == atoms, kind
