@@ -10,16 +10,19 @@ delayed estimate refines a past instant using subsequent observations.
 
 des has one set stepper, state_moves: it steps a set of states on every
 observation at once, as the union of its members' steps, each computed
-once.  The observer and the Kripke structures take their moves from it,
-and joint_moves steps a tuple of estimates together on it.  The three
-estimate functions are one walk over such a tuple, which differs only in
-where it starts: the closure of the initial states for the current-state
-estimate, the closure of each initial state for the initial-state
-estimate, and each state of the estimate after alpha for the delayed
-one.  The oracle decides initial-state and infinite-step opacity on the
-same joint step; its single-event verifier needs no stepper, as it moves
-on one event at a time.  observable_step, on one observation, is the
-definition the tests' references step by.
+once, and builds each state's unobservable closure from the closures it
+already knows.  An analysis makes one stepper per machine it checks and
+hands it to everything it builds of that machine: the observer, the
+Kripke structures and cyclic_states take it as an argument, and make a
+fresh one when given none.  joint_moves steps a tuple of estimates
+together on it.  The three estimate functions are one walk over such a
+tuple, which differs only in where it starts: the closure of the initial
+states for the current-state estimate, the closure of each initial state
+for the initial-state estimate, and each state of the estimate after
+alpha for the delayed one.  The oracle decides initial-state and
+infinite-step opacity on the same joint step; its single-event verifier
+needs no stepper, as it moves on one event at a time.  observable_step,
+on one observation, is the definition the tests' references step by.
 
 refine_fault_partition splits the states a run can reach both with and
 without a fault, and boundary_states names the normal states with a
@@ -190,7 +193,7 @@ def _uo_targets(fsa, state):
 def unobservable_reach(fsa: Fsa, states) -> frozenset:
     """All states reachable from `states` via unobservable events only."""
     seen = set(states)
-    frontier = fsa.sort_states(states)
+    frontier = list(seen)
     # breadth-first: the loop also visits what it appends.  It does not call
     # graph.bfs: the oracle alone calls this about 30k times per round of
     # the fuzz-stream benchmark, nearly always on one to three states, and
@@ -234,37 +237,62 @@ def state_moves(fsa: Fsa):
     state's closure, is computed once per call of state_moves; a set of
     one state gets that memoised dict itself, which callers only read.  A
     walk over many sets thus closes each state once, however many sets it
-    lies in.  Nothing is held on `fsa`."""
+    lies in.  Closures are built from known closures: a state without an
+    unobservable event closes to itself, and the search from any other
+    state takes in the closure of each state it meets whose closure is
+    known, instead of walking past it.  The search is a loop, not a
+    recursion, so a long unobservable chain closes, and a state seen twice
+    is not walked again, so an unvalidated machine's unobservable cycle
+    does too.
+
+    An analysis makes one stepper per machine it steps and hands it to
+    every structure it builds of that machine, so those structures share
+    its closures and steps.  Nothing is held on `fsa`: the stepper lives
+    and dies with the analysis that made it."""
     closures, steps = {}, {}
+    out_edges, mask = fsa._out, fsa.mask
     order = fsa.obs_index.__getitem__
 
     def closure(x):
         c = closures.get(x)
-        if c is None:
-            c = closures[x] = unobservable_reach(fsa, [x])
+        if c is not None:
+            return c
+        found = [y for e, y in out_edges[x] if mask[e] is EPS]
+        if not found:
+            c = closures[x] = frozenset((x,))
+            return c
+        seen = {x}
+        # breadth-first over the unobservable targets met so far: the loop
+        # also visits what it appends, and walks each state once
+        for y in found:
+            if y not in seen:
+                known = closures.get(y)
+                if known is None:
+                    seen.add(y)
+                    found.extend(z for e, z in out_edges[y] if mask[e] is EPS)
+                else:
+                    seen |= known
+        c = closures[x] = frozenset(seen)
         return c
 
-    def frozen(hits):
-        """The dict `hits` of sets keyed by observation, in observation
-        order and with its sets frozen."""
-        if len(hits) > 1:
-            hits = {o: hits[o] for o in sorted(hits, key=order)}
-        for o, ys in hits.items():
-            hits[o] = frozenset(ys)
-        return hits
+    def joined(hits):
+        """The dict `hits` from observations to lists of sets, in
+        observation order and with each list made the union of its sets."""
+        keys = sorted(hits, key=order) if len(hits) > 1 else hits
+        return {o: _union(hits[o]) for o in keys}
 
     def step(x):
         hits = {}
         for y in closure(x):
-            for e, z in fsa.out_edges(y):
-                o = fsa.mask[e]
+            for e, z in out_edges[y]:
+                o = mask[e]
                 if o is not EPS:
                     got = hits.get(o)
                     if got is None:
-                        hits[o] = set(closure(z))
+                        hits[o] = [closure(z)]
                     else:
-                        got |= closure(z)
-        out = steps[x] = frozen(hits)
+                        got.append(closure(z))
+        out = steps[x] = joined(hits)
         return out
 
     def moves(states):
@@ -280,11 +308,17 @@ def state_moves(fsa: Fsa):
             for o, ys in out.items():
                 got = hits.get(o)
                 if got is None:
-                    hits[o] = set(ys)
+                    hits[o] = [ys]
                 else:
-                    got |= ys
-        return frozen(hits)
+                    got.append(ys)
+        return joined(hits)
     return moves
+
+
+def _union(sets):
+    """The union of a nonempty list of frozensets; the one set itself when
+    there is one."""
+    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
 
 
 def joint_moves(fsa: Fsa, estimates, moves):
@@ -344,14 +378,14 @@ def delayed_state_estimate(fsa: Fsa, alpha, beta) -> frozenset:
     return frozenset(x for x, est in zip(anchors, ends) if est)
 
 
-def build_observer(fsa: Fsa) -> Observer:
+def build_observer(fsa: Fsa, moves=None) -> Observer:
     """Reachable subset automaton under the current-estimate recursion.
 
     Each estimate's moves, in observation order, come from one set stepper,
-    state_moves(fsa), so each state is closed once for the whole observer
-    and not once per estimate it lies in."""
+    `moves`, by default a fresh state_moves(fsa), so each state is closed
+    once for the whole observer and not once per estimate it lies in."""
     init = unobservable_reach(fsa, fsa.initial)
-    step = state_moves(fsa)
+    step = state_moves(fsa) if moves is None else moves
     order, moves = subset_graph(init, lambda est: list(step(est).items()))
     return Observer(nodes=tuple(order), initial=init, moves=moves)
 
@@ -364,6 +398,11 @@ def refine_fault_partition(fsa: Fsa):
     unchanged together with the induced partition (unreachable states count
     as normal); otherwise a split automaton is returned whose fault copies
     are named "<state>#F".
+
+    The split automaton is validated exactly when the input is, and is not
+    validated again: each of its states has the out-edges of the state it
+    copies, so none is dead where the input has none, and an unobservable
+    cycle of it projects onto one of the input.
     """
     if fsa.fault_events is None:
         raise NoFaultEvents("no fault events declared")
@@ -412,7 +451,7 @@ def refine_fault_partition(fsa: Fsa):
     refined = Fsa(states=states, events=fsa.events, transitions=transitions,
                   initial=initial, mask=fsa.mask, fault_events=fsa.fault_events,
                   secret_states=secret, name=fsa.name)
-    validate_fsa(refined)
+    refined.validated = fsa.validated
     fault_states = frozenset(names[(x, b)] for (x, b) in order if b)
     part = FaultPartition(normal_states=frozenset(states) - fault_states,
                           fault_states=fault_states)
@@ -430,13 +469,15 @@ def boundary_states(fsa: Fsa, part: FaultPartition) -> frozenset:
     return frozenset(out)
 
 
-def cyclic_states(fsa: Fsa) -> frozenset:
+def cyclic_states(fsa: Fsa, moves=None) -> frozenset:
     """The states on a cycle of the observable-move graph reachable from the
     unobservable closure of the initial states: its edges lead from x to
-    every state of its step, state_moves(fsa)({x}), on any observation.
-    These are the states of the Kripke nodes on a cycle, since a node's
+    every state of its step, moves({x}), on any observation, where `moves`
+    is a set stepper of fsa, by default a fresh state_moves(fsa).  These
+    are the states of the Kripke nodes on a cycle, since a node's
     successors depend on its state alone."""
-    moves = state_moves(fsa)
+    if moves is None:
+        moves = state_moves(fsa)
 
     def succ(x):
         return [y for ys in moves((x,)).values() for y in ys]

@@ -21,6 +21,8 @@ automaton's alphabet, and property_formula returns the templates so
 expanded: the printable form of what is decided.  eval_body decides a body
 on ultimately periodic traces by fixpoint iteration and serves as the
 semantic reference the automaton-based engines are checked against.
+Every node of a body keeps its hash once computed, so the caches keyed by
+a body, and eval_body's memo, hash each node once.
 """
 
 from __future__ import annotations
@@ -44,98 +46,121 @@ from .errors import (
 # AST
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed on first use and kept.
+
+    A frozen dataclass hashes the tuple of its fields on every call, so a
+    lookup keyed by a formula would rehash the whole tree.  Here each node
+    keeps its hash, so hashing a tree costs one tuple hash per node, once.
+    The hash is the dataclass's own, so equal trees keep equal hashes;
+    equality, astuple and repr read the fields and are unchanged."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Atom:
     prop: str           # "x:<state>", "o:<observation>" or "tau"
     trace: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     sub: object
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Iff:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Next:
     sub: object
 
 
-@dataclass(frozen=True)
+@_node
 class Until:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Release:
     """Dual of Until; produced by desugaring, not part of the surface syntax."""
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually:
     sub: object
 
 
-@dataclass(frozen=True)
+@_node
 class Always:
     sub: object
 
 
-@dataclass(frozen=True)
+@_node
 class Once:
     """Holds at exactly one instant from now on (surface operator F1)."""
     sub: object
 
 
-@dataclass(frozen=True)
+@_node
 class ObsEq:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class StateEq:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class InSet:
     """The state of a trace lies in a named state set; the formula that uses
     it binds the name to the states (see HyperFormula.sets)."""
@@ -536,15 +561,15 @@ def _templates():
 
 TEMPLATES = _templates()
 
-# the states each set name stands for, given the machine and, for the fault
-# properties, its fault partition
+# the states each set name stands for, given the machine, for the fault
+# properties its fault partition, and a set stepper of the machine or None
 _SET_STATES = {
-    "fault": lambda fsa, part: part.fault_states,
-    "boundary": boundary_states,
-    "initial": lambda fsa, part: fsa.initial,
-    "cyclic": lambda fsa, part: cyclic_states(fsa),
-    "secret": lambda fsa, part: fsa.secret_states,
-    "nonsecret": lambda fsa, part: frozenset(
+    "fault": lambda fsa, part, moves: part.fault_states,
+    "boundary": lambda fsa, part, moves: boundary_states(fsa, part),
+    "initial": lambda fsa, part, moves: fsa.initial,
+    "cyclic": lambda fsa, part, moves: cyclic_states(fsa, moves),
+    "secret": lambda fsa, part, moves: fsa.secret_states,
+    "nonsecret": lambda fsa, part, moves: frozenset(
         x for x in fsa.states if x not in fsa.secret_states),
 }
 
@@ -558,7 +583,7 @@ def property_formula(kind, fsa, part=None):
     return HyperFormula(formula.prefix, body), structure_kind
 
 
-def property_template(kind, fsa, part=None):
+def property_template(kind, fsa, part=None, moves=None):
     """The formula the hyper route decides for a built-in property, and the
     encoding to check it on: "plain" or "modified" (the one with stalling
     twins).  Diagnosability and predictability take the fault partition of
@@ -571,8 +596,9 @@ def property_template(kind, fsa, part=None):
     compare the two traces, and InSet("fault" | "boundary" | "initial" |
     "secret" | "nonsecret" | "cyclic", p) says that trace p is in that set
     of states ("cyclic": on a cycle of observable moves, see
-    des.cyclic_states); `sets` binds each of these names to the machine's
-    states.  The engines decide these literals on the pair letter directly,
+    des.cyclic_states, which steps by `moves`, a set stepper of fsa, or by
+    a fresh one when it is None); `sets` binds each of these names to the
+    machine's states.  The engines decide these literals on the pair letter directly,
     so the Büchi automaton of a template depends on the property alone and
     is translated once per process.
     """
@@ -580,7 +606,7 @@ def property_template(kind, fsa, part=None):
     if missing is not None or kind in FAULT_PROPERTIES and part is None:
         raise MissingAnnotation(missing or "fault")
     prefix, body, structure_kind, names = TEMPLATES[kind]
-    sets = tuple((name, _SET_STATES[name](fsa, part)) for name in names)
+    sets = tuple((name, _SET_STATES[name](fsa, part, moves)) for name in names)
     return HyperFormula(prefix, body, sets), structure_kind
 
 

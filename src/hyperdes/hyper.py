@@ -39,7 +39,8 @@ automaton of a built-in property does not depend on the model and is
 translated once per process.  A built-in property's body is one object per
 process (formula.TEMPLATES), and only its `sets` is computed per machine,
 so the per-body caches here (_negated_body, _sync_form) find their entry by
-identity rather than by comparing trees.
+identity rather than by comparing trees, and a formula node keeps its hash
+once computed (see formula), so a lookup does not rehash the tree.
 An expanded body (property_formula's output) is a formula like any other;
 only forall/forall decides it to the same verdict.
 
@@ -57,18 +58,21 @@ hold stays the reference the tests compare the masks against.
 The structures are built on demand (see kripke): the searches and replays
 here look up the successors and labels of the nodes they reach and never
 the whole node list, so a check expands only what it visits.  The bounded
-exists/forall search alone reads the node count, for its length bound.
+exists/forall search alone reads the node count, for its length bound.  A
+HyperAnalysis steps each machine it checks by one set stepper
+(des.state_moves), shared by its Kripke structure and the template's
+cyclic states.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from itertools import product
 
 from .buchi import ltl_to_buchi
-from .des import refine_fault_partition, validate_fsa
+from .des import refine_fault_partition, state_moves, validate_fsa
 from .errors import (
     MissingAnnotation,
     NotARun,
@@ -395,7 +399,8 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
     def bind(disjs):
         return tuple(states.union(*map(sets.get, named)) for states, named in disjs)
 
-    return replace(shape, p1_sets=bind(shape.p1_sets), p2_sets=bind(shape.p2_sets))
+    return SyncShape(shape.anchor, shape.v1, shape.v2, bind(shape.p1_sets),
+                     bind(shape.p2_sets), shape.eq_scope)
 
 
 @functools.lru_cache(maxsize=64)
@@ -749,10 +754,11 @@ def _lasso_labels(k, lasso):
 
 
 class HyperAnalysis:
-    """One machine on the hyper route: its validation, fault refinement and
-    plain and modified Kripke structures, each built on first use and shared
-    by every verdict and replay asked of it.  The oracle route's
-    OracleAnalysis is its peer: neither builds a structure of the other."""
+    """One machine on the hyper route: its validation, fault refinement,
+    plain and modified Kripke structures and the set stepper of each
+    machine checked, each built on first use and shared by every verdict
+    and replay asked of it.  The oracle route's OracleAnalysis is its
+    peer: neither builds a structure of the other."""
 
     def __init__(self, fsa):
         self.fsa = fsa
@@ -767,7 +773,9 @@ class HyperAnalysis:
     def _problem(self, kind):
         """What a property is decided on: its template and the structure to
         check, built from the machine (fault-refined for the fault
-        properties)."""
+        properties).  Each machine checked, the plain one or the refined
+        one, gets one set stepper, des.state_moves, which its Kripke
+        structure and the template's cyclic states share."""
         key = ("problem", kind)
         if key not in self._built:
             fsa = self.fsa
@@ -780,8 +788,9 @@ class HyperAnalysis:
             target, part = fsa, None
             if kind in FAULT_PROPERTIES:
                 target, part = self._once("refined", lambda: refine_fault_partition(fsa))
-            formula, structure_kind = property_template(kind, target, part)
-            k = self._once(("kripke", target), lambda: build_kripke(target))
+            moves = self._once(("moves", target), lambda: state_moves(target))
+            formula, structure_kind = property_template(kind, target, part, moves)
+            k = self._once(("kripke", target), lambda: build_kripke(target, moves))
             if structure_kind == "modified":
                 k = self._once(("modified", target), lambda: build_modified_kripke(k))
             self._built[key] = formula, k

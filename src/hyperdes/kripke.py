@@ -17,6 +17,9 @@ per-state step, so a check pays only for the nodes it reaches.  The node
 list and its index cover the whole reachable structure and are computed on
 first use: breadth first from the initial nodes, which expands every plain
 node, and for the modified encoding the plain nodes, then their twins.
+The step is the set stepper of the analysis (des.state_moves, one per
+analysed machine), shared with every other structure the analysis builds
+of the machine.
 """
 
 from __future__ import annotations
@@ -149,25 +152,29 @@ def step_nodes(succ, nodes, obs) -> frozenset:
     return frozenset(t for q in nodes for t in succ[q] if t.obs == obs)
 
 
-def build_kripke(fsa) -> KripkeStructure:
+def build_kripke(fsa, moves=None) -> KripkeStructure:
     """Observation-sampled encoding of a validated automaton, on demand.
 
     The successors of a node (x, o) depend on x alone: they are the nodes
     (x', o') with x' in observable_step(fsa, [x], o'), in observation order
     and, for each observation, in state declaration order.  They come from
-    des's one set stepper, state_moves, on the one-state set {x}, when the
-    first node of that state is expanded, and are shared by the state's
-    other nodes, so the cost grows with the edges the expanded nodes leave
-    and not with the alphabet.  The tests' reference steps by
-    observable_step instead, one observation at a time.  Only the initial
-    nodes are computed here.
+    a set stepper of fsa, `moves` (by default a fresh des.state_moves(fsa)),
+    on the one-state set {x}, when the first node of that state is
+    expanded, and are shared by the state's other nodes, so the cost grows
+    with the edges the expanded nodes leave and not with the alphabet.  An
+    analysis hands in the stepper it shares with the other structures it
+    builds of the machine.  The tests' reference steps by observable_step
+    instead, one observation at a time.  Only the initial nodes are
+    computed here.
     """
     if not fsa.validated:
         validate_fsa(fsa)
 
-    step = state_moves(fsa)
-    moves = OnDemand(lambda x: tuple(KNode(y, o) for o, ys in step((x,)).items()
-                                     for y in fsa.sort_states(ys)))
+    step = state_moves(fsa) if moves is None else moves
+    # a one-state step needs no sorting
+    succ = OnDemand(lambda x: tuple(
+        KNode(y, o) for o, ys in step((x,)).items()
+        for y in (ys if len(ys) == 1 else fsa.sort_states(ys))))
 
     def label(q):
         if q.obs is EPS:
@@ -175,7 +182,7 @@ def build_kripke(fsa) -> KripkeStructure:
         return frozenset({f"x:{q.state}", f"o:{q.obs}"})
 
     initial = tuple(KNode(x, EPS) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial)))
-    return KripkeStructure(initial, lambda q: moves[q.state], label, modified=False)
+    return KripkeStructure(initial, lambda q: succ[q.state], label, modified=False)
 
 
 def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:

@@ -11,12 +11,14 @@ opacity; oracle_check makes a fresh one for a single property.  Every other
 check runs on the fly on the machine it is given: none builds the observer
 or the fault-refined machine.
 
-The estimate steps are des's.  Its set stepper, state_moves, steps the
-observer's estimates (build_observer), the estimates current-state opacity
-walks until one lies inside the secret, and, through joint_moves, the (open,
-secret) pairs of current states on which initial-state and infinite-step
-opacity are decided (_exposed).  This module keeps the decisions taken on
-them.
+The estimate steps are des's.  One set stepper per analysis, state_moves
+made on first use by the OracleAnalysis, steps the observer's estimates
+(build_observer), the estimates current-state opacity walks until one lies
+inside the secret, and, through joint_moves, the (open, secret) pairs of
+current states on which initial-state and infinite-step opacity are
+decided (_exposed); so the observer and the exposure walk of infinite-step
+opacity close and step each state once between them.  This module keeps
+the decisions taken on them.
 
 Diagnosability, I-, strong and delayed detectability quantify over
 arbitrarily long observation strings.  They are decided on the
@@ -60,17 +62,26 @@ from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
 class OracleAnalysis:
-    """One machine on the oracle route: its observer, built on first use
-    and shared by weak detectability and infinite-step opacity.  Every
+    """One machine on the oracle route: its set stepper (des.state_moves)
+    and its observer, each built on first use and shared by every check
+    asked of it.  The observer serves weak detectability and infinite-step
+    opacity; the stepper steps the observer, the exposure walk of initial-
+    and infinite-step opacity and current-state opacity's walk.  Every
     other check holds no structure and searches the machine on the fly."""
 
     def __init__(self, fsa):
         self.fsa = fsa
+        self._moves = None
         self._observer = None
+
+    def moves(self):
+        if self._moves is None:
+            self._moves = state_moves(self.fsa)
+        return self._moves
 
     def observer(self):
         if self._observer is None:
-            self._observer = build_observer(self.fsa)
+            self._observer = build_observer(self.fsa, self.moves())
         return self._observer
 
     def check(self, kind) -> Verdict:
@@ -408,17 +419,17 @@ def delayed_detectability_oracle(an) -> Verdict:
 # opacity properties
 
 
-def _exposed(fsa, starts):
+def _exposed(fsa, starts, moves):
     """Whether an observation string, from one of the (open, secret) start
     nodes, exposes the secret: on the walk that steps both current-state
-    sets together (des.joint_moves, with one set stepper for the whole
-    walk), a node whose open part is empty and whose secret part is not.
+    sets together (des.joint_moves, by the set stepper `moves` of the
+    analysis), a node whose open part is empty and whose secret part is
+    not.
 
     `open` holds the current states of the runs anchored at a non-secret
     state, `secret` those of the runs anchored at a secret one.  A node
     with an empty secret part exposes nothing, now or later, and is not
     stepped."""
-    moves = state_moves(fsa)
     reached = bfs(starts, lambda node: [t for _, t in joint_moves(fsa, node, moves)]
                   if node[1] else ())
     return any(secret and not open_ for open_, secret in reached)
@@ -438,17 +449,17 @@ def initial_state_opacity_oracle(an) -> Verdict:
     secret = fsa.secret_states
     start = (unobservable_reach(fsa, fsa.initial - secret),
              unobservable_reach(fsa, fsa.initial & secret))
-    return _exact_verdict(not _exposed(fsa, [start]))
+    return _exact_verdict(not _exposed(fsa, [start], an.moves()))
 
 
 def current_state_opacity_oracle(an) -> Verdict:
     """No observation may narrow the current-state estimate into the secret:
     the zero-step case of the exposure walk.  The estimates are walked
-    lazily, each stepped by one set stepper, and the walk stops at the
-    first one inside the secret."""
+    lazily, each stepped by the set stepper of the analysis, and the walk
+    stops at the first one inside the secret."""
     fsa = an.fsa
     secret = fsa.secret_states
-    moves = state_moves(fsa)
+    moves = an.moves()
     reached = bfs([unobservable_reach(fsa, fsa.initial)], lambda est: moves(est).values())
     return _exact_verdict(not any(est <= secret for est in reached))
 
@@ -467,7 +478,7 @@ def infinite_step_opacity_oracle(an) -> Verdict:
     fsa = an.fsa
     secret = fsa.secret_states
     return _exact_verdict(not _exposed(fsa, [(est - secret, est & secret)
-                                             for est in an.observer().nodes]))
+                                             for est in an.observer().nodes], an.moves()))
 
 
 # ---------------------------------------------------------------------------

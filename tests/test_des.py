@@ -8,11 +8,12 @@ act as the reference the closed-form operators are compared against.
 
 import random
 import string
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes import des
 from hyperdes.des import (
     Fsa,
     boundary_states,
@@ -47,6 +48,7 @@ from support import (
     per_observation_moves,
     reversed_observations,
     seeded_machines,
+    unobservable_chain,
 )
 
 
@@ -283,21 +285,83 @@ def test_state_moves_is_observable_moves_of_each_state():
                 (fsa, states)
 
 
-def test_observer_closes_each_state_once(monkeypatch):
-    """The observer of the 360-state fault ring with every state initial has
-    718 estimates of up to 360 states.  Its set stepper closes each state
-    under unobservable events once, and build_observer closes the initial
-    states once more: at most 361 closures, not one or more per estimate."""
+class CountedEdges(dict):
+    """A machine's out-edge map that counts the reads of each state's
+    out-edges."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.reads = Counter()
+
+    def __getitem__(self, state):
+        self.reads[state] += 1
+        return super().__getitem__(state)
+
+
+def over_read_states(stepper):
+    """The observer of the 360-state fault ring with every state initial,
+    built on the set stepper stepper(fsa); returns the states whose
+    out-edges were read more than twice for each state whose closure holds
+    them, plus once."""
     fsa = validate_fsa(all_initial_fault_ring(360))
-    calls = []
+    holders = Counter(y for x in fsa.states for y in unobservable_reach(fsa, [x]))
+    fsa._out = CountedEdges(fsa._out)
+    assert len(build_observer(fsa, stepper(fsa)).nodes) == 718
+    return [x for x in fsa.states if fsa._out.reads[x] > 2 * holders[x] + 1]
 
-    def counted(fsa, states, _reach=des.unobservable_reach):
-        calls.append(states)
-        return _reach(fsa, states)
 
-    monkeypatch.setattr(des, "unobservable_reach", counted)
-    assert len(build_observer(fsa).nodes) == 718
-    assert len(calls) <= len(fsa.states) + 1, len(calls)
+def test_observer_closes_each_state_once():
+    """The observer of the 360-state fault ring with every state initial has
+    718 estimates of up to 360 states.  Its set stepper closes and steps
+    each state once, whatever the estimates it lies in: a state's out-edges
+    are read once while closing, and once while stepping, each state whose
+    closure holds it, and once more by build_observer's closure of the
+    initial states.  A stepper that closes a state again for each estimate
+    it lies in reads them hundreds of times, and fails the count."""
+    assert over_read_states(state_moves) == []
+
+    def reclosing(fsa):
+        return lambda states: dict(per_observation_moves(fsa, states))
+
+    assert len(over_read_states(reclosing)) > 300
+
+
+def silent_cycle_machine():
+    """An unvalidated machine whose states a and b close an unobservable
+    cycle, which c's unobservable event enters."""
+    return Fsa(states=["a", "b", "c", "d"], events=["u", "v", "w", "p", "q", "r"],
+               transitions={("a", "u"): "b", ("b", "v"): "a", ("c", "w"): "a",
+                            ("b", "p"): "c", ("c", "q"): "d", ("a", "q"): "a",
+                            ("d", "r"): "c", ("d", "p"): "b"},
+               initial=["a"], mask={"u": None, "v": None, "w": None, "p": "o1",
+                                    "q": "o2", "r": "o1"})
+
+
+def test_state_moves_terminates_on_an_unobservable_cycle():
+    """The stepper needs no validation: on a machine with an unobservable
+    cycle it gives the reference step of every state and of sets of them,
+    with the states asked first to last and last to first, so the closures
+    of the cycle are built both from scratch and from known ones."""
+    fsa = silent_cycle_machine()
+    with pytest.raises(UnobservableCycle):
+        validate_fsa(silent_cycle_machine())
+    sets = [(x,) for x in fsa.states] + [("a", "c"), ("b", "d"), tuple(fsa.states)]
+    for asked in (sets, sets[::-1]):
+        moves = state_moves(fsa)
+        for states in asked:
+            assert list(moves(states).items()) == per_observation_moves(fsa, states), states
+
+
+def test_state_moves_closes_a_chain_longer_than_the_recursion_limit():
+    """Closing is a loop, not a recursion: on an unobservable chain longer
+    than the recursion limit, each state's step is the reference's.  The
+    first state is asked first, when no closure on the chain is known, and
+    the others from last to first, each closed from the known closure of
+    its successor."""
+    fsa = validate_fsa(unobservable_chain(sys.getrecursionlimit() + 200))
+    moves = state_moves(fsa)
+    for x in fsa.states[:1] + fsa.states[:0:-1]:
+        assert list(moves((x,)).items()) == per_observation_moves(fsa, (x,)), x
 
 
 def test_joint_moves_is_observable_step_on_every_observation(g_diag, g_det, g_opa):
@@ -409,6 +473,26 @@ def test_observer_nodes_are_live(g_diag, g_det, g_opa):
 
 # ---------------------------------------------------------------------------
 # fault partition
+
+
+def test_refined_machine_inherits_validation():
+    """Refinement makes no dead state and no unobservable cycle: the split
+    machine of a validated machine is marked validated, and validating a
+    fresh copy of it raises nothing; that of an unvalidated one is not
+    marked."""
+    split = 0
+    for fsa in comparison_machines():
+        refined, _ = refine_fault_partition(fsa)
+        assert fsa.validated and refined.validated
+        if refined is not fsa:
+            split += 1
+            validate_fsa(Fsa(states=refined.states, events=refined.events,
+                             transitions=refined.transitions, initial=refined.initial,
+                             mask=refined.mask, fault_events=refined.fault_events))
+            raw = Fsa(states=fsa.states, events=fsa.events, transitions=fsa.transitions,
+                      initial=fsa.initial, mask=fsa.mask, fault_events=fsa.fault_events)
+            assert not refine_fault_partition(raw)[0].validated
+    assert split > 50, split
 
 
 def test_refine_no_fault_events(g_det):

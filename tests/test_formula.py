@@ -6,6 +6,8 @@ different algorithm than the fixpoint sweeps inside eval_body; the two are
 compared on random formulas and random ultimately periodic traces.
 """
 
+from dataclasses import astuple, fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,8 +38,10 @@ from hyperdes.formula import (
     Once,
     Or,
     StateEq,
+    TEMPLATES,
     Top,
     Until,
+    _templates,
     alternation_depth,
     desugar,
     eval_body,
@@ -352,6 +356,27 @@ def test_template_bodies_do_not_depend_on_the_model(g_diag, g_det, g_opa):
         property_template("current-state-opacity", g_det)
     with pytest.raises(UnknownProperty):
         property_template("liveness", g_det)
+
+
+def test_equal_bodies_hash_equal_across_separately_built_trees():
+    """A node keeps its hash once computed, and the kept hash is the one
+    its fields give, so equal trees hash equal: each template body built
+    a second time equals the process's template and hashes equal to it,
+    and so does each of its subterms, whether or not it was hashed before.
+    Hashing changes neither repr nor astuple."""
+    again = _templates()
+    for kind, (_, body, _, _) in TEMPLATES.items():
+        other = again[kind][1]
+        shown, flat = repr(other), astuple(other)
+        assert other is not body and other == body
+        assert hash(other) == hash(body)
+        assert repr(other) == shown and astuple(other) == flat
+        stack = [other]
+        while stack:
+            node = stack.pop()
+            children = tuple(getattr(node, f.name) for f in fields(node))
+            assert hash(node) == hash(children), (kind, node)
+            stack.extend(c for c in children if is_dataclass(c))
 
 
 def test_set_literal_expands_in_declaration_order(g_det):
