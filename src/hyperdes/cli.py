@@ -20,6 +20,7 @@ from .des import (
     current_state_estimate,
     delayed_state_estimate,
     initial_state_estimate,
+    state_moves,
     validate_fsa,
 )
 from .errors import HyperdesError
@@ -178,15 +179,16 @@ def cmd_inspect(args):
                   file=sys.stderr)
             return 2
         split = len(obs) - args.delay
+        moves = state_moves(fsa)
         doc = {
             "obs": list(obs),
-            "initial_estimate": fsa.sort_states(initial_state_estimate(fsa, obs)),
-            "current_estimate": fsa.sort_states(current_state_estimate(fsa, obs)),
+            "initial_estimate": fsa.sort_states(initial_state_estimate(fsa, obs, moves)),
+            "current_estimate": fsa.sort_states(current_state_estimate(fsa, obs, moves)),
             "delayed": {
                 "alpha": list(obs[:split]),
                 "beta": list(obs[split:]),
                 "estimate": fsa.sort_states(
-                    delayed_state_estimate(fsa, obs[:split], obs[split:])),
+                    delayed_state_estimate(fsa, obs[:split], obs[split:], moves)),
             },
         }
         _emit(_json_text(doc), args.out)

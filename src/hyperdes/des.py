@@ -21,8 +21,10 @@ states for the current-state estimate, the closure of each initial state
 for the initial-state estimate, and each state of the estimate after
 alpha for the delayed one.  The oracle decides initial-state and
 infinite-step opacity on the same joint step; its single-event verifier
-needs no stepper, as it moves on one event at a time.  observable_step,
-on one observation, is the definition the tests' references step by.
+needs no stepper, as it moves on one event at a time.  The tests'
+references step by the definition instead, one observation at a time:
+unobservable closure, one event with that observation, and another
+closure (tests/support.py's observable_step).
 
 refine_fault_partition splits the states a run can reach both with and
 without a fault, and boundary_states names the normal states with a
@@ -58,6 +60,16 @@ class Fsa:
     operation below iterates in that order so outputs are reproducible.
     `fault_events` and `secret_states` distinguish "not declared" (None) from
     "declared empty" (empty set).
+
+    Construction checks every reference and raises DanglingReference,
+    NoInitialState or ReservedSymbol at the first fault, in a fixed
+    order: duplicate states, duplicate events, each transition, the
+    initial states, the mask, the observations, the fault events and the
+    secret states.  The duplicate and reference checks run on
+    `state_index` and `event_index`, which construction builds anyway, and
+    the pass that checks the transitions also groups them by event for the
+    out-edge lists.  The parser, the generator and refine_fault_partition
+    all build through here.
     """
 
     def __init__(self, states, events, transitions, initial, mask,
@@ -66,35 +78,39 @@ class Fsa:
         self.states = tuple(states)
         self.events = tuple(events)
         self.name = name
-        if len(set(self.states)) != len(self.states):
+        # a declaration repeated shortens its index, so the indexes are the
+        # duplicate checks and then serve every reference check below
+        self.state_index = state_index = {x: i for i, x in enumerate(self.states)}
+        if len(state_index) != len(self.states):
             raise DanglingReference("duplicate state declarations")
-        if len(set(self.events)) != len(self.events):
+        self.event_index = event_index = {e: i for i, e in enumerate(self.events)}
+        if len(event_index) != len(self.events):
             raise DanglingReference("duplicate event declarations")
-        self.state_index = {x: i for i, x in enumerate(self.states)}
-        self.event_index = {e: i for i, e in enumerate(self.events)}
 
         self.transitions = dict(transitions)
+        by_event = {e: [] for e in self.events}
         for (x, e), y in self.transitions.items():
-            if x not in self.state_index or y not in self.state_index:
+            if x not in state_index or y not in state_index:
                 raise DanglingReference(f"transition ({x!r},{e!r},{y!r}) references an undeclared state")
-            if e not in self.event_index:
+            edges = by_event.get(e)
+            if edges is None:
                 raise DanglingReference(f"transition ({x!r},{e!r},{y!r}) references an undeclared event")
+            edges.append((x, y))
 
         self.initial = frozenset(initial)
-        if not self.initial <= set(self.states):
+        if not state_index.keys() >= self.initial:
             raise DanglingReference("initial states must be declared states")
         if not self.initial:
             raise NoInitialState("an automaton needs at least one initial state")
 
-        self.mask = {}
-        for e in self.events:
-            if e not in mask:
-                raise DanglingReference(f"mask is not total: missing event {e!r}")
-            self.mask[e] = mask[e]
-        for e in mask:
-            if e not in self.event_index:
-                raise DanglingReference(f"mask references undeclared event {e!r}")
-        if any(o == "eps" for o in self.mask.values()):
+        self.mask = {e: mask[e] for e in self.events if e in mask}
+        if len(self.mask) != len(self.events):
+            missing = next(e for e in self.events if e not in mask)
+            raise DanglingReference(f"mask is not total: missing event {missing!r}")
+        if len(mask) != len(self.mask):
+            extra = next(e for e in mask if e not in event_index)
+            raise DanglingReference(f"mask references undeclared event {extra!r}")
+        if "eps" in self.mask.values():
             raise ReservedSymbol("'eps' denotes the unobservable outcome and cannot name an observation")
 
         # observation alphabet: declared order if given, else first appearance
@@ -115,21 +131,18 @@ class Fsa:
         self.obs_index = {o: i for i, o in enumerate(self.observations)}
 
         self.fault_events = None if fault_events is None else frozenset(fault_events)
-        if self.fault_events is not None and not self.fault_events <= set(self.events):
+        if self.fault_events is not None and not event_index.keys() >= self.fault_events:
             raise DanglingReference("fault events must be declared events")
         self.secret_states = None if secret_states is None else frozenset(secret_states)
-        if self.secret_states is not None and not self.secret_states <= set(self.states):
+        if self.secret_states is not None and not state_index.keys() >= self.secret_states:
             raise DanglingReference("secret states must be declared states")
 
-        # outgoing adjacency in event declaration order, filled once: the
-        # transitions bucketed by event, then dealt out to their sources
-        by_event = {e: [] for e in self.events}
-        for (x, e), y in self.transitions.items():
-            by_event[e].append((x, y))
-        self._out = {x: [] for x in self.states}
+        # outgoing adjacency in event declaration order: the buckets dealt
+        # out to their sources
+        self._out = out = {x: [] for x in self.states}
         for e, edges in by_event.items():
             for x, y in edges:
-                self._out[x].append((e, y))
+                out[x].append((e, y))
 
         self.validated = False
 
@@ -206,31 +219,15 @@ def unobservable_reach(fsa: Fsa, states) -> frozenset:
     return frozenset(seen)
 
 
-def observable_step(fsa: Fsa, states, o) -> frozenset:
-    """States reachable from `states` by a string observed exactly as `o`.
-
-    Composition of unobservable closure, one event with mask o, and another
-    unobservable closure.
-    """
-    if o not in fsa.obs_index:
-        raise UnknownObservation(o)
-    inner = unobservable_reach(fsa, states)
-    hits = set()
-    for x in fsa.sort_states(inner):
-        for e, y in fsa.out_edges(x):
-            if fsa.mask[e] == o:
-                hits.add(y)
-    return unobservable_reach(fsa, hits)
-
-
 def state_moves(fsa: Fsa):
     """des's one set stepper: a function moves(states) that returns the
     step of a set of states on every observation at once, as a dict from
-    each observation with a nonempty step, in `fsa.observations` order, to
-    observable_step(fsa, states, o).  The tests' reference takes
-    observable_step on each observation in turn.
+    each observation o with a nonempty step, in `fsa.observations` order,
+    to the states reachable from `states` by a string observed exactly as
+    o.  The tests' reference takes that step, by its definition, on each
+    observation in turn.
 
-    observable_step distributes over union: the unobservable closure of a
+    That step distributes over union: the unobservable closure of a
     union is the union of the closures, and so is the set of targets of one
     observable event.  So the step of a set is the union, observation by
     observation, of its members' steps.  Each state's step, and each
@@ -334,12 +331,14 @@ def joint_moves(fsa: Fsa, estimates, moves):
     return [(o, tuple(grouped[o])) for o in sorted(grouped, key=fsa.obs_index.__getitem__)]
 
 
-def _estimates_after(fsa: Fsa, estimates, word):
+def _estimates_after(fsa: Fsa, estimates, word, moves=None):
     """The tuple of estimates `word` leads to from the tuple `estimates`,
-    stepped together by joint_moves on one set stepper; an estimate with no
-    move on a symbol empties.  An unknown symbol raises UnknownObservation,
-    also after every estimate has emptied."""
-    moves = state_moves(fsa)
+    stepped together by joint_moves on the set stepper `moves`, by default
+    a fresh state_moves(fsa); an estimate with no move on a symbol empties.
+    An unknown symbol raises UnknownObservation, also after every estimate
+    has emptied."""
+    if moves is None:
+        moves = state_moves(fsa)
     for o in word:
         if o not in fsa.obs_index:
             raise UnknownObservation(o)
@@ -348,12 +347,16 @@ def _estimates_after(fsa: Fsa, estimates, word):
     return estimates
 
 
-def current_state_estimate(fsa: Fsa, alpha) -> frozenset:
-    """States the system can be in after observing the sequence `alpha`."""
-    return _estimates_after(fsa, (unobservable_reach(fsa, fsa.initial),), alpha)[0]
+def current_state_estimate(fsa: Fsa, alpha, moves=None) -> frozenset:
+    """States the system can be in after observing the sequence `alpha`.
+
+    Each of the three estimate functions steps on `moves`, a set stepper
+    of fsa, by default a fresh state_moves(fsa); a caller asking several
+    of them about one machine hands them one stepper."""
+    return _estimates_after(fsa, (unobservable_reach(fsa, fsa.initial),), alpha, moves)[0]
 
 
-def initial_state_estimate(fsa: Fsa, alpha) -> frozenset:
+def initial_state_estimate(fsa: Fsa, alpha, moves=None) -> frozenset:
     """Initial states that admit a run observed exactly as `alpha`.
 
     Steps the closure of each initial state along `alpha` instead of
@@ -361,20 +364,24 @@ def initial_state_estimate(fsa: Fsa, alpha) -> frozenset:
     nonempty.
     """
     starts = fsa.sort_states(fsa.initial)
-    ends = _estimates_after(fsa, tuple(unobservable_reach(fsa, [x0]) for x0 in starts), alpha)
+    ends = _estimates_after(fsa, tuple(unobservable_reach(fsa, [x0]) for x0 in starts),
+                            alpha, moves)
     return frozenset(x0 for x0, est in zip(starts, ends) if est)
 
 
-def delayed_state_estimate(fsa: Fsa, alpha, beta) -> frozenset:
+def delayed_state_estimate(fsa: Fsa, alpha, beta, moves=None) -> frozenset:
     """States the system could have been in right after `alpha`, refined by
     the further observations `beta`.
 
     Steps {x} along `beta` for each state x of the current-state estimate
     after `alpha`, and keeps the states whose estimate stays nonempty; with
-    an empty `beta` this is the current-state estimate.
+    an empty `beta` this is the current-state estimate.  Both walks step
+    on one stepper.
     """
-    anchors = fsa.sort_states(current_state_estimate(fsa, alpha))
-    ends = _estimates_after(fsa, tuple(frozenset([x]) for x in anchors), beta)
+    if moves is None:
+        moves = state_moves(fsa)
+    anchors = fsa.sort_states(current_state_estimate(fsa, alpha, moves))
+    ends = _estimates_after(fsa, tuple(frozenset([x]) for x in anchors), beta, moves)
     return frozenset(x for x, est in zip(anchors, ends) if est)
 
 

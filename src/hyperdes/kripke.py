@@ -156,16 +156,16 @@ def build_kripke(fsa, moves=None) -> KripkeStructure:
     """Observation-sampled encoding of a validated automaton, on demand.
 
     The successors of a node (x, o) depend on x alone: they are the nodes
-    (x', o') with x' in observable_step(fsa, [x], o'), in observation order
-    and, for each observation, in state declaration order.  They come from
-    a set stepper of fsa, `moves` (by default a fresh des.state_moves(fsa)),
-    on the one-state set {x}, when the first node of that state is
-    expanded, and are shared by the state's other nodes, so the cost grows
-    with the edges the expanded nodes leave and not with the alphabet.  An
-    analysis hands in the stepper it shares with the other structures it
-    builds of the machine.  The tests' reference steps by observable_step
-    instead, one observation at a time.  Only the initial nodes are
-    computed here.
+    (x', o') with x' reachable from x by a string observed as o', in
+    observation order and, for each observation, in state declaration
+    order.  They come from a set stepper of fsa, `moves` (by default a
+    fresh des.state_moves(fsa)), on the one-state set {x}, when the first
+    node of that state is expanded, and are shared by the state's other
+    nodes, so the cost grows with the edges the expanded nodes leave and
+    not with the alphabet.  An analysis hands in the stepper it shares
+    with the other structures it builds of the machine.  The tests'
+    reference steps by the definition instead, one observation at a time.
+    Only the initial nodes are computed here.
     """
     if not fsa.validated:
         validate_fsa(fsa)

@@ -25,12 +25,26 @@ the automaton exactly.
 document_from_json checks a decoded JSON value and builds the automaton
 from it directly; serialize_model writes the canonical JSON of an automaton.
 Every parse error names the offending location as a JSON path like
-"$.transitions[3][1]".
+"$.transitions[3][1]".  A well-formed array is checked in one pass that
+formats no path; only an array or entry that fails it is checked again
+piece by piece, which raises the first error with its path, the same
+error in the same order either way.  Types are checked before anything
+is hashed, so an unhashable entry is a SchemaError like any other.
+
+The canonical text is byte for byte what json.dumps(document, indent=2,
+sort_keys=True) + "\n" writes, with the document's keys known in advance
+and each array one entry per line.  serialize_model lays that text out
+itself and quotes each identifier once with json's encode_basestring_ascii
+(its C function where the interpreter has one): json.dumps with an indent
+falls back to json's pure-Python encoder, which walks every nested list
+and string in Python and takes about as long as parsing the text back.
+The tests keep json.dumps as the writer's reference.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .des import EPS, Fsa
 from .errors import DuplicateTransition, ReservedSymbol, SchemaError, UnknownId
@@ -40,6 +54,7 @@ MASK_EPS = "eps"
 
 _REQUIRED_KEYS = ("version", "states", "events", "initial", "transitions", "mask")
 _OPTIONAL_KEYS = ("name", "observations", "fault_events", "secret_states")
+_STR = frozenset((str,))
 
 
 def _ident(value, path):
@@ -48,31 +63,77 @@ def _ident(value, path):
     return value
 
 
-def _ident_array(raw, path, allow_empty=False):
-    if not isinstance(raw, list):
-        raise SchemaError("expected an array", path)
-    if not raw and not allow_empty:
-        raise SchemaError("array must not be empty", path)
-    return tuple(_ident(v, f"{path}[{i}]") for i, v in enumerate(raw))
-
-
-def _distinct(items, path, what):
-    seen = set()
-    for i, item in enumerate(items):
-        if item in seen:
-            raise SchemaError(f"duplicate {what} {item!r}", f"{path}[{i}]")
-        seen.add(item)
-
-
 def _declared(item, declared, path):
     if item not in declared:
         raise UnknownId(item, path)
     return item
 
 
+def _ids(raw, path, what, declared=None, allow_empty=False):
+    """The entries of the JSON array `raw` as a tuple: non-empty strings,
+    pairwise distinct and, where `declared` is given, members of it.
+
+    A well-formed array passes set operations that run in C, and no path
+    is formatted.  Any other goes through the checks one by one, which
+    raise the first error in a fixed order: the array itself, then the
+    first entry that is not a non-empty string, then the first duplicate,
+    then the first undeclared entry.  Types are checked before any entry
+    is hashed, so an unhashable entry is a SchemaError too."""
+    if type(raw) is list and (raw or allow_empty) and set(map(type, raw)) <= _STR:
+        seen = set(raw)
+        if len(seen) == len(raw) and "" not in seen and (declared is None or seen <= declared):
+            return tuple(raw)
+    if not isinstance(raw, list):
+        raise SchemaError("expected an array", path)
+    if not raw and not allow_empty:
+        raise SchemaError("array must not be empty", path)
+    for i, item in enumerate(raw):
+        _ident(item, f"{path}[{i}]")
+    seen = set()
+    for i, item in enumerate(raw):
+        if item in seen:
+            raise SchemaError(f"duplicate {what} {item!r}", f"{path}[{i}]")
+        seen.add(item)
+    if declared is not None:
+        for i, item in enumerate(raw):
+            _declared(item, declared, f"{path}[{i}]")
+    return tuple(raw)
+
+
+def _transition(entry, path, state_set, event_set, transitions):
+    """One transition entry checked piece by piece, as (source, event,
+    target); raises the entry's first error."""
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise SchemaError("transitions are [source, event, target] triples", path)
+    s = _declared(_ident(entry[0], f"{path}[0]"), state_set, f"{path}[0]")
+    e = _declared(_ident(entry[1], f"{path}[1]"), event_set, f"{path}[1]")
+    t = _declared(_ident(entry[2], f"{path}[2]"), state_set, f"{path}[2]")
+    if (s, e) in transitions:
+        raise DuplicateTransition(s, e, path=path)
+    return s, e, t
+
+
+def _mask_entry(entry, path, event_set, obs_set, mask):
+    """One mask entry checked piece by piece, as (event, value); raises the
+    entry's first error."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise SchemaError('mask entries are [event, observation-or-"eps"] pairs', path)
+    e = _declared(_ident(entry[0], f"{path}[0]"), event_set, f"{path}[0]")
+    v = _ident(entry[1], f"{path}[1]")
+    if e in mask:
+        raise SchemaError(f"event {e!r} is masked twice", path)
+    if v != MASK_EPS and obs_set is not None and v not in obs_set:
+        raise UnknownId(v, f"{path}[1]")
+    return e, v
+
+
 def document_from_json(raw) -> Fsa:
     """Check a decoded JSON value against schema v1 and build the automaton;
-    declaration order carries over unchanged."""
+    declaration order carries over unchanged.
+
+    Each array is checked in one plain pass that formats no JSON path; an
+    array or entry that fails it is checked again piece by piece, which
+    raises its first error with its path."""
     if not isinstance(raw, dict):
         raise SchemaError("model document must be a JSON object", "$")
     for key in raw:
@@ -88,83 +149,70 @@ def document_from_json(raw) -> Fsa:
     if name is not None and not isinstance(name, str):
         raise SchemaError("name must be a string", "$.name")
 
-    states = _ident_array(raw["states"], "$.states")
-    _distinct(states, "$.states", "state")
-    events = _ident_array(raw["events"], "$.events")
-    _distinct(events, "$.events", "event")
+    states = _ids(raw["states"], "$.states", "state")
+    events = _ids(raw["events"], "$.events", "event")
     state_set, event_set = set(states), set(events)
-
-    initial = _ident_array(raw["initial"], "$.initial")
-    _distinct(initial, "$.initial", "initial state")
-    for i, x in enumerate(initial):
-        _declared(x, state_set, f"$.initial[{i}]")
+    initial = _ids(raw["initial"], "$.initial", "initial state", state_set)
 
     if not isinstance(raw["transitions"], list):
         raise SchemaError("expected an array", "$.transitions")
-    triples = []
-    seen_pairs = set()
-    for i, entry in enumerate(raw["transitions"]):
-        path = f"$.transitions[{i}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise SchemaError("transitions are [source, event, target] triples", path)
-        s = _declared(_ident(entry[0], f"{path}[0]"), state_set, f"{path}[0]")
-        e = _declared(_ident(entry[1], f"{path}[1]"), event_set, f"{path}[1]")
-        t = _declared(_ident(entry[2], f"{path}[2]"), state_set, f"{path}[2]")
-        if (s, e) in seen_pairs:
-            raise DuplicateTransition(s, e, path=path)
-        seen_pairs.add((s, e))
-        triples.append((s, e, t))
+    transitions = {}
+    for entry in raw["transitions"]:
+        if type(entry) is list and len(entry) == 3:
+            s, e, t = entry
+            if (type(s) is str and type(e) is str and type(t) is str
+                    and s in state_set and e in event_set and t in state_set
+                    and (s, e) not in transitions):
+                transitions[s, e] = t
+                continue
+        # every earlier entry was added, so their count is this entry's index
+        s, e, t = _transition(entry, f"$.transitions[{len(transitions)}]",
+                              state_set, event_set, transitions)
+        transitions[s, e] = t
 
-    observations = None
+    observations = obs_set = None
     if "observations" in raw:
-        observations = _ident_array(raw["observations"], "$.observations", allow_empty=True)
-        _distinct(observations, "$.observations", "observation")
-        for i, o in enumerate(observations):
-            if o == MASK_EPS:
-                raise ReservedSymbol(
-                    "'eps' is the unobservable marker and cannot name an observation",
-                    path=f"$.observations[{i}]")
+        observations = _ids(raw["observations"], "$.observations", "observation",
+                            allow_empty=True)
+        if MASK_EPS in observations:
+            raise ReservedSymbol(
+                "'eps' is the unobservable marker and cannot name an observation",
+                path=f"$.observations[{observations.index(MASK_EPS)}]")
+        obs_set = set(observations)
 
     if not isinstance(raw["mask"], list):
         raise SchemaError("expected an array", "$.mask")
-    pairs = []
-    masked = set()
-    for i, entry in enumerate(raw["mask"]):
-        path = f"$.mask[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError('mask entries are [event, observation-or-"eps"] pairs', path)
-        e = _declared(_ident(entry[0], f"{path}[0]"), event_set, f"{path}[0]")
-        v = _ident(entry[1], f"{path}[1]")
-        if e in masked:
-            raise SchemaError(f"event {e!r} is masked twice", path)
-        masked.add(e)
-        if v != MASK_EPS and observations is not None and v not in observations:
-            raise UnknownId(v, f"{path}[1]")
-        pairs.append((e, v))
-    for e in events:
-        if e not in masked:
-            raise SchemaError(f"mask must cover every event: missing {e!r}", "$.mask")
+    mask = {}
+    for entry in raw["mask"]:
+        if type(entry) is list and len(entry) == 2:
+            e, v = entry
+            if (type(e) is str and type(v) is str and e in event_set and v
+                    and e not in mask
+                    and (v == MASK_EPS or obs_set is None or v in obs_set)):
+                mask[e] = EPS if v == MASK_EPS else v
+                continue
+        e, v = _mask_entry(entry, f"$.mask[{len(mask)}]", event_set, obs_set, mask)
+        mask[e] = EPS if v == MASK_EPS else v
+    if len(mask) != len(events):
+        missing = next(e for e in events if e not in mask)
+        raise SchemaError(f"mask must cover every event: missing {missing!r}", "$.mask")
 
     fault_events = None
     if "fault_events" in raw:
-        fault_events = _ident_array(raw["fault_events"], "$.fault_events", allow_empty=True)
-        _distinct(fault_events, "$.fault_events", "fault event")
-        for i, e in enumerate(fault_events):
-            _declared(e, event_set, f"$.fault_events[{i}]")
+        fault_events = _ids(raw["fault_events"], "$.fault_events", "fault event",
+                            event_set, allow_empty=True)
 
     secret_states = None
     if "secret_states" in raw:
-        secret_states = _ident_array(raw["secret_states"], "$.secret_states", allow_empty=True)
-        _distinct(secret_states, "$.secret_states", "secret state")
-        for i, x in enumerate(secret_states):
-            _declared(x, state_set, f"$.secret_states[{i}]")
+        secret_states = _ids(raw["secret_states"], "$.secret_states", "secret state",
+                             state_set, allow_empty=True)
 
     return Fsa(
         states=states,
         events=events,
-        transitions={(s, e): t for s, e, t in triples},
+        transitions=transitions,
         initial=initial,
-        mask={e: (EPS if v == MASK_EPS else v) for e, v in pairs},
+        mask=mask,
         fault_events=fault_events,
         secret_states=secret_states,
         observations=observations,
@@ -208,23 +256,42 @@ def serialize_model(fsa: Fsa) -> str:
     Transitions are listed by source state, then by event.  The observation
     alphabet is always written out so a round trip never depends on
     mask-derived defaults; the other optional keys appear only when set.
+
+    The text is laid out by hand exactly as json.dumps(document, indent=2,
+    sort_keys=True) + "\n" lays out this schema: keys in sorted order,
+    every array entry on its own line, an empty array as "[]".  Each
+    identifier is quoted once, by json's own encode_basestring_ascii.
     """
-    out = {
-        "version": SCHEMA_VERSION,
-        "states": list(fsa.states),
-        "events": list(fsa.events),
-        "initial": fsa.sort_states(fsa.initial),
-        "transitions": [[x, e, y] for x in fsa.states for e, y in fsa.out_edges(x)],
-        "mask": [[e, MASK_EPS if fsa.mask[e] is EPS else fsa.mask[e]] for e in fsa.events],
-        "observations": list(fsa.observations),
-    }
+    states = {x: _quote(x) for x in fsa.states}
+    events = {e: _quote(e) for e in fsa.events}
+    shown = {EPS: _quote(MASK_EPS)} | {o: _quote(o) for o in fsa.observations}
+    fields = [("events", _array(events.values()))]
     if fsa.fault_events is not None:
-        out["fault_events"] = [e for e in fsa.events if e in fsa.fault_events]
-    if fsa.secret_states is not None:
-        out["secret_states"] = [x for x in fsa.states if x in fsa.secret_states]
+        fields.append(("fault_events", _array(
+            [q for e, q in events.items() if e in fsa.fault_events])))
+    fields.append(("initial", _array([states[x] for x in fsa.sort_states(fsa.initial)])))
+    fields.append(("mask", _array(
+        [f"[\n      {q},\n      {shown[fsa.mask[e]]}\n    ]" for e, q in events.items()])))
     if fsa.name is not None:
-        out["name"] = fsa.name
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+        fields.append(("name", _quote(fsa.name)))
+    fields.append(("observations", _array([shown[o] for o in fsa.observations])))
+    if fsa.secret_states is not None:
+        fields.append(("secret_states", _array(
+            [q for x, q in states.items() if x in fsa.secret_states])))
+    fields.append(("states", _array(states.values())))
+    fields.append(("transitions", _array(
+        [f"[\n      {q},\n      {events[e]},\n      {states[y]}\n    ]"
+         for x, q in states.items() for e, y in fsa.out_edges(x)])))
+    fields.append(("version", str(SCHEMA_VERSION)))
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
+
+
+def _array(items):
+    """A value of the top-level object given as its entries' texts: a JSON
+    array with one entry per line, as json.dumps(indent=2) lays it out."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def _node_to_json(node):

@@ -17,8 +17,9 @@ made on first use by the OracleAnalysis, steps the observer's estimates
 inside the secret, and, through joint_moves, the (open, secret) pairs of
 current states on which initial-state and infinite-step opacity are
 decided (_exposed); so the observer and the exposure walk of infinite-step
-opacity close and step each state once between them.  This module keeps
-the decisions taken on them.
+opacity close and step each state once between them.  Weak
+detectability's witness is lifted from estimates to states on the same
+stepper's steps.  This module keeps the decisions taken on them.
 
 Diagnosability, I-, strong and delayed detectability quantify over
 arbitrarily long observation strings.  They are decided on the
@@ -49,7 +50,6 @@ import time
 from .des import (
     build_observer,
     joint_moves,
-    observable_step,
     refine_fault_partition,
     state_moves,
     unobservable_reach,
@@ -66,8 +66,9 @@ class OracleAnalysis:
     and its observer, each built on first use and shared by every check
     asked of it.  The observer serves weak detectability and infinite-step
     opacity; the stepper steps the observer, the exposure walk of initial-
-    and infinite-step opacity and current-state opacity's walk.  Every
-    other check holds no structure and searches the machine on the fly."""
+    and infinite-step opacity and current-state opacity's walk, and lifts
+    weak detectability's witness.  Every other check holds no structure
+    and searches the machine on the fly."""
 
     def __init__(self, fsa):
         self.fsa = fsa
@@ -354,8 +355,11 @@ def strong_detectability_oracle(an) -> Verdict:
 def weak_detectability_oracle(an) -> Verdict:
     """Some observation trace must pin the current state forever: a reachable
     cycle of singleton observer nodes.  A positive verdict carries the trace,
-    lifted back to the state/observation structure."""
-    fsa, obs = an.fsa, an.observer()
+    lifted back to the state/observation structure on the analysis's
+    stepper: each estimate on the path gives its first state, in
+    declaration order, whose step on the next observation holds the state
+    chosen after it."""
+    fsa, obs, step = an.fsa, an.observer(), an.moves()
     moves = obs.moves
     singles = [n for n in obs.nodes if len(n) == 1]
     found = accepting_lasso(singles, lambda n: [t for _, t in moves[n] if len(t) == 1],
@@ -380,7 +384,7 @@ def weak_detectability_oracle(an) -> Verdict:
         est, _ = est_path[i]
         _, o_in = est_path[i + 1]
         for x in fsa.sort_states(est):
-            if states[i + 1] in observable_step(fsa, [x], o_in):
+            if states[i + 1] in step((x,)).get(o_in, ()):
                 states[i] = x
                 break
     stem = tuple(KNode(states[i], est_path[i][1]) for i in range(len(est_path)))

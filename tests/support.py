@@ -5,6 +5,7 @@ suite can enumerate a fixed, reproducible stream of cases without hypothesis.
 """
 
 import functools
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -14,13 +15,12 @@ from hyperdes.des import (
     Fsa,
     boundary_states,
     build_observer,
-    observable_step,
     refine_fault_partition,
     state_moves,
     unobservable_reach,
     validate_fsa,
 )
-from hyperdes.errors import HyperdesError
+from hyperdes.errors import HyperdesError, UnknownObservation
 from hyperdes.formula import (
     And,
     Atom,
@@ -235,6 +235,21 @@ def labelled_ring(n):
 # empty what it steps.
 
 
+def observable_step(fsa, states, o):
+    """States reachable from `states` by a string observed exactly as `o`:
+    the definition, as unobservable closure, one event with mask o, and
+    another unobservable closure."""
+    if o not in fsa.obs_index:
+        raise UnknownObservation(o)
+    inner = unobservable_reach(fsa, states)
+    hits = set()
+    for x in fsa.sort_states(inner):
+        for e, y in fsa.out_edges(x):
+            if fsa.mask[e] == o:
+                hits.add(y)
+    return unobservable_reach(fsa, hits)
+
+
 def per_observation_moves(fsa, states):
     """Reference for the items of des.state_moves(fsa)(states): one
     observable_step per declared observation, in declaration order, empty
@@ -336,6 +351,27 @@ def comparison_machines():
     rng = random.Random(7)
     for _ in range(300):
         yield random_valid_fsa(rng, max_states=6)
+
+
+def reference_serialize(fsa):
+    """Reference for modelio.serialize_model: the canonical document built
+    as a dict and written by json.dumps(indent=2, sort_keys=True)."""
+    out = {
+        "version": 1,
+        "states": list(fsa.states),
+        "events": list(fsa.events),
+        "initial": fsa.sort_states(fsa.initial),
+        "transitions": [[x, e, y] for x in fsa.states for e, y in fsa.out_edges(x)],
+        "mask": [[e, "eps" if fsa.mask[e] is EPS else fsa.mask[e]] for e in fsa.events],
+        "observations": list(fsa.observations),
+    }
+    if fsa.fault_events is not None:
+        out["fault_events"] = [e for e in fsa.events if e in fsa.fault_events]
+    if fsa.secret_states is not None:
+        out["secret_states"] = [x for x in fsa.states if x in fsa.secret_states]
+    if fsa.name is not None:
+        out["name"] = fsa.name
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 # The opacity searches the oracle's exposure walk is a quotient of: over

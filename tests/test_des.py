@@ -22,7 +22,6 @@ from hyperdes.des import (
     delayed_state_estimate,
     initial_state_estimate,
     joint_moves,
-    observable_step,
     refine_fault_partition,
     state_moves,
     unobservable_reach,
@@ -30,6 +29,7 @@ from hyperdes.des import (
 )
 from hyperdes.errors import (
     DanglingReference,
+    HyperdesError,
     NoFaultEvents,
     NoInitialState,
     NotLive,
@@ -45,6 +45,7 @@ from support import (
     comparison_machines,
     enumerate_runs,
     needs_split_machine,
+    observable_step,
     per_observation_moves,
     reversed_observations,
     seeded_machines,
@@ -141,6 +142,58 @@ def test_dangling_references_rejected():
     with pytest.raises(DanglingReference):
         Fsa(states=["0"], events=["a"], transitions={("0", "a"): "0"},
             initial=["0"], mask={})
+
+
+def ring_kwargs(**overrides):
+    """Constructor arguments of a two-state machine, every annotation set."""
+    kwargs = dict(states=["0", "1"], events=["a", "b"],
+                  transitions={("0", "a"): "1", ("1", "b"): "0"}, initial=["0"],
+                  mask={"a": "o1", "b": None}, observations=["o1"],
+                  fault_events=["b"], secret_states=["1"])
+    kwargs.update(overrides)
+    return kwargs
+
+
+# (arguments with two faults or more, error type, message of the first):
+# each row's faults are caught in the constructor's fixed order
+CONSTRUCTOR_ERRORS = [
+    (ring_kwargs(states=["0", "1", "0"], events=["a", "a"]), DanglingReference,
+     "duplicate state declarations"),
+    (ring_kwargs(events=["a", "b", "a"], transitions={("9", "x"): "0"}), DanglingReference,
+     "duplicate event declarations"),
+    (ring_kwargs(transitions={("0", "a"): "1", ("9", "x"): "0"}, initial=["9"]),
+     DanglingReference, "transition ('9','x','0') references an undeclared state"),
+    (ring_kwargs(transitions={("0", "x"): "1"}, initial=["9"]), DanglingReference,
+     "transition ('0','x','1') references an undeclared event"),
+    (ring_kwargs(initial=["0", "9"], mask={}), DanglingReference,
+     "initial states must be declared states"),
+    (ring_kwargs(initial=[], mask={}), NoInitialState,
+     "an automaton needs at least one initial state"),
+    (ring_kwargs(mask={"x": "o1", "a": "o1"}), DanglingReference,
+     "mask is not total: missing event 'b'"),
+    (ring_kwargs(mask={"a": "eps", "x": "o1", "b": None}), DanglingReference,
+     "mask references undeclared event 'x'"),
+    (ring_kwargs(mask={"a": "eps", "b": None}, observations=["o1", "o1"]), ReservedSymbol,
+     "'eps' denotes the unobservable outcome and cannot name an observation"),
+    (ring_kwargs(observations=["eps", "eps"]), DanglingReference,
+     "duplicate observation declarations"),
+    (ring_kwargs(observations=["eps"]), ReservedSymbol,
+     "'eps' denotes the unobservable outcome and cannot name an observation"),
+    (ring_kwargs(observations=["o2"], fault_events=["x"]), DanglingReference,
+     "mask uses undeclared observation 'o1'"),
+    (ring_kwargs(fault_events=["x"], secret_states=["9"]), DanglingReference,
+     "fault events must be declared events"),
+    (ring_kwargs(secret_states=["1", "9"]), DanglingReference,
+     "secret states must be declared states"),
+]
+
+
+@pytest.mark.parametrize("kwargs, kind, message", CONSTRUCTOR_ERRORS)
+def test_constructor_errors_come_in_a_fixed_order(kwargs, kind, message):
+    with pytest.raises(HyperdesError) as err:
+        Fsa(**kwargs)
+    assert type(err.value) is kind and str(err.value) == message
+    assert Fsa(**ring_kwargs()).state_index == {"0": 0, "1": 1}
 
 
 def test_empty_initial_set_rejected():

@@ -6,6 +6,7 @@ reproduce the files byte for byte, and every parse error must point at the
 offending location with a JSON path.
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 from hyperdes.errors import (
     DuplicateTransition,
+    HyperdesError,
     ReservedSymbol,
     SchemaError,
     UnknownId,
@@ -28,6 +30,15 @@ from hyperdes.modelio import (
     parse_model,
     serialize_model,
     verdict_to_json,
+)
+from hyperdes.des import Fsa
+from support import (
+    all_initial_fault_ring,
+    comparison_machines,
+    fault_ring,
+    labelled_ring,
+    o1_ring,
+    reference_serialize,
 )
 from tests.conftest import make_g_det, make_g_diag, make_g_opa, make_twin_branch
 
@@ -86,6 +97,73 @@ def test_fixture_files_validate_against_model_schema():
         jsonschema.validate(minimal_doc(version=2), schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(minimal_doc(mask=[["e", "o1", "extra"]]), schema)
+
+
+def odd_name_machines():
+    """Machines whose identifiers and names need escaping: non-ASCII
+    letters, characters outside the basic plane, quotes, backslashes,
+    control characters and "</"; then the annotations declared empty,
+    left out, and a machine with no transitions and no observation."""
+    odd = ["é", "😀", '"q"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f",
+           "</script>", "\u2028"]
+    states = odd + ["plain"]
+    events = ["ä" + o for o in odd]
+    yield Fsa(states=states, events=events,
+              transitions={(x, e): states[(i + j) % len(states)]
+                           for i, x in enumerate(states) for j, e in enumerate(events)},
+              initial=[odd[1], odd[0]],
+              mask={e: (None if i % 3 == 0 else odd[i % 4] + "/obs") for i, e in enumerate(events)},
+              fault_events=events[::2], secret_states=states[1::2],
+              name='name "</é\\\x01')
+    base = dict(states=["s", "t"], events=["e"], transitions={("s", "e"): "t", ("t", "e"): "s"},
+                initial=["t", "s"], mask={"e": "o1"})
+    yield Fsa(**base, fault_events=[], secret_states=[], name="")
+    yield Fsa(**base)
+    yield Fsa(states=["s"], events=["u"], transitions={}, initial=["s"], mask={"u": None})
+
+
+def writer_machines():
+    """The machines the writer is checked on: the comparison machines, 300
+    random machines of up to 16 states, the ring families and the
+    machines with names that need escaping."""
+    yield from comparison_machines()
+    rng = random.Random(16)
+    for _ in range(300):
+        yield random_valid_fsa(rng, max_states=16)
+    for n in (4, 7, 48):
+        yield from (fault_ring(n), all_initial_fault_ring(n), o1_ring(n), labelled_ring(n))
+    yield from odd_name_machines()
+
+
+def test_writer_is_byte_identical_to_json_dumps():
+    """serialize_model writes, byte for byte, what json.dumps(indent=2,
+    sort_keys=True) writes of the canonical document; each text satisfies
+    the model schema and parses back to the same machine."""
+    schema = json.loads((MODELS / "model.schema.json").read_text(encoding="utf-8"))
+    validator = jsonschema.Draft202012Validator(schema)
+    count = 0
+    for fsa in writer_machines():
+        text = serialize_model(fsa)
+        assert text == reference_serialize(fsa), fsa
+        assert text.isascii()
+        validator.validate(json.loads(text))
+        assert same_fsa(parse_model(text), fsa), fsa
+        count += 1
+    assert count >= 700
+
+
+# SHA-256 of serialize_model over the first 50 machines the generator
+# draws from random.Random(20260823), concatenated: it changes if the
+# generator's draws or the writer's bytes do
+GENERATOR_DIGEST = "1f3ca799a5420ddadcfa0ab3b7a7514363b8c853149fe5a63204e8f0ad04cf38"
+
+
+def test_generator_stream_digest_is_pinned():
+    rng = random.Random(20260823)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        digest.update(serialize_model(random_valid_fsa(rng)).encode("ascii"))
+    assert digest.hexdigest() == GENERATOR_DIGEST
 
 
 def test_minimal_document_parses():
@@ -163,6 +241,111 @@ def test_unknown_ids_carry_json_paths():
         with pytest.raises(UnknownId) as err:
             document_from_json(doc)
         assert err.value.ident == ident and err.value.path == where, doc
+
+
+def two_state_doc(**overrides):
+    """Two states and two events, every annotation declared."""
+    doc = minimal_doc(states=["0", "1"], events=["a", "u"], initial=["0"],
+                      transitions=[["0", "a", "1"], ["1", "a", "0"], ["0", "u", "1"]],
+                      mask=[["a", "o1"], ["u", "eps"]], observations=["o1"],
+                      fault_events=["u"], secret_states=["1"])
+    doc.update(overrides)
+    return doc
+
+
+IDENT = "identifiers must be non-empty strings"
+TRIPLE = "transitions are [source, event, target] triples"
+PAIR = 'mask entries are [event, observation-or-"eps"] pairs'
+
+# (document, error type, message, path): the first error of each document
+PARSE_ERRORS = [
+    # transitions: unhashable, dict and empty entries, duplicates, unknown ids
+    (two_state_doc(transitions=[[["1"], "a", "0"]]), SchemaError, IDENT, "$.transitions[0][0]"),
+    (two_state_doc(transitions=[["0", "a", "1"], ["1", ["a"], "0"]]), SchemaError, IDENT,
+     "$.transitions[1][1]"),
+    (two_state_doc(transitions=[["0", "a", {"1": 1}]]), SchemaError, IDENT, "$.transitions[0][2]"),
+    (two_state_doc(transitions=[{"0": "a"}]), SchemaError, TRIPLE, "$.transitions[0]"),
+    (two_state_doc(transitions=[["0", "a"]]), SchemaError, TRIPLE, "$.transitions[0]"),
+    (two_state_doc(transitions=[["0", "", "1"]]), SchemaError, IDENT, "$.transitions[0][1]"),
+    (two_state_doc(transitions=[["0", "a", "1"], ["0", "a", "0"]]), DuplicateTransition,
+     "duplicate transition from '0' on 'a'", "$.transitions[1]"),
+    (two_state_doc(transitions=[["0", "a", "9"]]), UnknownId, "unknown identifier '9'",
+     "$.transitions[0][2]"),
+    (two_state_doc(transitions=[["0", "x", ["9"]]]), UnknownId, "unknown identifier 'x'",
+     "$.transitions[0][1]"),
+    (two_state_doc(transitions="0a1"), SchemaError, "expected an array", "$.transitions"),
+    # initial: every entry's type first, then duplicates, then unknown ids
+    (two_state_doc(initial=[["0"]]), SchemaError, IDENT, "$.initial[0]"),
+    (two_state_doc(initial=["0", {}]), SchemaError, IDENT, "$.initial[1]"),
+    (two_state_doc(initial=[""]), SchemaError, IDENT, "$.initial[0]"),
+    (two_state_doc(initial=["0", "0", ["1"]]), SchemaError, IDENT, "$.initial[2]"),
+    (two_state_doc(initial=["9", "0", "0"]), SchemaError, "duplicate initial state '0'",
+     "$.initial[2]"),
+    (two_state_doc(initial=["0", "9"]), UnknownId, "unknown identifier '9'", "$.initial[1]"),
+    (two_state_doc(initial=[]), SchemaError, "array must not be empty", "$.initial"),
+    # mask: unhashable, dict and empty entries, an event masked twice,
+    # unknown events and observations, an uncovered event
+    (two_state_doc(mask=[[["a"], "o1"], ["u", "eps"]]), SchemaError, IDENT, "$.mask[0][0]"),
+    (two_state_doc(mask=[["a", ["o1"]], ["u", "eps"]]), SchemaError, IDENT, "$.mask[0][1]"),
+    (two_state_doc(mask=[{"a": "o1"}, ["u", "eps"]]), SchemaError, PAIR, "$.mask[0]"),
+    (two_state_doc(mask=[["a", "o1"], ["u", ""]]), SchemaError, IDENT, "$.mask[1][1]"),
+    (two_state_doc(mask=[["a", "o1"], ["a", "o1"], ["u", "eps"]]), SchemaError,
+     "event 'a' is masked twice", "$.mask[1]"),
+    (two_state_doc(mask=[["a", "o1"], ["x", "eps"]]), UnknownId, "unknown identifier 'x'",
+     "$.mask[1][0]"),
+    (two_state_doc(mask=[["a", "o2"], ["u", "eps"]]), UnknownId, "unknown identifier 'o2'",
+     "$.mask[0][1]"),
+    (two_state_doc(mask=[["a", "o1"]]), SchemaError, "mask must cover every event: missing 'u'",
+     "$.mask"),
+    # observations: eps used as an observation, after every other check
+    (two_state_doc(observations=["o1", "eps"]), ReservedSymbol,
+     "'eps' is the unobservable marker and cannot name an observation", "$.observations[1]"),
+    (two_state_doc(observations=["eps", "eps"]), SchemaError, "duplicate observation 'eps'",
+     "$.observations[1]"),
+    (two_state_doc(observations=["eps", ["o1"]]), SchemaError, IDENT, "$.observations[1]"),
+    # fault_events and secret_states
+    (two_state_doc(fault_events=[["u"]]), SchemaError, IDENT, "$.fault_events[0]"),
+    (two_state_doc(fault_events=[{}]), SchemaError, IDENT, "$.fault_events[0]"),
+    (two_state_doc(fault_events=["u", "u"]), SchemaError, "duplicate fault event 'u'",
+     "$.fault_events[1]"),
+    (two_state_doc(fault_events=["x"]), UnknownId, "unknown identifier 'x'", "$.fault_events[0]"),
+    (two_state_doc(fault_events="u"), SchemaError, "expected an array", "$.fault_events"),
+    (two_state_doc(secret_states=[["1"]]), SchemaError, IDENT, "$.secret_states[0]"),
+    (two_state_doc(secret_states=["1", ""]), SchemaError, IDENT, "$.secret_states[1]"),
+    (two_state_doc(secret_states=["1", "1"]), SchemaError, "duplicate secret state '1'",
+     "$.secret_states[1]"),
+    (two_state_doc(secret_states=["9"]), UnknownId, "unknown identifier '9'",
+     "$.secret_states[0]"),
+    # states and events
+    (two_state_doc(states=["0", {}]), SchemaError, IDENT, "$.states[1]"),
+    (two_state_doc(states=["0", "1", "0"]), SchemaError, "duplicate state '0'", "$.states[2]"),
+    (two_state_doc(events=["a", ["u"]]), SchemaError, IDENT, "$.events[1]"),
+    (two_state_doc(events=["a", "u", "a"]), SchemaError, "duplicate event 'a'", "$.events[2]"),
+    # the blocks are checked in a fixed order: states, events, initial,
+    # transitions, observations, mask, fault_events, secret_states
+    (two_state_doc(initial=["9"], transitions=[["0", "a"]]), UnknownId, "unknown identifier '9'",
+     "$.initial[0]"),
+    (two_state_doc(transitions=[["0", "a"]], observations=["eps"]), SchemaError, TRIPLE,
+     "$.transitions[0]"),
+    (two_state_doc(observations=["eps"], mask=[]), ReservedSymbol,
+     "'eps' is the unobservable marker and cannot name an observation", "$.observations[0]"),
+    (two_state_doc(mask=[["a", "o1"]], fault_events=["x"]), SchemaError,
+     "mask must cover every event: missing 'u'", "$.mask"),
+    (two_state_doc(fault_events=["x"], secret_states=["9"]), UnknownId, "unknown identifier 'x'",
+     "$.fault_events[0]"),
+]
+
+
+@pytest.mark.parametrize("doc, kind, message, path", PARSE_ERRORS)
+def test_parse_errors_are_pinned(doc, kind, message, path):
+    """Each malformed document raises its first error with its type,
+    message and path; an unhashable entry is a SchemaError, not a
+    TypeError."""
+    with pytest.raises(HyperdesError) as err:
+        document_from_json(doc)
+    assert type(err.value) is kind
+    assert err.value.path == path
+    assert str(err.value) == f"{message} (at {path})"
 
 
 def test_eps_cannot_name_an_observation():

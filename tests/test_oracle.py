@@ -14,7 +14,6 @@ from hyperdes.des import (
     delayed_state_estimate,
     initial_state_estimate,
     joint_moves,
-    observable_step,
     refine_fault_partition,
     state_moves,
     unobservable_reach,
@@ -36,6 +35,7 @@ from support import (
     infinite_step_opacity_reference,
     initial_state_opacity_reference,
     needs_split_machine,
+    observable_step,
     observer_current_state_opacity,
     observer_strong_detectability,
     PAIR_KINDS,

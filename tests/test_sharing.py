@@ -7,13 +7,15 @@ observer, and refines the machine only to report a diagnosability
 violation's pumping horizon.  Each route makes one set stepper
 (des.state_moves) per machine it checks and hands it to every structure it
 builds of that machine; the stepper is also wrapped where des and kripke
-look it up, which is where a builder handed none makes its own.
+look it up, which is where a builder handed none makes its own, and where
+the command line's estimates query makes its one.
 """
 
 from pathlib import Path
 
 import pytest
 
+import hyperdes.cli
 import hyperdes.des
 import hyperdes.hyper
 import hyperdes.kripke
@@ -31,9 +33,11 @@ BUILDERS = {
     # a builder's own stepper, made when it is handed none
     "des": ("state_moves",),
     "kripke": ("state_moves",),
+    # the stepper of an estimates query
+    "cli": ("state_moves",),
 }
 ROUTES = {"hyper": hyperdes.hyper, "oracle": hyperdes.oracle, "des": hyperdes.des,
-          "kripke": hyperdes.kripke}
+          "kripke": hyperdes.kripke, "cli": hyperdes.cli}
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -141,3 +145,19 @@ def test_each_analysis_makes_its_own_stepper(builds):
         hyperdes.oracle.oracle_check(fsa, "current-state-opacity")
     assert _same(builds[("hyper", "state_moves")], [fsa, fsa])
     assert _same(builds[("oracle", "state_moves")], [fsa, fsa])
+
+
+@pytest.mark.parametrize("delay", [0, 1, 2])
+def test_an_estimates_query_makes_one_stepper(delay, builds, capsys):
+    """inspect --what estimates answers its initial, current and delayed
+    estimates, the delayed one's two walks included, on one stepper of the
+    machine, and no estimate function makes its own.  Called alone, the
+    delayed estimate makes one stepper for both its walks."""
+    code = main(["inspect", "--model", str(MODELS / "g_det.json"), "--what", "estimates",
+                 "--obs", "o1,o2", "--delay", str(delay)])
+    assert code == 0 and capsys.readouterr().out
+    assert len(builds[("cli", "state_moves")]) == 1
+    assert builds[("des", "state_moves")] == []
+    fsa = load_model(MODELS / "g_det.json")
+    assert hyperdes.des.delayed_state_estimate(fsa, ("o1",), ("o2",)) == {"1", "4"}
+    assert _same(builds[("des", "state_moves")], [fsa])

@@ -361,16 +361,16 @@ def calls_outside(source, name, allowed):
     return found
 
 
-# where the per-observation step may be called: the oracle lifts weak
-# detectability's witness from estimates to states with it
-PER_OBSERVATION_CALLERS = {"des.py": set(), "oracle.py": {"weak_detectability_oracle"}}
+# where the per-observation step may be called: nowhere in des or the
+# oracle, which step on des's set stepper alone
+PER_OBSERVATION_CALLERS = {"des.py": set(), "oracle.py": set()}
 
 
 def test_the_oracle_steps_estimates_only_through_des():
     """des's one set stepper, state_moves, steps every estimate, also
-    through joint_moves: neither des's estimate functions nor the oracle
-    call observable_step, the step on one observation, but to lift weak
-    detectability's witness from estimates to states."""
+    through joint_moves, and lifts weak detectability's witness from
+    estimates to states: neither des's estimate functions nor the oracle
+    call observable_step, the step on one observation."""
     found = {name: calls_outside((PACKAGE / name).read_text(encoding="utf-8"),
                                  "observable_step", allowed)
              for name, allowed in PER_OBSERVATION_CALLERS.items()}
@@ -390,9 +390,14 @@ def test_step_scan_sees_each_injected_call():
              "        return observable_step(self.fsa, d, o)\n", "Walk", 3)):
         assert calls_outside(source + line, "observable_step", allowed) == [
             (owner, end + at)], line
-    assert calls_outside("def weak_detectability_oracle(an):\n"
-                         "    return observable_step(an.fsa, [], 'o1')\n"
-                         "step = observable_step\n", "observable_step", allowed) == []
+    # a call in weak_detectability_oracle is found, and is passed over
+    # only where that definition is named as allowed
+    lift = ("def weak_detectability_oracle(an):\n"
+            "    return observable_step(an.fsa, [], 'o1')\n"
+            "step = observable_step\n")
+    assert calls_outside(lift, "observable_step", allowed) == [
+        ("weak_detectability_oracle", 2)]
+    assert calls_outside(lift, "observable_step", {"weak_detectability_oracle"}) == []
 
 
 # the one hyper function that may read a whole structure: the bounded
