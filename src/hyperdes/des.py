@@ -48,7 +48,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
-from .graph import accepting_lasso, bfs, cyclic_sccs, subset_graph
+from .graph import accepting_lasso, cyclic_sccs, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -207,13 +207,14 @@ def unobservable_reach(fsa: Fsa, states) -> frozenset:
     """All states reachable from `states` via unobservable events only."""
     seen = set(states)
     frontier = list(seen)
+    out_edges, mask = fsa._out, fsa.mask
     # breadth-first: the loop also visits what it appends.  It does not call
     # graph.bfs: the oracle alone calls this about 30k times per round of
     # the fuzz-stream benchmark, nearly always on one to three states, and
     # going through the generator made each such call about 70% slower
     for x in frontier:
-        for y in _uo_targets(fsa, x):
-            if y not in seen:
+        for e, y in out_edges[x]:
+            if mask[e] is EPS and y not in seen:
                 seen.add(y)
                 frontier.append(y)
     return frozenset(seen)
@@ -234,7 +235,9 @@ def state_moves(fsa: Fsa):
     state's closure, is computed once per call of state_moves; a set of
     one state gets that memoised dict itself, which callers only read.  A
     walk over many sets thus closes each state once, however many sets it
-    lies in.  Closures are built from known closures: a state without an
+    lies in.  A state's step is one pass over its closure's out-edges,
+    looking up known closures in place and joining them per observation
+    at its end.  Closures are built from known closures: a state without an
     unobservable event closes to itself, and the search from any other
     state takes in the closure of each state it meets whose closure is
     known, instead of walking past it.  The search is a loop, not a
@@ -275,22 +278,31 @@ def state_moves(fsa: Fsa):
     def joined(hits):
         """The dict `hits` from observations to lists of sets, in
         observation order and with each list made the union of its sets."""
-        keys = sorted(hits, key=order) if len(hits) > 1 else hits
-        return {o: _union(hits[o]) for o in keys}
+        if len(hits) > 1:
+            hits = {o: hits[o] for o in sorted(hits, key=order)}
+        for o, sets in hits.items():
+            hits[o] = sets[0] if len(sets) == 1 else frozenset().union(*sets)
+        return hits
 
     def step(x):
         hits = {}
-        for y in closure(x):
+        for y in closures.get(x) or closure(x):
             for e, z in out_edges[y]:
                 o = mask[e]
                 if o is not EPS:
+                    c = closures.get(z) or closure(z)
                     got = hits.get(o)
                     if got is None:
-                        hits[o] = [closure(z)]
+                        hits[o] = [c]
                     else:
-                        got.append(closure(z))
-        out = steps[x] = joined(hits)
-        return out
+                        got.append(c)
+        # joined(hits), inline
+        if len(hits) > 1:
+            hits = {o: hits[o] for o in sorted(hits, key=order)}
+        for o, sets in hits.items():
+            hits[o] = sets[0] if len(sets) == 1 else frozenset().union(*sets)
+        steps[x] = hits
+        return hits
 
     def moves(states):
         if len(states) == 1:
@@ -310,12 +322,6 @@ def state_moves(fsa: Fsa):
                     got.append(ys)
         return joined(hits)
     return moves
-
-
-def _union(sets):
-    """The union of a nonempty list of frozensets; the one set itself when
-    there is one."""
-    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
 
 
 def joint_moves(fsa: Fsa, estimates, moves):
@@ -413,44 +419,39 @@ def refine_fault_partition(fsa: Fsa):
     """
     if fsa.fault_events is None:
         raise NoFaultEvents("no fault events declared")
-    faults = fsa.fault_events
+    faults, out_edges = fsa.fault_events, fsa._out
 
-    def succ(pair):
-        x, bit = pair
-        return [(y, bit or e in faults) for e, y in fsa.out_edges(x)]
-
-    order = list(bfs([(x0, False) for x0 in fsa.sort_states(fsa.initial)], succ))
-
-    bits = {}
+    # breadth first over the reachable (state, fault bit) pairs: the loop
+    # also visits what it appends
+    order = [(x0, False) for x0 in fsa.sort_states(fsa.initial)]
+    seen = set(order)
     for x, bit in order:
-        bits.setdefault(x, set()).add(bit)
-    needs_split = any(len(b) > 1 for b in bits.values())
+        for e, y in out_edges[x]:
+            pair = (y, bit or e in faults)
+            if pair not in seen:
+                seen.add(pair)
+                order.append(pair)
 
-    if not needs_split:
-        fault_states = frozenset(x for x, b in bits.items() if b == {True})
+    if not any(bit and (x, False) in seen for x, bit in order):
+        fault_states = frozenset(x for x, bit in order if bit)
         normal_states = frozenset(fsa.states) - fault_states
         return fsa, FaultPartition(normal_states=normal_states, fault_states=fault_states)
 
+    # a state reached with both bits keeps its name for the normal copy
     taken = set(fsa.states)
-
-    def pair_name(x, bit):
-        if len(bits.get(x, ())) == 1 or not bit:
-            return x
-        cand = f"{x}#F"
-        n = 2
-        while cand in taken:
-            cand = f"{x}#F{n}"
-            n += 1
-        taken.add(cand)
-        return cand
-
-    names = {pair: pair_name(*pair) for pair in order}
-    states = [names[p] for p in order]
-    transitions = {}
+    names = {}
     for x, bit in order:
-        for e, y in fsa.out_edges(x):
-            target = (y, bit or e in faults)
-            transitions[(names[(x, bit)], e)] = names[target]
+        name = x
+        if bit and (x, False) in seen:
+            name, n = f"{x}#F", 2
+            while name in taken:
+                name = f"{x}#F{n}"
+                n += 1
+            taken.add(name)
+        names[x, bit] = name
+    states = list(names.values())
+    transitions = {(names[x, bit], e): names[y, bit or e in faults]
+                   for x, bit in order for e, y in out_edges[x]}
     initial = [names[(x0, False)] for x0 in fsa.sort_states(fsa.initial)]
     secret = None
     if fsa.secret_states is not None:
@@ -467,13 +468,8 @@ def refine_fault_partition(fsa: Fsa):
 
 def boundary_states(fsa: Fsa, part: FaultPartition) -> frozenset:
     """Normal states from which a fault event can occur in the next step."""
-    out = set()
-    for x in part.normal_states:
-        for e, _ in fsa.out_edges(x):
-            if e in (fsa.fault_events or ()):
-                out.add(x)
-                break
-    return frozenset(out)
+    faults = fsa.fault_events or ()
+    return frozenset(x for x in part.normal_states if any(e in faults for e, _ in fsa._out[x]))
 
 
 def cyclic_states(fsa: Fsa, moves=None) -> frozenset:

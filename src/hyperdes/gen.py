@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 
 from .des import Fsa, validate_fsa
-from .errors import UnobservableCycle
+from .graph import accepting_lasso
 
 # draws rejected for an unobservable cycle before the generator gives up
 MAX_ATTEMPTS = 500
@@ -25,11 +25,14 @@ def random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3):
     and nonempty.
     """
     for _ in range(MAX_ATTEMPTS):
-        fsa = _draw(rng, max_states, max_events, max_obs)
-        try:
-            return validate_fsa(fsa)
-        except UnobservableCycle:
-            continue
+        draw = _draw(rng, max_states, max_events, max_obs)
+        # a draw is live; look for an unobservable cycle before building it
+        silent = {}
+        for (x, e), y in draw["transitions"].items():
+            if draw["mask"][e] is None:
+                silent.setdefault(x, []).append(y)
+        if accepting_lasso(list(silent), lambda x: silent.get(x, ()), lambda _: True) is None:
+            return validate_fsa(Fsa(**draw))
     raise RuntimeError("could not draw a valid automaton; loosen the size limits")
 
 
@@ -65,6 +68,6 @@ def _draw(rng, max_states, max_events, max_obs):
     fault_events = sorted(rng.sample(events, rng.randint(1, min(2, m))))
     secret_states = sorted(rng.sample(states, rng.randint(1, max(1, n - 1))), key=int)
 
-    return Fsa(states=states, events=events, transitions=transitions,
-               initial=initial, mask=mask, fault_events=fault_events,
-               secret_states=secret_states, observations=obs)
+    return dict(states=states, events=events, transitions=transitions,
+                initial=initial, mask=mask, fault_events=fault_events,
+                secret_states=secret_states, observations=obs)

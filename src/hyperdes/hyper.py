@@ -38,9 +38,9 @@ boundary, cyclic) are literals of the letter of each node pair, so the
 automaton of a built-in property does not depend on the model and is
 translated once per process.  A built-in property's body is one object per
 process (formula.TEMPLATES), and only its `sets` is computed per machine,
-so the per-body caches here (_negated_body, _sync_form) find their entry by
-identity rather than by comparing trees, and a formula node keeps its hash
-once computed (see formula), so a lookup does not rehash the tree.
+so the per-body caches here (_negated_body, _letter_plan, _sync_form,
+_is_collapse) find their entry by identity rather than by comparing trees,
+and a formula node keeps its hash once computed (see formula).
 An expanded body (property_formula's output) is a formula like any other;
 only forall/forall decides it to the same verdict.
 
@@ -57,11 +57,12 @@ hold stays the reference the tests compare the masks against.
 
 The structures are built on demand (see kripke): the searches and replays
 here look up the successors and labels of the nodes they reach and never
-the whole node list, so a check expands only what it visits.  The bounded
-exists/forall search alone reads the node count, for its length bound.  A
-HyperAnalysis steps each machine it checks by one set stepper
-(des.state_moves), shared by its Kripke structure and the template's
-cyclic states.
+the whole node list, so a check expands only what it visits.  The
+forall/exists searches read an original node's successors off the plain
+structure a modified view keeps.  The bounded exists/forall search alone
+reads the node count, for its length bound.  A HyperAnalysis steps each
+machine it checks by one set stepper (des.state_moves), shared by its
+Kripke structure and the template's cyclic states.
 """
 
 from __future__ import annotations
@@ -115,18 +116,16 @@ MAX_CANDIDATES = 20000
 
 
 def _pair_order(items):
-    """Pairs of initial nodes, misaligned pairs first.
+    """Pairs of initial nodes, each once, misaligned pairs first, lazily.
 
     Distinct start states are where the interesting counterexamples live, so
     they are explored first; this also fixes the reported witness
     deterministically.
     """
     n = len(items)
-    out = []
     for i in range(n):
         for d in range(1, n + 1):
-            out.append((items[i], items[(i + d) % n]))
-    return list(dict.fromkeys(out))
+            yield items[i], items[(i + d) % n]
 
 
 def _project(k, product_path, coord):
@@ -207,6 +206,20 @@ def _negated_body(body):
     return ba, bits, edges, any(t is Atom for t, *_ in bits)
 
 
+@functools.lru_cache(maxsize=64)
+def _letter_plan(prefix, body, names):
+    """The bits _bit_letters sets by the template alone, once per template:
+    each set literal of `names` on either trace, the reflexive relations
+    of each trace, obseq and stateeq across them."""
+    (_, v1), (_, v2) = prefix
+    bit = _negated_body(body)[1].get
+    return (tuple((bit((InSet, name, v1), 0), bit((InSet, name, v2), 0)) for name in names),
+            bit((ObsEq, v1, v1), 0) | bit((StateEq, v1, v1), 0),
+            bit((ObsEq, v2, v2), 0) | bit((StateEq, v2, v2), 0),
+            bit((ObsEq, v1, v2), 0) | bit((ObsEq, v2, v1), 0),
+            bit((StateEq, v1, v2), 0) | bit((StateEq, v2, v1), 0))
+
+
 def _bit_letters(k, formula, negated):
     """Pair letters of k as bitmasks over the literals of the negated body's
     automaton, given its encoding `negated` (see _negated_body), and the
@@ -228,12 +241,11 @@ def _bit_letters(k, formula, negated):
     atom."""
     (_, v1), (_, v2) = formula.prefix
     _, bits, edges, atoms = negated
-    members = [(states, bits.get((InSet, name, v1), 0), bits.get((InSet, name, v2), 0))
-               for name, states in formula.sets]
-    reflexive1 = bits.get((ObsEq, v1, v1), 0) | bits.get((StateEq, v1, v1), 0)
-    reflexive2 = bits.get((ObsEq, v2, v2), 0) | bits.get((StateEq, v2, v2), 0)
-    obs_rel = bits.get((ObsEq, v1, v2), 0) | bits.get((ObsEq, v2, v1), 0)
-    state_rel = bits.get((StateEq, v1, v2), 0) | bits.get((StateEq, v2, v1), 0)
+    set_bits, reflexive1, reflexive2, obs_rel, state_rel = _letter_plan(
+        formula.prefix, formula.body, tuple(name for name, _ in formula.sets))
+    # a set no guard mentions sets no bit
+    members = [(states, b1, b2) for (_, states), (b1, b2) in zip(formula.sets, set_bits)
+               if b1 | b2]
 
     def masks(q):
         # the masks of what holds at q on either trace, and its observation
@@ -306,7 +318,7 @@ def _product_lasso(k, formula, roots):
 
     ba = negated[0]
     accepting = ba.accepting
-    return accepting_lasso([(c, ba.initial) for c in roots], successors,
+    return accepting_lasso(((c, ba.initial) for c in roots), successors,
                            lambda s: s[1] in accepting)
 
 
@@ -393,7 +405,7 @@ def match_sync_shape(formula: HyperFormula) -> SyncShape:
     once per body (see _sync_form); the set literals are bound per call."""
     _check_prefix(formula, ("forall", "exists"))
     shape = _sync_form(formula.prefix, formula.body,
-                       frozenset(name for name, _ in formula.sets))
+                       tuple(name for name, _ in formula.sets))
     sets = dict(formula.sets)
 
     def bind(disjs):
@@ -478,9 +490,9 @@ def _sync_form(prefix, body, names):
 
 
 def _original_succ(k):
-    """Successors of each original node, stalling twins left out, computed
-    on first lookup."""
-    return OnDemand(lambda q: tuple(t for t in k.succ[q] if not t.copy))
+    """Successors of each original node, stalling twins left out: the
+    successor map of the plain structure, k itself or the one k extends."""
+    return (k.plain or k).succ
 
 
 def _meets(state, sets):
@@ -584,12 +596,12 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
 # exists/forall engines
 
 
-def _is_collapse(formula):
+@functools.lru_cache(maxsize=64)
+def _is_collapse(prefix, body):
     """Whether the body is the collapse body, always obs-equal implies
-    eventually always state-equal."""
-    (_, v1), (_, v2) = formula.prefix
-    return formula.body == Implies(Always(ObsEq(v1, v2)),
-                                   Eventually(Always(StateEq(v1, v2))))
+    eventually always state-equal; decided once per template and process."""
+    (_, v1), (_, v2) = prefix
+    return body == Implies(Always(ObsEq(v1, v2)), Eventually(Always(StateEq(v1, v2))))
 
 
 def _estimate_product(k):
@@ -688,7 +700,7 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Ve
     counts the candidates whose estimate walk ran, at most MAX_CANDIDATES.
     Any other exists/forall body raises NotCollapseBody."""
     _check_prefix(formula, ("exists", "forall"))
-    if not _is_collapse(formula):
+    if not _is_collapse(formula.prefix, formula.body):
         raise NotCollapseBody("the exists/forall search decides the collapse body only")
     bound = len(k.nodes) + 1
     succ, _, good = _estimate_product(k)

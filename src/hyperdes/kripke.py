@@ -12,20 +12,22 @@ therefore stall at any instant, which is what delayed estimation and the
 corresponding properties quantify over.
 
 Both encodings are built on demand: a node's successors and label are
-computed when a search or a replay first looks them up, from des's
-per-state step, so a check pays only for the nodes it reaches.  The node
-list and its index cover the whole reachable structure and are computed on
-first use: breadth first from the initial nodes, which expands every plain
-node, and for the modified encoding the plain nodes, then their twins.
-The step is the set stepper of the analysis (des.state_moves, one per
-analysed machine), shared with every other structure the analysis builds
-of the machine.
+computed when a search or a replay first looks them up, so a check pays
+only for the nodes it reaches, and each state is stepped once, in one
+pass, however many of its nodes are expanded.  The modified encoding is a
+view that keeps the plain structure it extends.  The node list and its
+index cover the whole reachable structure and are computed on first use:
+breadth first from the initial nodes, which expands every plain node, and
+for the modified encoding the plain nodes, then their twins.  The step is
+the set stepper of the analysis (des.state_moves, one per analysed
+machine), shared with every other structure the analysis builds of the
+machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 from .des import EPS, state_moves, unobservable_reach, validate_fsa
@@ -99,7 +101,6 @@ class OnDemand(dict):
     iteration see the entries computed so far."""
 
     def __init__(self, compute):
-        super().__init__()
         self.compute = compute
 
     def __missing__(self, key):
@@ -118,14 +119,16 @@ class KripkeStructure:
     reachable node, is computed on first use: by `order()` when the builder
     gives one, else as the breadth-first order from `initial` over `succ`,
     which expands every node.  `index` maps each node to its position
-    there.
+    there.  A modified view keeps the plain structure it extends as
+    `plain`, which is None on a plain one.
     """
 
-    def __init__(self, initial, successors, labels, modified, order=None):
+    def __init__(self, initial, successors, labels, plain=None, order=None):
         self.initial = tuple(initial)
         self.succ = OnDemand(successors)
         self.label = OnDemand(labels)
-        self.modified = modified
+        self.modified = plain is not None
+        self.plain = plain
         self._order = order
 
     @cached_property
@@ -152,6 +155,17 @@ def step_nodes(succ, nodes, obs) -> frozenset:
     return frozenset(t for q in nodes for t in succ[q] if t.obs == obs)
 
 
+# a KNode from its fields, without the namedtuple's Python-level __new__
+_knode = partial(tuple.__new__, KNode)
+
+
+def _label(q):
+    """A plain node's label: its state and the observation entering it."""
+    if q.obs is EPS:
+        return frozenset((f"x:{q.state}",))
+    return frozenset((f"x:{q.state}", f"o:{q.obs}"))
+
+
 def build_kripke(fsa, moves=None) -> KripkeStructure:
     """Observation-sampled encoding of a validated automaton, on demand.
 
@@ -159,10 +173,10 @@ def build_kripke(fsa, moves=None) -> KripkeStructure:
     (x', o') with x' reachable from x by a string observed as o', in
     observation order and, for each observation, in state declaration
     order.  They come from a set stepper of fsa, `moves` (by default a
-    fresh des.state_moves(fsa)), on the one-state set {x}, when the first
-    node of that state is expanded, and are shared by the state's other
-    nodes, so the cost grows with the edges the expanded nodes leave and
-    not with the alphabet.  An analysis hands in the stepper it shares
+    fresh des.state_moves(fsa)), on the one-state set {x}, in one pass
+    when the first node of x is expanded, and are kept in one dict keyed
+    by state for its other nodes; only a step to several states is
+    sorted.  An analysis hands in the stepper it shares
     with the other structures it builds of the machine.  The tests'
     reference steps by the definition instead, one observation at a time.
     Only the initial nodes are computed here.
@@ -171,22 +185,27 @@ def build_kripke(fsa, moves=None) -> KripkeStructure:
         validate_fsa(fsa)
 
     step = state_moves(fsa) if moves is None else moves
-    # a one-state step needs no sorting
-    succ = OnDemand(lambda x: tuple(
-        KNode(y, o) for o, ys in step((x,)).items()
-        for y in (ys if len(ys) == 1 else fsa.sort_states(ys))))
+    rank = fsa.state_index.__getitem__
+    by_state = {}
 
-    def label(q):
-        if q.obs is EPS:
-            return frozenset({f"x:{q.state}"})
-        return frozenset({f"x:{q.state}", f"o:{q.obs}"})
+    def successors(q):
+        x = q[0]
+        out = by_state.get(x)
+        if out is None:
+            out = []
+            for o, ys in step((x,)).items():
+                for y in (ys if len(ys) == 1 else sorted(ys, key=rank)):
+                    out.append(_knode((y, o, False)))
+            out = by_state[x] = tuple(out)
+        return out
 
-    initial = tuple(KNode(x, EPS) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial)))
-    return KripkeStructure(initial, lambda q: succ[q.state], label, modified=False)
+    initial = [_knode((x, EPS, False)) for x in fsa.sort_states(unobservable_reach(fsa, fsa.initial))]
+    return KripkeStructure(initial, successors, _label)
 
 
 def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:
-    """A view of `k` with a stalling twin per node, labeled with "tau".
+    """A view of `k` with a stalling twin per node, labeled with "tau",
+    that keeps `k` as its `plain` structure.
 
     A twin's one successor is its original; an original keeps its
     successors in `k`, read from `k` on demand, and gets its twin as a last
@@ -196,18 +215,18 @@ def build_modified_kripke(k: KripkeStructure) -> KripkeStructure:
 
     def successors(q):
         if q.copy:
-            return (KNode(q.state, q.obs),)
-        return k.succ[q] + (KNode(q.state, q.obs, copy=True),)
+            return (_knode((q.state, q.obs, False)),)
+        return k.succ[q] + (_knode((q.state, q.obs, True)),)
 
     def label(q):
         if q.copy:
-            return frozenset({f"x:{q.state}", "tau"})
+            return frozenset((f"x:{q.state}", "tau"))
         return k.label[q]
 
     def order():
-        return k.nodes + tuple(KNode(q.state, q.obs, copy=True) for q in k.nodes)
+        return k.nodes + tuple(_knode((q.state, q.obs, True)) for q in k.nodes)
 
-    return KripkeStructure(k.initial, successors, label, modified=True, order=order)
+    return KripkeStructure(k.initial, successors, label, plain=k, order=order)
 
 
 def dot_quote(text):

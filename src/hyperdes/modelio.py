@@ -261,10 +261,21 @@ def serialize_model(fsa: Fsa) -> str:
     sort_keys=True) + "\n" lays out this schema: keys in sorted order,
     every array entry on its own line, an empty array as "[]".  Each
     identifier is quoted once, by json's own encode_basestring_ascii.
-    """
-    states = {x: _quote(x) for x in fsa.states}
-    events = {e: _quote(e) for e in fsa.events}
-    shown = {EPS: _quote(MASK_EPS)} | {o: _quote(o) for o in fsa.observations}
+
+    A name or identifier that is not a string raises the SchemaError
+    parse_model raises on the text json.dumps writes of the machine."""
+    try:
+        states = {x: _quote(x) for x in fsa.states}
+        events = {e: _quote(e) for e in fsa.events}
+        shown = {EPS: _quote(MASK_EPS)} | {o: _quote(o) for o in fsa.observations}
+        name = None if fsa.name is None else _quote(fsa.name)
+    except TypeError:   # the first in parse_model's order
+        if fsa.name is not None and not isinstance(fsa.name, str):
+            raise SchemaError("name must be a string", "$.name") from None
+        raise next(SchemaError("identifiers must be non-empty strings", f"$.{key}[{i}]")
+                   for key in ("states", "events", "observations")
+                   for i, item in enumerate(getattr(fsa, key))
+                   if not isinstance(item, str)) from None
     fields = [("events", _array(events.values()))]
     if fsa.fault_events is not None:
         fields.append(("fault_events", _array(
@@ -272,8 +283,8 @@ def serialize_model(fsa: Fsa) -> str:
     fields.append(("initial", _array([states[x] for x in fsa.sort_states(fsa.initial)])))
     fields.append(("mask", _array(
         [f"[\n      {q},\n      {shown[fsa.mask[e]]}\n    ]" for e, q in events.items()])))
-    if fsa.name is not None:
-        fields.append(("name", _quote(fsa.name)))
+    if name is not None:
+        fields.append(("name", name))
     fields.append(("observations", _array([shown[o] for o in fsa.observations])))
     if fsa.secret_states is not None:
         fields.append(("secret_states", _array(

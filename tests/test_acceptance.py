@@ -6,6 +6,8 @@ consume it; its machine stream is regenerated from the recorded seed where
 per-instance checks are needed.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -26,11 +28,13 @@ from hyperdes.formula import (
     PROPERTIES,
     alternation_depth,
     eval_body,
+    missing_annotation,
     property_formula,
 )
 from hyperdes.gen import random_valid_fsa
-from hyperdes.hyper import replay_witness, verify
-from hyperdes.oracle import oracle_check
+from hyperdes.hyper import HyperAnalysis, replay_witness, verify
+from hyperdes.modelio import verdict_to_json
+from hyperdes.oracle import OracleAnalysis, oracle_check
 from hyperdes.kripke import (
     KNode,
     Lasso,
@@ -210,3 +214,32 @@ def test_alternation_depths_split_the_properties():
     assert sorted(k for k, d in depths.items() if d == 1) == sorted([
         "weak-detectability", "initial-state-opacity",
         "current-state-opacity", "infinite-step-opacity"])
+
+
+# SHA-256 of the verdict JSON, "seconds" left out, of all nine properties
+# on both routes (hyper first, each route one analysis per machine) over
+# the first 60 machines of the acceptance stream and then g_diag, g_det
+# and g_opa, each fixture for the properties it is annotated for: it
+# changes if any verdict, witness or detail does
+VERDICT_STREAM_DIGEST = "0d8174cbd7026de49bad8dd82687ffcd89ca4651aea80780b6ef3fa7d73f416c"
+
+
+def test_verdict_stream_digest_is_pinned():
+    """Every verdict of the pinned stream, witnesses and details included,
+    is the one the digest was computed from."""
+    from conftest import make_g_det, make_g_diag, make_g_opa
+
+    rng = random.Random(FUZZ_SEED)
+    machines = [random_valid_fsa(rng) for _ in range(60)]
+    machines += [make_g_diag(), make_g_det(), make_g_opa()]
+    digest = hashlib.sha256()
+    for fsa in machines:
+        hyper, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
+        for kind in PROPERTIES:
+            if missing_annotation(kind, fsa) is not None:
+                continue
+            for verdict in (hyper.verify(kind), oracle.check(kind)):
+                doc = verdict_to_json(verdict)
+                del doc["seconds"]
+                digest.update(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n")
+    assert digest.hexdigest() == VERDICT_STREAM_DIGEST

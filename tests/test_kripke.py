@@ -6,6 +6,7 @@ unobservable ones) and are frozen as regression anchors.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from hyperdes.des import current_state_estimate, cyclic_states, validate_fsa
 from hyperdes.errors import AlreadyModified
 from hyperdes.gen import random_valid_fsa
 from hyperdes.graph import cyclic_sccs
-from hyperdes.hyper import HyperAnalysis, verify
+import hyperdes.hyper
+from hyperdes.hyper import HyperAnalysis, _original_succ, verify
 from support import (
     StringNotInLanguage,
     comparison_machines,
@@ -26,6 +28,7 @@ from support import (
     reversed_observations,
     seeded_machines,
 )
+from conftest import make_g_opa
 from hyperdes.kripke import (
     KNode,
     Lasso,
@@ -339,3 +342,45 @@ def test_export_dot_deterministic(g_opa):
     assert '"(2,o2)" -> "(2,o3)";' in text
     kt = build_modified_kripke(k)
     assert '"(2^c,o2^c)"' in export_dot(kt)
+
+
+@pytest.mark.parametrize("machine, kind", [
+    (lambda: fault_ring(48), "diagnosability"),
+    (make_g_opa, "current-state-opacity"),
+])
+def test_each_state_is_stepped_once(monkeypatch, machine, kind):
+    """The stepper handed to build_kripke is asked for the step of each
+    state of the machine at most once in a verify, however many of its
+    nodes (one per observation entering it, and its twins) the search
+    expands: a node's successors are read off its state's entry."""
+    steps = Counter()
+
+    def counting_build(fsa, moves):
+        def counted(states):
+            if len(states) == 1:
+                steps[fsa, *states] += 1
+            return moves(states)
+        return build_kripke(fsa, counted)
+
+    monkeypatch.setattr(hyperdes.hyper, "build_kripke", counting_build)
+    analysis = HyperAnalysis(machine())
+    analysis.verify(kind)
+    targets = {target for target, _ in steps}
+    assert len(targets) == 1
+    assert len(steps) <= len(targets.pop().states)
+    assert set(steps.values()) == {1}
+    # the search expanded more nodes than states, so a step per node fails
+    _, k = analysis._problem(kind)
+    assert len(_original_succ(k)) > len(steps)
+
+
+def test_original_successors_come_from_the_plain_structure():
+    """The forall/exists engine reads an original node's successors, twins
+    left out, off the plain structure the modified view keeps."""
+    k = build_kripke(make_g_opa())
+    kt = build_modified_kripke(k)
+    assert kt.plain is k and k.plain is None
+    assert _original_succ(kt) is k.succ and _original_succ(k) is k.succ
+    for q in kt.nodes:
+        if not q.copy:
+            assert kt.succ[q] == k.succ[q] + (q._replace(copy=True),)

@@ -416,3 +416,36 @@ def test_verdicts_validate_against_verdict_schema():
     bounded = verify(make_twin_branch(), "weak-detectability", wd_route="bounded")
     assert bounded.bound == len(build_kripke(make_twin_branch()).nodes) + 1
     jsonschema.validate(verdict_to_json(bounded), schema)
+
+
+def non_string_machines():
+    """(machine, path) rows: each machine has a name or identifiers that
+    are not strings, first met by parse_model at path."""
+    def machine(states=("0", "1"), events=("a", "u"), observations=("o1",), name="m"):
+        x0, x1 = states
+        a, u = events
+        return Fsa(states=states, events=events, initial=[x0],
+                   transitions={(x0, a): x1, (x1, a): x0, (x0, u): x1},
+                   mask={a: observations[0], u: None}, observations=observations,
+                   fault_events=[u], secret_states=[x1], name=name)
+    yield machine(states=(0, 1)), "$.states[0]"
+    yield machine(states=("0", 1)), "$.states[1]"
+    yield machine(name=7), "$.name"
+    yield machine(name=7, states=(0, 1)), "$.name"
+    yield machine(events=("a", 2.5)), "$.events[1]"
+    yield machine(events=("a", 2.5), states=("0", (1,))), "$.states[1]"
+    yield machine(observations=(True,)), "$.observations[0]"
+    yield machine(observations=(3,), events=(1, "u")), "$.events[0]"
+
+
+@pytest.mark.parametrize("fsa, path", non_string_machines())
+def test_writer_refuses_non_string_identifiers(fsa, path):
+    """A machine no model file can hold has no text: serialize_model raises
+    the SchemaError, path and message included, that parse_model raises on
+    the text json.dumps writes of it."""
+    with pytest.raises(SchemaError) as err:
+        serialize_model(fsa)
+    assert err.value.path == path
+    with pytest.raises(SchemaError) as parsed:
+        parse_model(reference_serialize(fsa))
+    assert (err.value.path, str(err.value)) == (parsed.value.path, str(parsed.value))
