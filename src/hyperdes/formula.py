@@ -191,11 +191,6 @@ class HyperFormula:
         return tuple(q for q, _ in self.prefix)
 
 
-def alternation_depth(formula: HyperFormula) -> int:
-    quants = formula.quantifiers()
-    return sum(1 for a, b in zip(quants, quants[1:]) if a != b)
-
-
 # ---------------------------------------------------------------------------
 # surface syntax
 
@@ -708,7 +703,12 @@ def eval_body(body, assignment, sets=()):
         cache[key] = out
         return out
 
-    return arr(body)[0]
+    try:
+        return arr(body)[0]
+    finally:
+        # arr refers to itself through its cell; drop it so the call
+        # leaves no reference cycle to the garbage collector
+        arr = None
 
 
 def _lfp(n, nxt, update):

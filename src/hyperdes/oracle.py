@@ -34,13 +34,16 @@ the first violating cycle and expands a pair only when it first reaches
 it; strong detectability, which asks what a cycle reaches, follows a
 search that finds nothing with one pass of Tarjan's components.
 Diagnosability searches the verifier with a fault bit carried on its
-first side, in place of the verifier of the fault-refined machine, and
-predictability walks the estimates of the machine's fault-free part.  As
-every graph of the package, the verifier follows declaration order: a
-pair's moves come in event and observation order, and the searches start
-from start pairs in state order, so a check does the same work whatever
-the string hashes.  The remaining properties are plain reachability
-questions.  Every check is exact and takes the machine alone.
+first side, in place of the verifier of the fault-refined machine.
+Predictability, whose template is alternation-free like theirs, is one
+reachability search over the pairs of the verifier of the machine's
+fault-free part, as in Genc and Lafortune (Automatica 45(2), 2009), and
+walks no estimates.  As every graph of the package, the verifier follows
+declaration order: a pair's moves come in event and observation order,
+and the searches start from start pairs in state order, so a check does
+the same work whatever the string hashes.  The remaining properties are
+plain reachability questions.  Every check is exact and takes the
+machine alone.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _exact_verdict(holds, details=None):
                    details=details)
 
 
-def _verifier(fsa):
+def _verifier(fsa, skip=frozenset()):
     """Successor function of the single-event verifier (Yoo and Lafortune,
     IEEE TAC 47(9), 2002): a pair (x, y) moves when one side takes an
     unobservable event, or when both sides take events with the same
@@ -128,8 +131,9 @@ def _verifier(fsa):
     then side 2's, then the joint moves in observation order and in event
     order of each side.  A state's out-edges are grouped once
     (_grouped_edges), when a pair first holds it; nothing is held per
-    pair."""
-    events = _grouped_edges(fsa)
+    pair.  Neither side takes an event of `skip`, so with the fault events
+    skipped it is the verifier of the machine's fault-free part."""
+    events = _grouped_edges(fsa, skip)
 
     def succ(pair):
         x, y = pair
@@ -146,10 +150,11 @@ def _verifier(fsa):
     return succ
 
 
-def _grouped_edges(fsa):
+def _grouped_edges(fsa, skip=frozenset()):
     """A function events(x): x's unobservable out-edges, and its observable
     ones by observation, in observation order, as (event, target) lists in
-    event order; grouped when first asked for and then kept."""
+    event order, leaving out the events of `skip`; grouped when first asked
+    for and then kept."""
     order = fsa.obs_index.__getitem__
     grouped = {}
 
@@ -158,6 +163,8 @@ def _grouped_edges(fsa):
         if found is None:
             quiet, loud = [], {}
             for e, y in fsa.out_edges(x):
+                if e in skip:
+                    continue
                 o = fsa.mask[e]
                 if o is None:
                     quiet.append((e, y))
@@ -203,20 +210,19 @@ def diagnosability_oracle(an) -> Verdict:
     """
     fsa = an.fsa
     faults = fsa.fault_events
-    events = _grouped_edges(fsa)
+    events, normal = _grouped_edges(fsa), _grouped_edges(fsa, faults)
 
     def succ(node):
         x, y, fault = node
         quiet, loud = events(x)
-        right_quiet, right = events(y)
+        right_quiet, right = normal(y)
         ones = [(a, y, fault or e in faults) for e, a in quiet]
-        ones += [(x, b, fault) for d, b in right_quiet if d not in faults]
+        ones += [(x, b, fault) for _, b in right_quiet]
         joint = []
         for o, xs in loud.items():
             ys = right.get(o)
             if ys is not None:
-                ys = [b for d, b in ys if d not in faults]
-                joint += [(a, b, fault or e in faults) for e, a in xs for b in ys]
+                joint += [(a, b, fault or e in faults) for e, a in xs for _, b in ys]
         moves = joint + ones
         if fault:
             return moves
@@ -235,21 +241,21 @@ def diagnosability_oracle(an) -> Verdict:
 
 
 def predictability_oracle(an) -> Verdict:
-    """Look for a run that reaches a fault boundary state while no prefix
-    estimate ever fell inside the indicator region.
+    """No fault-free run may reach a state with a fault event while a
+    fault-free run with the same observations can still last: reach a cycle
+    of non-fault events, from which no continuation need hold a fault.
 
-    Everything is decided on the fault-free part of the machine: the states
-    reached from the initial ones by non-fault events.  Boundary states are
-    those with a fault event; indicator states reach no cycle of non-fault
-    events, so every long enough continuation from them holds a fault.  The
-    estimates step over non-fault events only.  A consistent string that
-    already contains a fault carries no false-alarm risk, so its end state
-    must not block an alarm, and a run that takes a fault never returns to
-    the fault-free part.
+    One search over the pairs of the verifier of the machine's fault-free
+    part, from every pair of initial states: the property fails exactly
+    when it reaches a pair (x, y) where x has a fault event and y lasts
+    (Genc and Lafortune, Automatica 45(2), 2009).  A pair whose second
+    state does not last is not stepped, since every state that reaches a
+    lasting state lasts.  A string that already holds a fault carries no
+    false-alarm risk, so neither side takes a fault event.
     """
     fsa = an.fsa
-    faults, mask = fsa.fault_events, fsa.mask
-    events = _grouped_edges(fsa)
+    faults = fsa.fault_events
+    initial = fsa.sort_states(fsa.initial)
 
     def targets(x):
         return [y for e, y in fsa.out_edges(x) if e not in faults]
@@ -257,40 +263,15 @@ def predictability_oracle(an) -> Verdict:
     # the states that reach a non-fault cycle: sccs lists a component
     # before every component that reaches it
     lasting = set()
-    for comp in sccs(fsa.sort_states(fsa.initial), targets):
+    for comp in sccs(initial, targets):
         if len(comp) > 1 or any(y in lasting or y == x for x in comp for y in targets(x)):
             lasting.update(comp)
 
-    def close(states):
-        return frozenset(bfs(states, lambda x: [y for e, y in events(x)[0] if e not in faults]))
-
-    stepped = {}
-
-    def step(est):
-        """The estimate after each observation, over non-fault events."""
-        out = stepped.get(est)
-        if out is None:
-            hits = {}
-            for x in est:
-                for o, edges in events(x)[1].items():
-                    hits.setdefault(o, set()).update(y for e, y in edges if e not in faults)
-            out = stepped[est] = {o: close(ys) for o, ys in hits.items()}
-        return out
-
-    def succ(node):
-        x, est = node
-        if est.isdisjoint(lasting):
-            return  # predicted from here on, for every extension
-        for e, y in fsa.out_edges(x):
-            if e not in faults:
-                o = mask[e]
-                yield y, est if o is None else step(est)[o]
-
-    est0 = close(fsa.initial)
-    start = [(x0, est0) for x0 in fsa.sort_states(fsa.initial)]
-    missed = any(not est.isdisjoint(lasting) and any(e in faults for e, _ in fsa.out_edges(x))
-                 for x, est in bfs(start, succ))
-    return _exact_verdict(not missed)
+    step = _verifier(fsa, faults)
+    starts = [(x, y) for x in initial for y in initial]
+    reached = bfs(starts, lambda pair: step(pair) if pair[1] in lasting else ())
+    return _exact_verdict(not any(y in lasting and any(e in faults for e, _ in fsa.out_edges(x))
+                                  for x, y in reached))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,30 @@ def unobservable_chain(n):
                name=f"unobservable-chain-{n}")
 
 
+def estimate_blowup(n):
+    """State 0 loops on a1 (observed a) and b (observed b) and enters a
+    chain 1 -> 2 -> ... -> n on a2 (observed a); each chain step takes a
+    (observed a) or bb (observed b).  From n, c and g (both observed c)
+    lead through c0 to B, whose one event is the fault f (observed d) into
+    F, which loops on h (observed d); initial state 0.
+
+    The estimate after an observation string over {a, b} holds 0 and each
+    state i <= n for which the string's i-th last letter is a, so there are
+    more than 2^n estimates.  It is predictable: the only run to B,
+    the only state with a fault, shows c twice, and every fault-free run
+    with the same observations ends in B too, which has no fault-free
+    continuation."""
+    states = [str(i) for i in range(n + 1)] + ["c0", "B", "F"]
+    trans = {("0", "a1"): "0", ("0", "a2"): "1", ("0", "b"): "0"}
+    for i in range(1, n):
+        trans[(str(i), "a")] = trans[(str(i), "bb")] = str(i + 1)
+    trans.update({(str(n), "c"): "c0", ("c0", "g"): "B", ("B", "f"): "F", ("F", "h"): "F"})
+    mask = {"a1": "a", "a2": "a", "a": "a", "b": "b", "bb": "b", "c": "c", "g": "c",
+            "f": "d", "h": "d"}
+    return Fsa(states=states, events=list(mask), transitions=trans, initial=["0"],
+               mask=mask, fault_events=["f"], name=f"estimate-blowup-{n}")
+
+
 def labelled_ring(n):
     """n-state ring where each step i -> i+1 (mod n) shows its own
     observation o<i>, and f skips 0 -> 1 showing "of"; initial state 0,
@@ -487,11 +511,13 @@ def pair_graph_verdict(fsa, kind):
                    details=details)
 
 
-# The checks the oracle's direct ones replaced: predictability on the
-# fault-refined machine, with the indicator states of that machine, and
-# strong detectability and current-state opacity on the observer.  With
-# pair_graph_verdict's diagnosability, they are the reference for the
-# checks that run on the machine itself.
+# The checks the oracle's direct ones replaced: predictability by a walk
+# over (state, estimate) nodes of the fault-refined machine, with the
+# indicator states of that machine, where the oracle searches the pairs of
+# the fault-free part's verifier, and strong detectability and
+# current-state opacity on the observer.  With pair_graph_verdict's
+# diagnosability, they are the reference for the checks that run on the
+# machine itself.
 
 
 def needs_split_machine():
@@ -663,6 +689,16 @@ def horizon_unfolding(fsa, kind, bound):
         holds = "inconclusive"
     return Verdict(property=kind, holds=holds, mode="bounded", engine="oracle",
                    bound=bound, details=details or None)
+
+
+# ---------------------------------------------------------------------------
+# The number of quantifier alternations in a formula's prefix, by which the
+# paper sorts the properties into verification complexity classes.
+
+
+def alternation_depth(formula):
+    quants = formula.quantifiers()
+    return sum(1 for a, b in zip(quants, quants[1:]) if a != b)
 
 
 # ---------------------------------------------------------------------------

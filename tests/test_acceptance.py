@@ -15,6 +15,7 @@ import pytest
 
 from support import (
     accepts_lasso,
+    alternation_depth,
     assignment_letters,
     horizon_unfolding,
     random_body,
@@ -26,7 +27,6 @@ from hyperdes.des import delayed_state_estimate, refine_fault_partition
 from hyperdes.formula import (
     OPACITY_PROPERTIES,
     PROPERTIES,
-    alternation_depth,
     eval_body,
     missing_annotation,
     property_formula,

@@ -6,6 +6,7 @@ different algorithm than the fixpoint sweeps inside eval_body; the two are
 compared on random formulas and random ultimately periodic traces.
 """
 
+import gc
 from dataclasses import astuple, fields, is_dataclass
 
 import pytest
@@ -42,7 +43,6 @@ from hyperdes.formula import (
     Top,
     Until,
     _templates,
-    alternation_depth,
     desugar,
     eval_body,
     expand_macros,
@@ -50,7 +50,7 @@ from hyperdes.formula import (
     property_formula,
     property_template,
 )
-from support import fault_ring, format_formula
+from support import alternation_depth, fault_ring, format_formula
 
 FF = (("forall", "p1"), ("forall", "p2"))
 
@@ -496,6 +496,23 @@ def test_eval_next_wraps_into_the_cycle():
     assert eval_body(Next(c1), assign)
     assert eval_body(Next(Next(c2)), assign)
     assert eval_body(Next(Next(Next(c1))), assign)
+
+
+def test_eval_body_leaves_no_reference_cycle():
+    """eval_body's recursive evaluator refers to itself; the call breaks
+    that cycle as it returns, so it leaves nothing for the cyclic garbage
+    collector, which every witness replay would otherwise feed."""
+    assign = {"p1": lasso([{"a"}], [{"a"}, {"b"}]), "p2": lasso([], [{"b"}])}
+    body = Always(Until(Atom("a", "p1"), Not(ObsEq("p1", "p2"))))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert eval_body(body, assign) is False
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_eval_once():

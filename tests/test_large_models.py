@@ -16,7 +16,13 @@ from hyperdes.formula import OPACITY_PROPERTIES, PROPERTIES
 from hyperdes.hyper import replay_witness, verify
 from hyperdes.kripke import build_kripke
 from hyperdes.oracle import oracle_check
-from support import all_initial_fault_ring, labelled_ring, o1_ring, unobservable_chain
+from support import (
+    all_initial_fault_ring,
+    estimate_blowup,
+    labelled_ring,
+    o1_ring,
+    unobservable_chain,
+)
 
 # each route's entry point for one property of one machine
 ROUTES = {"hyper": verify, "oracle": oracle_check}
@@ -135,6 +141,19 @@ def test_o1_ring_fails_strong_detectability_and_diagnosability_on_the_oracle():
         seconds, verdict = best_of_three(lambda: oracle_check(fsa, kind))
         assert verdict.holds is False, kind
         assert seconds < 1.0, (kind, seconds)
+
+
+def test_estimate_blowup_predictability_on_both_routes():
+    """The 16-step chain whose more than 2^16 estimates record where the
+    last 16 observations showed a.  It is predictable, and each route decides so
+    in under 0.05 s.  A walk over (state, estimate) nodes took 0.13 s at
+    n = 12, 0.67 s at 14 and 3.25 s at 16; the oracle's search over the
+    fault-free verifier's pairs does not grow with the estimates."""
+    fsa = validate_fsa(estimate_blowup(16))
+    for engine, decide in ROUTES.items():
+        seconds, verdict = best_of_three(lambda: decide(fsa, "predictability"))
+        assert verdict.holds is True, engine
+        assert seconds < 0.05, (engine, seconds)
 
 
 def test_kripke_of_the_600_state_labelled_ring_builds_quickly():

@@ -1,7 +1,8 @@
 """Structure of the package: its modules import each other without cycles,
 every breadth-first and depth-first search runs through the graph kernel,
-neither route imports the other, every estimate step is des's, and every
-function and class is used by the package itself.
+neither route imports the other, every estimate step is des's, the
+oracle builds no set stepper of its own, and every function and class is
+used by the package itself.
 
 Every import statement counts, also one inside a function, since a
 deferred import only hides a cycle from the interpreter.
@@ -400,6 +401,82 @@ def test_step_scan_sees_each_injected_call():
     assert calls_outside(lift, "observable_step", {"weak_detectability_oracle"}) == []
 
 
+def set_builds(source):
+    """(owner, line) of each set a source text builds by iterating: a set
+    comprehension; a set or frozenset made from a comprehension or a search
+    (bfs, reachable); a set grown by update, union or |= from either; and a
+    call of reachable, which returns a set.  A set stepper closes a set of
+    states under a search and unions its states' targets into sets, so
+    these are its marks; a set grown from a plain name or built empty is
+    not.  The owner is the enclosing module-level definition, or None."""
+    def callee(node):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def iterated(node):
+        return (isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+                or isinstance(node, ast.Call) and callee(node) in ("bfs", "reachable"))
+
+    found = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.SetComp)
+                    or isinstance(node, ast.Call) and (
+                        callee(node) == "reachable"
+                        or callee(node) in ("set", "frozenset", "update", "union")
+                        and any(iterated(arg) for arg in node.args))
+                    or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+                    and iterated(node.value)):
+                found.add((owner, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_the_oracle_builds_no_set_stepper_of_its_own():
+    """Every estimate the oracle steps is stepped by des: the analysis's
+    state_moves, joint_moves and unobservable_reach.  The oracle builds no
+    set by iterating, so it holds no private closure or step of a set of
+    states."""
+    assert set_builds((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == []
+
+
+def test_set_build_scan_sees_the_deleted_predictability_stepper():
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    end = len(source.splitlines())
+    # the estimate stepper predictability_oracle once kept for itself
+    stepper = (
+        "def predictability_oracle(an):\n"
+        "    def close(states):\n"
+        "        return frozenset(bfs(states, lambda x: [y for e, y in events(x)[0]\n"
+        "                                                 if e not in faults]))\n"
+        "    stepped = {}\n"
+        "    def step(est):\n"
+        "        out = stepped.get(est)\n"
+        "        if out is None:\n"
+        "            hits = {}\n"
+        "            for x in est:\n"
+        "                for o, edges in events(x)[1].items():\n"
+        "                    hits.setdefault(o, set()).update(y for e, y in edges\n"
+        "                                                     if e not in faults)\n"
+        "            out = stepped[est] = {o: close(ys) for o, ys in hits.items()}\n"
+        "        return out\n")
+    assert set_builds(source + stepper) == [
+        ("predictability_oracle", end + 3), ("predictability_oracle", end + 12)]
+    # each other injection, its owner and the line of its set after the end
+    # of the source
+    for line, owner, at in (
+            ("def _targets(fsa, est):\n    return {y for x in est for _, y in fsa.out_edges(x)}\n",
+             "_targets", 2),
+            ("class Walk:\n    def close(self, xs):\n"
+             "        return reachable(xs, self.quiet)\n", "Walk", 3),
+            ("def _step(fsa, est, hit):\n    for x in est:\n"
+             "        hit |= [y for _, y in fsa.out_edges(x)]\n", "_step", 3),
+            ("seen = set(bfs(roots, succ))\n", None, 1)):
+        assert set_builds(source + line) == [(owner, end + at)], line
+    assert set_builds("lasting = set()\nlasting.update(comp)\nnone = frozenset()\n"
+                      "moves = {x: step(x) for x in xs}\nfirst = {o: t for o, t in m}\n") == []
+
+
 # the one hyper function that may read a whole structure: the bounded
 # exists/forall search's length bound is the node count plus one
 WHOLE_STRUCTURE_READERS = {"check_exists_forall_bounded"}
@@ -448,14 +525,6 @@ def test_structure_read_scan_sees_each_injected_read():
                                  WHOLE_STRUCTURE_READERS) == []
 
 
-# the module-level definitions nothing in the package refers to, each with
-# its reason for staying
-UNREFERENCED = {
-    "formula.alternation_depth": "the scaling workload of ROADMAP item 6 labels each "
-                                 "property's complexity class by it",
-}
-
-
 def unreferenced_definitions(sources):
     """"module.name" of each module-level function and class in the source
     texts, keyed by module name, that no source refers to outside the
@@ -488,7 +557,7 @@ def package_sources():
 def test_every_definition_is_referenced_in_the_package():
     """No function or class of the package exists for the tests alone: the
     tests' references live in tests/support.py."""
-    assert unreferenced_definitions(package_sources()) == sorted(UNREFERENCED)
+    assert unreferenced_definitions(package_sources()) == []
 
 
 def test_reference_scan_sees_each_injected_definition():
@@ -498,7 +567,7 @@ def test_reference_scan_sees_each_injected_definition():
             ("oracle", "class Walk:\n    def step(self):\n        return Walk\n", "oracle.Walk"),
             ("hyper", "async def _later():\n    pass\n", "hyper._later")):
         assert unreferenced_definitions(dict(sources, **{module: sources[module] + line})) == \
-            sorted([*UNREFERENCED, found]), line
+            [found], line
     assert unreferenced_definitions({
         "__init__": "from .a import exported\n",
         "a": "def exported():\n    pass\ndef by_name():\n    pass\n"
