@@ -187,13 +187,8 @@ def validate_fsa(fsa: Fsa) -> Fsa:
         if not fsa.out_edges(x):
             raise NotLive(x)
 
-    silent = {x: _uo_targets(fsa, x) for x in fsa.states}
-    # a state with no unobservable event lies on no unobservable cycle, so
-    # the search starts only from the others
-    found = accepting_lasso([x for x in fsa.states if silent[x]], silent.__getitem__,
-                            lambda _: True)
-    if found is not None:
-        cycle = found[1]
+    cycle = silent_cycle({x: _uo_targets(fsa, x) for x in fsa.states})
+    if cycle is not None:
         raise UnobservableCycle(cycle + cycle[:1])
     fsa.validated = True
     return fsa
@@ -201,6 +196,17 @@ def validate_fsa(fsa: Fsa) -> Fsa:
 
 def _uo_targets(fsa, state):
     return [y for e, y in fsa.out_edges(state) if not fsa.observable(e)]
+
+
+def silent_cycle(silent):
+    """A cycle of unobservable steps, as a tuple of states, or None when
+    there is none, given `silent`, a map from states to their unobservable
+    targets; a state that is no key has none.  A state with no unobservable
+    event lies on no unobservable cycle, so the search starts only from the
+    keys with targets, in map order."""
+    found = accepting_lasso([x for x, ys in silent.items() if ys],
+                            lambda x: silent.get(x, ()), lambda _: True)
+    return None if found is None else found[1]
 
 
 def unobservable_reach(fsa: Fsa, states) -> frozenset:
@@ -296,13 +302,8 @@ def state_moves(fsa: Fsa):
                         hits[o] = [c]
                     else:
                         got.append(c)
-        # joined(hits), inline
-        if len(hits) > 1:
-            hits = {o: hits[o] for o in sorted(hits, key=order)}
-        for o, sets in hits.items():
-            hits[o] = sets[0] if len(sets) == 1 else frozenset().union(*sets)
-        steps[x] = hits
-        return hits
+        out = steps[x] = joined(hits)
+        return out
 
     def moves(states):
         if len(states) == 1:

@@ -215,6 +215,14 @@ def _tokenize(text):
     return tokens
 
 
+# the binary operators, weakest first, each as (token, node, groups right)
+_BINARY = (("<->", Iff, True), ("->", Implies, True), ("|", Or, False),
+           ("&", And, False), ("U", Until, True))
+_LEVEL = {op: level for level, (op, _, _) in enumerate(_BINARY)}
+
+_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always, "F1": Once}
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -262,7 +270,7 @@ class _Parser:
             self.expect(".")
         prefix = tuple(self.vars)
         self.vars = [name for _, name in prefix]
-        body = self.iff()
+        body = self.binary()
         tok, pos = self.take()
         if tok is not None:
             raise FormulaSyntaxError(f"unexpected trailing input {tok!r}", pos)
@@ -270,64 +278,31 @@ class _Parser:
             raise ArityError(f"expected exactly 2 trace quantifiers, found {len(prefix)}")
         return HyperFormula(prefix=prefix, body=body)
 
-    def iff(self):
-        left = self.implies()
-        if self.peek() == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self):
-        left = self.or_()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def or_(self):
-        left = self.and_()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.and_())
-        return left
-
-    def and_(self):
-        left = self.until()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.until())
-        return left
-
-    def until(self):
+    def binary(self, level=0):
+        """A formula whose binary operators are those of _BINARY from
+        `level` on, by precedence climbing: a right-grouping operator reads
+        its right operand at its own level, a left-grouping one at the next
+        level and then loops, so its chain groups to the left."""
         left = self.unary()
-        if self.peek() == "U":
+        at = _LEVEL.get(self.peek(), -1)
+        while at >= level:
             self.take()
-            return Until(left, self.until())
+            _, node, right = _BINARY[at]
+            left = node(left, self.binary(at if right else at + 1))
+            at = _LEVEL.get(self.peek(), -1)
         return left
 
     def unary(self):
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Not(self.unary())
-        if tok == "X":
-            self.take()
-            return Next(self.unary())
-        if tok == "F":
-            self.take()
-            return Eventually(self.unary())
-        if tok == "G":
-            self.take()
-            return Always(self.unary())
-        if tok == "F1":
-            self.take()
-            return Once(self.unary())
-        return self.primary()
+        node = _UNARY.get(self.peek())
+        if node is None:
+            return self.primary()
+        self.take()
+        return node(self.unary())
 
     def primary(self):
         tok, pos = self.take()
         if tok == "(":
-            body = self.iff()
+            body = self.binary()
             self.expect(")")
             return body
         if tok == "true":
@@ -422,18 +397,10 @@ def desugar(body):
     t = type(body)
     if t in (Top, Bottom) or t in LETTER_ATOMS:
         return body
-    if t is Not:
-        return Not(desugar(body.sub))
-    if t is Next:
-        return Next(desugar(body.sub))
-    if t is And:
-        return And(desugar(body.left), desugar(body.right))
-    if t is Or:
-        return Or(desugar(body.left), desugar(body.right))
-    if t is Until:
-        return Until(desugar(body.left), desugar(body.right))
-    if t is Release:
-        return Release(desugar(body.left), desugar(body.right))
+    if t in (Not, Next):
+        return t(desugar(body.sub))
+    if t in (And, Or, Until, Release):
+        return t(desugar(body.left), desugar(body.right))
     if t is Implies:
         return Or(Not(desugar(body.left)), desugar(body.right))
     if t is Iff:

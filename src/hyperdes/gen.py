@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import string
 
-from .des import Fsa, validate_fsa
-from .graph import accepting_lasso
+from .des import Fsa, silent_cycle, validate_fsa
 
 # draws rejected for an unobservable cycle before the generator gives up
 MAX_ATTEMPTS = 500
@@ -31,7 +30,7 @@ def random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3):
         for (x, e), y in draw["transitions"].items():
             if draw["mask"][e] is None:
                 silent.setdefault(x, []).append(y)
-        if accepting_lasso(list(silent), lambda x: silent.get(x, ()), lambda _: True) is None:
+        if silent_cycle(silent) is None:
             return validate_fsa(Fsa(**draw))
     raise RuntimeError("could not draw a valid automaton; loosen the size limits")
 

@@ -164,19 +164,25 @@ def bfs(roots, succ):
     """The nodes reachable from `roots`, breadth first: each once, in
     discovery order, the roots first with duplicates removed.
 
-    Lazy: a node is yielded before `succ` is called on it, and `succ` is
-    called at most once per node, so a caller that stops early (with next()
-    or any()) expands no node beyond those it has taken.  A caller may
-    record what `succ` computes for each node it expands.
+    Lazy: each new root is yielded as it is drawn from `roots`, and the
+    nodes are expanded in discovery order once the roots are exhausted.  A
+    node is yielded before `succ` is called on it, and `succ` is called at
+    most once per node, so a caller that stops early (with next() or any())
+    draws no root and expands no node beyond those it has taken.  A caller
+    may record what `succ` computes for each node it expands.
     """
-    order = list(dict.fromkeys(roots))
-    seen = set(order)
+    order, seen = [], set()
+    for root in roots:
+        if root not in seen:
+            seen.add(root)
+            order.append(root)
+            yield root
     for node in order:
-        yield node
         for nxt in succ(node):
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
+                yield nxt
 
 
 def reachable(sources, succ):

@@ -16,7 +16,9 @@ properties:
   membership obligations there), which admits an exact subset-tracking walk:
   the set of still-viable witness candidates for the existential trace is
   advanced along every universal trace, and a property violation is exactly a
-  reachable instant where the candidate set has died.
+  reachable instant where the candidate set has died.  The search and its
+  replay read the same plan, _sync_plan: the body's shape, read once per
+  body, with its state sets bound to the formula's `sets`.
 - exists/forall: the collapse body (always obs-equal implies eventually
   always state-equal, which is weak detectability) is decided on the product
   of the structure with the current-state estimate: it holds exactly when a
@@ -59,8 +61,9 @@ The structures are built on demand (see kripke): the searches and replays
 here look up the successors and labels of the nodes they reach and never
 the whole node list, so a check expands only what it visits.  The
 forall/exists searches read an original node's successors off the plain
-structure a modified view keeps.  The bounded exists/forall search alone
-reads the node count, for its length bound.  A HyperAnalysis steps each
+structure a modified view keeps.  The bounded exists/forall search
+takes its length bound from the number of nodes its estimate product
+expanded, which is every reachable node.  A HyperAnalysis steps each
 machine it checks by one set stepper (des.state_moves), shared by its
 Kripke structure and the template's cyclic states.
 """
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from itertools import product
 
 from .buchi import ltl_to_buchi
@@ -349,17 +352,6 @@ def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
 # forall/exists engine (synchronous fragment)
 
 
-@dataclass(frozen=True)
-class SyncShape:
-    """Normal form of the supported forall/exists bodies."""
-    anchor: str                 # "instant0" or "tau_once"
-    v1: str
-    v2: str
-    p1_sets: tuple              # state sets; the universal trace must meet each at the anchor
-    p2_sets: tuple              # state sets; witness candidates must meet each at the anchor
-    eq_scope: str               # "always" or "until_anchor"
-
-
 def _conjuncts(node):
     """Conjuncts of a body, left to right; a conjunct F1 is read through its
     definition."""
@@ -394,33 +386,13 @@ def _state_disj(node, var, names):
     return frozenset(states), tuple(named)
 
 
-def match_sync_shape(formula: HyperFormula) -> SyncShape:
-    """Recognize a supported forall/exists body or explain why not.
-
-    The body is read as it stands, so the shape does not depend on the
-    structure: observation agreement is the leaf obseq(v1,v2), and a state
-    set is a disjunction of x-atoms and state-set literals, each literal
-    standing for the states formula.sets binds to its name.  A body with
-    obseq expanded over the alphabet is not recognized.  The body is read
-    once per body (see _sync_form); the set literals are bound per call."""
-    _check_prefix(formula, ("forall", "exists"))
-    shape = _sync_form(formula.prefix, formula.body,
-                       tuple(name for name, _ in formula.sets))
-    sets = dict(formula.sets)
-
-    def bind(disjs):
-        return tuple(states.union(*map(sets.get, named)) for states, named in disjs)
-
-    return SyncShape(shape.anchor, shape.v1, shape.v2, bind(shape.p1_sets),
-                     bind(shape.p2_sets), shape.eq_scope)
-
-
 @functools.lru_cache(maxsize=64)
 def _sync_form(prefix, body, names):
-    """match_sync_shape's shape of a body whose `sets` binds `names`, each
-    state set left unbound as _state_disj gives it.  Like the automaton it
-    depends on the body alone, so it is computed once per body and
-    process."""
+    """The forall/exists shape of a body whose `sets` binds `names`, or
+    NotSynchronousFragment saying why it has none: (anchor, p1, p2, scope),
+    the state sets left unbound as _state_disj gives them (see _sync_plan).
+    Like the automaton it depends on the body alone, so it is computed once
+    per body and process."""
     (_, v1), (_, v2) = prefix
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
@@ -464,9 +436,7 @@ def _sync_form(prefix, body, names):
         if duty_states is None:
             raise NotSynchronousFragment("witness obligation at the pause is missing "
                                          "or not a state disjunction")
-        return SyncShape(anchor="tau_once", v1=v1, v2=v2,
-                         p1_sets=(p1_states,), p2_sets=(duty_states,),
-                         eq_scope=scope)
+        return "tau_once", (p1_states,), (duty_states,), scope
 
     # instant-0 shape: requirements and obligations are checked at the first
     # instant and agreement holds forever.
@@ -485,8 +455,31 @@ def _sync_form(prefix, body, names):
         p2_sets.append(s)
     if not eq_seen:
         raise NotSynchronousFragment("consequent must require observation agreement")
-    return SyncShape(anchor="instant0", v1=v1, v2=v2,
-                     p1_sets=p1_sets, p2_sets=tuple(p2_sets), eq_scope="always")
+    return "instant0", p1_sets, tuple(p2_sets), "always"
+
+
+def _sync_plan(formula):
+    """The plan of a forall/exists formula: (anchor, p1_sets, p2_sets,
+    scope).  The anchor is "instant0" or "tau_once"; the universal trace
+    must meet each state set of p1_sets at the anchor, and its witness
+    candidates each set of p2_sets; observation agreement holds "always" or
+    "until_anchor".
+
+    The body is read as it stands, so the plan does not depend on the
+    structure: observation agreement is the leaf obseq(v1,v2), and a state
+    set is a disjunction of x-atoms and state-set literals, each literal
+    standing for the states formula.sets binds to its name.  A body with
+    obseq expanded over the alphabet is not recognized.  The body is read
+    once per body (see _sync_form); the set literals are bound per call."""
+    _check_prefix(formula, ("forall", "exists"))
+    anchor, p1_sets, p2_sets, scope = _sync_form(
+        formula.prefix, formula.body, tuple(name for name, _ in formula.sets))
+    sets = dict(formula.sets)
+
+    def bind(disjs):
+        return tuple(states.union(*map(sets.get, named)) for states, named in disjs)
+
+    return anchor, bind(p1_sets), bind(p2_sets), scope
 
 
 def _original_succ(k):
@@ -508,16 +501,16 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     The source () leads to the roots, the goal None means "the candidates
     died", and each edge is labelled with the universal-trace nodes it
     appends: (t1,) for a step, (twin, q1) for a pause at the anchor."""
-    shape = match_sync_shape(formula)
-    if shape.anchor == "tau_once" and not k.modified:
+    anchor, p1_sets, p2_sets, scope = _sync_plan(formula)
+    if anchor == "tau_once" and not k.modified:
         raise NotSynchronousFragment("pause-anchored formulas need the structure with stalling twins")
 
     orig_succ = _original_succ(k)
     moves = _estimate_moves(orig_succ)
     initials = list(k.initial)
-    if shape.anchor == "instant0":
-        d0 = frozenset(q for q in initials if _meets(q.state, shape.p2_sets))
-        roots = [("post", q1) for q1 in initials if _meets(q1.state, shape.p1_sets)]
+    if anchor == "instant0":
+        d0 = frozenset(q for q in initials if _meets(q.state, p2_sets))
+        roots = [("post", q1) for q1 in initials if _meets(q1.state, p1_sets)]
     else:
         d0 = frozenset(initials)
         roots = [("pre", q1) for q1 in initials]
@@ -526,16 +519,16 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
         return None if phase == "post" and not d else (phase, q1, d)
 
     # the candidates of D that meet the witness obligations at the anchor
-    anchored = OnDemand(lambda d: frozenset(x for x in d if _meets(x.state, shape.p2_sets)))
+    anchored = OnDemand(lambda d: frozenset(x for x in d if _meets(x.state, p2_sets)))
 
     def successors(state):
         if state == ():
             return [((q1,), arrive(phase, q1, d0)) for phase, q1 in roots]
         phase, q1, d = state
         out = []
-        if phase == "pre" and _meets(q1.state, shape.p1_sets):
+        if phase == "pre" and _meets(q1.state, p1_sets):
             d_anchor = anchored[d]
-            if not d_anchor or shape.eq_scope == "always":
+            if not d_anchor or scope == "always":
                 out.append(((KNode(q1.state, q1.obs, copy=True), q1),
                             arrive("post", q1, d_anchor)))
         step = moves(d)
@@ -562,14 +555,14 @@ def _sync_violation(orig_succ, path):
 def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
                           pi1: Lasso) -> bool:
     """Check that no witness trace exists for this particular universal trace."""
-    shape = match_sync_shape(formula)
+    anchor, p1_sets, p2_sets, scope = _sync_plan(formula)
     nodes = list(pi1.stem) + list(pi1.cycle)
     initials = list(k.initial)
     orig_succ = _original_succ(k)
-    if shape.anchor == "instant0":
-        if nodes[0] not in k.initial or not _meets(nodes[0].state, shape.p1_sets):
+    if anchor == "instant0":
+        if nodes[0] not in k.initial or not _meets(nodes[0].state, p1_sets):
             return False
-        dset = frozenset(q for q in initials if _meets(q.state, shape.p2_sets))
+        dset = frozenset(q for q in initials if _meets(q.state, p2_sets))
         anchor_index = 0
     else:
         twins = [i for i, q in enumerate(nodes) if q.copy]
@@ -577,18 +570,18 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
             return False
         anchor_index = twins[0]
         paused = nodes[anchor_index]
-        if not _meets(paused.state, shape.p1_sets):
+        if not _meets(paused.state, p1_sets):
             return False
         dset = frozenset(initials)
         for i in range(1, anchor_index):
             dset = step_nodes(orig_succ, dset, nodes[i].obs)
-        dset = frozenset(d for d in dset if _meets(d.state, shape.p2_sets))
-        if shape.eq_scope == "until_anchor":
+        dset = frozenset(d for d in dset if _meets(d.state, p2_sets))
+        if scope == "until_anchor":
             return not dset
 
     # survive the rest of the lasso; periodic repetition means survival
     # forever.  The walk starts at the anchor, or at the return from its twin.
-    start = anchor_index + (1 if shape.anchor == "tau_once" else 0)
+    start = anchor_index + (1 if anchor == "tau_once" else 0)
     return any(not d for _, d in _lasso_estimates(orig_succ, pi1, start, dset))
 
 
@@ -702,8 +695,10 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Ve
     _check_prefix(formula, ("exists", "forall"))
     if not _is_collapse(formula.prefix, formula.body):
         raise NotCollapseBody("the exists/forall search decides the collapse body only")
-    bound = len(k.nodes) + 1
     succ, _, good = _estimate_product(k)
+    # the product steps every reachable node, so each node has an entry in
+    # the on-demand successor map
+    bound = len(k.succ) + 1
     start = frozenset(k.initial)
     tried = 0
     for q0 in k.initial:

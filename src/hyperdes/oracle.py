@@ -268,7 +268,7 @@ def predictability_oracle(an) -> Verdict:
             lasting.update(comp)
 
     step = _verifier(fsa, faults)
-    starts = [(x, y) for x in initial for y in initial]
+    starts = ((x, y) for x in initial for y in initial)
     reached = bfs(starts, lambda pair: step(pair) if pair[1] in lasting else ())
     return _exact_verdict(not any(y in lasting and any(e in faults for e, _ in fsa.out_edges(x))
                                   for x, y in reached))

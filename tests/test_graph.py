@@ -200,6 +200,22 @@ def test_bfs_yields_each_reachable_node_once_breadth_first_and_lazily(graph):
             yielded.append(x)
         assert len(expanded) <= k
 
+    # roots from a generator are drawn one at a time, as they are yielded
+    drawn = []
+
+    def draw():
+        for root in roots:
+            drawn.append(root)
+            yield root
+
+    for k in range(len(roots) + 1):
+        drawn.clear()
+        yielded.clear()
+        expanded.clear()
+        for x in islice(bfs(draw(), tracked), k):
+            yielded.append(x)
+        assert yielded == roots[:k] and len(drawn) <= k
+
 
 @checks
 @given(digraphs())

@@ -49,7 +49,6 @@ from hyperdes.hyper import (
     check_forall_exists_sync,
     check_forall_forall,
     forall_exists_refutes,
-    match_sync_shape,
     replay_witness,
     verify,
     _bit_letters,
@@ -59,6 +58,7 @@ from hyperdes.hyper import (
     _lasso_estimates,
     _negated_body,
     _original_succ,
+    _sync_plan,
 )
 from hyperdes.kripke import (
     KNode,
@@ -340,12 +340,12 @@ def test_sync_shape_of_instant0_formula(g_opa):
     requirement and obligation sets."""
     formula, kind = property_template("initial-state-opacity", g_opa)
     assert kind == "plain"
-    shape = match_sync_shape(formula)
-    assert shape.anchor == "instant0"
-    assert shape.eq_scope == "always"
-    assert frozenset(["0", "3"]) in shape.p1_sets
-    assert frozenset(["0", "4"]) in shape.p1_sets
-    assert frozenset(["1", "2", "3", "5"]) in shape.p2_sets
+    anchor, p1_sets, p2_sets, eq_scope = _sync_plan(formula)
+    assert anchor == "instant0"
+    assert eq_scope == "always"
+    assert frozenset(["0", "3"]) in p1_sets
+    assert frozenset(["0", "4"]) in p1_sets
+    assert frozenset(["1", "2", "3", "5"]) in p2_sets
 
 
 def test_sync_shape_of_pause_formulas(g_opa):
@@ -354,13 +354,13 @@ def test_sync_shape_of_pause_formulas(g_opa):
     f_cso, kind_cso = property_template("current-state-opacity", g_opa)
     f_ifo, kind_ifo = property_template("infinite-step-opacity", g_opa)
     assert kind_cso == kind_ifo == "modified"
-    s_cso = match_sync_shape(f_cso)
-    s_ifo = match_sync_shape(f_ifo)
-    assert s_cso.anchor == s_ifo.anchor == "tau_once"
-    assert s_cso.eq_scope == "until_anchor"
-    assert s_ifo.eq_scope == "always"
-    assert s_cso.p1_sets == (frozenset(["0", "4"]),)
-    assert s_cso.p2_sets == (frozenset(["1", "2", "3", "5"]),)
+    anchor_cso, p1_cso, p2_cso, scope_cso = _sync_plan(f_cso)
+    anchor_ifo, _, _, scope_ifo = _sync_plan(f_ifo)
+    assert anchor_cso == anchor_ifo == "tau_once"
+    assert scope_cso == "until_anchor"
+    assert scope_ifo == "always"
+    assert p1_cso == (frozenset(["0", "4"]),)
+    assert p2_cso == (frozenset(["1", "2", "3", "5"]),)
 
 
 def test_sync_engine_rejects_pause_formula_on_plain_structure(g_opa):

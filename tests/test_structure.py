@@ -477,9 +477,8 @@ def test_set_build_scan_sees_the_deleted_predictability_stepper():
                       "moves = {x: step(x) for x in xs}\nfirst = {o: t for o, t in m}\n") == []
 
 
-# the one hyper function that may read a whole structure: the bounded
-# exists/forall search's length bound is the node count plus one
-WHOLE_STRUCTURE_READERS = {"check_exists_forall_bounded"}
+# the hyper functions that may read a whole structure: none
+WHOLE_STRUCTURE_READERS = set()
 
 
 def whole_structure_reads(source, allowed):
@@ -503,7 +502,7 @@ def whole_structure_reads(source, allowed):
 def test_the_hyper_route_expands_only_what_it_reaches():
     """The structures are built on demand, and a structure's `nodes` or
     `index` lists all of it, expanding every plain node; no hyper function
-    but the bounded exists/forall search reads either."""
+    reads either."""
     source = (PACKAGE / "hyper.py").read_text(encoding="utf-8")
     assert whole_structure_reads(source, WHOLE_STRUCTURE_READERS) == []
 
@@ -516,13 +515,16 @@ def test_structure_read_scan_sees_each_injected_read():
             ("def _count(k):\n    return len(k.nodes)\n", "_count", 2),
             ("def _known(k, q):\n    return q in k.index\n", "_known", 2),
             ("class Walk:\n    def at(self, q):\n        return self.k.index[q]\n", "Walk", 3),
-            ("everything = HyperAnalysis(fsa)._problem(kind)[1].nodes\n", None, 1)):
+            ("everything = HyperAnalysis(fsa)._problem(kind)[1].nodes\n", None, 1),
+            ("def check_exists_forall_bounded(k):\n    return len(k.nodes) + 1\n",
+             "check_exists_forall_bounded", 2)):
         assert whole_structure_reads(source + line, WHOLE_STRUCTURE_READERS) == [
             (owner, end + at)], line
     assert whole_structure_reads("def f(path, q, k):\n    k.nodes = ()\n"
-                                 "    return path.index(q)\n"
-                                 "def check_exists_forall_bounded(k):\n    return k.nodes\n",
+                                 "    return path.index(q)\n",
                                  WHOLE_STRUCTURE_READERS) == []
+    assert whole_structure_reads("def skipped(k):\n    return k.nodes\n",
+                                 {"skipped"}) == []
 
 
 def unreferenced_definitions(sources):
