@@ -459,7 +459,7 @@ def refine_fault_partition(fsa: Fsa):
         secret = [names[(x, b)] for (x, b) in order if x in fsa.secret_states]
     refined = Fsa(states=states, events=fsa.events, transitions=transitions,
                   initial=initial, mask=fsa.mask, fault_events=fsa.fault_events,
-                  secret_states=secret, name=fsa.name)
+                  secret_states=secret, observations=fsa.observations, name=fsa.name)
     refined.validated = fsa.validated
     fault_states = frozenset(names[(x, b)] for (x, b) in order if b)
     part = FaultPartition(normal_states=frozenset(states) - fault_states,

@@ -18,7 +18,10 @@ properties:
   advanced along every universal trace, and a property violation is exactly a
   reachable instant where the candidate set has died.  The search and its
   replay read the same plan, _sync_plan: the body's shape, read once per
-  body, with its state sets bound to the formula's `sets`.
+  body, in which every state condition is one state-set literal, and one
+  state set for each trace, the intersection of its literals' sets as the
+  formula's `sets` binds them.  Any other forall/exists body raises
+  NotSynchronousFragment.
 - exists/forall: the collapse body (always obs-equal implies eventually
   always state-equal, which is weak detectability) is decided on the product
   of the structure with the current-state estimate: it holds exactly when a
@@ -90,15 +93,12 @@ from .formula import (
     Always,
     And,
     Atom,
-    Bottom,
     Eventually,
     HyperFormula,
     Implies,
     InSet,
     Not,
     ObsEq,
-    Once,
-    Or,
     StateEq,
     Until,
     _expand_once,
@@ -353,46 +353,35 @@ def check_forall_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
 
 
 def _conjuncts(node):
-    """Conjuncts of a body, left to right; a conjunct F1 is read through its
-    definition."""
+    """Conjuncts of a body, left to right."""
     out, stack = [], [node]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Once):
-            stack.append(_expand_once(cur.sub))
-        elif isinstance(cur, And):
+        if isinstance(cur, And):
             stack.extend((cur.right, cur.left))
         else:
             out.append(cur)
     return out
 
 
-def _state_disj(node, var, names):
-    """A disjunction of x-atoms and state-set literals over `var`, the
-    literals' names among `names`, as (the states its x-atoms name, the
-    names of its set literals in order), else None."""
-    states, named = set(), []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Or):
-            stack.extend([cur.left, cur.right])
-        elif isinstance(cur, Atom) and cur.trace == var and cur.prop.startswith("x:"):
-            states.add(cur.prop[2:])
-        elif isinstance(cur, InSet) and cur.trace == var and cur.name in names:
-            named.append(cur.name)
-        elif not isinstance(cur, Bottom):
-            return None
-    return frozenset(states), tuple(named)
+def _set_literal(node, var, names):
+    """The name of `node` if it is a state-set literal on `var` whose name
+    is among `names`, else None."""
+    if isinstance(node, InSet) and node.trace == var and node.name in names:
+        return node.name
+    return None
 
 
 @functools.lru_cache(maxsize=64)
 def _sync_form(prefix, body, names):
     """The forall/exists shape of a body whose `sets` binds `names`, or
-    NotSynchronousFragment saying why it has none: (anchor, p1, p2, scope),
-    the state sets left unbound as _state_disj gives them (see _sync_plan).
-    Like the automaton it depends on the body alone, so it is computed once
-    per body and process."""
+    NotSynchronousFragment saying why it has none: (anchor, p1, p2, scope)
+    with p1 and p2 the names of the state-set literals each trace must
+    meet, unbound (see _sync_plan).  Every state condition is one set
+    literal: the pause constraint and the witness obligation at the pause
+    one each, and at instant 0 each conjunct of the antecedent and, beside
+    agreement, of the consequent.  Like the automaton it depends on the
+    body alone, so it is computed once per body and process."""
     (_, v1), (_, v2) = prefix
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
@@ -415,11 +404,11 @@ def _sync_form(prefix, body, names):
         if not (isinstance(guard, Always) and isinstance(guard.sub, Implies)
                 and guard.sub.left == tau1):
             raise NotSynchronousFragment("pause constraint must condition on the pause marker")
-        p1_states = _state_disj(guard.sub.right, v1, names)
-        if p1_states is None:
-            raise NotSynchronousFragment("pause constraint must be a state disjunction")
+        p1 = _set_literal(guard.sub.right, v1, names)
+        if p1 is None:
+            raise NotSynchronousFragment("pause constraint must be a state-set literal")
         scope = None
-        duty_states = None
+        duty = None
         if len(cons) != 2:
             raise NotSynchronousFragment("consequent must pair agreement with a pause obligation")
         for c in cons:
@@ -430,66 +419,65 @@ def _sync_form(prefix, body, names):
             elif (isinstance(c, Always) and isinstance(c.sub, Implies)
                     and c.sub.left == tau1 and isinstance(c.sub.right, And)
                     and c.sub.right.left == tau2):
-                duty_states = _state_disj(c.sub.right.right, v2, names)
+                duty = _set_literal(c.sub.right.right, v2, names)
         if scope is None:
             raise NotSynchronousFragment("agreement must hold always or until the pause")
-        if duty_states is None:
+        if duty is None:
             raise NotSynchronousFragment("witness obligation at the pause is missing "
-                                         "or not a state disjunction")
-        return "tau_once", (p1_states,), (duty_states,), scope
+                                         "or not a state-set literal")
+        return "tau_once", (p1,), (duty,), scope
 
     # instant-0 shape: requirements and obligations are checked at the first
     # instant and agreement holds forever.
-    p1_sets = tuple(_state_disj(c, v1, names) for c in ante)
-    if any(s is None for s in p1_sets):
-        raise NotSynchronousFragment("antecedent must be state disjunctions at instant 0")
-    p2_sets = []
+    p1 = tuple(_set_literal(c, v1, names) for c in ante)
+    if None in p1:
+        raise NotSynchronousFragment("antecedent must be state-set literals at instant 0")
+    p2 = []
     eq_seen = False
     for c in cons:
         if isinstance(c, Always) and c.sub == obseq:
             eq_seen = True
             continue
-        s = _state_disj(c, v2, names)
-        if s is None:
-            raise NotSynchronousFragment("consequent must be state disjunctions plus agreement")
-        p2_sets.append(s)
+        name = _set_literal(c, v2, names)
+        if name is None:
+            raise NotSynchronousFragment("consequent must be state-set literals plus agreement")
+        p2.append(name)
     if not eq_seen:
         raise NotSynchronousFragment("consequent must require observation agreement")
-    return "instant0", p1_sets, tuple(p2_sets), "always"
+    if not p2:
+        raise NotSynchronousFragment("consequent must name a state set")
+    return "instant0", p1, tuple(p2), "always"
 
 
 def _sync_plan(formula):
-    """The plan of a forall/exists formula: (anchor, p1_sets, p2_sets,
-    scope).  The anchor is "instant0" or "tau_once"; the universal trace
-    must meet each state set of p1_sets at the anchor, and its witness
-    candidates each set of p2_sets; observation agreement holds "always" or
-    "until_anchor".
+    """The plan of a forall/exists formula: (anchor, p1, p2, scope).  The
+    anchor is "instant0" or "tau_once"; the universal trace must be in the
+    state set p1 at the anchor, and its witness candidates in p2;
+    observation agreement holds "always" or "until_anchor".
 
     The body is read as it stands, so the plan does not depend on the
-    structure: observation agreement is the leaf obseq(v1,v2), and a state
-    set is a disjunction of x-atoms and state-set literals, each literal
-    standing for the states formula.sets binds to its name.  A body with
-    obseq expanded over the alphabet is not recognized.  The body is read
-    once per body (see _sync_form); the set literals are bound per call."""
+    structure: observation agreement is the leaf obseq(v1,v2), and each
+    state condition is a state-set literal, standing for the states
+    formula.sets binds to its name.  A body with obseq or a literal
+    expanded is not recognized.  The body is read once per body (see
+    _sync_form); each side is bound per call, to the intersection of its
+    literals' sets."""
     _check_prefix(formula, ("forall", "exists"))
-    anchor, p1_sets, p2_sets, scope = _sync_form(
+    anchor, p1, p2, scope = _sync_form(
         formula.prefix, formula.body, tuple(name for name, _ in formula.sets))
     sets = dict(formula.sets)
 
-    def bind(disjs):
-        return tuple(states.union(*map(sets.get, named)) for states, named in disjs)
+    def bind(names):
+        first, *rest = names
+        return frozenset(sets[first]).intersection(*(sets[n] for n in rest))
 
-    return anchor, bind(p1_sets), bind(p2_sets), scope
+    return anchor, bind(p1), bind(p2), scope
 
 
 def _original_succ(k):
     """Successors of each original node, stalling twins left out: the
     successor map of the plain structure, k itself or the one k extends."""
     return (k.plain or k).succ
-
-
-def _meets(state, sets):
-    return all(state in s for s in sets)
 
 
 def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdict:
@@ -500,8 +488,10 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     match its observations, before ("pre") or after ("post") the anchor.
     The source () leads to the roots, the goal None means "the candidates
     died", and each edge is labelled with the universal-trace nodes it
-    appends: (t1,) for a step, (twin, q1) for a pause at the anchor."""
-    anchor, p1_sets, p2_sets, scope = _sync_plan(formula)
+    appends: (t1,) for a step, (twin, q1) for a pause at the anchor.  The
+    anchor is open to q1 when its state is in the plan's p1, and a
+    candidate meets the obligation there when its state is in p2."""
+    anchor, p1, p2, scope = _sync_plan(formula)
     if anchor == "tau_once" and not k.modified:
         raise NotSynchronousFragment("pause-anchored formulas need the structure with stalling twins")
 
@@ -509,8 +499,8 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     moves = _estimate_moves(orig_succ)
     initials = list(k.initial)
     if anchor == "instant0":
-        d0 = frozenset(q for q in initials if _meets(q.state, p2_sets))
-        roots = [("post", q1) for q1 in initials if _meets(q1.state, p1_sets)]
+        d0 = frozenset(q for q in initials if q.state in p2)
+        roots = [("post", q1) for q1 in initials if q1.state in p1]
     else:
         d0 = frozenset(initials)
         roots = [("pre", q1) for q1 in initials]
@@ -518,15 +508,15 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     def arrive(phase, q1, d):
         return None if phase == "post" and not d else (phase, q1, d)
 
-    # the candidates of D that meet the witness obligations at the anchor
-    anchored = OnDemand(lambda d: frozenset(x for x in d if _meets(x.state, p2_sets)))
+    # the candidates of D that meet the witness obligation at the anchor
+    anchored = OnDemand(lambda d: frozenset(x for x in d if x.state in p2))
 
     def successors(state):
         if state == ():
             return [((q1,), arrive(phase, q1, d0)) for phase, q1 in roots]
         phase, q1, d = state
         out = []
-        if phase == "pre" and _meets(q1.state, p1_sets):
+        if phase == "pre" and q1.state in p1:
             d_anchor = anchored[d]
             if not d_anchor or scope == "always":
                 out.append(((KNode(q1.state, q1.obs, copy=True), q1),
@@ -540,12 +530,9 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     if steps is None:
         return Verdict(property=None, holds=True, mode="exact",
                        engine="hyper-forall-exists")
-    return _sync_violation(orig_succ, [q for label, _ in steps for q in label])
-
-
-def _sync_violation(orig_succ, path):
-    """Package a violating universal trace: extend the path into a lasso."""
-    # follow first successors from the last node until they repeat
+    # extend the violating path into a lasso: follow first successors from
+    # its last node until they repeat
+    path = [q for label, _ in steps for q in label]
     lead, cycle = accepting_lasso([path[-1]], lambda q: orig_succ[q][:1], lambda _: True)
     pi1 = canonical_lasso(Lasso(stem=tuple(path[:-1]) + lead, cycle=cycle))
     return Verdict(property=None, holds=False, mode="exact",
@@ -555,27 +542,26 @@ def _sync_violation(orig_succ, path):
 def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
                           pi1: Lasso) -> bool:
     """Check that no witness trace exists for this particular universal trace."""
-    anchor, p1_sets, p2_sets, scope = _sync_plan(formula)
+    anchor, p1, p2, scope = _sync_plan(formula)
     nodes = list(pi1.stem) + list(pi1.cycle)
     initials = list(k.initial)
     orig_succ = _original_succ(k)
     if anchor == "instant0":
-        if nodes[0] not in k.initial or not _meets(nodes[0].state, p1_sets):
+        if nodes[0] not in k.initial or nodes[0].state not in p1:
             return False
-        dset = frozenset(q for q in initials if _meets(q.state, p2_sets))
+        dset = frozenset(q for q in initials if q.state in p2)
         anchor_index = 0
     else:
         twins = [i for i, q in enumerate(nodes) if q.copy]
         if len(twins) != 1 or any(q.copy for q in pi1.cycle):
             return False
         anchor_index = twins[0]
-        paused = nodes[anchor_index]
-        if not _meets(paused.state, p1_sets):
+        if nodes[anchor_index].state not in p1:
             return False
         dset = frozenset(initials)
         for i in range(1, anchor_index):
             dset = step_nodes(orig_succ, dset, nodes[i].obs)
-        dset = frozenset(d for d in dset if _meets(d.state, p2_sets))
+        dset = frozenset(d for d in dset if d.state in p2)
         if scope == "until_anchor":
             return not dset
 

@@ -221,7 +221,7 @@ def test_alternation_depths_split_the_properties():
 # the first 60 machines of the acceptance stream and then g_diag, g_det
 # and g_opa, each fixture for the properties it is annotated for: it
 # changes if any verdict, witness or detail does
-VERDICT_STREAM_DIGEST = "0d8174cbd7026de49bad8dd82687ffcd89ca4651aea80780b6ef3fa7d73f416c"
+VERDICT_STREAM_DIGEST = "a11015375e027a614d25f17837d94811a5745306df70709cd86339be24947900"
 
 
 def test_verdict_stream_digest_is_pinned():

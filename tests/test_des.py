@@ -585,6 +585,20 @@ def test_refine_splits_fault_ambiguous_state():
     assert refined.secret_states == {"p", "p#F"}
 
 
+def test_refined_machine_keeps_the_declared_observations():
+    """The split machine keeps the declared observation alphabet, in its
+    order and with an observation no event uses, not the order in which
+    the mask first uses each observation."""
+    base = needs_split_machine()
+    fsa = validate_fsa(Fsa(states=base.states, events=base.events,
+                           transitions=base.transitions, initial=base.initial,
+                           mask=base.mask, fault_events=base.fault_events,
+                           observations=["o9", "o2", "o1"]))
+    refined, _ = refine_fault_partition(fsa)
+    assert refined is not fsa
+    assert refined.observations == ("o9", "o2", "o1")
+
+
 def test_refined_fault_set_is_a_language_invariant(g_diag):
     """After refinement a run ends in a fault state exactly when it contains
     a fault event (checked by full enumeration to |X|+2 steps)."""

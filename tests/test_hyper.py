@@ -23,6 +23,7 @@ from hyperdes.errors import (
 )
 from hyperdes.formula import (
     Always,
+    And,
     Atom,
     Eventually,
     OPACITY_PROPERTIES,
@@ -33,7 +34,10 @@ from hyperdes.formula import (
     InSet,
     Not,
     ObsEq,
+    Once,
+    Or,
     Until,
+    _expand_once,
     eval_body,
     expand_macros,
     missing_annotation,
@@ -336,16 +340,16 @@ def test_infinite_step_opacity_fixture_violated_with_pinned_witness(g_opa):
 
 
 def test_sync_shape_of_instant0_formula(g_opa):
-    """The initial-state formula matches the instant-0 shape with the right
-    requirement and obligation sets."""
+    """The initial-state formula matches the instant-0 shape, each side
+    bound to the intersection of its literals' sets: initial and secret for
+    the universal trace, initial and nonsecret for its witness."""
     formula, kind = property_template("initial-state-opacity", g_opa)
     assert kind == "plain"
-    anchor, p1_sets, p2_sets, eq_scope = _sync_plan(formula)
+    anchor, p1, p2, eq_scope = _sync_plan(formula)
     assert anchor == "instant0"
     assert eq_scope == "always"
-    assert frozenset(["0", "3"]) in p1_sets
-    assert frozenset(["0", "4"]) in p1_sets
-    assert frozenset(["1", "2", "3", "5"]) in p2_sets
+    assert p1 == frozenset(["0"])
+    assert p2 == frozenset(["3"])
 
 
 def test_sync_shape_of_pause_formulas(g_opa):
@@ -355,12 +359,41 @@ def test_sync_shape_of_pause_formulas(g_opa):
     f_ifo, kind_ifo = property_template("infinite-step-opacity", g_opa)
     assert kind_cso == kind_ifo == "modified"
     anchor_cso, p1_cso, p2_cso, scope_cso = _sync_plan(f_cso)
-    anchor_ifo, _, _, scope_ifo = _sync_plan(f_ifo)
+    anchor_ifo, p1_ifo, p2_ifo, scope_ifo = _sync_plan(f_ifo)
     assert anchor_cso == anchor_ifo == "tau_once"
     assert scope_cso == "until_anchor"
     assert scope_ifo == "always"
-    assert p1_cso == (frozenset(["0", "4"]),)
-    assert p2_cso == (frozenset(["1", "2", "3", "5"]),)
+    assert p1_cso == p1_ifo == frozenset(["0", "4"])
+    assert p2_cso == p2_ifo == frozenset(["1", "2", "3", "5"])
+
+
+def _pause_body(marker, constraint):
+    tau1, tau2 = Atom("tau", "p1"), Atom("tau", "p2")
+    return Implies(And(marker, Always(Implies(tau1, constraint))),
+                   And(Always(ObsEq("p1", "p2")),
+                       Always(Implies(tau1, And(tau2, InSet("nonsecret", "p2"))))))
+
+
+@pytest.mark.parametrize("body, reason", [
+    # a pause constraint written as a disjunction of x-atoms
+    (_pause_body(_expand_once(Atom("tau", "p1")), Or(Atom("x:0", "p1"), Atom("x:4", "p1"))),
+     "pause constraint must be a state-set literal"),
+    # the pause marker written as F1 in place of its definition
+    (_pause_body(Once(Atom("tau", "p1")), InSet("secret", "p1")),
+     "antecedent must be state-set literals"),
+    # an instant-0 body whose consequent names no state set
+    (Implies(InSet("secret", "p1"), Always(ObsEq("p1", "p2"))),
+     "consequent must name a state set"),
+], ids=["x-atom-disjunction", "once-marker", "instant0-without-obligation"])
+def test_sync_engine_refuses_conditions_that_are_not_set_literals(g_opa, body, reason):
+    """Every state condition of a forall/exists body is one state-set
+    literal, and an instant-0 consequent names at least one; any other
+    body is outside the fragment."""
+    template, _ = property_template("infinite-step-opacity", g_opa)
+    formula = HyperFormula(prefix=template.prefix, body=body, sets=template.sets)
+    k = build_modified_kripke(build_kripke(g_opa))
+    with pytest.raises(NotSynchronousFragment, match=reason):
+        check_forall_exists_sync(k, formula)
 
 
 def test_sync_engine_rejects_pause_formula_on_plain_structure(g_opa):
