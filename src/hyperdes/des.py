@@ -68,8 +68,9 @@ class Fsa:
     secret states.  The duplicate and reference checks run on
     `state_index` and `event_index`, which construction builds anyway, and
     the pass that checks the transitions also groups them by event for the
-    out-edge lists.  The parser, the generator and refine_fault_partition
-    all build through here.
+    out-edge lists.  The parser and the generator build through here;
+    refine_fault_partition sets the same fields on its split machine
+    directly, since nothing it builds from a checked machine can fail.
     """
 
     def __init__(self, states, events, transitions, initial, mask,
@@ -417,6 +418,10 @@ def refine_fault_partition(fsa: Fsa):
     validated again: each of its states has the out-edges of the state it
     copies, so none is dead where the input has none, and an unobservable
     cycle of it projects onto one of the input.
+    Nor does it pass through the Fsa constructor's checks: its states are
+    distinct new names, and its transitions, initial and secret states,
+    mask and observations are those of the input renamed, so each field is
+    set to what the constructor would compute.
     """
     if fsa.fault_events is None:
         raise NoFaultEvents("no fault events declared")
@@ -450,17 +455,25 @@ def refine_fault_partition(fsa: Fsa):
                 n += 1
             taken.add(name)
         names[x, bit] = name
-    states = list(names.values())
-    transitions = {(names[x, bit], e): names[y, bit or e in faults]
-                   for x, bit in order for e, y in out_edges[x]}
-    initial = [names[(x0, False)] for x0 in fsa.sort_states(fsa.initial)]
+    # the split machine field by field, each as the constructor computes
+    # it: its states, names and edges come from a checked machine, so none
+    # of the constructor's checks can fail on them
+    out = {names[x, bit]: [(e, names[y, bit or e in faults]) for e, y in out_edges[x]]
+           for x, bit in order}
+    states = tuple(out)
     secret = None
     if fsa.secret_states is not None:
-        secret = [names[(x, b)] for (x, b) in order if x in fsa.secret_states]
-    refined = Fsa(states=states, events=fsa.events, transitions=transitions,
-                  initial=initial, mask=fsa.mask, fault_events=fsa.fault_events,
-                  secret_states=secret, observations=fsa.observations, name=fsa.name)
-    refined.validated = fsa.validated
+        secret = frozenset(names[(x, b)] for (x, b) in order if x in fsa.secret_states)
+    refined = object.__new__(Fsa)
+    refined.__dict__.update(
+        states=states, events=fsa.events, name=fsa.name,
+        state_index={x: i for i, x in enumerate(states)},
+        event_index=dict(fsa.event_index),
+        transitions={(x, e): y for x, edges in out.items() for e, y in edges},
+        initial=frozenset(names[(x0, False)] for x0 in fsa.initial),
+        mask=dict(fsa.mask), observations=fsa.observations, obs_index=dict(fsa.obs_index),
+        fault_events=fsa.fault_events, secret_states=secret, _out=out,
+        validated=fsa.validated)
     fault_states = frozenset(names[(x, b)] for (x, b) in order if b)
     part = FaultPartition(normal_states=frozenset(states) - fault_states,
                           fault_states=fault_states)

@@ -16,26 +16,38 @@ properties:
   membership obligations there), which admits an exact subset-tracking walk:
   the set of still-viable witness candidates for the existential trace is
   advanced along every universal trace, and a property violation is exactly a
-  reachable instant where the candidate set has died.  The search and its
+  reachable instant where the candidate set has died.  Before a pause anchor
+  the walk's states are estimates alone, since every member of an estimate
+  is reachable together with it; the universal trace is lifted from the
+  estimate path once a violation is found.  The search and its
   replay read the same plan, _sync_plan: the body's shape, read once per
   body, in which every state condition is one state-set literal, and one
   state set for each trace, the intersection of its literals' sets as the
   formula's `sets` binds them.  Any other forall/exists body raises
   NotSynchronousFragment.
 - exists/forall: the collapse body (always obs-equal implies eventually
-  always state-equal, which is weak detectability) is decided on the product
-  of the structure with the current-state estimate: it holds exactly when a
-  cycle of singleton-estimate states is reachable, and its witness is a run
-  into such a cycle.  verify() takes this exact route unless asked for the
-  bounded one.  The bounded route enumerates candidate lassos up to a length
-  bound; a found witness is conclusive, exhaustion is reported as
-  inconclusive.  A candidate is accepted by the estimate walk, and the
-  product prunes the search to the states that can still reach a singleton
-  cycle.  Neither route decides any other exists/forall body.
+  always state-equal, which is weak detectability) is decided on the subset
+  graph of the structure's current-state estimates: it holds exactly when a
+  cycle of singleton estimates is reachable, and its witness is a run into
+  such a cycle, lifted from the estimates to nodes.  verify() takes this
+  exact route unless asked for the bounded one.  The bounded route makes
+  the same decision first and reports its failure as inconclusive; where
+  it holds, it enumerates candidate lassos up to a length bound, and a
+  found witness is conclusive, exhaustion inconclusive.  A candidate is
+  accepted by the estimate walk, and the product of the structure with the
+  estimate prunes the search to the (node, estimate) states that can still
+  reach a singleton cycle.  Neither route decides any other exists/forall
+  body.
 
 The searches step the current-state estimate by one memoised step,
-_estimate_moves; replays walk it along a lasso with _lasso_estimates, which
-steps by the definition, kripke.step_nodes, not by the search's step.
+_estimate_moves, and key their states by the estimate alone wherever the
+node adds nothing: the forall/exists walk before its anchor and the exact
+exists/forall decision.  Their witnesses are lifted from an estimate path
+to a node path by one rule, _lift: backwards from the last node, each
+estimate's least member with an edge to the node chosen after it, so no
+choice depends on the order a frozenset iterates in.  Replays walk the
+estimate along a lasso with _lasso_estimates, which steps by the
+definition, kripke.step_nodes, not by the search's step.
 
 Every engine and witness replay reads a formula's body and `sets` as they
 stand: obseq/stateeq and the state-set literals (fault, initial, secret,
@@ -65,7 +77,7 @@ here look up the successors and labels of the nodes they reach and never
 the whole node list, so a check expands only what it visits.  The
 forall/exists searches read an original node's successors off the plain
 structure a modified view keeps.  The bounded exists/forall search
-takes its length bound from the number of nodes its estimate product
+takes its length bound from the number of nodes its subset graph
 expanded, which is every reachable node.  A HyperAnalysis steps each
 machine it checks by one set stepper (des.state_moves), shared by its
 Kripke structure and the template's cyclic states.
@@ -106,7 +118,7 @@ from .formula import (
     missing_annotation,
     property_template,
 )
-from .graph import accepting_lasso, cyclic_sccs, reachable, shortest_path
+from .graph import accepting_lasso, cyclic_sccs, reachable, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
 
@@ -151,6 +163,19 @@ def _estimate_moves(succ):
             memo[d] = {o: frozenset(grouped[o]) for o in sorted(grouped)}
         return memo[d]
     return moves
+
+
+def _lift(succ, estimates, last):
+    """A node path along a path of estimates, one node from each, that ends
+    at `last`, a member of the last estimate: backwards from `last`, each
+    earlier estimate gives its first member, in sorted order, with an edge
+    under `succ` to the node chosen after it.  Each estimate but the first
+    is a step of the one before, so every member of it has such a
+    predecessor; min picks it whatever order a frozenset iterates in."""
+    path = [last]
+    for d in reversed(estimates[:-1]):
+        path.append(min(q for q in d if path[-1] in succ[q]))
+    return path[::-1]
 
 
 def _lasso_estimates(succ, pi1, pos, d):
@@ -483,14 +508,20 @@ def _original_succ(k):
 def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdict:
     """Exact check of the synchronous forall/exists fragment.
 
-    A breadth-first search (graph.shortest_path) over states (phase, q1, D):
-    the universal trace is at q1, and D holds the witness candidates that
-    match its observations, before ("pre") or after ("post") the anchor.
-    The source () leads to the roots, the goal None means "the candidates
-    died", and each edge is labelled with the universal-trace nodes it
-    appends: (t1,) for a step, (twin, q1) for a pause at the anchor.  The
-    anchor is open to q1 when its state is in the plan's p1, and a
-    candidate meets the obligation there when its state is in p2."""
+    A breadth-first search (graph.shortest_path) over the states of the
+    walk: the source () leads to the roots, and the goal None means "the
+    candidates died".  After the anchor a state is ("post", q1, D): the
+    universal trace is at q1, and D holds the witness candidates that match
+    its observations.  Before a pause anchor a state is ("pre", D) alone,
+    since every member of D is reachable together with D: D is the
+    estimate after the universal trace's observations so far, stepped by
+    _estimate_moves, and each member q1 whose state is in the plan's p1
+    opens a pause at the anchor, in sorted order.  A candidate meets the
+    obligation there when its state is in p2.  Each edge is labelled with
+    the universal-trace nodes it appends: (t1,) for a step after the
+    anchor, (twin, q1) for a pause, () before it.  A violation's π1 is then
+    lifted backwards from the anchor node along the estimate path (see
+    _lift), and extended into a lasso by first successors."""
     anchor, p1, p2, scope = _sync_plan(formula)
     if anchor == "tau_once" and not k.modified:
         raise NotSynchronousFragment("pause-anchored formulas need the structure with stalling twins")
@@ -498,41 +529,45 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     orig_succ = _original_succ(k)
     moves = _estimate_moves(orig_succ)
     initials = list(k.initial)
+
+    def arrive(q1, d):
+        return ("post", q1, d) if d else None
+
     if anchor == "instant0":
         d0 = frozenset(q for q in initials if q.state in p2)
-        roots = [("post", q1) for q1 in initials if q1.state in p1]
+        roots = [((q1,), arrive(q1, d0)) for q1 in initials if q1.state in p1]
     else:
-        d0 = frozenset(initials)
-        roots = [("pre", q1) for q1 in initials]
-
-    def arrive(phase, q1, d):
-        return None if phase == "post" and not d else (phase, q1, d)
-
-    # the candidates of D that meet the witness obligation at the anchor
-    anchored = OnDemand(lambda d: frozenset(x for x in d if x.state in p2))
+        roots = [((), ("pre", frozenset(initials)))]
 
     def successors(state):
         if state == ():
-            return [((q1,), arrive(phase, q1, d0)) for phase, q1 in roots]
-        phase, q1, d = state
-        out = []
-        if phase == "pre" and q1.state in p1:
-            d_anchor = anchored[d]
-            if not d_anchor or scope == "always":
-                out.append(((KNode(q1.state, q1.obs, copy=True), q1),
-                            arrive("post", q1, d_anchor)))
+            return roots
+        if state[0] == "pre":
+            d = state[1]
+            out = []
+            members = sorted(q for q in d if q.state in p1)
+            if members:
+                d_anchor = frozenset(x for x in d if x.state in p2)
+                if not d_anchor or scope == "always":
+                    out = [((KNode(q1.state, q1.obs, copy=True), q1), arrive(q1, d_anchor))
+                           for q1 in members]
+            out.extend(((), ("pre", d2)) for d2 in moves(d).values())
+            return out
+        _, q1, d = state
         step = moves(d)
-        out.extend(((t1,), arrive(phase, t1, step.get(t1.obs, frozenset())))
-                   for t1 in orig_succ[q1])
-        return out
+        return [((t1,), arrive(t1, step.get(t1.obs, frozenset()))) for t1 in orig_succ[q1]]
 
     steps = shortest_path((), successors, None)
     if steps is None:
         return Verdict(property=None, holds=True, mode="exact",
                        engine="hyper-forall-exists")
+    path = [q for label, _ in steps for q in label]
+    if anchor == "tau_once":
+        # path starts at the pause, (twin, q1): lift the estimates before it
+        estimates = [s[1] for _, s in steps if s is not None and s[0] == "pre"]
+        path = _lift(orig_succ, estimates, path[1]) + path
     # extend the violating path into a lasso: follow first successors from
     # its last node until they repeat
-    path = [q for label, _ in steps for q in label]
     lead, cycle = accepting_lasso([path[-1]], lambda q: orig_succ[q][:1], lambda _: True)
     pi1 = canonical_lasso(Lasso(stem=tuple(path[:-1]) + lead, cycle=cycle))
     return Verdict(property=None, holds=False, mode="exact",
@@ -584,7 +619,9 @@ def _is_collapse(prefix, body):
 
 
 def _estimate_product(k):
-    """Reachable product of the structure with the current-state estimate.
+    """Reachable product of the structure with the current-state estimate,
+    which prunes the bounded candidate search; the exact decision needs
+    only the estimates (see _singleton_cycle).
 
     A state (q, D) pairs a node with the estimate D, the nodes the structure
     can be in after the observations of the path to q; so D holds q.  D
@@ -616,31 +653,43 @@ def _estimate_product(k):
     return succ, core, good
 
 
+def _singleton_cycle(k):
+    """The subset graph of k's estimates and a cycle of singleton estimates
+    in it: (root, succ, cycle) with root the initial estimate, succ each
+    reachable estimate's (observation, estimate) moves, by _estimate_moves,
+    and cycle the first such cycle a depth-first search from the singletons,
+    in breadth-first order, meets, or None when no singleton estimate lies
+    on one.  Building the graph steps every reachable node."""
+    root = frozenset(k.initial)
+    moves = _estimate_moves(k.succ)
+    order, succ = subset_graph(root, lambda d: list(moves(d).items()))
+    found = accepting_lasso([d for d in order if len(d) == 1],
+                            lambda d: [t for _, t in succ[d] if len(t) == 1],
+                            lambda _: True)
+    return root, succ, None if found is None else found[1]
+
+
 def _collapse_exact(k):
     """Exact decision of the collapse body, weak detectability, on the
-    estimate product.
+    subset graph of the structure's estimates (see _singleton_cycle).
 
     Some trace has an estimate that is eventually a singleton forever
-    exactly when an initial product state reaches a cycle of
-    singleton-estimate states.  The witness is the first trace's projection
-    of a lasso from the first such initial state, along a shortest path into
-    core and then round the first cycle inside core that a depth-first
-    search meets; it replays through the estimate walk."""
-    succ, core, good = _estimate_product(k)
-    start = frozenset(k.initial)
-    root = next((s for s in ((q, start) for q in k.initial) if s in good), None)
-    if root is None:
+    exactly when a cycle of singleton estimates is reachable: every member
+    of an estimate ends some run on its observations.  The witness is
+    lifted as the oracle lifts its own: round the cycle, each singleton's
+    node, and before it a shortest estimate path from the initial estimate
+    to the cycle's first estimate, lifted backwards from that estimate's
+    node (see _lift).  The initial estimate's nodes are entered by no
+    observation, so it lies on no cycle.  The witness replays through the
+    estimate walk."""
+    root, succ, cycle = _singleton_cycle(k)
+    if cycle is None:
         return Verdict(property=None, holds=False, mode="exact",
                        engine="hyper-exists-forall")
-    # None stands for "inside core", an extra successor of every core state
-    steps = shortest_path(root, lambda s: [(None, n) for n in succ[s]]
-                          + ([(None, None)] if s in core else []), None)
-    stem = [root] + [n for _, n in steps[:-1]]
-    lead, cycle = accepting_lasso(stem[-1:], lambda s: [n for n in succ[s] if n in core],
-                                  lambda _: True)
-    run = [q for q, _ in (*stem[:-1], *lead, *cycle)]
-    cut = len(stem) - 1 + len(lead)
-    pi1 = canonical_lasso(Lasso(stem=tuple(run[:cut]), cycle=tuple(run[cut:])))
+    lap = [q for (q,) in cycle]
+    steps = shortest_path(root, succ.__getitem__, cycle[0])
+    stem = _lift(k.succ, [root] + [d for _, d in steps], lap[0])[:-1]
+    pi1 = canonical_lasso(Lasso(stem=tuple(stem), cycle=tuple(lap)))
     return Verdict(property=None, holds=True, mode="exact",
                    engine="hyper-exists-forall", witness=(pi1, None))
 
@@ -668,22 +717,30 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Ve
     bound, the structure's node count plus one; success is conclusive,
     exhaustion is not.
 
-    Candidates are the simple lassos from each initial node, found by a
-    depth-first search that closes a path back onto itself.  A candidate is
-    accepted by the estimate walk, which also quantifies over finite
-    matching runs, and the search carries the estimate down its path: a
-    root, extension or closing edge whose (node, estimate) state cannot
-    reach a cycle of singleton estimates (see _estimate_product) leads to no
-    acceptable candidate and is skipped.  The first accepted candidate is
-    the witness; details["candidates_tried"] of an inconclusive verdict
-    counts the candidates whose estimate walk ran, at most MAX_CANDIDATES.
+    The exact decision runs first (see _singleton_cycle): where no cycle
+    of singleton estimates is reachable, no candidate can be accepted, and
+    the verdict is inconclusive with no candidate tried, as the product's
+    pruning would leave it.  Otherwise candidates are the simple lassos
+    from each initial node, found by a depth-first search that closes a
+    path back onto itself.  A candidate is accepted by the estimate walk,
+    which also quantifies over finite matching runs, and the search carries
+    the estimate down its path: a root, extension or closing edge whose
+    (node, estimate) state cannot reach a cycle of singleton estimates (see
+    _estimate_product) leads to no acceptable candidate and is skipped.
+    The first accepted candidate is the witness; details["candidates_tried"]
+    of an inconclusive verdict counts the candidates whose estimate walk
+    ran, at most MAX_CANDIDATES.
     Any other exists/forall body raises NotCollapseBody."""
     _check_prefix(formula, ("exists", "forall"))
     if not _is_collapse(formula.prefix, formula.body):
         raise NotCollapseBody("the exists/forall search decides the collapse body only")
+    # the subset graph, and the product after it, step every reachable
+    # node, so each node has an entry in the on-demand successor map
+    if _singleton_cycle(k)[2] is None:
+        return Verdict(property=None, holds="inconclusive", mode="bounded",
+                       bound=len(k.succ) + 1, engine="hyper-exists-forall",
+                       details={"candidates_tried": 0})
     succ, _, good = _estimate_product(k)
-    # the product steps every reachable node, so each node has an entry in
-    # the on-demand successor map
     bound = len(k.succ) + 1
     start = frozenset(k.initial)
     tried = 0
@@ -841,11 +898,13 @@ def verify(fsa, kind, wd_route="exact") -> Verdict:
     Kripke encodings; oracle.oracle_check decides it on the other route.
 
     wd_route: how the hyper engine decides weak detectability, the one
-    exists/forall property.  "exact" decides it on the product of the
-    Kripke structure with the current-state estimate (see _collapse_exact);
-    "bounded" runs the candidate search of check_exists_forall_bounded,
-    bounded by the structure's node count plus one, which can prove the
-    property but reports its failure as inconclusive.
+    exists/forall property.  "exact" decides it on the subset graph of the
+    Kripke structure's current-state estimates, a reachable cycle of
+    singleton estimates, and lifts its witness from the estimates to a run
+    (see _collapse_exact); "bounded" makes the same decision, then runs the
+    candidate search of check_exists_forall_bounded, bounded by the
+    structure's node count plus one, which can prove the property but
+    reports its failure as inconclusive.
     Both report engine "hyper-exists-forall"; the oracle's own check is
     "oracle-observer".  Any other value raises UnknownRoute.
 

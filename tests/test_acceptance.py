@@ -8,8 +8,12 @@ per-instance checks are needed.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -221,12 +225,11 @@ def test_alternation_depths_split_the_properties():
 # the first 60 machines of the acceptance stream and then g_diag, g_det
 # and g_opa, each fixture for the properties it is annotated for: it
 # changes if any verdict, witness or detail does
-VERDICT_STREAM_DIGEST = "a11015375e027a614d25f17837d94811a5745306df70709cd86339be24947900"
+VERDICT_STREAM_DIGEST = "3ff009fd0571068a2be29198a96b2a837f127926847a04593f18b90d3406c254"
 
 
-def test_verdict_stream_digest_is_pinned():
-    """Every verdict of the pinned stream, witnesses and details included,
-    is the one the digest was computed from."""
+def verdict_stream_digest():
+    """The digest VERDICT_STREAM_DIGEST pins, computed afresh."""
     from conftest import make_g_det, make_g_diag, make_g_opa
 
     rng = random.Random(FUZZ_SEED)
@@ -242,4 +245,27 @@ def test_verdict_stream_digest_is_pinned():
                 doc = verdict_to_json(verdict)
                 del doc["seconds"]
                 digest.update(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n")
-    assert digest.hexdigest() == VERDICT_STREAM_DIGEST
+    return digest.hexdigest()
+
+
+def test_verdict_stream_digest_is_pinned():
+    """Every verdict of the pinned stream, witnesses and details included,
+    is the one the digest was computed from."""
+    assert verdict_stream_digest() == VERDICT_STREAM_DIGEST
+
+
+def test_verdict_stream_does_not_depend_on_the_hash_seed():
+    """The pinned stream, run in two fresh processes under PYTHONHASHSEED=0
+    and =1, gives the pinned digest in both: no verdict, witness or detail
+    depends on the order in which a set of strings or nodes iterates, such
+    as which member of an estimate a witness lift picks."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    script = "from test_acceptance import verdict_stream_digest; print(verdict_stream_digest())"
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", script], cwd=tests, env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs == [VERDICT_STREAM_DIGEST + "\n"] * 2

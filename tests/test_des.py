@@ -548,6 +548,40 @@ def test_refined_machine_inherits_validation():
     assert split > 50, split
 
 
+def test_split_machine_is_the_one_the_constructor_builds():
+    """The split machine, built without the constructor's checks, has every
+    field the constructor gives the same states, transitions and
+    annotations, in the same order (dicts compared as item lists), with
+    the input's validation mark: on each machine as drawn, with no secret
+    declared, and on an unvalidated copy that declares every other state
+    secret."""
+    split = 0
+    for drawn in comparison_machines():
+        marked = Fsa(states=drawn.states, events=drawn.events,
+                     transitions=drawn.transitions, initial=drawn.initial,
+                     mask=drawn.mask, fault_events=drawn.fault_events,
+                     secret_states=drawn.states[::2], observations=drawn.observations,
+                     name=drawn.name)
+        for fsa in (drawn, marked):
+            refined, _ = refine_fault_partition(fsa)
+            if refined is fsa:
+                continue
+            split += 1
+            built = Fsa(states=refined.states, events=fsa.events,
+                        transitions=refined.transitions, initial=refined.initial,
+                        mask=fsa.mask, fault_events=fsa.fault_events,
+                        secret_states=refined.secret_states,
+                        observations=fsa.observations, name=fsa.name)
+            built.validated = fsa.validated
+            assert vars(refined).keys() == vars(built).keys()
+            for field, value in vars(built).items():
+                got = getattr(refined, field)
+                assert got == value, field
+                if isinstance(value, dict):
+                    assert list(got.items()) == list(value.items()), field
+    assert split > 100, split
+
+
 def test_refine_no_fault_events(g_det):
     with pytest.raises(NoFaultEvents):
         refine_fault_partition(g_det)
