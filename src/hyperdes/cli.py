@@ -83,8 +83,9 @@ def cmd_verify(args):
               file=sys.stderr)
 
     # one analysis per route, so the routes never share a structure; under
-    # --engine both, weak detectability compares the hyper engine's
-    # estimate-product check with the oracle's observer check
+    # --engine both, weak detectability compares the hyper engine's search
+    # for a cycle of singleton estimates of the Kripke structure with the
+    # oracle's search for one on the observer
     analysis, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
     decide = {"hyper": analysis.verify, "oracle": oracle.check}
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)

@@ -10,11 +10,11 @@ delayed estimate refines a past instant using subsequent observations.
 
 des has one set stepper, state_moves: it steps a set of states on every
 observation at once, as the union of its members' steps, each computed
-once, and builds each state's unobservable closure from the closures it
-already knows.  An analysis makes one stepper per machine it checks and
-hands it to everything it builds of that machine: the observer, the
-Kripke structures and cyclic_states take it as an argument, and make a
-fresh one when given none.  joint_moves steps a tuple of estimates
+once, as is each state's unobservable closure, by des's one closure
+search, unobservable_reach.  An analysis makes one stepper per machine it
+checks and hands it to everything it builds of that machine: the
+observer, the Kripke structures and cyclic_states take it as an argument,
+and make a fresh one when given none.  joint_moves steps a tuple of estimates
 together on it.  The three estimate functions are one walk over such a
 tuple, which differs only in where it starts: the closure of the initial
 states for the current-state estimate, the closure of each initial state
@@ -216,9 +216,11 @@ def unobservable_reach(fsa: Fsa, states) -> frozenset:
     frontier = list(seen)
     out_edges, mask = fsa._out, fsa.mask
     # breadth-first: the loop also visits what it appends.  It does not call
-    # graph.bfs: the oracle alone calls this about 30k times per round of
-    # the fuzz-stream benchmark, nearly always on one to three states, and
-    # going through the generator made each such call about 70% slower
+    # graph.bfs: one round of the fuzz-stream benchmark, hyper on the
+    # bounded route and the oracle, calls this about 24.5k times, 15k of
+    # them for state_moves' closures of single states, nearly always on one
+    # to three states, and going through the generator made each such call
+    # about 70% slower
     for x in frontier:
         for e, y in out_edges[x]:
             if mask[e] is EPS and y not in seen:
@@ -242,15 +244,13 @@ def state_moves(fsa: Fsa):
     state's closure, is computed once per call of state_moves; a set of
     one state gets that memoised dict itself, which callers only read.  A
     walk over many sets thus closes each state once, however many sets it
-    lies in.  A state's step is one pass over its closure's out-edges,
-    looking up known closures in place and joining them per observation
-    at its end.  Closures are built from known closures: a state without an
-    unobservable event closes to itself, and the search from any other
-    state takes in the closure of each state it meets whose closure is
-    known, instead of walking past it.  The search is a loop, not a
-    recursion, so a long unobservable chain closes, and a state seen twice
-    is not walked again, so an unvalidated machine's unobservable cycle
-    does too.
+    lies in.  A state's closure is unobservable_reach of the state alone,
+    and its step is one pass over its closure's out-edges, looking up the
+    closures of their targets, memoised alike, and joining them per
+    observation at its end.  unobservable_reach is a loop, not a
+    recursion, so a long unobservable chain closes, and it walks each
+    state once, so an unvalidated machine's unobservable cycle closes
+    too.
 
     An analysis makes one stepper per machine it steps and hands it to
     every structure it builds of that machine, so those structures share
@@ -261,25 +261,7 @@ def state_moves(fsa: Fsa):
     order = fsa.obs_index.__getitem__
 
     def closure(x):
-        c = closures.get(x)
-        if c is not None:
-            return c
-        found = [y for e, y in out_edges[x] if mask[e] is EPS]
-        if not found:
-            c = closures[x] = frozenset((x,))
-            return c
-        seen = {x}
-        # breadth-first over the unobservable targets met so far: the loop
-        # also visits what it appends, and walks each state once
-        for y in found:
-            if y not in seen:
-                known = closures.get(y)
-                if known is None:
-                    seen.add(y)
-                    found.extend(z for e, z in out_edges[y] if mask[e] is EPS)
-                else:
-                    seen |= known
-        c = closures[x] = frozenset(seen)
+        c = closures[x] = unobservable_reach(fsa, (x,))
         return c
 
     def joined(hits):

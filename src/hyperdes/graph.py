@@ -17,51 +17,21 @@ from collections import deque
 
 
 def sccs(roots, succ):
-    """Strongly connected components reachable from `roots`, by Tarjan's
-    algorithm (SIAM J. Comput. 1972) without recursion.
-
-    Yields each component as a list as soon as it is complete, so callers
-    can stop early; a component comes before every component that reaches it.
-    """
-    index, low = {}, {}
-    stack, on_stack = [], set()
-    for root in roots:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ(root)))]
-        while work:
-            node, it = work[-1]
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while not comp or comp[-1] != node:
-                        comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
-                    yield comp
+    """Strongly connected components reachable from `roots`, as a list of
+    lists of nodes, each component starting at its root, the node the
+    search entered it by; a component comes before every component that
+    reaches it.  It is accepting_lasso's search with no node accepting (see
+    _search)."""
+    comps = []
+    _search(roots, succ, lambda _: False, comps.append)
+    return comps
 
 
 def cyclic_sccs(roots, succ):
     """The components of sccs() whose nodes lie on a cycle: those with more
     than one node or with a self-loop."""
-    for comp in sccs(roots, succ):
-        if len(comp) > 1 or comp[0] in succ(comp[0]):
-            yield comp
+    return [comp for comp in sccs(roots, succ)
+            if len(comp) > 1 or comp[0] in succ(comp[0])]
 
 
 def accepting_lasso(roots, succ, accepting):
@@ -72,24 +42,33 @@ def accepting_lasso(roots, succ, accepting):
 
     The stem starts at a root and each of its steps is an edge, as is the
     step from the stem's last node (a root, when the stem is empty) into
-    the cycle and from the cycle's last node back to its first.
-
-    One depth-first search keeps Couvreur's stack of (root position,
-    holds an accepting node) for the components still open.  An edge to a
-    node of an open component merges every component above that node, and
-    the search stops as soon as the merged component holds an accepting
-    node; a component that closes without one is never entered again.
-    `succ` and `accepting` are called once per node the search enters.  The
-    cycle is the search path from the edge's target when the target is on
-    it, and that part of the path then holds an accepting node.  Otherwise
-    the stem is the path to the component's root, and the cycle runs
-    breadth first, inside the component, from the root to its nearest
-    accepting node and back, which calls `succ` and `accepting` again on
-    the nodes it visits.
+    the cycle and from the cycle's last node back to its first.  `succ` and
+    `accepting` are called once per node the search enters (see _search).
 
     With every node accepting it is a plain cycle search: the first edge
     back into the search path ends it, and the answer is that path, cut
     where the edge enters it.
+    """
+    return _search(roots, succ, accepting, lambda _: None)
+
+
+def _search(roots, succ, accepting, closed):
+    """The package's one depth-first search: Couvreur's SCC search from
+    each root in turn, which calls closed(comp) with each component, a list
+    of nodes starting at its root, as it closes, and returns
+    accepting_lasso's answer.
+
+    It keeps Couvreur's stack of (root position, holds an accepting node)
+    for the components still open.  An edge to a node of an open component
+    merges every component above that node, and the search stops as soon
+    as the merged component holds an accepting node; a component that
+    closes without one is never entered again, and closes before every
+    component that reaches it.  The cycle is the search path from the
+    edge's target when the target is on it, and that part of the path then
+    holds an accepting node.  Otherwise the stem is the path to the
+    component's root, and the cycle runs breadth first, inside the
+    component, from the root to its nearest accepting node and back, which
+    calls `succ` and `accepting` again on the nodes it visits.
     """
     at = {}         # each node entered: its position in `live`, -1 once its component closed
     live = []       # the nodes of the open components, in search order
@@ -125,9 +104,11 @@ def accepting_lasso(roots, succ, accepting):
                 i = at[path.pop()]
                 if comps[-1][0] == i:
                     comps.pop()
-                    for node in live[i:]:
+                    comp = live[i:]
+                    for node in comp:
                         at[node] = -1
                     del live[i:]
+                    closed(comp)
     return None
 
 

@@ -618,10 +618,11 @@ def _is_collapse(prefix, body):
     return body == Implies(Always(ObsEq(v1, v2)), Eventually(Always(StateEq(v1, v2))))
 
 
-def _estimate_product(k):
+def _estimate_product(k, moves):
     """Reachable product of the structure with the current-state estimate,
     which prunes the bounded candidate search; the exact decision needs
-    only the estimates (see _singleton_cycle).
+    only the estimates (see _singleton_cycle).  `moves` is
+    _estimate_moves(k.succ), shared with that decision.
 
     A state (q, D) pairs a node with the estimate D, the nodes the structure
     can be in after the observations of the path to q; so D holds q.  D
@@ -632,7 +633,7 @@ def _estimate_product(k):
     core can be reached.  Every position of a candidate the estimate walk
     accepts is a state in good, and weak detectability holds exactly when an
     initial state is in good."""
-    succ, moves = {}, _estimate_moves(k.succ)
+    succ = {}
 
     def successors(state):
         q, d = state
@@ -653,15 +654,15 @@ def _estimate_product(k):
     return succ, core, good
 
 
-def _singleton_cycle(k):
+def _singleton_cycle(k, moves):
     """The subset graph of k's estimates and a cycle of singleton estimates
     in it: (root, succ, cycle) with root the initial estimate, succ each
-    reachable estimate's (observation, estimate) moves, by _estimate_moves,
-    and cycle the first such cycle a depth-first search from the singletons,
-    in breadth-first order, meets, or None when no singleton estimate lies
-    on one.  Building the graph steps every reachable node."""
+    reachable estimate's (observation, estimate) moves, by `moves`, an
+    _estimate_moves(k.succ), and cycle the first such cycle a depth-first
+    search from the singletons, in breadth-first order, meets, or None when
+    no singleton estimate lies on one.  Building the graph steps every
+    reachable node."""
     root = frozenset(k.initial)
-    moves = _estimate_moves(k.succ)
     order, succ = subset_graph(root, lambda d: list(moves(d).items()))
     found = accepting_lasso([d for d in order if len(d) == 1],
                             lambda d: [t for _, t in succ[d] if len(t) == 1],
@@ -682,7 +683,7 @@ def _collapse_exact(k):
     node (see _lift).  The initial estimate's nodes are entered by no
     observation, so it lies on no cycle.  The witness replays through the
     estimate walk."""
-    root, succ, cycle = _singleton_cycle(k)
+    root, succ, cycle = _singleton_cycle(k, _estimate_moves(k.succ))
     if cycle is None:
         return Verdict(property=None, holds=False, mode="exact",
                        engine="hyper-exists-forall")
@@ -735,12 +736,14 @@ def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Ve
     if not _is_collapse(formula.prefix, formula.body):
         raise NotCollapseBody("the exists/forall search decides the collapse body only")
     # the subset graph, and the product after it, step every reachable
-    # node, so each node has an entry in the on-demand successor map
-    if _singleton_cycle(k)[2] is None:
+    # node, so each node has an entry in the on-demand successor map; both
+    # step the estimates on one memo
+    moves = _estimate_moves(k.succ)
+    if _singleton_cycle(k, moves)[2] is None:
         return Verdict(property=None, holds="inconclusive", mode="bounded",
                        bound=len(k.succ) + 1, engine="hyper-exists-forall",
                        details={"candidates_tried": 0})
-    succ, _, good = _estimate_product(k)
+    succ, _, good = _estimate_product(k, moves)
     bound = len(k.succ) + 1
     start = frozenset(k.initial)
     tried = 0

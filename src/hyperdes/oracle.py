@@ -32,7 +32,7 @@ a reachable cycle, which yields ambiguous strings of every length, and
 each check is one emptiness search, graph.accepting_lasso, which stops at
 the first violating cycle and expands a pair only when it first reaches
 it; strong detectability, which asks what a cycle reaches, follows a
-search that finds nothing with one pass of Tarjan's components.
+search that finds nothing with one pass of graph.sccs over the same pairs.
 Diagnosability searches the verifier with a fault bit carried on its
 first side, in place of the verifier of the fault-refined machine.
 Predictability, whose template is alternation-free like theirs, is one
@@ -306,9 +306,9 @@ def strong_detectability_oracle(an) -> Verdict:
 
     One emptiness search first looks for an off-diagonal pair on a cycle
     and stops at the first one.  Without one, every cycle runs through
-    diagonal pairs, and one pass of Tarjan's components over the same
-    pairs, which lists a component before every component that reaches
-    it, looks for a cycle that reaches an off-diagonal pair.
+    diagonal pairs, and one pass of graph.sccs over the same pairs, which
+    lists a component before every component that reaches it, looks for a
+    cycle that reaches an off-diagonal pair.
     """
     fsa = an.fsa
     step = _verifier(fsa)

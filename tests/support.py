@@ -469,7 +469,8 @@ def pair_graph(fsa):
 def pair_graph_verdict(fsa, kind):
     """Diagnosability, I- or delayed detectability decided on the closure
     pair graph: the pairs reachable from the start pairs, breadth first,
-    then Tarjan's components for a cycle, as an exact oracle verdict.
+    then strongly connected components for a cycle, as an exact oracle
+    verdict.
 
     - diagnosability: on the refined machine with the second side kept
       normal, from every pair of the initial closure, a cycle reachable from

@@ -366,10 +366,11 @@ def over_read_states(stepper):
 def test_observer_closes_each_state_once():
     """The observer of the 360-state fault ring with every state initial has
     718 estimates of up to 360 states.  Its set stepper closes and steps
-    each state once, whatever the estimates it lies in: a state's out-edges
-    are read once while closing, and once while stepping, each state whose
-    closure holds it, and once more by build_observer's closure of the
-    initial states.  A stepper that closes a state again for each estimate
+    each state once, whatever the estimates it lies in: unobservable_reach
+    reads a state's out-edges once for each state whose closure holds it,
+    when that state is closed, the step reads them as often again, and
+    build_observer's closure of the initial states reads them once more.
+    A stepper that closes a state again for each estimate
     it lies in reads them hundreds of times, and fails the count."""
     assert over_read_states(state_moves) == []
 
@@ -393,8 +394,8 @@ def silent_cycle_machine():
 def test_state_moves_terminates_on_an_unobservable_cycle():
     """The stepper needs no validation: on a machine with an unobservable
     cycle it gives the reference step of every state and of sets of them,
-    with the states asked first to last and last to first, so the closures
-    of the cycle are built both from scratch and from known ones."""
+    with the states asked first to last and last to first, so each state is
+    stepped both before and after the states of its closure."""
     fsa = silent_cycle_machine()
     with pytest.raises(UnobservableCycle):
         validate_fsa(silent_cycle_machine())
@@ -408,9 +409,9 @@ def test_state_moves_terminates_on_an_unobservable_cycle():
 def test_state_moves_closes_a_chain_longer_than_the_recursion_limit():
     """Closing is a loop, not a recursion: on an unobservable chain longer
     than the recursion limit, each state's step is the reference's.  The
-    first state is asked first, when no closure on the chain is known, and
-    the others from last to first, each closed from the known closure of
-    its successor."""
+    first state is asked first, when no closure on the chain is memoised,
+    and the others from last to first, each after the closure of its
+    successor is."""
     fsa = validate_fsa(unobservable_chain(sys.getrecursionlimit() + 200))
     moves = state_moves(fsa)
     for x in fsa.states[:1] + fsa.states[:0:-1]:

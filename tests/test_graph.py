@@ -158,8 +158,9 @@ def test_accepting_lasso_is_a_lasso_missing_only_without_accepting_cycles(graph,
         return succ[x]
 
     found = accepting_lasso(roots, tracked, accepting.__contains__)
-    cyclic = cyclic_sccs(roots, succ.__getitem__)
-    assert (found is None) == (not any(accepting.intersection(comp) for comp in cyclic))
+    reach = closure(nodes, succ)
+    assert (found is None) == (not any(x in reach[x] for x in
+                                       accepting & reach_from(roots, reach)))
     if found is None:
         assert len(entered) == len(set(entered))     # each node expanded once
         return

@@ -528,7 +528,7 @@ def test_pruned_candidate_search_matches_the_unpruned_one():
         bound = len(k.nodes) + 1
         cands = reference_candidates(k, bound)
         accepted = [c for c in cands if _estimate_walk_accepts(k, c)]
-        _, core, good = _estimate_product(k)
+        _, core, good = _estimate_product(k, _estimate_moves(k.succ))
         assert core <= good
         for c in accepted:
             assert set(estimate_positions(k, c)) <= good
@@ -560,7 +560,7 @@ def test_estimate_moves_is_step_nodes_on_every_observation():
     rng = random.Random(20261019)
     for fsa in helper_machines():
         k = build_kripke(fsa)
-        product, _, _ = _estimate_product(k)
+        product, _, _ = _estimate_product(k, _estimate_moves(k.succ))
         estimates = {d for _, d in product}
         nodes = list(k.nodes)
         estimates.update(frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))

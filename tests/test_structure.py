@@ -1,5 +1,6 @@
 """Structure of the package: its modules import each other without cycles,
 every breadth-first and depth-first search runs through the graph kernel,
+which holds one depth-first search,
 neither route imports the other, every estimate step is des's, the
 oracle builds no set stepper of its own, and every function and class is
 used by the package itself.
@@ -198,6 +199,36 @@ def test_iter_push_scan_sees_lists_appends_and_tuples():
     assert iter_pushes("first = next(iter(entry))\n"
                        "cells = [next(iter(n)) for n in nodes]\n"
                        "seen.add(iter(x))\n") == []
+
+
+def push_owners(source):
+    """The functions of a source text that hold a line iter_pushes finds,
+    each named by the innermost definition around that line."""
+    defs = [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    owners = set()
+    for line in iter_pushes(source):
+        around = [d for d in defs if d.lineno <= line <= d.end_lineno]
+        owners.add(max(around, key=lambda d: d.lineno).name if around else None)
+    return owners
+
+
+def test_the_graph_kernel_has_one_depth_first_search():
+    """Every depth-first work stack of graph.py lies in one function, so
+    SCCs, cycles and accepting lassos all come from one search."""
+    assert len(push_owners((PACKAGE / "graph.py").read_text(encoding="utf-8"))) == 1
+
+
+def test_push_owner_scan_sees_each_search():
+    source = ("def sccs(roots, succ):\n"
+              "    for root in roots:\n"
+              "        work = [(root, iter(succ(root)))]\n"
+              "\n"
+              "def accepting_lasso(roots, succ, accepting):\n"
+              "    work = [iter(succ(roots[0]))]\n"
+              "    work.append(iter(succ(roots[1])))\n")
+    assert push_owners(source) == {"sccs", "accepting_lasso"}
+    assert push_owners("work = [iter(succ(root))]\n") == {None}
 
 
 def names_imported_from(source, module):
