@@ -166,11 +166,6 @@ def bfs(roots, succ):
                 yield nxt
 
 
-def reachable(sources, succ):
-    """The set of nodes reachable from `sources`, the sources included."""
-    return set(bfs(sources, succ))
-
-
 def shortest_path(source, succ, goal):
     """A shortest path of one or more edges from `source` to `goal`, by
     breadth-first search; `succ(node)` yields (label, node) pairs.

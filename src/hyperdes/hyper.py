@@ -30,14 +30,10 @@ properties:
   graph of the structure's current-state estimates: it holds exactly when a
   cycle of singleton estimates is reachable, and its witness is a run into
   such a cycle, lifted from the estimates to nodes.  verify() takes this
-  exact route unless asked for the bounded one.  The bounded route makes
-  the same decision first and reports its failure as inconclusive; where
-  it holds, it enumerates candidate lassos up to a length bound, and a
-  found witness is conclusive, exhaustion inconclusive.  A candidate is
-  accepted by the estimate walk, and the product of the structure with the
-  estimate prunes the search to the (node, estimate) states that can still
-  reach a singleton cycle.  Neither route decides any other exists/forall
-  body.
+  exact route unless asked for the bounded one, which makes the same
+  decision and only reports it differently: the same witness where the
+  property holds, with mode "bounded", and "inconclusive" where it fails.
+  Neither route decides any other exists/forall body.
 
 The searches step the current-state estimate by one memoised step,
 _estimate_moves, and key their states by the estimate alone wherever the
@@ -76,9 +72,9 @@ The structures are built on demand (see kripke): the searches and replays
 here look up the successors and labels of the nodes they reach and never
 the whole node list, so a check expands only what it visits.  The
 forall/exists searches read an original node's successors off the plain
-structure a modified view keeps.  The bounded exists/forall search
-takes its length bound from the number of nodes its subset graph
-expanded, which is every reachable node.  A HyperAnalysis steps each
+structure a modified view keeps.  The bounded exists/forall report takes
+its bound from the number of nodes the subset graph expanded, which is
+every reachable node.  A HyperAnalysis steps each
 machine it checks by one set stepper (des.state_moves), shared by its
 Kripke structure and the template's cyclic states.
 """
@@ -118,12 +114,9 @@ from .formula import (
     missing_annotation,
     property_template,
 )
-from .graph import accepting_lasso, cyclic_sccs, reachable, shortest_path, subset_graph
+from .graph import accepting_lasso, shortest_path, subset_graph
 from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
-
-# candidate lassos the bounded exists/forall search tries before it gives up
-MAX_CANDIDATES = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -618,75 +611,32 @@ def _is_collapse(prefix, body):
     return body == Implies(Always(ObsEq(v1, v2)), Eventually(Always(StateEq(v1, v2))))
 
 
-def _estimate_product(k, moves):
-    """Reachable product of the structure with the current-state estimate,
-    which prunes the bounded candidate search; the exact decision needs
-    only the estimates (see _singleton_cycle).  `moves` is
-    _estimate_moves(k.succ), shared with that decision.
+def _collapse_exact(k):
+    """Exact decision of the collapse body, weak detectability, on the
+    subset graph of the structure's estimates, the observer criterion of
+    Shu, Lin and Ying (IEEE TAC 52(12), 2007).
 
-    A state (q, D) pairs a node with the estimate D, the nodes the structure
-    can be in after the observations of the path to q; so D holds q.  D
-    starts at the initial nodes, and a step to t moves it to
-    step_nodes(k.succ, D, t.obs).  Returns (succ, core, good): the
-    successors of each reachable state in k.succ's order, the states on a
-    cycle of states whose estimate is a singleton, and the states from which
-    core can be reached.  Every position of a candidate the estimate walk
-    accepts is a state in good, and weak detectability holds exactly when an
-    initial state is in good."""
-    succ = {}
-
-    def successors(state):
-        q, d = state
-        step = moves(d)
-        out = succ[state] = [(t, step[t.obs]) for t in k.succ[q]]
-        return out
-
-    start = frozenset(k.initial)
-    reachable([(q, start) for q in k.initial], successors)
-    singles = [s for s in succ if len(s[1]) == 1]
-    core = {s for comp in cyclic_sccs(
-        singles, lambda s: [n for n in succ[s] if len(n[1]) == 1]) for s in comp}
-    pred = {}
-    for s, nexts in succ.items():
-        for n in nexts:
-            pred.setdefault(n, []).append(s)
-    good = reachable(core, lambda s: pred.get(s, ()))
-    return succ, core, good
-
-
-def _singleton_cycle(k, moves):
-    """The subset graph of k's estimates and a cycle of singleton estimates
-    in it: (root, succ, cycle) with root the initial estimate, succ each
-    reachable estimate's (observation, estimate) moves, by `moves`, an
-    _estimate_moves(k.succ), and cycle the first such cycle a depth-first
-    search from the singletons, in breadth-first order, meets, or None when
-    no singleton estimate lies on one.  Building the graph steps every
-    reachable node."""
+    Some trace has an estimate that is eventually a singleton forever
+    exactly when a cycle of singleton estimates is reachable: every member
+    of an estimate ends some run on its observations.  The cycle is the
+    first one a depth-first search from the singletons, in breadth-first
+    order, meets; building the graph steps every reachable node.  The
+    witness is lifted as the oracle lifts its own: round the cycle, each
+    singleton's node, and before it a shortest estimate path from the
+    initial estimate to the cycle's first estimate, lifted backwards from
+    that estimate's node (see _lift).  The initial estimate's nodes are
+    entered by no observation, so it lies on no cycle.  The witness replays
+    through the estimate walk."""
+    moves = _estimate_moves(k.succ)
     root = frozenset(k.initial)
     order, succ = subset_graph(root, lambda d: list(moves(d).items()))
     found = accepting_lasso([d for d in order if len(d) == 1],
                             lambda d: [t for _, t in succ[d] if len(t) == 1],
                             lambda _: True)
-    return root, succ, None if found is None else found[1]
-
-
-def _collapse_exact(k):
-    """Exact decision of the collapse body, weak detectability, on the
-    subset graph of the structure's estimates (see _singleton_cycle).
-
-    Some trace has an estimate that is eventually a singleton forever
-    exactly when a cycle of singleton estimates is reachable: every member
-    of an estimate ends some run on its observations.  The witness is
-    lifted as the oracle lifts its own: round the cycle, each singleton's
-    node, and before it a shortest estimate path from the initial estimate
-    to the cycle's first estimate, lifted backwards from that estimate's
-    node (see _lift).  The initial estimate's nodes are entered by no
-    observation, so it lies on no cycle.  The witness replays through the
-    estimate walk."""
-    root, succ, cycle = _singleton_cycle(k, _estimate_moves(k.succ))
-    if cycle is None:
+    if found is None:
         return Verdict(property=None, holds=False, mode="exact",
                        engine="hyper-exists-forall")
+    cycle = found[1]
     lap = [q for (q,) in cycle]
     steps = shortest_path(root, succ.__getitem__, cycle[0])
     stem = _lift(k.succ, [root] + [d for _, d in steps], lap[0])[:-1]
@@ -696,16 +646,16 @@ def _collapse_exact(k):
 
 
 def _estimate_walk_accepts(k, pi1):
-    """Decide the collapse body for one candidate by tracking every node the
-    structure can reach while matching the candidate's observations, and
+    """Decide the collapse body for one lasso by tracking every node the
+    structure can reach while matching the lasso's observations, and
     requiring that the tracked set is eventually a singleton forever.
 
-    The tracked set is exactly the state estimate for the candidate's
+    The tracked set is exactly the state estimate for the lasso's
     observation sequence, so it also covers matching runs that die out after
     finitely many steps.  A product check over infinite traces alone is
-    weaker: it can certify a candidate whose estimate stays ambiguous at
+    weaker: it can certify a lasso whose estimate stays ambiguous at
     every instant because each ambiguous branch eventually fails to match
-    the next observation.  Such a candidate never pins down the state and
+    the next observation.  Such a lasso never pins down the state and
     must not count."""
     walk = list(_lasso_estimates(k.succ, pi1, 0, frozenset(k.initial)))
     period = walk[walk.index(walk[-1]):-1]
@@ -713,68 +663,23 @@ def _estimate_walk_accepts(k, pi1):
 
 
 def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Verdict:
-    """Semi-decision of the collapse body (always obs-equal implies
-    eventually always state-equal): try candidate lassos up to a length
-    bound, the structure's node count plus one; success is conclusive,
-    exhaustion is not.
-
-    The exact decision runs first (see _singleton_cycle): where no cycle
-    of singleton estimates is reachable, no candidate can be accepted, and
-    the verdict is inconclusive with no candidate tried, as the product's
-    pruning would leave it.  Otherwise candidates are the simple lassos
-    from each initial node, found by a depth-first search that closes a
-    path back onto itself.  A candidate is accepted by the estimate walk,
-    which also quantifies over finite matching runs, and the search carries
-    the estimate down its path: a root, extension or closing edge whose
-    (node, estimate) state cannot reach a cycle of singleton estimates (see
-    _estimate_product) leads to no acceptable candidate and is skipped.
-    The first accepted candidate is the witness; details["candidates_tried"]
-    of an inconclusive verdict counts the candidates whose estimate walk
-    ran, at most MAX_CANDIDATES.
+    """The collapse body (always obs-equal implies eventually always
+    state-equal) decided by _collapse_exact and reported in the bounded
+    form: mode "bounded", and bound the structure's node count plus one, a
+    figure of its size that limits no search.  Where the body holds, the
+    witness is the exact one; where it fails, the verdict is
+    "inconclusive", with details["candidates_tried"] 0.
     Any other exists/forall body raises NotCollapseBody."""
     _check_prefix(formula, ("exists", "forall"))
     if not _is_collapse(formula.prefix, formula.body):
         raise NotCollapseBody("the exists/forall search decides the collapse body only")
-    # the subset graph, and the product after it, step every reachable
-    # node, so each node has an entry in the on-demand successor map; both
-    # step the estimates on one memo
-    moves = _estimate_moves(k.succ)
-    if _singleton_cycle(k, moves)[2] is None:
-        return Verdict(property=None, holds="inconclusive", mode="bounded",
-                       bound=len(k.succ) + 1, engine="hyper-exists-forall",
-                       details={"candidates_tried": 0})
-    succ, _, good = _estimate_product(k, moves)
-    bound = len(k.succ) + 1
-    start = frozenset(k.initial)
-    tried = 0
-    for q0 in k.initial:
-        if (q0, start) not in good:
-            continue
-        stack = [([q0], {q0}, start)]
-        while stack:
-            path, onpath, d = stack.pop()
-            for t, dt in succ[(path[-1], d)]:
-                if (t, dt) not in good:
-                    continue
-                if t in onpath:
-                    i = path.index(t)
-                    cand = canonical_lasso(
-                        Lasso(stem=tuple(path[:i]), cycle=tuple(path[i:])))
-                    tried += 1
-                    if _estimate_walk_accepts(k, cand):
-                        return Verdict(property=None, holds=True, mode="bounded",
-                                       engine="hyper-exists-forall",
-                                       bound=bound, witness=(cand, None))
-                    if tried >= MAX_CANDIDATES:
-                        return Verdict(property=None, holds="inconclusive",
-                                       mode="bounded", bound=bound,
-                                       engine="hyper-exists-forall",
-                                       details={"candidates_tried": tried})
-                elif len(path) < bound:
-                    stack.append((path + [t], onpath | {t}, dt))
-    return Verdict(property=None, holds="inconclusive", mode="bounded",
-                   bound=bound, engine="hyper-exists-forall",
-                   details={"candidates_tried": tried})
+    verdict = _collapse_exact(k)
+    # the subset graph steps every reachable node, so each node has an
+    # entry in the on-demand successor map
+    verdict.mode, verdict.bound = "bounded", len(k.succ) + 1
+    if not verdict.holds:
+        verdict.holds, verdict.details = "inconclusive", {"candidates_tried": 0}
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -904,10 +809,10 @@ def verify(fsa, kind, wd_route="exact") -> Verdict:
     exists/forall property.  "exact" decides it on the subset graph of the
     Kripke structure's current-state estimates, a reachable cycle of
     singleton estimates, and lifts its witness from the estimates to a run
-    (see _collapse_exact); "bounded" makes the same decision, then runs the
-    candidate search of check_exists_forall_bounded, bounded by the
-    structure's node count plus one, which can prove the property but
-    reports its failure as inconclusive.
+    (see _collapse_exact); "bounded" makes the same decision and reports it
+    in the form of check_exists_forall_bounded: the same witness where the
+    property holds, "inconclusive" where it fails, mode "bounded" and a
+    bound of the structure's node count plus one.
     Both report engine "hyper-exists-forall"; the oracle's own check is
     "oracle-observer".  Any other value raises UnknownRoute.
 

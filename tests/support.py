@@ -40,7 +40,7 @@ from hyperdes.formula import (
     Until,
 )
 from hyperdes.gen import random_valid_fsa
-from hyperdes.graph import bfs, cyclic_sccs, reachable
+from hyperdes.graph import bfs, cyclic_sccs
 from hyperdes.kripke import KNode, Verdict
 
 PROPS = ("a", "x:0", "x:1", "o:o1", "o:o2", "tau")
@@ -552,8 +552,8 @@ def indicator_states(fsa, part):
             succ[x].append(y)
             pred[y].append(x)
     on_cycle = {x for comp in cyclic_sccs(fsa.states, succ.__getitem__) for x in comp}
-    reaches_normal = reachable(part.normal_states, pred.__getitem__)
-    escaping = reachable(on_cycle & reaches_normal, pred.__getitem__)
+    reaches_normal = set(bfs(part.normal_states, pred.__getitem__))
+    escaping = set(bfs(on_cycle & reaches_normal, pred.__getitem__))
     return frozenset(part.normal_states - escaping)
 
 
@@ -589,7 +589,7 @@ def observer_strong_detectability(fsa):
         return [t for _, t in obs.moves[n]]
 
     on_cycle = [n for comp in cyclic_sccs(obs.nodes, succ) for n in comp]
-    return all(len(n) == 1 for n in reachable(on_cycle, succ))
+    return all(len(n) == 1 for n in bfs(on_cycle, succ))
 
 
 def observer_current_state_opacity(fsa):

@@ -13,7 +13,6 @@ from hyperdes.graph import (
     accepting_lasso,
     bfs,
     cyclic_sccs,
-    reachable,
     sccs,
     shortest_path,
     subset_graph,
@@ -216,14 +215,6 @@ def test_bfs_yields_each_reachable_node_once_breadth_first_and_lazily(graph):
         for x in islice(bfs(draw(), tracked), k):
             yielded.append(x)
         assert yielded == roots[:k] and len(drawn) <= k
-
-
-@checks
-@given(digraphs())
-def test_reachable_is_the_reflexive_transitive_closure(graph):
-    nodes, edges, roots = graph
-    succ = successors(nodes, edges)
-    assert reachable(roots, succ.__getitem__) == reach_from(roots, closure(nodes, succ))
 
 
 @checks

@@ -46,6 +46,7 @@ from hyperdes.formula import (
     property_template,
 )
 from hyperdes.gen import random_valid_fsa
+from hyperdes.graph import subset_graph
 from hyperdes.hyper import (
     HyperAnalysis,
     Verdict,
@@ -57,8 +58,6 @@ from hyperdes.hyper import (
     verify,
     _bit_letters,
     _estimate_moves,
-    _estimate_product,
-    _estimate_walk_accepts,
     _lasso_estimates,
     _negated_body,
     _original_succ,
@@ -435,8 +434,8 @@ def test_engines_reject_wrong_prefix(g_opa, g_diag):
 
 
 def test_weak_detectability_routes_agree(g_det):
-    """The exact observer route and the bounded candidate search agree on the
-    fixture and both witnesses replay."""
+    """The oracle's observer check and the hyper route's bounded report
+    agree on the fixture and both witnesses replay."""
     exact = oracle_check(g_det, "weak-detectability")
     bounded = verify(g_det, "weak-detectability", wd_route="bounded")
     assert exact.holds is True
@@ -456,8 +455,8 @@ def test_weak_detectability_observer_witness_is_pinned(g_det):
 
 
 def test_bounded_route_inconclusive_when_no_witness_exists():
-    """A machine whose estimate never narrows leaves the candidate search
-    inconclusive while the observer route concludes false."""
+    """A machine whose estimate never narrows: the exact route concludes
+    false, and the bounded route reports that failure as inconclusive."""
     from tests.conftest import make_twin_branch
     fsa = make_twin_branch()
     validate_fsa(fsa)
@@ -469,9 +468,9 @@ def test_bounded_route_inconclusive_when_no_witness_exists():
 
 
 def test_bounded_route_rejects_eternally_ambiguous_machine():
-    """A candidate whose estimate never collapses must not be certified, even
+    """A run whose estimate never collapses must not be certified, even
     when every infinite observation-matched companion run converges onto
-    it."""
+    it: both routes find no singleton cycle."""
     fsa = make_dying_branch()
     assert verify(fsa, "weak-detectability").holds is False
     bounded = verify(fsa, "weak-detectability", wd_route="bounded")
@@ -479,9 +478,8 @@ def test_bounded_route_rejects_eternally_ambiguous_machine():
 
 
 def reference_candidates(k, bound):
-    """Every candidate of the bounded exists/forall search, unpruned and in
-    its order: the simple lassos from each initial node, closed by a
-    depth-first search over paths of fewer than `bound` nodes."""
+    """The simple lassos from each initial node, closed by a depth-first
+    search over paths of fewer than `bound` nodes."""
     cands = []
     for q0 in k.initial:
         stack = [([q0], {q0})]
@@ -517,31 +515,29 @@ def product_machines():
                for _ in range(40)])
 
 
-def test_pruned_candidate_search_matches_the_unpruned_one():
-    """With the estimate product pruning it, the collapse-body search returns
-    the verdict, bound and witness of the unpruned enumeration, and every
-    candidate the estimate walk accepts stays inside good."""
+def test_bounded_route_reports_the_exact_decision():
+    """On product_machines() and the 500-machine acceptance stream, the
+    bounded route holds exactly where the exact route does, with the same
+    witness, and is inconclusive with no candidate tried elsewhere; its
+    bound is the structure's node count plus one."""
+    rng = random.Random(20260823)
+    stream = [random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3)
+              for _ in range(500)]
     holds = set()
-    for fsa in product_machines():
-        k = build_kripke(fsa)
+    for fsa in product_machines() + stream:
+        exact = verify(fsa, "weak-detectability")
+        k = build_kripke(validate_fsa(fsa))
         formula, _ = property_template("weak-detectability", fsa)
-        bound = len(k.nodes) + 1
-        cands = reference_candidates(k, bound)
-        accepted = [c for c in cands if _estimate_walk_accepts(k, c)]
-        _, core, good = _estimate_product(k, _estimate_moves(k.succ))
-        assert core <= good
-        for c in accepted:
-            assert set(estimate_positions(k, c)) <= good
-        verdict = check_exists_forall_bounded(k, formula)
-        assert verdict.bound == bound
-        if accepted:
-            assert verdict.holds is True
-            assert verdict.witness == (accepted[0], None)
+        bounded = check_exists_forall_bounded(k, formula)
+        assert (bounded.mode, bounded.bound) == ("bounded", len(k.nodes) + 1)
+        assert bounded.witness == exact.witness
+        if exact.holds:
+            assert bounded.holds is True
+            assert replay_witness(fsa, "weak-detectability", bounded) is True
         else:
-            assert verdict.holds == "inconclusive"
-            assert verdict.witness is None
-            assert verdict.details["candidates_tried"] <= len(cands)
-        holds.add(verdict.holds)
+            assert bounded.holds == "inconclusive"
+            assert bounded.details == {"candidates_tried": 0}
+        holds.add(bounded.holds)
     assert holds == {True, "inconclusive"}
 
 
@@ -555,13 +551,18 @@ def test_estimate_moves_is_step_nodes_on_every_observation():
     """The memoised step gives, for each estimate, step_nodes on every
     observation entering a successor of one of its nodes, in name order:
     on the plain structure and on the original nodes of the modified one,
-    from every estimate of the product and from random sets of nodes, all
-    through one memo per structure."""
+    from every reachable estimate, by the subset graph stepped with
+    step_nodes, and from random sets of nodes, all through one memo per
+    structure."""
     rng = random.Random(20261019)
     for fsa in helper_machines():
         k = build_kripke(fsa)
-        product, _, _ = _estimate_product(k, _estimate_moves(k.succ))
-        estimates = {d for _, d in product}
+
+        def step_all(d):
+            present = sorted({t.obs for q in d for t in k.succ[q]})
+            return [(o, step_nodes(k.succ, d, o)) for o in present]
+
+        estimates = set(subset_graph(frozenset(k.initial), step_all)[0])
         nodes = list(k.nodes)
         estimates.update(frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
                          for _ in range(20))
@@ -605,9 +606,9 @@ def test_exact_route_agrees_with_the_observer_check():
 
 
 def test_bounded_route_exhausts_a_witnessless_machine_at_once():
-    """The 16th machine of at least 12 states from this stream has no
-    witness; the unpruned search gave up at its 20,000-candidate cap after
-    about two seconds, the pruned one runs out of candidates at once."""
+    """The 16th machine of at least 12 states from this stream reaches no
+    cycle of singleton estimates: the bounded route reports it inconclusive
+    at once, as the exact route decides it false."""
     rng = random.Random(20261017)
     machines = []
     while len(machines) < 16:
@@ -662,8 +663,8 @@ def test_routes_report_the_same_error_on_an_unannotated_dead_machine():
 
 
 def test_exists_forall_search_refuses_other_bodies(g_det):
-    """The candidate search decides the collapse body only: any other
-    exists/forall body is a typed error, not a verdict."""
+    """The bounded exists/forall route decides the collapse body only: any
+    other exists/forall body is a typed error, not a verdict."""
     k = build_kripke(g_det)
     for text in ("G obseq(p1,p2) -> F stateeq(p1,p2)",
                  "G obseq(p1,p2) -> G stateeq(p1,p2)"):
@@ -814,8 +815,8 @@ def test_predictability_template_agrees_with_verify_on_fuzz_machine_358():
 
 
 def test_library_ignores_the_bound_environment_variable(g_det, monkeypatch):
-    """No module reads HYPERDES_BOUND: the bounded candidate search gives
-    the same verdict with the variable set."""
+    """No module reads HYPERDES_BOUND: the bounded route reports the same
+    verdict, bound and witness with the variable set."""
     unset = verify(g_det, "weak-detectability", wd_route="bounded")
     monkeypatch.setenv("HYPERDES_BOUND", "4")
     verdict = verify(g_det, "weak-detectability", wd_route="bounded")
@@ -1054,9 +1055,9 @@ def test_negated_body_automata_are_reduced():
 
 
 def test_large_fault_ring_decides_on_the_hyper_route():
-    """The 360-state fault ring: diagnosable, not predictable, and weak
-    detectability is out of reach of the candidate route (it is false, and
-    that route can only prove it).  The predictability witness replays."""
+    """The 360-state fault ring: diagnosable, not predictable, and not
+    weakly detectable, which the bounded route reports as inconclusive.
+    The predictability witness replays."""
     fsa = validate_fsa(fault_ring(360))
     want = {"diagnosability": True, "predictability": False,
             "weak-detectability": "inconclusive"}

@@ -389,8 +389,8 @@ def test_predictability_verdict_serializes_both_lassos():
 
 
 def test_bounded_inconclusive_verdict_serializes_bound():
-    """An exhausted bounded search reports mode and bound in its JSON: the
-    node count of the Kripke structure plus one."""
+    """An inconclusive bounded verdict reports mode and bound in its JSON:
+    the node count of the Kripke structure plus one."""
     verdict = verify(make_twin_branch(), "weak-detectability", wd_route="bounded")
     doc = verdict_to_json(verdict)
     assert doc["holds"] == "inconclusive"

@@ -22,7 +22,7 @@ from hyperdes.des import (
 from hyperdes.errors import MissingAnnotation
 from hyperdes.formula import PROPERTIES
 from hyperdes.gen import random_valid_fsa
-from hyperdes.graph import reachable
+from hyperdes.graph import bfs
 from hyperdes.kripke import KNode, Lasso
 from hyperdes.fuzz import differential_fuzz
 from hyperdes.oracle import OracleAnalysis, _verifier, oracle_check
@@ -393,7 +393,7 @@ def test_delayed_detectability_violation_matches_definition(g_det):
 def exposure_walk(fsa, starts):
     """Every (open, secret) node the joint step reaches from `starts`."""
     moves = state_moves(fsa)
-    return reachable(starts, lambda node: [t for _, t in joint_moves(fsa, node, moves)])
+    return set(bfs(starts, lambda node: [t for _, t in joint_moves(fsa, node, moves)]))
 
 
 def split_by_secret(anchored, secret):
