@@ -83,9 +83,10 @@ def cmd_verify(args):
               file=sys.stderr)
 
     # one analysis per route, so the routes never share a structure; under
-    # --engine both, weak detectability compares the hyper engine's search
-    # for a cycle of singleton estimates of the Kripke structure with the
-    # oracle's search for one on the observer
+    # --engine both, weak detectability compares the negated forall/exists
+    # walk on its template with the oracle's search for a cycle of
+    # singleton estimates on the observer, and --check-witness replays
+    # the oracle's witness, which pauses at that cycle, on the hyper route
     analysis, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
     decide = {"hyper": analysis.verify, "oracle": oracle.check}
     engines = ("hyper", "oracle") if args.engine == "both" else (args.engine,)

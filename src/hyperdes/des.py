@@ -13,16 +13,17 @@ observation at once, as the union of its members' steps, each computed
 once, as is each state's unobservable closure, by des's one closure
 search, unobservable_reach.  An analysis makes one stepper per machine it
 checks and hands it to everything it builds of that machine: the
-observer, the Kripke structures and cyclic_states take it as an argument,
-and make a fresh one when given none.  joint_moves steps a tuple of estimates
-together on it.  The three estimate functions are one walk over such a
-tuple, which differs only in where it starts: the closure of the initial
-states for the current-state estimate, the closure of each initial state
-for the initial-state estimate, and each state of the estimate after
-alpha for the delayed one.  The oracle decides initial-state and
-infinite-step opacity on the same joint step; its single-event verifier
-needs no stepper, as it moves on one event at a time.  The tests'
-references step by the definition instead, one observation at a time:
+observer, the Kripke structures, cyclic_states and settled_states take it
+as an argument, and make a fresh one when given none.  joint_moves steps a
+tuple of estimates together on it.  The three estimate functions are one
+walk over such a tuple, which differs only in where it starts: the closure
+of the initial states for the current-state estimate, the closure of each
+initial state for the initial-state estimate, and each state of the
+estimate after alpha for the delayed one.  The oracle decides
+initial-state and infinite-step opacity on the same joint step; its
+single-event verifier needs no stepper, as it moves on one event at a
+time.  The tests' references step by the definition instead, one
+observation at a time:
 unobservable closure, one event with that observation, and another
 closure (tests/support.py's observable_step).
 
@@ -32,7 +33,8 @@ fault event; the hyper route's fault properties are stated on the refined
 machine.  The oracle decides them on the machine itself and refines it
 only to report a pumping horizon.  cyclic_states names the states on a
 cycle of observable moves, which the hyper route's strong-detectability
-template binds.
+template binds, and settled_states the states whose estimate can stay one
+state forever, which its weak-detectability template binds.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     UnknownObservation,
     UnobservableCycle,
 )
-from .graph import accepting_lasso, cyclic_sccs, subset_graph
+from .graph import accepting_lasso, cyclic_sccs, reach_cycles, subset_graph
 
 EPS = None  # internal marker for "unobservable" in masks and node observations
 
@@ -483,3 +485,17 @@ def cyclic_states(fsa: Fsa, moves=None) -> frozenset:
 
     roots = fsa.sort_states(unobservable_reach(fsa, fsa.initial))
     return frozenset(x for comp in cyclic_sccs(roots, succ) for x in comp)
+
+
+def settled_states(fsa: Fsa, moves=None) -> frozenset:
+    """The states from which the graph of singleton steps reaches a cycle:
+    its edges lead from x to y when the step of {x} on some observation is
+    exactly {y}, by `moves`, a set stepper of fsa, by default a fresh
+    state_moves(fsa).  An estimate {x} stays one state forever along some
+    observation string exactly when x is settled, so a machine is weakly
+    detectable exactly when some reachable estimate is {x} with x settled.
+    One linear pass over every state (graph.reach_cycles)."""
+    if moves is None:
+        moves = state_moves(fsa)
+    return frozenset(reach_cycles(fsa.states, lambda x: [
+        y for ys in moves((x,)).values() if len(ys) == 1 for y in ys]))

@@ -118,11 +118,6 @@ class NotSynchronousFragment(HyperdesError):
         super().__init__(f"not in the synchronous fragment: {reason}")
 
 
-class NotCollapseBody(HyperdesError):
-    """An exists/forall body other than the collapse body, the one such body
-    the engines decide."""
-
-
 class NotARun(HyperdesError):
     """A claimed witness lasso is not a run of the structure."""
 

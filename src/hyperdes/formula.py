@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .des import boundary_states, cyclic_states
+from .des import boundary_states, cyclic_states, settled_states
 from .errors import (
     ArityError,
     DuplicateSetName,
@@ -164,7 +164,8 @@ class StateEq:
 class InSet:
     """The state of a trace lies in a named state set; the formula that uses
     it binds the name to the states (see HyperFormula.sets)."""
-    name: str           # "fault", "initial", "secret", "nonsecret", "boundary" or "cyclic"
+    name: str           # "fault", "initial", "secret", "nonsecret", "boundary", "cyclic" or
+                        # "settled"
     trace: str
 
 
@@ -334,7 +335,14 @@ class _Parser:
 
 
 def parse_formula(text: str) -> HyperFormula:
-    return _Parser(text).parse()
+    """The formula `text` writes.  Input nested past the depth the parser's
+    recursion reaches, by parentheses or by a chain of unary operators,
+    raises FormulaSyntaxError at the token the parser had reached."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply", parser.pos()) from None
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +477,13 @@ def _templates():
     collapse = Implies(Always(obseq), Eventually(Always(stateeq)))
     tau1 = Atom("tau", "p1")
     tau2 = Atom("tau", "p2")
-    secret_pause = And(_expand_once(tau1), Always(Implies(tau1, InSet("secret", "p1"))))
-    reveal_free = Always(Implies(tau1, And(tau2, InSet("nonsecret", "p2"))))
+
+    def paused(at, agree, duty):
+        # p1 pauses once, at a state of the set `at`; p2 agrees with it as
+        # `agree` says, and pauses with it at a state where `duty` holds
+        return Implies(And(_expand_once(tau1), Always(Implies(tau1, InSet(at, "p1")))),
+                       And(agree, Always(Implies(tau1, And(tau2, duty)))))
+
     return {
         "diagnosability": (
             forall2,
@@ -501,8 +514,16 @@ def _templates():
             And(collapse, Not(Until(obseq, And(stateeq, And(InSet("cyclic", "p1"), Until(
                 obseq, And(obseq, Not(stateeq)))))))),
             "plain", ("cyclic",)),
+        # some run pauses once at a settled state where every run with its
+        # observations pauses too: its estimate there is that one state,
+        # which stays one state forever along some observation string.
+        # The paper's G obseq -> F G stateeq, read on infinite traces
+        # alone, misses matching runs that die out: every infinite one may
+        # converge while the estimate never narrows
         "weak-detectability": (
-            (("exists", "p1"), ("forall", "p2")), collapse, "plain", ()),
+            (("exists", "p1"), ("forall", "p2")),
+            Not(paused("settled", Until(obseq, tau1), Not(stateeq))),
+            "modified", ("settled",)),
         "delayed-detectability": (
             forall2, Implies(Always(obseq), Always(stateeq)), "plain", ()),
         "initial-state-opacity": (
@@ -511,12 +532,10 @@ def _templates():
                     And(InSet("initial", "p2"), And(Always(obseq), InSet("nonsecret", "p2")))),
             "plain", ("initial", "secret", "nonsecret")),
         "current-state-opacity": (
-            forall_exists,
-            Implies(secret_pause, And(Until(obseq, tau1), reveal_free)),
+            forall_exists, paused("secret", Until(obseq, tau1), InSet("nonsecret", "p2")),
             "modified", ("secret", "nonsecret")),
         "infinite-step-opacity": (
-            forall_exists,
-            Implies(secret_pause, And(Always(obseq), reveal_free)),
+            forall_exists, paused("secret", Always(obseq), InSet("nonsecret", "p2")),
             "modified", ("secret", "nonsecret")),
     }
 
@@ -530,6 +549,7 @@ _SET_STATES = {
     "boundary": lambda fsa, part, moves: boundary_states(fsa, part),
     "initial": lambda fsa, part, moves: fsa.initial,
     "cyclic": lambda fsa, part, moves: cyclic_states(fsa, moves),
+    "settled": lambda fsa, part, moves: settled_states(fsa, moves),
     "secret": lambda fsa, part, moves: fsa.secret_states,
     "nonsecret": lambda fsa, part, moves: frozenset(
         x for x in fsa.states if x not in fsa.secret_states),
@@ -556,13 +576,14 @@ def property_template(kind, fsa, part=None, moves=None):
     process, so every call returns the same body object; only the formula's
     `sets` is computed here, from the machine.  In the body obseq/stateeq
     compare the two traces, and InSet("fault" | "boundary" | "initial" |
-    "secret" | "nonsecret" | "cyclic", p) says that trace p is in that set
-    of states ("cyclic": on a cycle of observable moves, see
-    des.cyclic_states, which steps by `moves`, a set stepper of fsa, or by
-    a fresh one when it is None); `sets` binds each of these names to the
-    machine's states.  The engines decide these literals on the pair letter directly,
-    so the Büchi automaton of a template depends on the property alone and
-    is translated once per process.
+    "secret" | "nonsecret" | "cyclic" | "settled", p) says that trace p is
+    in that set of states ("cyclic": on a cycle of observable moves, see
+    des.cyclic_states; "settled": whose estimate can stay one state
+    forever, see des.settled_states; both step by `moves`, a set stepper
+    of fsa, or by a fresh one when it is None); `sets` binds each of these
+    names to the machine's states.  The engines decide these literals on
+    the pair letter directly, so the Büchi automaton of a template depends
+    on the property alone and is translated once per process.
     """
     missing = missing_annotation(kind, fsa)
     if missing is not None or kind in FAULT_PROPERTIES and part is None:

@@ -40,8 +40,8 @@ def differential_fuzz(seed=0, count=100, max_states=5, max_events=4, max_obs=3) 
         hyper, oracle = HyperAnalysis(fsa), OracleAnalysis(fsa)
         for kind in PROPERTIES:
             # weak detectability takes the hyper engine's exact route, the
-            # subset graph of its Kripke structure, which never runs the
-            # oracle's observer check
+            # negated forall/exists walk on its template, which never runs
+            # the oracle's observer check
             hv = hyper.verify(kind)
             ov = oracle.check(kind)
             tallies[kind]["true" if hv.holds else "false"] += 1

@@ -34,6 +34,29 @@ def cyclic_sccs(roots, succ):
             if len(comp) > 1 or comp[0] in succ(comp[0])]
 
 
+def reach_cycles(nodes, succ):
+    """The nodes of `nodes` from which a path reaches a cycle, as a set;
+    `nodes` must hold every successor of each of its nodes, and `succ`
+    return a list.  These are all the nodes but those every path from
+    which ends, found backwards from the nodes with no successor, as
+    Kahn's topological sort finds its order: a node ends once all its
+    successors have.  `succ` is called once per node, so the pass is
+    linear in the nodes and edges."""
+    succs = {x: succ(x) for x in nodes}
+    preds = {x: [] for x in succs}
+    for x, ys in succs.items():
+        for y in ys:
+            preds[y].append(x)
+    left = {x: len(ys) for x, ys in succs.items()}
+    ended = [x for x, n in left.items() if not n]
+    for y in ended:
+        for x in preds[y]:
+            left[x] -= 1
+            if not left[x]:
+                ended.append(x)
+    return set(succs).difference(ended)
+
+
 def accepting_lasso(roots, succ, accepting):
     """A lasso through a node satisfying `accepting`, searching from each
     root in turn, by Couvreur's on-the-fly SCC check (FM 1999): returns

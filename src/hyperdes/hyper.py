@@ -25,35 +25,34 @@ properties:
   state set for each trace, the intersection of its literals' sets as the
   formula's `sets` binds them.  Any other forall/exists body raises
   NotSynchronousFragment.
-- exists/forall: the collapse body (always obs-equal implies eventually
-  always state-equal, which is weak detectability) is decided on the subset
-  graph of the structure's current-state estimates: it holds exactly when a
-  cycle of singleton estimates is reachable, and its witness is a run into
-  such a cycle, lifted from the estimates to nodes.  verify() takes this
-  exact route unless asked for the bounded one, which makes the same
-  decision and only reports it differently: the same witness where the
-  property holds, with mode "bounded", and "inconclusive" where it fails.
-  Neither route decides any other exists/forall body.
+- exists/forall: a body that negates a body of that fragment, as weak
+  detectability's does, is decided as the negation of the forall/exists
+  walk on the dual formula (see _dual): it holds exactly where the walk
+  finds a violation, and that violation's universal trace is its witness,
+  which replays as the dual's.  verify() takes this exact route unless
+  asked for the bounded one, which makes the same decision and only
+  reports it differently: the same witness where the property holds, with
+  mode "bounded", and "inconclusive" where it fails.  Any other
+  exists/forall body raises NotSynchronousFragment.
 
-The searches step the current-state estimate by one memoised step,
-_estimate_moves, and key their states by the estimate alone wherever the
-node adds nothing: the forall/exists walk before its anchor and the exact
-exists/forall decision.  Their witnesses are lifted from an estimate path
-to a node path by one rule, _lift: backwards from the last node, each
-estimate's least member with an edge to the node chosen after it, so no
-choice depends on the order a frozenset iterates in.  Replays walk the
-estimate along a lasso with _lasso_estimates, which steps by the
+The walk steps the current-state estimate by one memoised step,
+_estimate_moves, and keys its states by the estimate alone before its
+anchor, where the node adds nothing.  Its witnesses are lifted from an
+estimate path to a node path by one rule, _lift: backwards from the last
+node, each estimate's least member with an edge to the node chosen after
+it, so no choice depends on the order a frozenset iterates in.  Replays
+walk the estimate along a lasso with _lasso_estimates, which steps by the
 definition, kripke.step_nodes, not by the search's step.
 
 Every engine and witness replay reads a formula's body and `sets` as they
 stand: obseq/stateeq and the state-set literals (fault, initial, secret,
-boundary, cyclic) are literals of the letter of each node pair, so the
-automaton of a built-in property does not depend on the model and is
-translated once per process.  A built-in property's body is one object per
+boundary, cyclic, settled) are literals of the letter of each node pair,
+so the automaton of a built-in property does not depend on the model and
+is translated once per process.  A built-in property's body is one object per
 process (formula.TEMPLATES), and only its `sets` is computed per machine,
-so the per-body caches here (_negated_body, _letter_plan, _sync_form,
-_is_collapse) find their entry by identity rather than by comparing trees,
-and a formula node keeps its hash once computed (see formula).
+so the per-body caches here (_negated_body, _letter_plan, _sync_form)
+find their entry by identity rather than by comparing trees, and a
+formula node keeps its hash once computed (see formula).
 An expanded body (property_formula's output) is a formula like any other;
 only forall/forall decides it to the same verdict.
 
@@ -73,10 +72,10 @@ here look up the successors and labels of the nodes they reach and never
 the whole node list, so a check expands only what it visits.  The
 forall/exists searches read an original node's successors off the plain
 structure a modified view keeps.  The bounded exists/forall report takes
-its bound from the number of nodes the subset graph expanded, which is
-every reachable node.  A HyperAnalysis steps each
-machine it checks by one set stepper (des.state_moves), shared by its
-Kripke structure and the template's cyclic states.
+its bound from the number of original nodes expanded so far, which is
+every reachable node where the property fails.  A HyperAnalysis steps
+each machine it checks by one set stepper (des.state_moves), shared by
+its Kripke structure and the template's cyclic and settled states.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ from .des import refine_fault_partition, state_moves, validate_fsa
 from .errors import (
     MissingAnnotation,
     NotARun,
-    NotCollapseBody,
     NotSynchronousFragment,
     PrefixMismatch,
     UnknownRoute,
@@ -101,7 +99,6 @@ from .formula import (
     Always,
     And,
     Atom,
-    Eventually,
     HyperFormula,
     Implies,
     InSet,
@@ -114,7 +111,7 @@ from .formula import (
     missing_annotation,
     property_template,
 )
-from .graph import accepting_lasso, shortest_path, subset_graph
+from .graph import accepting_lasso, shortest_path
 from .kripke import (KNode, KripkeStructure, Lasso, OnDemand, Verdict, build_kripke,
                      build_modified_kripke, canonical_lasso, step_nodes)
 
@@ -398,8 +395,10 @@ def _sync_form(prefix, body, names):
     meet, unbound (see _sync_plan).  Every state condition is one set
     literal: the pause constraint and the witness obligation at the pause
     one each, and at instant 0 each conjunct of the antecedent and, beside
-    agreement, of the consequent.  Like the automaton it depends on the
-    body alone, so it is computed once per body and process."""
+    agreement, of the consequent.  The one relational condition is the
+    obligation !stateeq at the pause, with agreement until the pause: p2
+    is then empty.  Like the automaton it depends on the body alone, so it
+    is computed once per body and process."""
     (_, v1), (_, v2) = prefix
     if not isinstance(body, Implies):
         raise NotSynchronousFragment("body must be an implication")
@@ -437,12 +436,17 @@ def _sync_form(prefix, body, names):
             elif (isinstance(c, Always) and isinstance(c.sub, Implies)
                     and c.sub.left == tau1 and isinstance(c.sub.right, And)
                     and c.sub.right.left == tau2):
-                duty = _set_literal(c.sub.right.right, v2, names)
+                duty = c.sub.right.right
         if scope is None:
             raise NotSynchronousFragment("agreement must hold always or until the pause")
+        if duty in (Not(StateEq(v1, v2)), Not(StateEq(v2, v1))):
+            if scope == "always":
+                raise NotSynchronousFragment("!stateeq needs agreement until the pause")
+            return "tau_once", (p1,), (), scope
+        duty = _set_literal(duty, v2, names)
         if duty is None:
-            raise NotSynchronousFragment("witness obligation at the pause is missing "
-                                         "or not a state-set literal")
+            raise NotSynchronousFragment("witness obligation at the pause is missing, "
+                                         "or neither a state-set literal nor !stateeq")
         return "tau_once", (p1,), (duty,), scope
 
     # instant-0 shape: requirements and obligations are checked at the first
@@ -470,7 +474,8 @@ def _sync_form(prefix, body, names):
 def _sync_plan(formula):
     """The plan of a forall/exists formula: (anchor, p1, p2, scope).  The
     anchor is "instant0" or "tau_once"; the universal trace must be in the
-    state set p1 at the anchor, and its witness candidates in p2;
+    state set p1 at the anchor, and its witness candidates in p2, or, where
+    p2 is None, at another state than the universal trace's;
     observation agreement holds "always" or "until_anchor".
 
     The body is read as it stands, so the plan does not depend on the
@@ -489,7 +494,7 @@ def _sync_plan(formula):
         first, *rest = names
         return frozenset(sets[first]).intersection(*(sets[n] for n in rest))
 
-    return anchor, bind(p1), bind(p2), scope
+    return anchor, bind(p1), bind(p2) if p2 else None, scope
 
 
 def _original_succ(k):
@@ -510,9 +515,10 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     estimate after the universal trace's observations so far, stepped by
     _estimate_moves, and each member q1 whose state is in the plan's p1
     opens a pause at the anchor, in sorted order.  A candidate meets the
-    obligation there when its state is in p2.  Each edge is labelled with
-    the universal-trace nodes it appends: (t1,) for a step after the
-    anchor, (twin, q1) for a pause, () before it.  A violation's π1 is then
+    obligation there when its state is in p2, or, where p2 is None, when it
+    is at another state than q1.  Each edge is labelled with the
+    universal-trace nodes it appends: (t1,) for a step after the anchor,
+    (twin, q1) for a pause, () before it.  A violation's π1 is then
     lifted backwards from the anchor node along the estimate path (see
     _lift), and extended into a lasso by first successors."""
     anchor, p1, p2, scope = _sync_plan(formula)
@@ -526,6 +532,9 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
     def arrive(q1, d):
         return ("post", q1, d) if d else None
 
+    def pause(q1, d):
+        return (KNode(q1.state, q1.obs, copy=True), q1), arrive(q1, d)
+
     if anchor == "instant0":
         d0 = frozenset(q for q in initials if q.state in p2)
         roots = [((q1,), arrive(q1, d0)) for q1 in initials if q1.state in p1]
@@ -538,12 +547,17 @@ def check_forall_exists_sync(k: KripkeStructure, formula: HyperFormula) -> Verdi
         if state[0] == "pre":
             d = state[1]
             out = []
-            members = sorted(q for q in d if q.state in p1)
-            if members:
-                d_anchor = frozenset(x for x in d if x.state in p2)
-                if not d_anchor or scope == "always":
-                    out = [((KNode(q1.state, q1.obs, copy=True), q1), arrive(q1, d_anchor))
-                           for q1 in members]
+            if p2 is None:
+                # one observation entered every member of d, so q1 is the
+                # only one at its state: only the estimate {q1} leaves no
+                # candidate at another state
+                out = [pause(q1, d - {q1}) for q1 in (d if len(d) == 1 else ()) if q1.state in p1]
+            else:
+                members = sorted(q for q in d if q.state in p1)
+                if members:
+                    d_anchor = frozenset(x for x in d if x.state in p2)
+                    if not d_anchor or scope == "always":
+                        out = [pause(q1, d_anchor) for q1 in members]
             out.extend(((), ("pre", d2)) for d2 in moves(d).values())
             return out
         _, q1, d = state
@@ -589,7 +603,8 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
         dset = frozenset(initials)
         for i in range(1, anchor_index):
             dset = step_nodes(orig_succ, dset, nodes[i].obs)
-        dset = frozenset(d for d in dset if d.state in p2)
+        at = nodes[anchor_index].state
+        dset = frozenset(d for d in dset if (d.state != at if p2 is None else d.state in p2))
         if scope == "until_anchor":
             return not dset
 
@@ -600,83 +615,41 @@ def forall_exists_refutes(k: KripkeStructure, formula: HyperFormula,
 
 
 # ---------------------------------------------------------------------------
-# exists/forall engines
+# exists/forall engine: the negated forall/exists check
 
 
-@functools.lru_cache(maxsize=64)
-def _is_collapse(prefix, body):
-    """Whether the body is the collapse body, always obs-equal implies
-    eventually always state-equal; decided once per template and process."""
-    (_, v1), (_, v2) = prefix
-    return body == Implies(Always(ObsEq(v1, v2)), Eventually(Always(StateEq(v1, v2))))
+def _dual(formula):
+    """The forall/exists formula whose body an exists/forall formula's body
+    negates, on the same trace variables and `sets`.  Any other
+    exists/forall body raises NotSynchronousFragment."""
+    _check_prefix(formula, ("exists", "forall"))
+    if not isinstance(formula.body, Not):
+        raise NotSynchronousFragment("an exists/forall body must negate a forall/exists body")
+    (_, v1), (_, v2) = formula.prefix
+    return HyperFormula((("forall", v1), ("exists", v2)), formula.body.sub, formula.sets)
 
 
-def _collapse_exact(k):
-    """Exact decision of the collapse body, weak detectability, on the
-    subset graph of the structure's estimates, the observer criterion of
-    Shu, Lin and Ying (IEEE TAC 52(12), 2007).
-
-    Some trace has an estimate that is eventually a singleton forever
-    exactly when a cycle of singleton estimates is reachable: every member
-    of an estimate ends some run on its observations.  The cycle is the
-    first one a depth-first search from the singletons, in breadth-first
-    order, meets; building the graph steps every reachable node.  The
-    witness is lifted as the oracle lifts its own: round the cycle, each
-    singleton's node, and before it a shortest estimate path from the
-    initial estimate to the cycle's first estimate, lifted backwards from
-    that estimate's node (see _lift).  The initial estimate's nodes are
-    entered by no observation, so it lies on no cycle.  The witness replays
-    through the estimate walk."""
-    moves = _estimate_moves(k.succ)
-    root = frozenset(k.initial)
-    order, succ = subset_graph(root, lambda d: list(moves(d).items()))
-    found = accepting_lasso([d for d in order if len(d) == 1],
-                            lambda d: [t for _, t in succ[d] if len(t) == 1],
-                            lambda _: True)
-    if found is None:
-        return Verdict(property=None, holds=False, mode="exact",
-                       engine="hyper-exists-forall")
-    cycle = found[1]
-    lap = [q for (q,) in cycle]
-    steps = shortest_path(root, succ.__getitem__, cycle[0])
-    stem = _lift(k.succ, [root] + [d for _, d in steps], lap[0])[:-1]
-    pi1 = canonical_lasso(Lasso(stem=tuple(stem), cycle=tuple(lap)))
-    return Verdict(property=None, holds=True, mode="exact",
-                   engine="hyper-exists-forall", witness=(pi1, None))
-
-
-def _estimate_walk_accepts(k, pi1):
-    """Decide the collapse body for one lasso by tracking every node the
-    structure can reach while matching the lasso's observations, and
-    requiring that the tracked set is eventually a singleton forever.
-
-    The tracked set is exactly the state estimate for the lasso's
-    observation sequence, so it also covers matching runs that die out after
-    finitely many steps.  A product check over infinite traces alone is
-    weaker: it can certify a lasso whose estimate stays ambiguous at
-    every instant because each ambiguous branch eventually fails to match
-    the next observation.  Such a lasso never pins down the state and
-    must not count."""
-    walk = list(_lasso_estimates(k.succ, pi1, 0, frozenset(k.initial)))
-    period = walk[walk.index(walk[-1]):-1]
-    return all(len(d) == 1 for _, d in period)
+def check_exists_forall(k: KripkeStructure, formula: HyperFormula) -> Verdict:
+    """Exact check of an exists/forall formula, exists p1. forall p2. !B,
+    as the negation of check_forall_exists_sync on forall p1. exists p2. B
+    (see _dual): it holds exactly where that check finds a violation, and
+    the violation's universal trace is its witness, which replays by
+    forall_exists_refutes on the same dual formula."""
+    dual = check_forall_exists_sync(k, _dual(formula))
+    return Verdict(property=None, holds=not dual.holds, mode="exact",
+                   engine="hyper-exists-forall", witness=dual.witness)
 
 
 def check_exists_forall_bounded(k: KripkeStructure, formula: HyperFormula) -> Verdict:
-    """The collapse body (always obs-equal implies eventually always
-    state-equal) decided by _collapse_exact and reported in the bounded
-    form: mode "bounded", and bound the structure's node count plus one, a
-    figure of its size that limits no search.  Where the body holds, the
-    witness is the exact one; where it fails, the verdict is
-    "inconclusive", with details["candidates_tried"] 0.
-    Any other exists/forall body raises NotCollapseBody."""
-    _check_prefix(formula, ("exists", "forall"))
-    if not _is_collapse(formula.prefix, formula.body):
-        raise NotCollapseBody("the exists/forall search decides the collapse body only")
-    verdict = _collapse_exact(k)
-    # the subset graph steps every reachable node, so each node has an
-    # entry in the on-demand successor map
-    verdict.mode, verdict.bound = "bounded", len(k.succ) + 1
+    """check_exists_forall's decision reported in the bounded form: mode
+    "bounded", and bound the number of original nodes expanded so far plus
+    one, a figure of the structure's size that limits no search.  Where
+    the formula holds, the witness is the exact one; where it fails, the
+    verdict is "inconclusive", with details["candidates_tried"] 0."""
+    verdict = check_exists_forall(k, formula)
+    # a failing formula's walk steps every reachable estimate, and so
+    # expands every reachable original node
+    verdict.mode, verdict.bound = "bounded", len(_original_succ(k)) + 1
     if not verdict.holds:
         verdict.holds, verdict.details = "inconclusive", {"candidates_tried": 0}
     return verdict
@@ -768,7 +741,7 @@ class HyperAnalysis:
         elif wd_route == "bounded":
             verdict = check_exists_forall_bounded(k, formula)
         else:
-            verdict = _collapse_exact(k)
+            verdict = check_exists_forall(k, formula)
         verdict.property = kind
         verdict.seconds = time.perf_counter() - started
         return verdict
@@ -790,14 +763,12 @@ class HyperAnalysis:
             (_, v1), (_, v2) = formula.prefix
             assign = {v1: _lasso_labels(k, pi1), v2: _lasso_labels(k, pi2)}
             return eval_body(formula.body, assign, formula.sets) is False
-        if verdict.holds is False and quants == ("forall", "exists"):
+        # a holding exists/forall verdict's witness violates the dual formula
+        if (verdict.holds, quants) in ((False, ("forall", "exists")), (True, ("exists", "forall"))):
             if pi2 is not None:
                 raise NotARun("a forall/exists violation has no witness for the second trace")
             _require_run(k, pi1)
-            return forall_exists_refutes(k, formula, pi1)
-        if verdict.holds is True and quants == ("exists", "forall"):
-            _require_run(k, pi1)
-            return _estimate_walk_accepts(k, pi1)
+            return forall_exists_refutes(k, _dual(formula) if verdict.holds else formula, pi1)
         raise NotARun(f"no witness replay defined for holds={verdict.holds!r} with prefix {quants}")
 
 
@@ -805,20 +776,23 @@ def verify(fsa, kind, wd_route="exact") -> Verdict:
     """Decide one property of an automaton on the hyper route, over its
     Kripke encodings; oracle.oracle_check decides it on the other route.
 
-    wd_route: how the hyper engine decides weak detectability, the one
-    exists/forall property.  "exact" decides it on the subset graph of the
-    Kripke structure's current-state estimates, a reachable cycle of
-    singleton estimates, and lifts its witness from the estimates to a run
-    (see _collapse_exact); "bounded" makes the same decision and reports it
-    in the form of check_exists_forall_bounded: the same witness where the
-    property holds, "inconclusive" where it fails, mode "bounded" and a
-    bound of the structure's node count plus one.
-    Both report engine "hyper-exists-forall"; the oracle's own check is
-    "oracle-observer".  Any other value raises UnknownRoute.
+    wd_route: how the hyper engine reports weak detectability, the one
+    exists/forall property.  "exact" decides its template as the negation
+    of the forall/exists walk on the dual formula (see check_exists_forall):
+    some run pauses once at a settled state where every run with its
+    observations is at that state too, and its witness is that run.
+    "bounded" makes the same decision and reports it in the form of
+    check_exists_forall_bounded: the same witness where the property
+    holds, "inconclusive" where it fails, mode "bounded" and a bound of
+    the original nodes expanded so far plus one.  Both report engine
+    "hyper-exists-forall"; the oracle's own check is "oracle-observer".
+    Any other value raises UnknownRoute.
 
     Every property is decided on the formula property_template builds and
-    on nothing else: a forall/forall verdict, strong detectability's among
-    them, is the emptiness check of one product (see check_forall_forall).
+    on nothing else, by check_forall_forall or check_forall_exists_sync:
+    a forall/forall verdict, strong detectability's among them, is the
+    emptiness check of one product, and weak detectability's is the
+    negation of a forall/exists walk.
 
     Each call builds the machine's structures afresh; a HyperAnalysis of
     the machine builds them once for all the properties asked of it.

@@ -60,7 +60,7 @@ from .des import (
 )
 from .errors import MissingAnnotation
 from .formula import missing_annotation
-from .graph import accepting_lasso, bfs, sccs, shortest_path
+from .graph import accepting_lasso, bfs, reach_cycles, sccs, shortest_path
 from .kripke import KNode, Lasso, Verdict, canonical_lasso
 
 
@@ -260,13 +260,8 @@ def predictability_oracle(an) -> Verdict:
     def targets(x):
         return [y for e, y in fsa.out_edges(x) if e not in faults]
 
-    # the states that reach a non-fault cycle: sccs lists a component
-    # before every component that reaches it
-    lasting = set()
-    for comp in sccs(initial, targets):
-        if len(comp) > 1 or any(y in lasting or y == x for x in comp for y in targets(x)):
-            lasting.update(comp)
-
+    # the states that reach a cycle of non-fault events
+    lasting = reach_cycles(fsa.states, targets)
     step = _verifier(fsa, faults)
     starts = ((x, y) for x in initial for y in initial)
     reached = bfs(starts, lambda pair: step(pair) if pair[1] in lasting else ())
@@ -339,7 +334,9 @@ def weak_detectability_oracle(an) -> Verdict:
     lifted back to the state/observation structure on the analysis's
     stepper: each estimate on the path gives its first state, in
     declaration order, whose step on the next observation holds the state
-    chosen after it."""
+    chosen after it.  The trace pauses once, at the cycle's entry, on the
+    modified structure's stalling twin: there its estimate is that one
+    state, which is the instant the hyper route's replay checks."""
     fsa, obs, step = an.fsa, an.observer(), an.moves()
     moves = obs.moves
     singles = [n for n in obs.nodes if len(n) == 1]
@@ -369,6 +366,9 @@ def weak_detectability_oracle(an) -> Verdict:
                 states[i] = x
                 break
     stem = tuple(KNode(states[i], est_path[i][1]) for i in range(len(est_path)))
+    # pause once at the cycle's entry, on its stalling twin, as the hyper
+    # route's template asks of a witness
+    stem += (stem[-1]._replace(copy=True), stem[-1])
     cycle_states = [next(iter(n)) for n in cyc_nodes]
     lap = tuple(KNode(cycle_states[(j + 1) % len(cycle_states)], cyc_obs[j])
                 for j in range(len(cyc_obs)))

@@ -274,6 +274,22 @@ def observable_step(fsa, states, o):
     return unobservable_reach(fsa, hits)
 
 
+def settled_reference(fsa):
+    """Reference for des.settled_states: the states x from which a path of
+    n + 1 singleton steps leaves, n the number of states, where a singleton
+    step goes from a state to the one state observable_step reaches from
+    it on some observation.  Such a path repeats a state, so it reaches a
+    cycle of singleton steps, and a state that reaches one has paths of
+    every length.  lasting holds the states with a path of i steps."""
+    single = {x: [y for o in fsa.observations
+                  if len(step := observable_step(fsa, [x], o)) == 1 for y in step]
+              for x in fsa.states}
+    lasting = set(fsa.states)
+    for _ in range(len(fsa.states) + 1):
+        lasting = {x for x in fsa.states if any(y in lasting for y in single[x])}
+    return frozenset(lasting)
+
+
 def per_observation_moves(fsa, states):
     """Reference for the items of des.state_moves(fsa)(states): one
     observable_step per declared observation, in declaration order, empty

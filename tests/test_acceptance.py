@@ -225,7 +225,7 @@ def test_alternation_depths_split_the_properties():
 # the first 60 machines of the acceptance stream and then g_diag, g_det
 # and g_opa, each fixture for the properties it is annotated for: it
 # changes if any verdict, witness or detail does
-VERDICT_STREAM_DIGEST = "3ff009fd0571068a2be29198a96b2a837f127926847a04593f18b90d3406c254"
+VERDICT_STREAM_DIGEST = "180998789d9c6478b217520b6b79d0f9fa2005808c905db29e4ae118075dc477"
 
 
 def verdict_stream_digest():

@@ -85,7 +85,7 @@ def test_engine_both_agreeing_is_not_an_error(capsys):
 
 def test_engine_both_never_compares_a_route_with_itself(capsys):
     """Under --engine both, weak detectability compares the hyper engine's
-    exact route, the subset graph of its Kripke structure, with the
+    exact route, the negated forall/exists walk on its template, with the
     oracle's observer check."""
     code, out, _ = run(capsys, "verify", "--model", G_DET,
                        "--property", "weak-detectability", "--engine", "both")

@@ -12,7 +12,8 @@ from dataclasses import astuple, fields, is_dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdes.des import boundary_states, cyclic_states, refine_fault_partition, validate_fsa
+from hyperdes.des import (boundary_states, cyclic_states, refine_fault_partition,
+                          settled_states, validate_fsa)
 from hyperdes.errors import (
     ArityError,
     FormulaSyntaxError,
@@ -138,6 +139,18 @@ def test_syntax_errors_carry_positions():
         assert 0 <= exc.value.position <= len(text)
 
 
+def test_too_deep_nesting_is_a_syntax_error():
+    """331 parentheses, and a chain of 5000 X, nest past the parser's
+    recursion: each is a syntax error at a token of the nesting, not a
+    RecursionError."""
+    head = "forall p1. forall p2. "
+    for opening, closing in (("(" * 331, ")" * 331), ("X " * 5000, "")):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(head + opening + "true" + closing)
+        assert "nested too deeply" in str(exc.value)
+        assert len(head) <= exc.value.position < len(head) + len(opening)
+
+
 def test_unexpected_character_position():
     text = "forall p1. forall p2. x:1@p1 $"
     with pytest.raises(FormulaSyntaxError) as exc:
@@ -236,9 +249,9 @@ def test_template_structure_kinds(g_diag, g_det, g_opa):
         ("diagnosability", "plain"), ("predictability", "plain"),
     ]:
         assert property_formula(kind, refined, part)[1] == expected
-    for kind in ("i-detectability", "strong-detectability",
-                 "weak-detectability", "delayed-detectability"):
+    for kind in ("i-detectability", "strong-detectability", "delayed-detectability"):
         assert property_formula(kind, g_det)[1] == "plain"
+    assert property_formula("weak-detectability", g_det)[1] == "modified"
     assert property_formula("initial-state-opacity", g_opa)[1] == "plain"
     assert property_formula("current-state-opacity", g_opa)[1] == "modified"
     assert property_formula("infinite-step-opacity", g_opa)[1] == "modified"
@@ -327,6 +340,8 @@ def test_template_bodies_do_not_depend_on_the_model(g_diag, g_det, g_opa):
             return initial
         if kind == "strong-detectability":
             return (("cyclic", cyclic_states(fsa)),)
+        if kind == "weak-detectability":
+            return (("settled", settled_states(fsa)),)
         if kind == "initial-state-opacity":
             return initial + secret
         if kind in OPACITY_PROPERTIES:

@@ -13,6 +13,7 @@ from hyperdes.graph import (
     accepting_lasso,
     bfs,
     cyclic_sccs,
+    reach_cycles,
     sccs,
     shortest_path,
     subset_graph,
@@ -94,6 +95,20 @@ def test_sccs_are_the_mutual_reachability_classes(graph):
                 assert y not in reach[x]    # a component comes before its predecessors
     cyclic = [set(comp) for comp in cyclic_sccs(roots, succ.__getitem__)]
     assert cyclic == [set(comp) for comp in comps if comp[0] in reach[comp[0]]]
+
+
+@checks
+@given(digraphs())
+def test_reach_cycles_names_the_nodes_that_reach_a_cycle(graph):
+    """reach_cycles gives the nodes that lie on a cycle or reach a node on
+    one, by the closure, whatever order the nodes come in."""
+    nodes, edges, _ = graph
+    succ = successors(nodes, edges)
+    reach = closure(nodes, succ)
+    on_cycle = {x for x in nodes if x in reach[x]}
+    expected = {x for x in nodes if x in on_cycle or reach[x] & on_cycle}
+    assert reach_cycles(nodes, succ.__getitem__) == expected
+    assert reach_cycles(nodes[::-1], succ.__getitem__) == expected
 
 
 @checks

@@ -8,13 +8,12 @@ import pytest
 
 from hyperdes import hyper
 from hyperdes.buchi import ltl_to_buchi, quotient
-from hyperdes.des import Fsa, refine_fault_partition, validate_fsa
+from hyperdes.des import Fsa, refine_fault_partition, settled_states, validate_fsa
 from hyperdes.errors import (
     DuplicateSetName,
     HyperdesError,
     MissingAnnotation,
     NotARun,
-    NotCollapseBody,
     NotLive,
     NotSynchronousFragment,
     PrefixMismatch,
@@ -50,6 +49,7 @@ from hyperdes.graph import subset_graph
 from hyperdes.hyper import (
     HyperAnalysis,
     Verdict,
+    check_exists_forall,
     check_exists_forall_bounded,
     check_forall_exists_sync,
     check_forall_forall,
@@ -72,7 +72,8 @@ from hyperdes.kripke import (
     step_nodes,
 )
 from hyperdes.oracle import oracle_check
-from support import fault_ring, labelled_ring, pair_letter
+from support import (all_initial_fault_ring, fault_ring, labelled_ring, o1_ring, pair_letter,
+                     settled_reference)
 from tests.conftest import make_dying_branch, make_twin_branch
 
 
@@ -446,12 +447,34 @@ def test_weak_detectability_routes_agree(g_det):
     assert replay_witness(g_det, "weak-detectability", bounded) is True
 
 
+def test_every_property_reaches_a_formula_engine(monkeypatch, g_diag, g_det, g_opa):
+    """HyperAnalysis.verify decides each of the nine properties, weak
+    detectability on both its routes among them, by a call of
+    check_forall_forall or check_forall_exists_sync, as counted by a
+    wrapper around each: no property has an engine of its own."""
+    calls = []
+    for name in ("check_forall_forall", "check_forall_exists_sync"):
+        def counted(k, formula, engine=getattr(hyper, name)):
+            calls.append(formula.quantifiers())
+            return engine(k, formula)
+        monkeypatch.setattr(hyper, name, counted)
+    for kind in PROPERTIES:
+        fsa = next(f for f in (g_det, g_diag, g_opa) if missing_annotation(kind, f) is None)
+        routes = ("exact", "bounded") if kind == "weak-detectability" else ("exact",)
+        for route in routes:
+            calls.clear()
+            HyperAnalysis(fsa).verify(kind, route)
+            assert len(calls) == 1, (kind, route)
+
+
 def test_weak_detectability_observer_witness_is_pinned(g_det):
-    """The lifted observer witness is the canonical singleton loop trace."""
+    """The lifted observer witness is the canonical singleton loop trace,
+    paused once, on its stalling twin, at the entry of the loop."""
     verdict = oracle_check(g_det, "weak-detectability")
     pi1, pi2 = verdict.witness
     assert pi2 is None
-    assert pi1 == lasso([node("0"), node("4", "o1")], [node("5", "o1")])
+    assert pi1 == lasso([node("0"), node("4", "o1"), node("5", "o1"), node("5", "o1", True)],
+                        [node("5", "o1")])
 
 
 def test_bounded_route_inconclusive_when_no_witness_exists():
@@ -470,7 +493,8 @@ def test_bounded_route_inconclusive_when_no_witness_exists():
 def test_bounded_route_rejects_eternally_ambiguous_machine():
     """A run whose estimate never collapses must not be certified, even
     when every infinite observation-matched companion run converges onto
-    it: both routes find no singleton cycle."""
+    it: no state is settled, so the hyper route finds no pause to certify,
+    as the oracle finds no cycle of singleton estimates."""
     fsa = make_dying_branch()
     assert verify(fsa, "weak-detectability").holds is False
     bounded = verify(fsa, "weak-detectability", wd_route="bounded")
@@ -518,8 +542,10 @@ def product_machines():
 def test_bounded_route_reports_the_exact_decision():
     """On product_machines() and the 500-machine acceptance stream, the
     bounded route holds exactly where the exact route does, with the same
-    witness, and is inconclusive with no candidate tried elsewhere; its
-    bound is the structure's node count plus one."""
+    witness, and is inconclusive with no candidate tried elsewhere.  On a
+    fresh modified view, its bound is one more than the original nodes the
+    walk expanded: every node of the structure where the property fails,
+    and no more where it holds."""
     rng = random.Random(20260823)
     stream = [random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3)
               for _ in range(500)]
@@ -528,8 +554,8 @@ def test_bounded_route_reports_the_exact_decision():
         exact = verify(fsa, "weak-detectability")
         k = build_kripke(validate_fsa(fsa))
         formula, _ = property_template("weak-detectability", fsa)
-        bounded = check_exists_forall_bounded(k, formula)
-        assert (bounded.mode, bounded.bound) == ("bounded", len(k.nodes) + 1)
+        bounded = check_exists_forall_bounded(build_modified_kripke(k), formula)
+        assert (bounded.mode, bounded.bound) == ("bounded", len(k.succ) + 1)
         assert bounded.witness == exact.witness
         if exact.holds:
             assert bounded.holds is True
@@ -537,8 +563,28 @@ def test_bounded_route_reports_the_exact_decision():
         else:
             assert bounded.holds == "inconclusive"
             assert bounded.details == {"candidates_tried": 0}
+            assert bounded.bound == len(k.nodes) + 1
         holds.add(bounded.holds)
     assert holds == {True, "inconclusive"}
+
+
+def test_settled_states_match_their_definition():
+    """des.settled_states names the states settled_reference does, on
+    product_machines(), the 500-machine acceptance stream and the four ring
+    families; on some machines no state is settled, on some every state,
+    and on others only some."""
+    rng = random.Random(20260823)
+    stream = [random_valid_fsa(rng, max_states=5, max_events=4, max_obs=3)
+              for _ in range(500)]
+    rings = [family(n) for family in (fault_ring, all_initial_fault_ring, o1_ring, labelled_ring)
+             for n in (4, 5, 16)]
+    shares = set()
+    for fsa in product_machines() + stream + rings:
+        settled = settled_states(validate_fsa(fsa))
+        assert settled == settled_reference(fsa), fsa
+        shares.add("none" if not settled else "all" if len(settled) == len(fsa.states)
+                   else "some")
+    assert shares == {"none", "some", "all"}
 
 
 def helper_machines():
@@ -663,14 +709,32 @@ def test_routes_report_the_same_error_on_an_unannotated_dead_machine():
 
 
 def test_exists_forall_search_refuses_other_bodies(g_det):
-    """The bounded exists/forall route decides the collapse body only: any
-    other exists/forall body is a typed error, not a verdict."""
-    k = build_kripke(g_det)
-    for text in ("G obseq(p1,p2) -> F stateeq(p1,p2)",
-                 "G obseq(p1,p2) -> G stateeq(p1,p2)"):
+    """The exists/forall routes decide a body that negates a body of the
+    synchronous forall/exists fragment only: any other exists/forall body,
+    the paper's weak-detectability template among them, is a typed error,
+    not a verdict."""
+    k = build_modified_kripke(build_kripke(g_det))
+    for text in ("G obseq(p1,p2) -> F G stateeq(p1,p2)",
+                 "G obseq(p1,p2) -> G stateeq(p1,p2)",
+                 "!(G obseq(p1,p2) -> F stateeq(p1,p2))"):
         formula = parse_formula("exists p1. forall p2. " + text)
-        with pytest.raises(NotCollapseBody):
-            check_exists_forall_bounded(k, formula)
+        for check in (check_exists_forall, check_exists_forall_bounded):
+            with pytest.raises(NotSynchronousFragment):
+                check(k, formula)
+
+
+def test_a_pause_at_another_state_needs_agreement_until_the_pause(g_det):
+    """The obligation !stateeq at the pause is read only beside agreement
+    until the pause, as weak detectability's dual states it; beside
+    agreement forever it is a typed error."""
+    k = build_modified_kripke(build_kripke(g_det))
+    body = TEMPLATES["weak-detectability"][1].sub
+    forever = replace(body, right=replace(body.right, left=Always(ObsEq("p1", "p2"))))
+    formula = HyperFormula((("forall", "p1"), ("exists", "p2")), forever,
+                           (("settled", frozenset(g_det.states)),))
+    with pytest.raises(NotSynchronousFragment) as err:
+        check_forall_exists_sync(k, formula)
+    assert "until the pause" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

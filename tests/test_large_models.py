@@ -147,7 +147,7 @@ def test_o1_ring_weak_detectability_on_both_routes():
     """The 100-state o1 ring is not weakly detectable: its estimates never
     shrink to one state, whatever the observations.  Its observer has
     about n² estimates of up to n states.  Both routes say so, and the
-    hyper route, on the subset graph of its Kripke structure, takes at most
+    hyper route, on the negated forall/exists walk, takes at most
     1.5 times the oracle's time; a product with one state per member of
     each estimate took 1.8 s, against the oracle's 0.14 s."""
     fsa = validate_fsa(o1_ring(100))

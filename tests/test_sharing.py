@@ -116,7 +116,8 @@ def test_fuzz_builds_each_structure_once_per_machine_and_route(builds):
     route makes one stepper per Kripke structure, for the machine it
     encodes, and the oracle route at most one per machine; no builder makes
     its own.  The shape of a forall/exists body is read once per body, for
-    all machines."""
+    all machines: the three opacity bodies and the one weak detectability's
+    negates."""
     count = 500
     hyperdes.hyper._sync_form.cache_clear()
     report = differential_fuzz(seed=20260823, count=count)
@@ -132,7 +133,7 @@ def test_fuzz_builds_each_structure_once_per_machine_and_route(builds):
     assert len({id(a) for a in oracle_steppers}) == len(oracle_steppers) <= count
     assert made[("des", "state_moves")] == made[("kripke", "state_moves")] == 0
     assert min(n for (route, _), n in made.items() if route in ("hyper", "oracle")) > 0
-    assert hyperdes.hyper._sync_form.cache_info().misses == 3
+    assert hyperdes.hyper._sync_form.cache_info().misses == 4
 
 
 def test_each_analysis_makes_its_own_stepper(builds):
